@@ -9,7 +9,6 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -22,15 +21,6 @@ from panelcollapse.randgen import (
 from panelcollapse.symmetry import run_to_tree
 
 
-@dataclass
-class ExperimentConfig:
-    runs: int = 50
-    max_points: int = 9
-    max_walls: int = 8
-    max_vertices: int = 200
-    min_dimension: int = 2
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=50)
@@ -38,27 +28,19 @@ def main():
     parser.add_argument("--max-vertices", type=int, default=200)
     parser.add_argument("--min-dimension", type=int, default=2)
     args = parser.parse_args()
-    cfg = ExperimentConfig(
-        runs=args.runs,
-        max_vertices=args.max_vertices,
-        min_dimension=args.min_dimension,
-    )
     seed = args.seed if args.seed is not None else seed_from_env()
     rng = random.Random(seed)
     gen_cfg = GeneratorConfig(
-        max_points=cfg.max_points,
-        max_walls=cfg.max_walls,
-        max_vertices=cfg.max_vertices,
-        min_dimension=cfg.min_dimension,
+        max_vertices=args.max_vertices, min_dimension=args.min_dimension
     )
 
-    print(f"seed={seed} runs={cfg.runs}")
+    print(f"seed={seed} runs={args.runs}")
     dims = Counter()
     group_orders = Counter()
     steps_hist = Counter()
     diagonals = 0
     started = time.perf_counter()
-    for i in range(cfg.runs):
+    for i in range(args.runs):
         cx, action = random_equivariant_instance(rng, gen_cfg)
         trace = run_to_tree(cx, action)
         dims[cx.dimension] += 1

@@ -302,7 +302,10 @@ def _cmd_export_dot(args) -> int:
             if len(parts) < 4 or parts[0] != "edge" or parts[3] != "crosses":
                 raise FileFormatError(f"line {lineno}: bad provenance line")
             u, v = parts[1], parts[2]
-            hs = frozenset(int(tok.lstrip("h")) for tok in parts[4:])
+            for tok in parts[4:]:
+                if not (tok[:1] == "h" and tok[1:].isdecimal()):
+                    raise FileFormatError(f"line {lineno}: bad wall id {tok!r}")
+            hs = frozenset(int(tok[1:]) for tok in parts[4:])
             provenance[cx.edge_key(u, v)] = hs
     sys.stdout.write(export_dot(cx, provenance))
     return 0

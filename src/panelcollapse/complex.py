@@ -2,10 +2,20 @@
 
 A finite cube complex is CAT(0) exactly when its 1-skeleton is a median graph
 and every induced hypercube subgraph is filled in, so the canonical
-representation here is just (vertices, edges).  Cubes of every dimension and
-hyperplanes (wall classes of edges) are derived and cached.  A constructed
-``CubeComplex`` is immutable and always validated: connected, simple, median,
-flag-filled, Euler characteristic 1.
+representation here is just (vertices, edges).  A constructed ``CubeComplex``
+is immutable and always validated: connected, simple and median.  The median
+condition already implies the flag condition and contractibility (Chepoi
+2000, "Graphs of some CAT(0) complexes"), so those are not re-checked per
+build; the test suite checks them against a brute-force reference.
+
+Once a graph is accepted, every derived fact comes from its distance table:
+
+* the walls are the Djoković-Winkler classes of edges: for an edge (a, b), the
+  vertices nearer to b than to a form one halfspace, and the edges leaving it
+  form the wall;
+* every cube has a unique corner farthest from the first vertex, and at each
+  vertex every set of edges leading towards the first vertex spans a cube, so
+  the cubes are enumerated exactly once each, together with their walls.
 
 Conventions used throughout the package:
 
@@ -14,6 +24,7 @@ Conventions used throughout the package:
 * an edge key is the pair ``(u, v)`` with ``u`` before ``v`` canonically;
 * a cube is identified by the frozenset of its vertices (in a median graph an
   induced hypercube is determined by its vertex set);
+* walls are numbered by their canonically-first edge;
 * each hyperplane splits the vertex set into a ``minus`` side (the one
   containing the canonically-first vertex of the complex) and a ``plus`` side.
 """
@@ -47,7 +58,14 @@ def canonical_vertex_order(vertices):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the CAT(0) checks on a finite graph."""
+    """Outcome of the CAT(0) checks on a finite graph.
+
+    Only connectivity and the median condition are tested.  For a median
+    graph the flag condition and Euler characteristic 1 follow, so
+    ``flag_filled`` is True exactly when ``median`` is; ``cube_counts`` and
+    ``euler_characteristic`` describe the cubes of a median graph and are
+    ``()`` and ``None`` for any graph that is disconnected or not median.
+    """
 
     vertex_count: int
     edge_count: int
@@ -76,8 +94,6 @@ class ValidationReport:
             return "graph is not connected"
         if self.median is False:
             return f"median check fails on triple {self.median_violation}"
-        if self.flag_filled is False:
-            return "flag condition fails (a cube corner does not close up)"
         if self.euler_characteristic != 1:
             return f"Euler characteristic is {self.euler_characteristic}, not 1"
         return "invalid"
@@ -220,214 +236,59 @@ def _median_scan(dist):
     return True, None
 
 
-def _is_induced_hypercube(vs, adj_sets):
-    """Decide whether the induced subgraph on ``vs`` is a d-hypercube."""
-    k = len(vs)
-    if k == 0 or k & (k - 1):
-        return False
-    d = k.bit_length() - 1
-    vs = sorted(vs)
-    inside = set(vs)
-    base = vs[0]
-    # breadth-first labelling: a vertex at depth k gets the union of the
-    # direction sets of its depth-(k-1) neighbours
-    labels = {base: frozenset()}
-    first_ring = sorted(adj_sets[base] & inside)
-    if len(first_ring) != d:
-        return False
-    for i, w in enumerate(first_ring):
-        labels[w] = frozenset({i})
-    level = first_ring
-    while level:
-        nxt = {}
-        for u in level:
-            for w in adj_sets[u] & inside:
-                if w not in labels:
-                    nxt.setdefault(w, set()).update(labels[u])
-        for w in sorted(nxt):
-            labels[w] = frozenset(nxt[w])
-        level = sorted(nxt)
-    if len(labels) != k or len(set(labels.values())) != k:
-        return False
-    # adjacency must be exactly Hamming distance one on labels
-    for a, b in itertools.combinations(vs, 2):
-        hamming = len(labels[a] ^ labels[b])
-        adjacent = b in adj_sets[a]
-        if adjacent != (hamming == 1):
-            return False
-    return True
+def _walls(dist, int_edges):
+    """Walls of a median graph from its distance table.
 
-
-def _enumerate_cubes(n, adj_sets, max_branch=64):
-    """All induced hypercube subgraphs, as lists of frozensets per dimension.
-
-    Dimension 0 and 1 are vertices and edges; squares are induced 4-cycles;
-    higher cubes are grown from lower ones by translating across an edge and
-    verifying the result is an induced hypercube.
+    Returns ``(edge_wall, plus)``: the wall id of each edge, in ``int_edges``
+    order, and the boolean vertex-by-wall matrix of plus sides.  Walls are
+    numbered by their first edge and vertex 0 lies on every minus side.
     """
-    verts = [frozenset([v]) for v in range(n)]
-    edges = [
-        frozenset([u, w]) for u in range(n) for w in adj_sets[u] if u < w
-    ]
-    if not edges:
-        return [verts]
-    by_dim = [verts, edges]
-    # squares: pairs at distance two with two nonadjacent common neighbours
-    squares = set()
-    for p in range(n):
-        for q in range(p + 1, n):
-            if q in adj_sets[p]:
-                continue
-            common = sorted(adj_sets[p] & adj_sets[q])
-            for x, y in itertools.combinations(common, 2):
-                if y not in adj_sets[x]:
-                    squares.add(frozenset((p, q, x, y)))
-    if not squares:
-        return [verts, edges]
-    by_dim.append(sorted(squares, key=sorted))
-    d = 2
-    while by_dim[d]:
-        found = set()
-        for S in by_dim[d]:
-            inside = set(S)
-            for u in S:
-                for w in adj_sets[u] - inside:
-                    grown = _translate_cube(S, u, w, adj_sets, max_branch)
-                    if grown is not None and grown not in found:
-                        if _is_induced_hypercube(grown, adj_sets):
-                            found.add(grown)
-        if not found:
-            break
-        by_dim.append(sorted(found, key=sorted))
-        d += 1
-    return [sorted(c, key=sorted) for c in by_dim]
-
-
-def _translate_cube(S, u, w, adj_sets, max_branch):
-    """Try to extend cube ``S`` to ``S x edge`` in the direction of edge (u, w).
-
-    Builds the translate vertex by vertex in BFS order inside S; the partner
-    of each vertex must be its neighbour that is also adjacent to the already
-    placed partners of its predecessors.  Ambiguity (possible only on graphs
-    that are not median) is resolved by bounded branching.
-    """
-    inside = set(S)
-    # BFS order inside the induced cube
-    order = [u]
-    depth = {u: 0}
-    parents = {u: []}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in adj_sets[a] & inside:
-                if b not in depth:
-                    depth[b] = depth[a] + 1
-                    parents[b] = [a]
-                    nxt.append(b)
-                elif depth[b] == depth[a] + 1:
-                    parents[b].append(a)
-        frontier = nxt
-        order.extend(sorted(nxt))
-    if len(depth) != len(S):
-        return None
-
-    partial = [{u: w}]
-    for v in order[1:]:
-        nxt_partial = []
-        for ph in partial:
-            cand = adj_sets[v] - inside
-            for p in parents[v]:
-                cand = cand & adj_sets[ph[p]]
-                if not cand:
-                    break
-            for c in cand:
-                if c in ph.values():
-                    continue
-                ext = dict(ph)
-                ext[v] = c
-                nxt_partial.append(ext)
-                if len(nxt_partial) >= max_branch:
-                    break
-            if len(nxt_partial) >= max_branch:
-                break
-        if not nxt_partial:
-            return None
-        partial = nxt_partial
-    ph = partial[0]
-    return frozenset(inside | set(ph.values()))
-
-
-def _flag_scan(n, adj_sets, cube_sets):
-    """Gromov flag condition on the canonical filling.
-
-    At every vertex, any set of incident edge-directions that pairwise span
-    squares must span a cube of the matching dimension.  Squares and lower are
-    automatic, so checking starts at triples.
-    """
-    cubes_by_dim = [set(c) for c in cube_sets]
-    if len(cubes_by_dim) < 3:
-        return True
-    square_lookup = cubes_by_dim[2]
-
-    for v in range(n):
-        nbrs = sorted(adj_sets[v])
-        if len(nbrs) < 3:
+    n = dist.shape[0]
+    ends = np.array(int_edges, dtype=np.intp).reshape(-1, 2)
+    edge_wall = np.full(len(int_edges), -1, dtype=np.intp)
+    columns = []
+    for i, (a, b) in enumerate(int_edges):
+        if edge_wall[i] >= 0:
             continue
-        pair_ok = {}
-        for a, b in itertools.combinations(nbrs, 2):
-            common = adj_sets[a] & adj_sets[b] - {v}
-            sq = None
-            for x in common:
-                cand = frozenset((v, a, b, x))
-                if cand in square_lookup:
-                    sq = cand
-                    break
-            pair_ok[(a, b)] = sq
-        # grow cliques in the square graph at v, checking cube existence
-        max_dim = len(cube_sets) - 1
-        cliques = [[a] for a in nbrs]
-        size = 1
-        while cliques and size < len(nbrs):
-            size += 1
-            nxt = []
-            for cl in cliques:
-                for b in nbrs:
-                    if b <= cl[-1]:
-                        continue
-                    if all(pair_ok.get((a, b)) for a in cl):
-                        new = cl + [b]
-                        if size >= 3:
-                            spanned = _span_corner(v, new, adj_sets)
-                            if spanned is None or (
-                                size > max_dim or spanned not in cubes_by_dim[size]
-                            ):
-                                return False
-                        nxt.append(new)
-            cliques = nxt
-    return True
+        # a median graph is bipartite, so no vertex is as near to a as to b
+        plus = dist[b] < dist[a]
+        if plus[0]:
+            plus = ~plus
+        edge_wall[plus[ends[:, 0]] != plus[ends[:, 1]]] = len(columns)
+        columns.append(plus)
+    plus = np.array(columns, dtype=bool).reshape(len(columns), n).T
+    return edge_wall.tolist(), plus
 
 
-def _span_corner(v, nbrs, adj_sets):
-    """Vertex set of the cube spanned at corner ``v`` by given neighbours,
-    or None if it does not close up."""
-    all_placed = {frozenset(): v}
-    for i, b in enumerate(nbrs):
-        all_placed[frozenset([i])] = b
-    k = len(nbrs)
-    for size in range(2, k + 1):
-        for combo in itertools.combinations(range(k), size):
-            key = frozenset(combo)
-            # common neighbour of all facets
-            facets = [all_placed[key - {i}] for i in combo]
-            cand = set(adj_sets[facets[0]])
-            for f in facets[1:]:
-                cand &= adj_sets[f]
-            cand -= set(all_placed.values())
-            if len(cand) != 1:
-                return None
-            all_placed[key] = next(iter(cand))
-    return frozenset(all_placed.values())
+def _cubes(dist, int_edges, edge_wall, plus):
+    """Every cube of a median graph, once, with the walls it crosses.
+
+    A cube is found at its corner farthest from vertex 0: the edges there
+    that lead towards vertex 0 cross distinct walls, and any subset S of them
+    spans a cube whose vertices are the corner with any subset of S's sides
+    flipped.  Returns one list per dimension of ``(vertex index tuple, wall
+    frozenset)`` pairs, sorted by vertex indices.
+    """
+    n = len(plus)
+    masks = [sum(1 << h for h, p in enumerate(row) if p) for row in plus.tolist()]
+    vertex_of = {m: x for x, m in enumerate(masks)}
+    down = [[] for _ in range(n)]
+    level = dist[0].tolist()
+    for (a, b), h in zip(int_edges, edge_wall):
+        down[b if level[a] < level[b] else a].append(h)
+    by_dim = [[] for _ in range(max(map(len, down)) + 1)]
+    for v in range(n):
+        faces = [((), [masks[v]])]
+        for h in sorted(down[v]):
+            bit = 1 << h
+            faces += [(hs + (h,), ms + [m ^ bit for m in ms]) for hs, ms in faces]
+        for hs, ms in faces:
+            by_dim[len(hs)].append(
+                (tuple(sorted([vertex_of[m] for m in ms])), frozenset(hs))
+            )
+    for cubes in by_dim:
+        cubes.sort()
+    return by_dim
 
 
 # ---------------------------------------------------------------------------
@@ -452,35 +313,35 @@ def _analyze(order, int_edges):
         adj_sets[a].add(b)
         adj_sets[b].add(a)
     dist = _distances(n, adj_sets)
-    connected = bool((dist >= 0).all())
-    if not connected:
+    sizes = dict(vertex_count=n, edge_count=len(int_edges), simple=True)
+    if not (dist >= 0).all():
+        return ValidationReport(**sizes, connected=False), None
+    # a connected graph with one edge fewer than vertices is a tree, and
+    # every tree is median
+    if len(int_edges) == n - 1:
+        median_ok, violation = True, None
+    else:
+        median_ok, violation = _median_scan(dist)
+    if not median_ok:
         report = ValidationReport(
-            vertex_count=n,
-            edge_count=len(int_edges),
-            simple=True,
-            connected=False,
+            **sizes,
+            connected=True,
+            median=False,
+            median_violation=tuple(order[i] for i in violation),
         )
         return report, None
-    median_ok, violation = _median_scan(dist)
-    cube_sets = _enumerate_cubes(n, adj_sets)
-    counts = tuple(len(c) for c in cube_sets)
-    euler = sum((-1) ** d * c for d, c in enumerate(counts))
-    flag = _flag_scan(n, adj_sets, cube_sets) if median_ok else None
+    edge_wall, plus = _walls(dist, int_edges)
+    cubes = _cubes(dist, int_edges, edge_wall, plus)
+    cube_counts = tuple(map(len, cubes))
     report = ValidationReport(
-        vertex_count=n,
-        edge_count=len(int_edges),
-        simple=True,
+        **sizes,
         connected=True,
-        median=median_ok,
-        median_violation=(
-            tuple(order[i] for i in violation) if violation is not None else None
-        ),
-        flag_filled=flag,
-        cube_counts=counts,
-        euler_characteristic=euler,
+        median=True,
+        flag_filled=True,
+        cube_counts=cube_counts,
+        euler_characteristic=sum((-1) ** d * c for d, c in enumerate(cube_counts)),
     )
-    internals = (adj_sets, dist, cube_sets)
-    return report, internals
+    return report, (adj_sets, dist, edge_wall, plus, cubes)
 
 
 class CubeComplex:
@@ -494,11 +355,23 @@ class CubeComplex:
         self._order = order
         self._ix = ix
         self._int_edges = int_edges
-        self._adj_int, self._dist, self._cube_sets_int = internals
+        self._adj_int, self._dist, edge_wall, plus, int_cubes = internals
         self.validation_report = report
+        self._signs = np.where(plus, 1, -1).astype(np.int8)
+        self._edge_dual = {
+            (order[a], order[b]): h for (a, b), h in zip(int_edges, edge_wall)
+        }
+        # per dimension, the cubes' vertex sets; and each cube's walls
+        self._cube_sets = tuple(
+            tuple(frozenset([order[i] for i in c]) for c, _ in cubes)
+            for cubes in int_cubes
+        )
+        self._cube_axes = {
+            vs: hs
+            for sets, cubes in zip(self._cube_sets, int_cubes)
+            for vs, (_, hs) in zip(sets, cubes)
+        }
         self._hyperplanes = None
-        self._signs = None
-        self._edge_dual = None
         self._edge_square_mates = None
         self._carrier_cache = {}
         self._maximal = None
@@ -524,7 +397,7 @@ class CubeComplex:
 
     @property
     def dimension(self) -> int:
-        return len(self._cube_sets_int) - 1
+        return len(self._cube_sets) - 1
 
     @property
     def cube_counts(self) -> tuple[int, ...]:
@@ -563,11 +436,9 @@ class CubeComplex:
 
     def cube_vertexsets(self, dim: int) -> tuple[frozenset, ...]:
         """Vertex sets of all ``dim``-cubes (empty beyond the dimension)."""
-        if dim < 0 or dim >= len(self._cube_sets_int):
+        if dim < 0 or dim >= len(self._cube_sets):
             return ()
-        return tuple(
-            frozenset(self._order[i] for i in c) for c in self._cube_sets_int[dim]
-        )
+        return self._cube_sets[dim]
 
     def cubes(self, dim: int) -> tuple[Cube, ...]:
         if dim not in self._cube_objects:
@@ -590,8 +461,8 @@ class CubeComplex:
         return Cube(vertices=vs, axes=axes, corners=tuple(corners))
 
     def all_cube_vertexsets(self):
-        for d in range(len(self._cube_sets_int)):
-            yield from self.cube_vertexsets(d)
+        for sets in self._cube_sets:
+            yield from sets
 
     def maximal_cubes(self) -> tuple[frozenset, ...]:
         """Cubes not properly contained in any other cube."""
@@ -623,7 +494,10 @@ class CubeComplex:
 
     def cube_axes(self, vs: frozenset) -> frozenset:
         """Hyperplane ids crossing the cube ``vs``."""
-        return frozenset(self.dual_hyperplane(*e) for e in self.cube_edges(vs))
+        try:
+            return self._cube_axes[vs]
+        except KeyError:
+            raise StructuralError(f"{set(vs)} is not a cube") from None
 
     def subcubes(self, vs: frozenset, dim: int | None = None):
         """All faces of the cube ``vs`` (including itself), optionally of one
@@ -665,135 +539,50 @@ class CubeComplex:
         return self.hyperplanes()[h_id]
 
     def _compute_hyperplanes(self):
-        m = len(self._int_edges)
-        edge_index = {e: i for i, e in enumerate(self._int_edges)}
-        parent = list(range(m))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        if len(self._cube_sets_int) > 2:
-            for sq in self._cube_sets_int[2]:
-                es = [
-                    (a, b)
-                    for a, b in itertools.combinations(sorted(sq), 2)
-                    if b in self._adj_int[a]
-                ]
-                for e1, e2 in itertools.combinations(es, 2):
-                    if not set(e1) & set(e2):
-                        union(edge_index[e1], edge_index[e2])
-        classes = {}
-        for i, e in enumerate(self._int_edges):
-            classes.setdefault(find(i), []).append(e)
-        ordered = sorted(classes.values(), key=lambda es: min(es))
+        edges_of = [[] for _ in range(self._signs.shape[1])]
+        for e, h in self._edge_dual.items():
+            edges_of[h].append(e)
         planes = []
-        signs = np.zeros((self.n, len(ordered)), dtype=np.int8)
-        edge_dual = {}
-        for h_id, es in enumerate(ordered):
-            cut = set(es)
-            comp = self._components_without(cut)
-            if len(comp) != 2:
-                raise InternalInvariantError(
-                    f"wall {h_id} separates the complex into {len(comp)} parts"
-                )
-            side0 = comp[0] if 0 in comp[0] else comp[1]
-            side1 = comp[1] if 0 in comp[0] else comp[0]
-            for x in side0:
-                signs[x, h_id] = -1
-            for x in side1:
-                signs[x, h_id] = 1
-            minus = frozenset(self._order[i] for i in side0)
-            plus = frozenset(self._order[i] for i in side1)
-            ekeys = frozenset((self._order[a], self._order[b]) for a, b in es)
+        for h_id, (es, col) in enumerate(zip(edges_of, self._signs.T.tolist())):
             planes.append(
-                Hyperplane(id=h_id, edges=ekeys, minus=minus, plus=plus, _complex=self)
+                Hyperplane(
+                    id=h_id,
+                    edges=frozenset(es),
+                    minus=frozenset(v for v, s in zip(self._order, col) if s < 0),
+                    plus=frozenset(v for v, s in zip(self._order, col) if s > 0),
+                    _complex=self,
+                )
             )
-            for a, b in es:
-                edge_dual[(self._order[a], self._order[b])] = h_id
         self._hyperplanes = tuple(planes)
-        self._signs = signs
-        self._edge_dual = edge_dual
-        self._check_cube_axes_sane()
-
-    def _components_without(self, cut_edges):
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = set()
-            stack = [s]
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.add(u)
-                for w in self._adj_int[u]:
-                    e = (u, w) if u < w else (w, u)
-                    if e in cut_edges or seen[w]:
-                        continue
-                    seen[w] = True
-                    stack.append(w)
-            comps.append(comp)
-        return comps
-
-    def _check_cube_axes_sane(self):
-        for d in range(2, len(self._cube_sets_int)):
-            for c in self._cube_sets_int[d]:
-                vs = frozenset(self._order[i] for i in c)
-                axes = [self.dual_hyperplane(*e) for e in self.cube_edges(vs)]
-                per = {}
-                for h in axes:
-                    per[h] = per.get(h, 0) + 1
-                if len(per) != d or any(cnt != 1 << (d - 1) for cnt in per.values()):
-                    raise InternalInvariantError(
-                        f"cube {set(vs)} crosses hyperplanes incoherently: {per}"
-                    )
 
     def vertex_signs(self) -> np.ndarray:
         """Matrix of halfspace signs, rows by vertex index, columns by wall id."""
-        if self._signs is None:
-            self._compute_hyperplanes()
         return self._signs
 
     def sign(self, v, h_id: int) -> int:
-        return int(self.vertex_signs()[self.index(v), h_id])
+        return int(self._signs[self.index(v), h_id])
 
     def dual_hyperplane(self, u, v) -> int:
         """Wall id of an edge."""
-        if self._edge_dual is None:
-            self._compute_hyperplanes()
-        key = self.edge_key(u, v)
-        return self._edge_dual[key]
+        return self._edge_dual[self.edge_key(u, v)]
 
     def edge_square_mates(self, u, v) -> frozenset:
         """Walls crossing this edge's wall inside a square through the edge."""
         if self._edge_square_mates is None:
-            mates = {e: set() for e in self.edges}
+            mates = {e: set() for e in self._edge_dual}
             for sq in self.cube_vertexsets(2):
-                es = self.cube_edges(sq)
-                h1, h2 = sorted({self.dual_hyperplane(*e) for e in es})
-                for e in es:
-                    mates[e].add(h2 if self.dual_hyperplane(*e) == h1 else h1)
+                h1, h2 = self._cube_axes[sq]
+                for e in self.cube_edges(sq):
+                    mates[e].add(h2 if self._edge_dual[e] == h1 else h1)
             self._edge_square_mates = {e: frozenset(s) for e, s in mates.items()}
         return self._edge_square_mates[self.edge_key(u, v)]
 
     def carrier(self, h_id: int) -> tuple[frozenset, ...]:
         """Cubes (all dimensions) containing an edge dual to wall ``h_id``."""
         if h_id not in self._carrier_cache:
-            dual = self.hyperplane(h_id).edges
-            out = []
-            for vs in self.all_cube_vertexsets():
-                if any(e[0] in vs and e[1] in vs for e in dual):
-                    out.append(vs)
-            self._carrier_cache[h_id] = tuple(out)
+            self._carrier_cache[h_id] = tuple(
+                vs for vs, hs in self._cube_axes.items() if h_id in hs
+            )
         return self._carrier_cache[h_id]
 
     # -- metric / convexity ----------------------------------------------------
@@ -843,10 +632,3 @@ class CubeComplex:
             f"CubeComplex(V={self.n}, E={len(self._int_edges)}, "
             f"dim={self.dimension})"
         )
-
-    def isomorphic_signature(self):
-        """Cheap invariant tuple used by tests for round-trip comparisons."""
-        return (self.cube_counts, tuple(sorted(
-            tuple(sorted(map(len, (h.edges, h.minus, h.plus))))
-            for h in self.hyperplanes()
-        )))

@@ -121,9 +121,6 @@ class DualComplexInfo:
     wall_of_hyperplane: dict  # hyperplane id -> wall index
     metadata: dict
 
-    def vertex_of_orientation(self, bits) -> str:
-        return _orientation_name(bits)
-
 
 def dualize(ws: Wallspace) -> CubeComplex:
     return dualize_details(ws).complex

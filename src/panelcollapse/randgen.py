@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .complex import CubeComplex
-from .errors import StructuralError
+from .errors import StructuralError, UserInputError
 from .pocset import Wallspace, dualize_details, symmetry_automorphism
 from .symmetry import GroupAction, push_action
 
@@ -133,7 +133,7 @@ def random_complex_with_action(
                     return cx, GroupAction(cx, [])
                 cx = sub
             return cx, action
-        except Exception as exc:  # pragma: no cover - generator retry path
+        except UserInputError as exc:  # pragma: no cover - generator retry path
             last_error = exc
             continue
     raise StructuralError(f"could not generate a complex: {last_error}")

@@ -254,16 +254,7 @@ class GroupAction:
 
 def check_action(cx: CubeComplex, permutations) -> ActionReport:
     """Validate generators and report closure size and inversion status."""
-    gens = []
-    for p in permutations:
-        g = p if isinstance(p, Automorphism) else Automorphism(cx, p)
-        broken = g.preserves_edges()
-        if broken is not None:
-            raise StructuralError(
-                f"permutation breaks edge {broken[0]!r} {broken[1]!r}"
-            )
-        gens.append(g)
-    action = GroupAction(cx, gens)
+    action = GroupAction(cx, permutations)
     inv = action.inversions()
     return ActionReport(
         order=action.order,
@@ -363,15 +354,9 @@ def subdivide(cx: CubeComplex):
     vertex mapping of the subdivision.  Any action becomes inversion-free."""
     cubes = list(cx.all_cube_vertexsets())
     names = {vs: _subdivision_name(cx, vs) for vs in cubes}
-    by_dim: dict[int, list] = {}
-    for vs in cubes:
-        by_dim.setdefault(len(vs).bit_length() - 1, []).append(vs)
     edges = []
-    for d in sorted(by_dim):
-        if d == 0:
-            continue
-        lower = {w for w in by_dim.get(d - 1, ())}
-        for vs in by_dim[d]:
+    for d in range(1, cx.dimension + 1):
+        for vs in cx.cube_vertexsets(d):
             for face in cx.subcubes(vs, d - 1):
                 edges.append((names[face], names[vs]))
     sub = CubeComplex([names[vs] for vs in cubes], edges)

@@ -10,6 +10,12 @@ leftover completely external cubes otherwise).
 
 Cells are either ('cube', vertex frozenset) or
 ('diag', salient w, opposite copy, separator axis frozenset).
+
+The second half is a reference for the complex itself, on a graph with
+vertices 0..n-1: the median condition triple by triple, every induced
+hypercube by trying every labelling of a corner's neighbour subsets, the flag
+condition and Euler characteristic on those cubes, and the walls as classes
+of the opposite-in-a-square relation with their sides found by search.
 """
 
 import itertools
@@ -271,3 +277,143 @@ class OracleWorld:
                         )
         ordinary = {s for s in ordinary if self.is_completely_external(s)}
         return ordinary, pairs
+
+
+# ---------------------------------------------------------------------------
+# cube complex reference on vertices 0..n-1
+# ---------------------------------------------------------------------------
+
+
+def bfs_distances(adj):
+    """Distance matrix as nested lists; -1 marks unreachable pairs."""
+    n = len(adj)
+    dist = []
+    for s in range(n):
+        row = [-1] * n
+        row[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if row[w] < 0:
+                        row[w] = row[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        dist.append(row)
+    return dist
+
+
+def first_median_violation(dist):
+    """First triple u < v < w, in lexicographic order, that does not have
+    exactly one median; None for a median graph."""
+    n = len(dist)
+    for u, v, w in itertools.combinations(range(n), 3):
+        medians = [
+            x
+            for x in range(n)
+            if dist[u][x] + dist[x][v] == dist[u][v]
+            and dist[u][x] + dist[x][w] == dist[u][w]
+            and dist[v][x] + dist[x][w] == dist[v][w]
+        ]
+        if len(medians) != 1:
+            return (u, v, w)
+    return None
+
+
+def _corner_labellings(b, nbrs, adj):
+    """Injective labellings of the subsets of ``nbrs`` (as bitmasks) by
+    vertices: the empty set is b, a singleton its neighbour, and every larger
+    subset a common neighbour of the vertices of its one-smaller subsets."""
+    d = len(nbrs)
+    labellings = [{0: b, **{1 << i: x for i, x in enumerate(nbrs)}}]
+    for t in sorted(range(1 << d), key=int.bit_count):
+        if t.bit_count() < 2:
+            continue
+        grown = []
+        for label in labellings:
+            below = [label[t & ~(1 << i)] for i in range(d) if t >> i & 1]
+            common = set(adj[below[0]]).intersection(*(adj[x] for x in below[1:]))
+            for x in sorted(common - set(label.values())):
+                grown.append({**label, t: x})
+        labellings = grown
+    return labellings
+
+
+def induced_hypercubes(adj):
+    """Vertex sets of all induced hypercube subgraphs, one set per dimension."""
+    found = set()
+    for b in range(len(adj)):
+        for d in range(len(adj[b]) + 1):
+            for nbrs in itertools.combinations(sorted(adj[b]), d):
+                for label in _corner_labellings(b, nbrs, adj):
+                    # induced: adjacent exactly when the subsets differ in one
+                    if all(
+                        (label[s] in adj[label[t]]) == ((s ^ t).bit_count() == 1)
+                        for s, t in itertools.combinations(label, 2)
+                    ):
+                        found.add(frozenset(label.values()))
+    by_dim = {}
+    for cube in found:
+        by_dim.setdefault(len(cube).bit_length() - 1, set()).add(cube)
+    return [by_dim[d] for d in range(len(by_dim))]
+
+
+def flag_condition(adj, cubes):
+    """Gromov's condition on the filling by all induced hypercubes: at every
+    vertex, neighbours that pairwise span squares with it span a cube."""
+    squares = cubes[2] if len(cubes) > 2 else set()
+    for v in range(len(adj)):
+        for d in range(3, len(adj[v]) + 1):
+            for nbrs in itertools.combinations(sorted(adj[v]), d):
+                if not all(
+                    any({v, a, b} <= sq for sq in squares)
+                    for a, b in itertools.combinations(nbrs, 2)
+                ):
+                    continue
+                corner = {v, *nbrs}
+                if d >= len(cubes) or not any(corner <= c for c in cubes[d]):
+                    return False
+    return True
+
+
+def euler_characteristic(cubes):
+    return sum((-1) ** d * len(cs) for d, cs in enumerate(cubes))
+
+
+def square_walls(adj, edges, squares):
+    """Classes of edges under the transitive closure of being opposite in a
+    square, ordered by their least edge, each as (edges, plus side): the
+    plus side is the component of the graph without the class's edges that
+    does not hold vertex 0.  Raises AssertionError unless a class cuts the
+    graph in exactly two."""
+    edges = sorted(edges)
+    cls = {e: frozenset([e]) for e in edges}
+    for sq in squares:
+        sq_edges = [(a, b) for a, b in itertools.combinations(sorted(sq), 2) if b in adj[a]]
+        for e, f in itertools.combinations(sq_edges, 2):
+            if not set(e) & set(f) and cls[e] is not cls[f]:
+                merged = cls[e] | cls[f]
+                for g in merged:
+                    cls[g] = merged
+    walls = []
+    for members in sorted(set(cls.values()), key=min):
+        comps = []
+        seen = set()
+        for s in range(len(adj)):
+            if s in seen:
+                continue
+            comp = {s}
+            stack = [s]
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if w not in comp and (min(u, w), max(u, w)) not in members:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            comps.append(frozenset(comp))
+        assert len(comps) == 2, f"wall {sorted(members)} cuts {len(comps)} parts"
+        plus = comps[1] if 0 in comps[0] else comps[0]
+        walls.append((members, plus))
+    return walls

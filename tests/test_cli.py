@@ -77,6 +77,22 @@ def test_validate_invalid_complex(capsys, tmp_path):
     assert out.startswith("invalid; median check fails on triple")
 
 
+def test_validate_json_non_median(capsys, tmp_path):
+    bad = tmp_path / "k23.cc"
+    lines = ["cubecomplex v1"]
+    lines += [f"vertex {v}" for v in ["a", "b", "x", "y", "z"]]
+    lines += [f"edge {a} {b}" for a in "ab" for b in "xyz"]
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "validate", str(bad), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["median"] is False and not payload["valid"]
+    assert payload["median_violation"] == ["x", "y", "z"]
+    # cubes are only defined for a median graph
+    assert payload["cube_counts"] == []
+    assert payload["euler_characteristic"] is None
+
+
 def test_validate_json(capsys):
     code, out, _ = run_cli(capsys, "validate", str(DATA / "cube3.cc"), "--json")
     assert code == 0
@@ -246,6 +262,16 @@ def test_export_dot_dashed_diagonals(capsys, tmp_path):
     dashed = [ln for ln in out.splitlines() if "style=dashed" in ln]
     solid = [ln for ln in out.splitlines() if "--" in ln and "dashed" not in ln]
     assert len(dashed) == 1 and len(solid) == 2
+
+
+def test_export_dot_bad_wall_id(capsys, tmp_path):
+    prov = tmp_path / "bad.prov"
+    prov.write_text("edge 00 01 crosses h0\nedge 00 10 crosses hx\n")
+    code, out, err = run_cli(
+        capsys, "export-dot", str(DATA / "square.cc"), "--provenance", str(prov)
+    )
+    assert code == 1 and out == ""
+    assert "line 2: bad wall id 'hx'" in err
 
 
 def test_unknown_command_exit_code(capsys):

@@ -7,8 +7,15 @@ import pytest
 
 from panelcollapse.complex import CubeComplex, validate_graph
 from panelcollapse.errors import InvalidComplexError, StructuralError
-from panelcollapse.randgen import GeneratorConfig, random_complex
+from panelcollapse.pocset import dualize
+from panelcollapse.randgen import (
+    GeneratorConfig,
+    cyclic_wallspace,
+    random_complex,
+    random_wallspace,
+)
 
+import oracle
 from conftest import box_complex, grid_complex, hypercube_complex, path_complex
 
 
@@ -306,3 +313,96 @@ def test_random_complexes_distance_crossing(strip3):
         for _ in range(30):
             u, v = rng.choice(vs), rng.choice(vs)
             assert cx.distance(u, v) == len(cx.crossing_set(u, v))
+
+
+# -- differential check against the brute-force reference ----------------------
+
+
+def _hypercube_subgraphs(rng, count):
+    """Connected induced subgraphs of Q2..Q5, grown one random neighbour at a
+    time from a random vertex; vertices are coordinate bitstrings."""
+    out = []
+    for _ in range(count):
+        d = rng.randint(2, 5)
+        chosen = {rng.randrange(1 << d)}
+        for _ in range(rng.randint(2, 1 << d) - 1):
+            frontier = {v ^ (1 << i) for v in chosen for i in range(d)} - chosen
+            chosen.add(rng.choice(sorted(frontier)))
+        vs = [format(v, f"0{d}b") for v in sorted(chosen)]
+        es = [
+            (u, v)
+            for u, v in itertools.combinations(vs, 2)
+            if sum(a != b for a, b in zip(u, v)) == 1
+        ]
+        out.append((vs, es))
+    return out
+
+
+def _matches_reference(vs, es) -> bool:
+    """Compare the library with the reference on one connected graph;
+    returns whether the graph is median."""
+    order = sorted(vs)
+    ix = {v: i for i, v in enumerate(order)}
+    int_edges = sorted(tuple(sorted((ix[u], ix[v]))) for u, v in es)
+    adj = [set() for _ in order]
+    for a, b in int_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    violation = oracle.first_median_violation(oracle.bfs_distances(adj))
+    rep = validate_graph(vs, es)
+    assert rep.median == (violation is None)
+    if violation is not None:
+        assert rep.median_violation == tuple(order[i] for i in violation)
+        assert rep.cube_counts == () and rep.euler_characteristic is None
+        assert rep.flag_filled is None and not rep.passed
+        return False
+
+    cubes = oracle.induced_hypercubes(adj)
+    assert oracle.flag_condition(adj, cubes)
+    assert oracle.euler_characteristic(cubes) == 1
+    cx = CubeComplex(vs, es)
+    assert rep.flag_filled is True and rep.passed
+    assert cx.cube_counts == tuple(map(len, cubes))
+    for d, ref in enumerate(cubes):
+        assert set(cx.cube_vertexsets(d)) == {
+            frozenset(order[i] for i in c) for c in ref
+        }
+
+    walls = oracle.square_walls(adj, int_edges, cubes[2] if len(cubes) > 2 else ())
+    wall_of = {e: h for h, (members, _) in enumerate(walls) for e in members}
+    assert len(cx.hyperplanes()) == len(walls)
+    signs = cx.vertex_signs()
+    for h, (members, plus) in zip(cx.hyperplanes(), walls):
+        assert h.edges == {(order[a], order[b]) for a, b in members}
+        assert h.plus == {order[i] for i in plus}
+        assert h.minus == set(order) - h.plus
+        assert signs[:, h.id].tolist() == [1 if i in plus else -1 for i in range(len(order))]
+    for d, ref in enumerate(cubes):
+        for c in ref:
+            expected = {wall_of[e] for e in int_edges if set(e) <= c}
+            assert cx.cube_axes(frozenset(order[i] for i in c)) == expected
+    return True
+
+
+def test_hypercube_subgraphs_match_reference():
+    verdicts = [
+        _matches_reference(vs, es)
+        for vs, es in _hypercube_subgraphs(random.Random(31), 900)
+    ]
+    # the input set must exercise both verdicts
+    assert verdicts.count(True) >= 200 and verdicts.count(False) >= 200
+
+
+def test_wallspace_duals_match_reference():
+    # at most five walls keeps each dual within 32 vertices, which the
+    # brute-force reference checks in well under a second
+    rng = random.Random(47)
+    cfg = GeneratorConfig(max_points=7, max_walls=5)
+    checked = 0
+    while checked < 60:
+        make = random_wallspace if checked % 2 else cyclic_wallspace
+        ws = make(rng, cfg)[0]
+        if len(ws.walls) <= 5:
+            dual = dualize(ws)
+            assert _matches_reference(dual.vertices, dual.edges)
+            checked += 1
