@@ -30,7 +30,12 @@ from .fileio import (
     parse_wallspace,
     serialize_complex,
 )
-from .panels import build_panel, extremal_panels, find_extremal_panel
+from .panels import (
+    build_panel,
+    codim2_hyperplanes,
+    extremal_panels,
+    find_extremal_panel,
+)
 from .pocset import Wallspace, dualize_details, stallings_pipeline
 from .randgen import GeneratorConfig, random_equivariant_instance, seed_from_env
 from .symmetry import GroupAction, push_action, run_to_tree
@@ -264,8 +269,6 @@ def _cmd_stallings(args) -> int:
 def _cmd_stats(args) -> int:
     cx = _load_complex(args.file)
     planes = cx.hyperplanes()
-    from .panels import codim2_hyperplanes
-
     crossing = codim2_hyperplanes(cx)
     panels = extremal_panels(cx)
     payload = {

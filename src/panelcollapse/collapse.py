@@ -3,7 +3,11 @@
 Given a family of extremal panels with no facing panels, each edge dual to an
 abutting wall on the chosen side is *internal*.  A cube is *internal* when one
 of its parallel edge classes is internal to a single panel, *completely
-external* when it contains no internal edge, and *external* otherwise.
+external* when it contains no internal edge, and *external* otherwise.  Read
+off a cube's walls and the side of one of its vertices: with S the side s of
+E, a cube c is internal when some panel (H, E, s) has H dual to c, E not dual
+to c and c inside S; external when some panel has H dual to c and c meeting
+S; completely external otherwise.
 
 Every external cube c is replaced by its *fundament* F(c): the union of its
 completely external subcubes plus, when the deletion D(c) is disconnected,
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .complex import CubeComplex
 from .errors import InternalInvariantError, InvalidComplexError, PreconditionError
-from .panels import Panel, no_facing_panels
+from .panels import SIDES, Panel, no_facing_panels
 
 __all__ = [
     "COMPLETELY_EXTERNAL",
@@ -54,55 +58,47 @@ class CubeClassification:
             raise PreconditionError("panel family has facing panels")
         self.complex = cx
         self.panels = panels
-        witnesses: dict[tuple, list[Panel]] = {}
-        for p in panels:
-            for e in p.internal_edges:
-                witnesses.setdefault(e, []).append(p)
-        self._witnesses = {e: tuple(ps) for e, ps in witnesses.items()}
+        self._triples = [
+            (p.abutting, p.extremalising, SIDES.index(p.side)) for p in panels
+        ]
         self._status: dict[frozenset, str] = {}
         self._fundaments: dict[frozenset, Fundament] = {}
 
     @property
     def internal_edges(self) -> frozenset:
-        return frozenset(self._witnesses)
+        return frozenset().union(*(p.internal_edges for p in self.panels))
 
     def edge_internal(self, edge) -> bool:
-        return edge in self._witnesses
+        return self.status(frozenset(edge)) == INTERNAL
 
-    def edge_witnesses(self, edge) -> tuple[Panel, ...]:
-        return self._witnesses.get(edge, ())
+    def _meeting(self, cube: frozenset):
+        """The cube's walls, and the (abutting, extremalising, side bit)
+        triples of the panels with an internal edge in the cube."""
+        cx = self.complex
+        walls = cx.cube_axes(cube)
+        mask = cx._masks[cx._ix[next(iter(cube))]]
+        return walls, [
+            (h, e, bit)
+            for h, e, bit in self._triples
+            if h in walls and (e in walls or mask >> e & 1 == bit)
+        ]
 
     def status(self, cube: frozenset) -> str:
         cached = self._status.get(cube)
-        if cached is not None:
-            return cached
-        cx = self.complex
-        edges = cx.cube_edges(cube)
-        internal_here = [e for e in edges if e in self._witnesses]
-        if not internal_here:
-            result = COMPLETELY_EXTERNAL
-        else:
-            result = EXTERNAL
-            for p in self.panels:
-                h_edges = [e for e in edges if cx.dual_hyperplane(*e) == p.abutting]
-                if h_edges and all(e in p.internal_edges for e in h_edges):
-                    result = INTERNAL
-                    break
-        self._status[cube] = result
-        return result
+        if cached is None:
+            walls, meeting = self._meeting(cube)
+            if any(e not in walls for _, e, _ in meeting):
+                cached = INTERNAL
+            else:
+                cached = EXTERNAL if meeting else COMPLETELY_EXTERNAL
+            self._status[cube] = cached
+        return cached
 
     def counts(self) -> dict[str, int]:
         out = {INTERNAL: 0, EXTERNAL: 0, COMPLETELY_EXTERNAL: 0}
         for vs in self.complex.all_cube_vertexsets():
             out[self.status(vs)] += 1
         return out
-
-    def cubes_with_status(self, wanted: str, dim: int | None = None):
-        cx = self.complex
-        source = (
-            cx.all_cube_vertexsets() if dim is None else cx.cube_vertexsets(dim)
-        )
-        return tuple(vs for vs in source if self.status(vs) == wanted)
 
 
 def classify(cx: CubeComplex, panels) -> CubeClassification:
@@ -133,42 +129,24 @@ def persistent_subcube(cls: CubeClassification, cube: frozenset) -> PersistentDa
     if cls.status(cube) == INTERNAL:
         raise PreconditionError("persistent subcube of an internal cube")
     cx = cls.complex
-    edges = cx.cube_edges(cube)
-    edge_set = set(edges)
-    meeting = [
-        p for p in cls.panels if any(e in edge_set for e in p.internal_edges)
-    ]
-    h = set(cube)
-    for p in meeting:
-        opposite = p.extremalising, ("-" if p.side == "+" else "+")
-        keep = cx.hyperplane(opposite[0]).side(opposite[1])
-        h &= keep
+    masks, ix = cx._masks, cx._ix
+    # every panel meeting a non-internal cube is dual to both its walls
+    _, meeting = cls._meeting(cube)
+    h = frozenset(
+        v
+        for v in cube
+        if all(masks[ix[v]] >> e & 1 != bit for _, e, bit in meeting)
+    )
     if not h:
         raise InternalInvariantError(
             f"external cube {set(cube)} has empty persistent subcube"
         )
-    h = frozenset(h)
-    axes = cx.cube_axes(cube)
-    crossing_h = {
-        a for a in axes if len({cx.sign(v, a) for v in h}) == 2
-    }
-    internal_duals = {
-        cx.dual_hyperplane(*e) for e in edges if cls.edge_internal(e)
-    }
-    separators = frozenset(
-        a for a in axes if a not in crossing_h and a in internal_duals
-    )
-    # flip across the separators, matching vertices by their sign patterns
-    other_axes = sorted(axes - separators)
-    pattern = {}
-    for v in cube:
-        pattern[(tuple(cx.sign(v, a) for a in other_axes),
-                 tuple(cx.sign(v, a) for a in sorted(separators)))] = v
-    partner = {}
-    for v in h:
-        key = tuple(cx.sign(v, a) for a in other_axes)
-        flipped = tuple(-cx.sign(v, a) for a in sorted(separators))
-        partner[v] = pattern[(key, flipped)]
+    # h fixes the sides of the extremalising walls; the separators are those
+    # of them that are also abutting walls
+    separators = frozenset(e for _, e, _ in meeting) & {a for a, _, _ in meeting}
+    flip = sum(1 << a for a in separators)
+    by_mask = {masks[ix[v]]: v for v in cube}
+    partner = {v: by_mask[masks[ix[v]] ^ flip] for v in h}
     salient = frozenset(partner.values())
     return PersistentData(
         persistent=h,
@@ -338,10 +316,6 @@ class CollapseResult:
 
     def crossing_of(self, u, v) -> frozenset:
         return self.edge_provenance[self.output_complex.edge_key(u, v)]
-
-    def hyperplane_map(self) -> dict:
-        """Input wall id -> tuple of output wall ids it decomposes into."""
-        return hyperplane_provenance(self)
 
     def provenance_lines(self) -> list[str]:
         from .fileio import format_vertex

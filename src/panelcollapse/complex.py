@@ -32,11 +32,17 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalInvariantError, InvalidComplexError, StructuralError
+from .errors import (
+    InternalInvariantError,
+    InvalidComplexError,
+    PreconditionError,
+    StructuralError,
+)
 
 __all__ = [
     "Cube",
@@ -45,6 +51,11 @@ __all__ = [
     "ValidationReport",
     "validate_graph",
 ]
+
+# The median scan holds n * n * ceil(n / 8) bytes of interval bitsets, about
+# 420 MB at this many vertices; larger graphs are refused before any table
+# is allocated.
+MAX_VERTICES = 1500
 
 
 def canonical_vertex_order(vertices):
@@ -267,7 +278,8 @@ def _cubes(dist, int_edges, edge_wall, plus):
     that lead towards vertex 0 cross distinct walls, and any subset S of them
     spans a cube whose vertices are the corner with any subset of S's sides
     flipped.  Returns one list per dimension of ``(vertex index tuple, wall
-    frozenset)`` pairs, sorted by vertex indices.
+    frozenset)`` pairs, sorted by vertex indices, and each vertex's plus-side
+    wall bitmask.
     """
     n = len(plus)
     masks = [sum(1 << h for h, p in enumerate(row) if p) for row in plus.tolist()]
@@ -288,7 +300,7 @@ def _cubes(dist, int_edges, edge_wall, plus):
             )
     for cubes in by_dim:
         cubes.sort()
-    return by_dim
+    return by_dim, masks
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +320,10 @@ def validate_graph(vertices, edges) -> ValidationReport:
 
 def _analyze(order, int_edges):
     n = len(order)
+    if n > MAX_VERTICES:
+        raise PreconditionError(
+            f"graph has {n} vertices; the limit is {MAX_VERTICES}"
+        )
     adj_sets = [set() for _ in range(n)]
     for a, b in int_edges:
         adj_sets[a].add(b)
@@ -331,7 +347,7 @@ def _analyze(order, int_edges):
         )
         return report, None
     edge_wall, plus = _walls(dist, int_edges)
-    cubes = _cubes(dist, int_edges, edge_wall, plus)
+    cubes, masks = _cubes(dist, int_edges, edge_wall, plus)
     cube_counts = tuple(map(len, cubes))
     report = ValidationReport(
         **sizes,
@@ -341,11 +357,19 @@ def _analyze(order, int_edges):
         cube_counts=cube_counts,
         euler_characteristic=sum((-1) ** d * c for d, c in enumerate(cube_counts)),
     )
-    return report, (adj_sets, dist, edge_wall, plus, cubes)
+    return report, (adj_sets, dist, edge_wall, plus, cubes, masks)
 
 
 class CubeComplex:
-    """A validated finite CAT(0) cube complex, immutable once built."""
+    """A validated finite CAT(0) cube complex, immutable once built.
+
+    Besides the public views, a complex keeps integer tables that the panel,
+    collapse and symmetry modules read: ``_masks[i]`` is the bitmask of walls
+    with vertex ``i`` on their plus side, ``_wall_edges[h]`` lists the index
+    pairs of wall ``h``'s edges, and ``_square_counts`` maps each crossing
+    pair ``(h, e)``, ``h < e``, to the number of squares dual to both walls
+    (``_crossing_pairs`` lists those pairs in order).
+    """
 
     def __init__(self, vertices, edges):
         order, ix, int_edges = _structural_pass(vertices, edges)
@@ -355,12 +379,15 @@ class CubeComplex:
         self._order = order
         self._ix = ix
         self._int_edges = int_edges
-        self._adj_int, self._dist, edge_wall, plus, int_cubes = internals
+        self._adj_int, self._dist, edge_wall, plus, int_cubes, masks = internals
         self.validation_report = report
         self._signs = np.where(plus, 1, -1).astype(np.int8)
-        self._edge_dual = {
-            (order[a], order[b]): h for (a, b), h in zip(int_edges, edge_wall)
-        }
+        self._masks = masks
+        self._edge_dual = {}
+        self._wall_edges = [[] for _ in range(plus.shape[1])]
+        for (a, b), h in zip(int_edges, edge_wall):
+            self._edge_dual[order[a], order[b]] = h
+            self._wall_edges[h].append((a, b))
         # per dimension, the cubes' vertex sets; and each cube's walls
         self._cube_sets = tuple(
             tuple(frozenset([order[i] for i in c]) for c, _ in cubes)
@@ -371,8 +398,10 @@ class CubeComplex:
             for sets, cubes in zip(self._cube_sets, int_cubes)
             for vs, (_, hs) in zip(sets, cubes)
         }
+        squares = int_cubes[2] if len(int_cubes) > 2 else ()
+        self._square_counts = Counter(sorted(tuple(sorted(hs)) for _, hs in squares))
+        self._crossing_pairs = tuple(self._square_counts)
         self._hyperplanes = None
-        self._edge_square_mates = None
         self._carrier_cache = {}
         self._maximal = None
         self._cube_objects = {}
@@ -501,26 +530,19 @@ class CubeComplex:
 
     def subcubes(self, vs: frozenset, dim: int | None = None):
         """All faces of the cube ``vs`` (including itself), optionally of one
-        dimension, enumerated by fixing signs on subsets of its axes."""
+        dimension: for each set of free walls of the cube, the classes of its
+        vertices whose wall masks agree off those walls."""
         axes = sorted(self.cube_axes(vs))
-        signs = self.vertex_signs()
-        vlist = sorted(vs, key=self.index)
-        sig = {
-            v: tuple(signs[self.index(v), h] for h in axes) for v in vlist
-        }
-        d = len(axes)
-        dims = range(d + 1) if dim is None else [dim]
-        for k in dims:
-            if k > d or k < 0:
-                continue
-            for free in itertools.combinations(range(d), k):
-                fixed = [i for i in range(d) if i not in free]
-                buckets = {}
-                for v in vlist:
-                    key = tuple(sig[v][i] for i in fixed)
-                    buckets.setdefault(key, []).append(v)
-                for members in buckets.values():
-                    yield frozenset(members)
+        keyed = [(self._masks[self._ix[v]], v) for v in sorted(vs, key=self.index)]
+        dims = range(len(axes) + 1) if dim is None else [dim]
+        for free in itertools.chain.from_iterable(
+            itertools.combinations(axes, k) for k in dims if k >= 0
+        ):
+            keep = ~sum(1 << h for h in free)
+            faces = {}
+            for mask, v in keyed:
+                faces.setdefault(mask & keep, []).append(v)
+            yield from map(frozenset, faces.values())
 
     def codim1_faces(self, vs: frozenset):
         d = len(self.cube_axes(vs))
@@ -539,21 +561,19 @@ class CubeComplex:
         return self.hyperplanes()[h_id]
 
     def _compute_hyperplanes(self):
-        edges_of = [[] for _ in range(self._signs.shape[1])]
-        for e, h in self._edge_dual.items():
-            edges_of[h].append(e)
-        planes = []
-        for h_id, (es, col) in enumerate(zip(edges_of, self._signs.T.tolist())):
-            planes.append(
-                Hyperplane(
-                    id=h_id,
-                    edges=frozenset(es),
-                    minus=frozenset(v for v, s in zip(self._order, col) if s < 0),
-                    plus=frozenset(v for v, s in zip(self._order, col) if s > 0),
-                    _complex=self,
-                )
+        order = self._order
+        self._hyperplanes = tuple(
+            Hyperplane(
+                id=h_id,
+                edges=frozenset((order[a], order[b]) for a, b in es),
+                minus=frozenset(v for v, s in zip(order, col) if s < 0),
+                plus=frozenset(v for v, s in zip(order, col) if s > 0),
+                _complex=self,
             )
-        self._hyperplanes = tuple(planes)
+            for h_id, (es, col) in enumerate(
+                zip(self._wall_edges, self._signs.T.tolist())
+            )
+        )
 
     def vertex_signs(self) -> np.ndarray:
         """Matrix of halfspace signs, rows by vertex index, columns by wall id."""
@@ -565,17 +585,6 @@ class CubeComplex:
     def dual_hyperplane(self, u, v) -> int:
         """Wall id of an edge."""
         return self._edge_dual[self.edge_key(u, v)]
-
-    def edge_square_mates(self, u, v) -> frozenset:
-        """Walls crossing this edge's wall inside a square through the edge."""
-        if self._edge_square_mates is None:
-            mates = {e: set() for e in self._edge_dual}
-            for sq in self.cube_vertexsets(2):
-                h1, h2 = self._cube_axes[sq]
-                for e in self.cube_edges(sq):
-                    mates[e].add(h2 if self._edge_dual[e] == h1 else h1)
-            self._edge_square_mates = {e: frozenset(s) for e, s in mates.items()}
-        return self._edge_square_mates[self.edge_key(u, v)]
 
     def carrier(self, h_id: int) -> tuple[frozenset, ...]:
         """Cubes (all dimensions) containing an edge dual to wall ``h_id``."""

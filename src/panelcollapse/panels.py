@@ -9,7 +9,9 @@ Its *internal* edges are its H-dual edges.
 The pair is *extremal in H on side s* when every H-dual edge on side s of E
 lies in a square dual to both H and E; the side-s half of H then sits inside
 the carrier of the codimension-2 wall, which is what makes the panel
-collapsible.
+collapsible.  Each such square has exactly one H-edge on each side of E, and
+no two of them share an H-edge, so the pair is extremal exactly when the
+H-edges on side s of E are as many as the squares dual to H and E.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .complex import CubeComplex
-from .errors import PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 
 __all__ = [
     "Block",
@@ -37,15 +39,11 @@ SIDES = ("-", "+")
 
 def codim2_hyperplanes(cx: CubeComplex) -> tuple[tuple[int, int], ...]:
     """Unordered pairs of walls that cross (share a square)."""
-    pairs = set()
-    for sq in cx.cube_vertexsets(2):
-        h1, h2 = sorted(cx.cube_axes(sq))
-        pairs.add((h1, h2))
-    return tuple(sorted(pairs))
+    return cx._crossing_pairs
 
 
 def hyperplanes_cross(cx: CubeComplex, h: int, e: int) -> bool:
-    return tuple(sorted((h, e))) in set(codim2_hyperplanes(cx))
+    return (min(h, e), max(h, e)) in cx._square_counts
 
 
 def is_extremal(cx: CubeComplex, h: int, e: int, side: str) -> bool:
@@ -54,15 +52,12 @@ def is_extremal(cx: CubeComplex, h: int, e: int, side: str) -> bool:
     carrier of H∩E there."""
     if side not in SIDES:
         raise PreconditionError(f"side must be one of {SIDES}, got {side!r}")
-    if h == e or not hyperplanes_cross(cx, h, e):
+    if not hyperplanes_cross(cx, h, e):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
-    plane_e = cx.hyperplane(e)
-    chosen = plane_e.side(side)
-    for u, v in cx.hyperplane(h).edges:
-        if u in chosen and v in chosen:
-            if e not in cx.edge_square_mates(u, v):
-                return False
-    return True
+    bit = SIDES.index(side)
+    masks = cx._masks
+    on_side = sum(1 for a, _ in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
+    return on_side == cx._square_counts[min(h, e), max(h, e)]
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,6 @@ class Block:
 
     first: int
     second: int
-    cubes: tuple[frozenset, ...]
     maximal_cubes: frozenset
 
     @property
@@ -86,18 +80,15 @@ class Block:
 
 
 def block(cx: CubeComplex, h: int, e: int) -> Block:
-    if h == e or not hyperplanes_cross(cx, h, e):
+    """The block of H∩E: a cube dual to both walls is maximal among such
+    cubes exactly when it is a maximal cube of the complex."""
+    if not hyperplanes_cross(cx, h, e):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
     a, b = sorted((h, e))
-    members = [
-        vs
-        for vs in cx.all_cube_vertexsets()
-        if {a, b} <= cx.cube_axes(vs)
-    ]
     maximal = frozenset(
-        vs for vs in members if not any(vs < other for other in members)
+        vs for vs in cx.maximal_cubes() if {a, b} <= cx.cube_axes(vs)
     )
-    return Block(first=a, second=b, cubes=tuple(members), maximal_cubes=maximal)
+    return Block(first=a, second=b, maximal_cubes=maximal)
 
 
 @dataclass(frozen=True)
@@ -131,23 +122,27 @@ def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
         raise PreconditionError(
             f"hyperplane pair ({h}, {e}) is not extremal on side {side!r}"
         )
-    chosen = cx.hyperplane(e).side(side)
-    members = []
-    for vs in cx.all_cube_vertexsets():
-        axes = cx.cube_axes(vs)
-        if h in axes and e not in axes and vs <= chosen:
-            members.append(vs)
-    internal = frozenset(
-        (u, v) for u, v in cx.hyperplane(h).edges if u in chosen and v in chosen
+    # a cube not dual to E lies on one side of it, that of any of its vertices
+    bit = SIDES.index(side)
+    masks, ix = cx._masks, cx._ix
+    members = frozenset(
+        vs
+        for vs in cx.carrier(h)
+        if e not in cx.cube_axes(vs) and masks[ix[next(iter(vs))]] >> e & 1 == bit
     )
-    vertex_set = frozenset(v for vs in members for v in vs)
+    order = cx._order
+    internal = frozenset(
+        (order[a], order[b])
+        for a, b in cx._wall_edges[h]
+        if masks[a] >> e & 1 == bit
+    )
     return Panel(
         abutting=h,
         extremalising=e,
         side=side,
-        cube_set=frozenset(members),
+        cube_set=members,
         internal_edges=internal,
-        vertex_set=vertex_set,
+        vertex_set=frozenset(v for edge in internal for v in edge),
         block=block(cx, h, e),
     )
 
@@ -176,8 +171,6 @@ def find_extremal_panel(cx: CubeComplex) -> Panel | None:
             if is_extremal(cx, h, e, side):
                 return build_panel(cx, h, e, side)
     if pairs:
-        from .errors import InternalInvariantError
-
         raise InternalInvariantError(
             "walls cross but no extremal panel was found in a finite complex"
         )

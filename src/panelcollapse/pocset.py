@@ -242,8 +242,8 @@ def symmetry_automorphism(info: DualComplexInfo, mapping: dict) -> Automorphism:
 
 @dataclass(frozen=True)
 class StallingsResult:
-    """Tree produced from a wallspace with symmetries, plus the accounting
-    that each edge stabiliser divides a wall stabiliser order times 2^dim."""
+    """Tree produced from a wallspace with symmetries, with the orders of the
+    edge stabilisers of the tree and the wall stabilisers of the dual."""
 
     wallspace: Wallspace = field(repr=False)
     dual_info: DualComplexInfo = field(repr=False)
@@ -269,7 +269,6 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
             1 for g in action.elements if action.wall_image(g, plane.id) == plane.id
         )
         wall_stabs.append(stab)
-    dim = cx.dimension
 
     subdivided = False
     if not action.is_inversion_free:
@@ -278,29 +277,27 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
 
     trace = run_to_tree(cx, action)
     tree = trace.final_complex
-    final_action = trace.final_action
 
+    # provenance is equivariant: an element fixing a tree edge maps the
+    # walls the edge came from onto themselves
     edge_stabs = {}
     for u, v in tree.edges:
-        pair = {u, v}
-        size = sum(
-            1 for g in final_action.elements if {g(u), g(v)} == pair
-        )
-        edge_stabs[(u, v)] = size
-    bound = (1 << dim)
-    for e, size in edge_stabs.items():
-        if not any(size and ws_ and (ws_ * bound) % size == 0 for ws_ in wall_stabs or [action.order]):
-            raise InternalInvariantError(
-                f"edge stabiliser of {e} has size {size}, not accounted for by "
-                f"any wall stabiliser times 2^{dim}"
-            )
+        origins = trace.edge_origins[(u, v)]
+        stabiliser = [g for g in action.elements if {g(u), g(v)} == {u, v}]
+        for g in stabiliser:
+            if {action.wall_image(g, h) for h in origins} != origins:
+                raise InternalInvariantError(
+                    f"an element fixing edge {(u, v)} moves its origin walls "
+                    f"{sorted(origins)}"
+                )
+        edge_stabs[(u, v)] = len(stabiliser)
     return StallingsResult(
         wallspace=ws,
         dual_info=info,
         subdivided=subdivided,
         trace=trace,
         tree=tree,
-        action=final_action,
+        action=trace.final_action,
         edge_stabiliser_sizes=edge_stabs,
         wall_stabiliser_sizes=tuple(wall_stabs),
         group_order=action.order,

@@ -13,6 +13,7 @@ each dimension at least 2), until the complex is a tree.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from .collapse import CollapseResult, collapse, hyperplane_provenance
 from .complex import CubeComplex
 from .errors import InternalInvariantError, PreconditionError, StructuralError
-from .panels import Panel, build_panel, find_extremal_panel, no_facing_panels
+from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
 
 __all__ = [
     "ActionReport",
@@ -68,9 +69,6 @@ class Automorphism:
     def apply_set(self, vs) -> frozenset:
         return frozenset(self(v) for v in vs)
 
-    def apply_edge(self, edge) -> tuple:
-        return self.complex.edge_key(self(edge[0]), self(edge[1]))
-
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         # (self * other)(v) == self(other(v))
         return Automorphism(
@@ -89,12 +87,10 @@ class Automorphism:
 
     def preserves_edges(self):
         """None if edge-preserving, else one broken edge."""
-        for u, v in self.complex.edges:
-            gu, gv = self(u), self(v)
-            if self.complex.index(gv) not in {
-                self.complex.index(x) for x in self.complex.neighbors(gu)
-            }:
-                return (u, v)
+        cx, perm = self.complex, self.perm
+        for a, b in cx._int_edges:
+            if perm[b] not in cx._adj_int[perm[a]]:
+                return cx.vertices[a], cx.vertices[b]
         return None
 
     def fixed_vertices(self) -> frozenset:
@@ -143,7 +139,6 @@ class GroupAction:
             gens.append(g)
         self.generators = tuple(gens)
         self.elements = self._close(gens)
-        self._wall_images = {}
         self._inversions = None
 
     def _close(self, gens) -> tuple:
@@ -175,34 +170,26 @@ class GroupAction:
 
     def wall_image(self, g: Automorphism, h_id: int) -> int:
         """Id of the wall the element maps wall ``h_id`` onto."""
-        key = (g.perm, h_id)
-        cached = self._wall_images.get(key)
-        if cached is not None:
-            return cached
-        cx = self.complex
-        u, v = next(iter(cx.hyperplane(h_id).edges))
-        image = cx.dual_hyperplane(g(u), g(v))
-        self._wall_images[key] = image
-        return image
+        return self.side_image(g, h_id, "+")[0]
 
     def side_image(self, g: Automorphism, h_id: int, side: str) -> tuple[int, str]:
-        cx = self.complex
-        target = self.wall_image(g, h_id)
-        witness = next(iter(cx.hyperplane(h_id).side(side)))
-        new_side = "+" if cx.sign(g(witness), target) > 0 else "-"
-        return target, new_side
+        """Wall and side that the element maps a side of wall ``h_id`` onto."""
+        cx, perm = self.complex, g.perm
+        a, b = cx._wall_edges[h_id][0]
+        target = cx.dual_hyperplane(cx.vertices[perm[a]], cx.vertices[perm[b]])
+        end = a if cx._masks[a] >> h_id & 1 == SIDES.index(side) else b
+        return target, SIDES[cx._masks[perm[end]] >> target & 1]
 
     def inversions(self) -> tuple:
         """(element index, wall id) pairs where the element preserves the wall
         but swaps its halfspaces."""
         if self._inversions is None:
-            out = []
-            for i, g in enumerate(self.elements):
-                for h in self.complex.hyperplanes():
-                    target, side = self.side_image(g, h.id, "+")
-                    if target == h.id and side == "-":
-                        out.append((i, h.id))
-            self._inversions = tuple(out)
+            self._inversions = tuple(
+                (i, h)
+                for i, g in enumerate(self.elements)
+                for h in range(len(self.complex.hyperplanes()))
+                if self.side_image(g, h, "+") == (h, "-")
+            )
         return self._inversions
 
     @property
@@ -210,8 +197,8 @@ class GroupAction:
         return not self.inversions()
 
     def hyperplane_orbits(self) -> tuple[frozenset, ...]:
-        ids = [h.id for h in self.complex.hyperplanes()]
-        return _orbits(ids, lambda g, h: self.wall_image(g, h), self.generators)
+        walls = range(len(self.complex.hyperplanes()))
+        return _orbits(walls, self.wall_image, self.generators)
 
     # -- orbits of cubes and panels ----------------------------------------------
 
@@ -220,22 +207,24 @@ class GroupAction:
         return len(_orbits(cubes, lambda g, vs: g.apply_set(vs), self.generators))
 
     def panel_orbit(self, panel: Panel) -> tuple[Panel, ...]:
-        """Closure of one panel under the group, deduplicated by cube set and
-        abutting wall (two triples carving the same subcomplex the same way
-        collapse identically)."""
-        out = {}
-        for g in self.elements:
-            h, _ = self.side_image(g, panel.abutting, "+")
-            e, s = self.side_image(g, panel.extremalising, panel.side)
+        """Every image of one panel under the group, in triple order.  Two
+        triples never give one panel: for one abutting wall H, equal H-edges
+        are equal halfspaces of H, so the extremalising walls coincide."""
+        triples = _orbits(
+            [panel.triple],
+            lambda g, t: (self.wall_image(g, t[0]), *self.side_image(g, t[1], t[2])),
+            self.generators,
+        )[0]
+        out = []
+        for h, e, s in triples:
             try:
-                image = build_panel(self.complex, h, e, s)
+                out.append(build_panel(self.complex, h, e, s))
             except PreconditionError as exc:
                 # extremality is automorphism-invariant, so this cannot happen
                 raise InternalInvariantError(
                     f"image panel (h{h}, h{e}, {s}) is not extremal: {exc}"
                 ) from exc
-            out.setdefault((image.abutting, image.cube_set), image)
-        return tuple(sorted(out.values(), key=Panel.sort_key))
+        return tuple(sorted(out, key=Panel.sort_key))
 
     def transfer(self, other: CubeComplex) -> "GroupAction":
         """The same vertex permutations acting on another complex over the
@@ -255,12 +244,11 @@ class GroupAction:
 def check_action(cx: CubeComplex, permutations) -> ActionReport:
     """Validate generators and report closure size and inversion status."""
     action = GroupAction(cx, permutations)
-    inv = action.inversions()
     return ActionReport(
         order=action.order,
         edge_preserving=True,
         broken_edge=None,
-        inversion_pairs=inv,
+        inversion_pairs=action.inversions(),
         hyperplane_orbit_count=len(action.hyperplane_orbits()),
     )
 
@@ -382,6 +370,19 @@ def push_action(cx: CubeComplex, action: GroupAction):
 # ---------------------------------------------------------------------------
 
 
+def _triple_text(triple) -> str:
+    return f"(h{triple[0]},h{triple[1]},{triple[2]})"
+
+
+@contextlib.contextmanager
+def _context(prefix: str):
+    """Prefix the message of an InternalInvariantError raised inside."""
+    try:
+        yield
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(prefix + str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class StepResult:
     result: CollapseResult = field(repr=False)
@@ -398,7 +399,7 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
     Returns None when the complex is already a tree.  Requires an
     inversion-free action (subdivide first otherwise); guarantees the output
     action is edge-preserving, inversion-free, and of strictly lower
-    complexity.
+    complexity, and that every output wall has one input crossing set.
     """
     if action.complex is not cx and (
         action.complex.vertices != cx.vertices
@@ -413,25 +414,27 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
     panel = find_extremal_panel(cx)
     if panel is None:
         return None
-    orbit = action.panel_orbit(panel)
-    if not no_facing_panels(cx, orbit):
-        raise InternalInvariantError(
-            "orbit of an extremal panel under an inversion-free action "
-            "has facing panels"
-        )
-    before = complexity(cx, action)
-    result = collapse(cx, orbit)
-    new_action = action.transfer(result.output_complex)
-    new_inv = new_action.inversions()
-    if new_inv:
-        raise InternalInvariantError(
-            f"collapse introduced an inversion on output wall {new_inv[0][1]}"
-        )
-    after = complexity(result.output_complex, new_action)
-    if not after < before:
-        raise InternalInvariantError(
-            f"complexity did not strictly decrease: {before} -> {after}"
-        )
+    with _context(f"panel {_triple_text(panel.triple)}: "):
+        orbit = action.panel_orbit(panel)
+        if not no_facing_panels(cx, orbit):
+            raise InternalInvariantError(
+                "orbit of an extremal panel under an inversion-free action "
+                "has facing panels"
+            )
+        before = complexity(cx, action)
+        result = collapse(cx, orbit)
+        hyperplane_provenance(result)  # one crossing set per output wall
+        new_action = action.transfer(result.output_complex)
+        new_inv = new_action.inversions()
+        if new_inv:
+            raise InternalInvariantError(
+                f"collapse introduced an inversion on output wall {new_inv[0][1]}"
+            )
+        after = complexity(result.output_complex, new_action)
+        if not after < before:
+            raise InternalInvariantError(
+                f"complexity did not strictly decrease: {before} -> {after}"
+            )
     return StepResult(
         result=result,
         action=new_action,
@@ -473,8 +476,7 @@ class RunTrace:
                 for label, c in zip(_count_labels(len(oc.cube_counts)), oc.cube_counts)
             )
             out.append(
-                f"step {i}: panel=(h{s.panel_triple[0]},h{s.panel_triple[1]},"
-                f"{s.panel_triple[2]}) orbit={s.orbit_size} "
+                f"step {i}: panel={_triple_text(s.panel_triple)} orbit={s.orbit_size} "
                 f"complexity {s.complexity_before} -> {s.complexity_after} {counts}"
             )
         fc = self.final_complex
@@ -497,35 +499,29 @@ def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
     are untouched.
     """
     initial = cx
-    initial_action = action
     limit = sum(cx.cube_counts)
     origins = {e: frozenset({cx.dual_hyperplane(*e)}) for e in cx.edges}
     fixed_before = [g.fixed_vertices() for g in action.elements]
     steps = []
     while True:
-        step = equivariant_collapse_step(cx, action)
-        if step is None:
-            break
-        if len(steps) >= limit:
-            raise InternalInvariantError(
-                f"collapse failed to terminate within {limit} steps"
-            )
-        result = step.result
-        # lift per-wall origins: all edges of a wall class carry equal origins
-        lift = {}
-        for plane in cx.hyperplanes():
-            sets = {origins[e] for e in plane.edges}
-            if len(sets) != 1:
+        with _context(f"step {len(steps) + 1}, "):
+            step = equivariant_collapse_step(cx, action)
+            if step is None:
+                break
+            if len(steps) >= limit:
                 raise InternalInvariantError(
-                    f"wall {plane.id} has inconsistent composed origins"
+                    f"panel {_triple_text(step.panel_triple)}: collapse failed "
+                    f"to terminate within {limit} steps"
                 )
-            lift[plane.id] = next(iter(sets))
-        new_origins = {}
-        for e in result.output_complex.edges:
-            crossed = result.edge_provenance[e]
-            new_origins[e] = frozenset().union(*(lift[h] for h in crossed))
-        origins = new_origins
-        hyperplane_provenance(result)  # enforce the per-step invariant
+        # all edges of a wall carry the same origins: at the start each edge's
+        # origin is its wall, and each step checks that every output wall
+        # has a single crossing set
+        lift = {h.id: origins[next(iter(h.edges))] for h in cx.hyperplanes()}
+        result = step.result
+        origins = {
+            e: frozenset().union(*(lift[h] for h in result.edge_provenance[e]))
+            for e in result.output_complex.edges
+        }
         steps.append(step)
         cx = result.output_complex
         action = step.action

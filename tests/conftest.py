@@ -41,6 +41,25 @@ def wallspaces(draw, max_points=6, max_walls=5):
     return Wallspace.from_data(points, walls)
 
 
+def six_point_walls(*sides):
+    """The points p0..p5 and one wall per side, given by its point digits."""
+    points = [f"p{i}" for i in range(6)]
+    walls = [
+        ({f"p{c}" for c in side}, {p for p in points if p[1] not in side})
+        for side in sides
+    ]
+    return points, walls
+
+
+def rotation(n: int, shift: int) -> dict:
+    return {f"p{i}": f"p{(i + shift) % n}" for i in range(n)}
+
+
+# Seven walls on six points whose dual is the 7-cube; the rotation by one
+# inverts a wall, so the pipeline subdivides into 3^7 = 2187 vertices.
+SEVEN_CUBE_SIDES = ("013", "014", "023", "024", "025", "034", "035")
+
+
 def hypercube_complex(d: int) -> CubeComplex:
     """The d-cube with vertices named by their coordinate bitstrings."""
     if d == 0:

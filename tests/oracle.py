@@ -16,6 +16,12 @@ vertices 0..n-1: the median condition triple by triple, every induced
 hypercube by trying every labelling of a corner's neighbour subsets, the flag
 condition and Euler characteristic on those cubes, and the walls as classes
 of the opposite-in-a-square relation with their sides found by search.
+
+The third part, ``PanelReference``, rebuilds the panel layer of a complex
+from those walls and the definitions on edges: extremality by looking for
+each edge's square, cube status by parallel classes of internal edges,
+persistent subcubes by intersecting faces, and panel orbits by applying every
+element of the group.
 """
 
 import itertools
@@ -417,3 +423,137 @@ def square_walls(adj, edges, squares):
         plus = comps[1] if 0 in comps[0] else comps[0]
         walls.append((members, plus))
     return walls
+
+
+# ---------------------------------------------------------------------------
+# panel reference on a complex's graph
+# ---------------------------------------------------------------------------
+
+
+class PanelReference:
+    """Crossing pairs, extremality, panels, blocks, cube status, persistent
+    subcubes and panel orbits of one complex, read off its graph by the
+    definitions.  Vertices are the complex's vertex indices; only the cube
+    vertex sets are taken from the complex, and every wall, side and cube
+    wall set is recomputed from the graph with ``square_walls``."""
+
+    def __init__(self, cx):
+        self.n = cx.n
+        self.adj = [set() for _ in range(cx.n)]
+        edges = []
+        for u, v in cx.edges:
+            a, b = cx.index(u), cx.index(v)
+            self.adj[a].add(b)
+            self.adj[b].add(a)
+            edges.append((a, b))
+        self.cubes = [
+            frozenset(map(cx.index, vs)) for vs in cx.all_cube_vertexsets()
+        ]
+        self.squares = [c for c in self.cubes if len(c) == 4]
+        walls = square_walls(self.adj, edges, self.squares)
+        self.wall_of = {e: h for h, (members, _) in enumerate(walls) for e in members}
+        self.wall_edges = [sorted(members) for members, _ in walls]
+        self.plus = [plus for _, plus in walls]
+        self.walls = {c: frozenset(self.wall_of[e] for e in self.edges_in(c)) for c in self.cubes}
+
+    def edges_in(self, vs):
+        return [(a, b) for a in vs for b in self.adj[a] if a < b and b in vs]
+
+    def side(self, h, s):
+        return self.plus[h] if s == "+" else frozenset(range(self.n)) - self.plus[h]
+
+    def separating(self, v, w):
+        return frozenset(h for h, plus in enumerate(self.plus) if (v in plus) != (w in plus))
+
+    def crossing_pairs(self):
+        return sorted({tuple(sorted(self.walls[sq])) for sq in self.squares})
+
+    def is_extremal(self, h, e, s):
+        """Every H-edge on side s of E lies in a square dual to H and E."""
+        chosen = self.side(e, s)
+        return all(
+            any({a, b} <= sq and self.walls[sq] == {h, e} for sq in self.squares)
+            for a, b in self.wall_edges[h]
+            if a in chosen and b in chosen
+        )
+
+    def panel(self, h, e, s):
+        """(cubes, internal edges, vertices) of the panel (H, E, s)."""
+        chosen = self.side(e, s)
+        cubes = frozenset(
+            c for c in self.cubes if h in self.walls[c] and e not in self.walls[c] and c <= chosen
+        )
+        internal = frozenset(
+            (a, b) for a, b in self.wall_edges[h] if a in chosen and b in chosen
+        )
+        return cubes, internal, frozenset().union(*cubes)
+
+    def block_maximal_cubes(self, h, e):
+        members = [c for c in self.cubes if {h, e} <= self.walls[c]]
+        return frozenset(c for c in members if not any(c < d for d in members))
+
+    def status(self, cube, family):
+        """Internal when one parallel class of the cube's edges is internal to
+        a single panel; completely external when no edge is internal."""
+        internal = [self.panel(*t)[1] for t in family]
+        edges = self.edges_in(cube)
+        if not any(edge in ie for edge in edges for ie in internal):
+            return "completely-external"
+        for ie in internal:
+            for h in self.walls[cube]:
+                parallel = [edge for edge in edges if self.wall_of[edge] == h]
+                if all(edge in ie for edge in parallel):
+                    return "internal"
+        return "external"
+
+    def persistent(self, cube, family):
+        """(persistent, salient, separators, partner) of a non-internal cube:
+        the persistent subcube is the intersection of the faces opposite the
+        panels with an internal edge in the cube, the separators are the
+        walls of its internal edges that do not cross it, and the partner of
+        a vertex is the vertex of the cube across exactly the separators."""
+        edges = self.edges_in(cube)
+        kept = set(cube)
+        internal_walls = set()
+        for h, e, s in family:
+            ie = self.panel(h, e, s)[1]
+            hit = [edge for edge in edges if edge in ie]
+            if hit:
+                kept &= self.side(e, "-" if s == "+" else "+")
+                internal_walls |= {self.wall_of[edge] for edge in hit}
+        crossing = {h for h in self.walls[cube] if len({v in self.plus[h] for v in kept}) == 2}
+        separators = frozenset(internal_walls - crossing)
+        partner = {
+            v: next(w for w in cube if self.separating(v, w) == separators) for v in kept
+        }
+        return frozenset(kept), frozenset(partner.values()), separators, partner
+
+    def orbit(self, action, triple):
+        """Images of the panel triple under every element of the group, one
+        per (abutting wall, cube set), the lowest triple kept; in order."""
+
+        def key(t):
+            return (t[0], t[1], "-+".index(t[2]))
+
+        def wall_image(perm, h):
+            a, b = self.wall_edges[h][0]
+            return self.wall_of[tuple(sorted((perm[a], perm[b])))]
+
+        h, e, s = triple
+        witness = min(self.side(e, s))
+        kept = {}
+        images = set()
+        for g in action.elements:
+            image_e = wall_image(g.perm, e)
+            image = (
+                wall_image(g.perm, h),
+                image_e,
+                "+" if g.perm[witness] in self.plus[image_e] else "-",
+            )
+            images.add(image)
+            slot = (image[0], self.panel(*image)[0])
+            if slot not in kept or key(image) < key(kept[slot]):
+                kept[slot] = image
+        # distinct triples abutting one wall cut out distinct panels
+        assert len(kept) == len(images), f"two triples of {sorted(images)} share a panel"
+        return sorted(kept.values(), key=key)

@@ -12,9 +12,10 @@ from panelcollapse.fileio import (
     parse_complex,
     parse_wallspace,
     serialize_complex,
+    serialize_wallspace,
 )
 
-from conftest import DATA
+from conftest import DATA, SEVEN_CUBE_SIDES, rotation, six_point_walls
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +206,15 @@ def test_stallings_command(capsys):
     assert code == 0
     assert "tree: V=4 E=3" in out
     assert "group order: 2" in out
+
+
+def test_stallings_oversized_is_user_error(capsys, tmp_path):
+    points, walls = six_point_walls(*SEVEN_CUBE_SIDES)
+    path = tmp_path / "seven.ws"
+    path.write_text(serialize_wallspace(points, walls, [rotation(6, 1)]))
+    code, _, err = run_cli(capsys, "stallings", str(path))
+    assert code == 1
+    assert "the limit is 1500" in err
 
 
 def test_stats_command(capsys):

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from panelcollapse.complex import CubeComplex, validate_graph
-from panelcollapse.errors import InvalidComplexError, StructuralError
+from panelcollapse.complex import MAX_VERTICES, CubeComplex, validate_graph
+from panelcollapse.errors import InvalidComplexError, PreconditionError, StructuralError
 from panelcollapse.pocset import dualize
 from panelcollapse.randgen import (
     GeneratorConfig,
@@ -75,6 +75,14 @@ def test_structural_errors():
         CubeComplex(["a"], [("a", "zzz")])
     with pytest.raises(StructuralError):
         CubeComplex([], [])
+
+
+def test_oversized_graph_refused():
+    n = MAX_VERTICES + 1
+    path = (range(n), [(i, i + 1) for i in range(n - 1)])
+    for build in (CubeComplex, validate_graph):
+        with pytest.raises(PreconditionError, match=f"{n} vertices; the limit is 1500"):
+            build(*path)
 
 
 def test_disconnected_reported():

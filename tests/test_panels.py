@@ -1,9 +1,14 @@
 """Crossing pairs, extremality, panel construction, no-facing-panels."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from panelcollapse.collapse import INTERNAL, classify, persistent_subcube
 from panelcollapse.errors import PreconditionError
 from panelcollapse.panels import (
+    SIDES,
     block,
     build_panel,
     codim2_hyperplanes,
@@ -12,8 +17,11 @@ from panelcollapse.panels import (
     is_extremal,
     no_facing_panels,
 )
-from panelcollapse.symmetry import GroupAction
+from panelcollapse.randgen import GeneratorConfig, random_complex_with_action
+from panelcollapse.symmetry import GroupAction, equivariant_collapse_step
 
+import oracle
+from conftest import box_complex
 
 
 def test_crossing_pairs(cube3, tree4, domino):
@@ -188,3 +196,89 @@ def test_panel_identity_is_the_triple(cube3):
     assert p1.vertex_set == p2.vertex_set
     assert p1 != p2
     assert p1.internal_edges != p2.internal_edges
+
+
+def _coordinate_swap(cx, i, j):
+    """The transposition of coordinates i and j of tuple- or string-named
+    vertices."""
+
+    def swap(v):
+        w = list(v)
+        w[i], w[j] = w[j], w[i]
+        return tuple(w) if isinstance(v, tuple) else "".join(w)
+
+    return {v: swap(v) for v in cx.vertices}
+
+
+def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tree4):
+    """Extremality, panels, blocks, cube status, persistent subcubes and
+    panel orbits against the graph-level reference, on every complex met
+    while running the fixtures and 150 random complexes down to trees."""
+    box = box_complex(2, 2, 1)
+    instances = [
+        (cx, GroupAction(cx, []))
+        for cx in (cube3, cube4, square, domino, strip3, tree4, box)
+    ]
+    instances += [
+        (cube3, GroupAction(cube3, [_coordinate_swap(cube3, 0, 1), _coordinate_swap(cube3, 1, 2)])),
+        (cube4, GroupAction(cube4, [_coordinate_swap(cube4, 0, 3)])),
+        (box, GroupAction(box, [_coordinate_swap(box, 0, 1)])),
+    ]
+    rng = random.Random(4)
+    cfg = GeneratorConfig(max_points=7, max_walls=5, max_vertices=60)
+    instances += [random_complex_with_action(rng, cfg) for _ in range(150)]
+
+    def names(cx, vs):
+        return frozenset(cx.vertices[i] for i in vs)
+
+    tally = Counter()
+    for cx, action in instances:
+        while True:
+            ref = oracle.PanelReference(cx)
+            pairs = codim2_hyperplanes(cx)
+            assert list(pairs) == ref.crossing_pairs()
+            for a, b in pairs:
+                for h, e in ((a, b), (b, a)):
+                    for s in SIDES:
+                        verdict = is_extremal(cx, h, e, s)
+                        assert verdict == ref.is_extremal(h, e, s), (cx, h, e, s)
+                        tally[verdict] += 1
+                        if not verdict:
+                            continue
+                        p = build_panel(cx, h, e, s)
+                        cubes, internal, vertices = ref.panel(h, e, s)
+                        assert p.cube_set == {names(cx, c) for c in cubes}
+                        assert {frozenset(edge) for edge in p.internal_edges} == {
+                            names(cx, edge) for edge in internal
+                        }
+                        assert p.vertex_set == names(cx, vertices)
+                        assert p.block.maximal_cubes == {
+                            names(cx, c) for c in ref.block_maximal_cubes(h, e)
+                        }
+            step = equivariant_collapse_step(cx, action)
+            if step is None:
+                break
+            family = action.panel_orbit(build_panel(cx, *step.panel_triple))
+            assert family == step.result.panels
+            triples = [p.triple for p in family]
+            assert triples == ref.orbit(action, step.panel_triple)
+            tally["orbit > 1"] += len(family) > 1
+            cls = classify(cx, family)
+            for c in ref.cubes:
+                status = cls.status(names(cx, c))
+                assert status == ref.status(c, triples), (cx, sorted(c), triples)
+                tally[status] += 1
+                if status == INTERNAL:
+                    continue
+                pd = persistent_subcube(cls, names(cx, c))
+                kept, salient, separators, partner = ref.persistent(c, triples)
+                assert pd.persistent == names(cx, kept)
+                assert pd.salient == names(cx, salient)
+                assert pd.separators == separators
+                assert pd.partner == {
+                    cx.vertices[v]: cx.vertices[w] for v, w in partner.items()
+                }
+            cx, action = step.result.output_complex, step.action
+    assert tally[True] >= 200 and tally[False] >= 200, tally
+    assert min(tally["internal"], tally["external"], tally["completely-external"]) >= 100, tally
+    assert tally["orbit > 1"] >= 20, tally

@@ -1,11 +1,13 @@
 """Wallspace dualization and the wallspace-to-tree pipeline."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 
-from panelcollapse.errors import StructuralError
+from panelcollapse import pocset
+from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.pocset import (
     Wallspace,
     dualize,
@@ -13,9 +15,9 @@ from panelcollapse.pocset import (
     stallings_pipeline,
     symmetry_automorphism,
 )
-from panelcollapse.symmetry import complexity
+from panelcollapse.symmetry import complexity, run_to_tree
 
-from conftest import wallspaces
+from conftest import SEVEN_CUBE_SIDES, rotation, six_point_walls, wallspaces
 
 
 def crossing_wallspace(n):
@@ -36,6 +38,8 @@ NESTED_WS = Wallspace.from_data(
     ["a", "b", "c"],
     [({"a"}, {"b", "c"}), ({"a", "b"}, {"c"})],
 )
+# three pairwise crossing walls that p_i -> p_{i+2} permutes cyclically
+TRIPLE_WS = Wallspace.from_data(*six_point_walls("012", "015", "045"))
 
 
 def test_wallspace_validation():
@@ -139,6 +143,36 @@ def test_stallings_with_inverting_symmetry_subdivides():
     assert res.subdivided
     assert res.tree.validation_report.passed
     assert complexity(res.tree, res.action).is_zero
+
+
+def test_stallings_edge_fixed_by_the_whole_group():
+    # the diagonal edge of the collapsed 3-cube is fixed by the rotation of
+    # order 3, which divides no wall stabiliser (all trivial) times 2^3
+    res = stallings_pipeline(TRIPLE_WS, [rotation(6, 2)])
+    assert res.group_order == 3
+    assert res.wall_stabiliser_sizes == (1, 1, 1)
+    assert sorted(res.edge_stabiliser_sizes.values()) == [1] * 6 + [3]
+    diagonal = next(e for e, k in res.edge_stabiliser_sizes.items() if k == 3)
+    assert res.trace.edge_origins[diagonal] == {0, 1, 2}
+
+
+def test_stallings_rejects_origins_moved_by_a_stabiliser(monkeypatch):
+    def corrupted_run(cx, action):
+        trace = run_to_tree(cx, action)
+        origins = dict(trace.edge_origins)
+        diagonal = max(origins, key=lambda e: len(origins[e]))
+        origins[diagonal] = frozenset({0})
+        return dataclasses.replace(trace, edge_origins=origins)
+
+    monkeypatch.setattr(pocset, "run_to_tree", corrupted_run)
+    with pytest.raises(InternalInvariantError, match="origin walls"):
+        stallings_pipeline(TRIPLE_WS, [rotation(6, 2)])
+
+
+def test_stallings_refuses_an_oversized_subdivision():
+    ws = Wallspace.from_data(*six_point_walls(*SEVEN_CUBE_SIDES))
+    with pytest.raises(PreconditionError, match="2187 vertices; the limit is 1500"):
+        stallings_pipeline(ws, [rotation(6, 1)])
 
 
 @given(wallspaces())

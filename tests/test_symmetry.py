@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from panelcollapse import symmetry
 from panelcollapse.complex import CubeComplex
 from panelcollapse.collapse import classify, fundament
-from panelcollapse.errors import PreconditionError, StructuralError
+from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.panels import extremal_panels
 from panelcollapse.randgen import GeneratorConfig, random_equivariant_instance
 from panelcollapse.symmetry import (
@@ -183,6 +184,24 @@ def test_run_to_tree_cube(cube3):
     walls = {h.id for h in cube3.hyperplanes()}
     for e, origins in trace.edge_origins.items():
         assert origins and origins <= walls
+
+
+def test_internal_errors_name_the_step_and_panel(cube3, monkeypatch):
+    steps = run_to_tree(cube3, GroupAction(cube3, [])).steps
+    collapse = symmetry.collapse
+    calls = []
+
+    def failing_collapse(cx, panels):
+        calls.append(cx)
+        if len(calls) == 2:
+            raise InternalInvariantError("boom")
+        return collapse(cx, panels)
+
+    monkeypatch.setattr(symmetry, "collapse", failing_collapse)
+    h, e, s = steps[1].panel_triple
+    with pytest.raises(InternalInvariantError) as exc:
+        run_to_tree(cube3, GroupAction(cube3, []))
+    assert str(exc.value) == f"step 2, panel (h{h},h{e},{s}): boom"
 
 
 def test_run_to_tree_on_tree_is_empty(tree4):
