@@ -4,15 +4,31 @@ A finite cube complex is CAT(0) exactly when its 1-skeleton is a median graph
 and every induced hypercube subgraph is filled in, so the canonical
 representation here is just (vertices, edges).  A constructed ``CubeComplex``
 is immutable and always validated: connected, simple and median.  The median
-condition already implies the flag condition and contractibility (Chepoi
-2000, "Graphs of some CAT(0) complexes"), so those are not re-checked per
-build; the test suite checks them against a brute-force reference.
+condition already implies the flag condition and contractibility, so those
+are not re-checked per build; the test suite checks them against a
+brute-force reference.
 
-Once a graph is accepted, every derived fact comes from its distance table:
+A graph is recognised as median by local checks around one breadth-first
+search from the first vertex.  Chepoi (2000, "Graphs of some CAT(0)
+complexes") shows that a graph is median exactly when its square complex is
+simply connected, it has no induced K2,3 and it satisfies the 3-cube
+condition (three squares that pairwise share an edge and all share a vertex
+lie in a 3-cube).  On a bipartite graph the quadrangle condition at one root
+makes the square complex simply connected: the farthest vertex of any closed
+walk can be pushed across a square towards the root.  Every median graph
+satisfies that condition, so the checks in ``_median_squares`` decide
+medianness exactly.  Only a rejected graph pays for the all-triples median
+scan, which names the first violating triple.
 
-* the walls are the Djoković-Winkler classes of edges: for an edge (a, b), the
-  vertices nearer to b than to a form one halfspace, and the edges leaving it
-  form the wall;
+Once a graph is accepted, every derived fact comes from its squares and wall
+masks:
+
+* the walls are the Djoković-Winkler classes of edges, the classes of the
+  transitive closure of being opposite in a square;
+* a vertex's mask is the set of walls separating it from the first vertex,
+  read along any shortest path to it; the distance between two vertices is
+  the number of walls in which their masks differ, and the median of three
+  is the vertex whose mask is their bitwise majority;
 * every cube has a unique corner farthest from the first vertex, and at each
   vertex every set of edges leading towards the first vertex spans a cube, so
   the cubes are enumerated exactly once each, together with their walls.
@@ -52,9 +68,9 @@ __all__ = [
     "validate_graph",
 ]
 
-# The median scan holds n * n * ceil(n / 8) bytes of interval bitsets, about
-# 420 MB at this many vertices; larger graphs are refused before any table
-# is allocated.
+# A rejected graph is handed to the median scan, which holds n * n * ceil(n / 8)
+# bytes of interval bitsets, about 420 MB at this many vertices; larger graphs
+# are refused before any table is allocated.
 MAX_VERTICES = 1500
 
 
@@ -247,45 +263,137 @@ def _median_scan(dist):
     return True, None
 
 
-def _walls(dist, int_edges):
-    """Walls of a median graph from its distance table.
+def _bfs(adj):
+    """Breadth-first search from vertex 0: each vertex's level (-1 when
+    unreachable), the vertices in the order reached, and each reached
+    vertex's parent."""
+    level = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    level[0] = 0
+    queue = [0]
+    for u in queue:
+        for w in adj[u]:
+            if level[w] < 0:
+                level[w] = level[u] + 1
+                parent[w] = u
+                queue.append(w)
+    return level, queue, parent
 
-    Returns ``(edge_wall, plus)``: the wall id of each edge, in ``int_edges``
-    order, and the boolean vertex-by-wall matrix of plus sides.  Walls are
-    numbered by their first edge and vertex 0 lies on every minus side.
+
+def _median_squares(adj, level, int_edges):
+    """Decide by local checks whether a connected graph is median.
+
+    With ``down[v]`` the neighbours of v one level nearer vertex 0, the graph
+    is median exactly when
+
+    1. every edge joins adjacent levels (it is bipartite);
+    2. any two vertices of ``down[v]`` have exactly one common neighbour in
+       their own ``down`` sets, which records a square with top v;
+    3. no two vertices lie under two tops, and no vertex reaches a vertex two
+       levels down along three paths (given 1 and 2, this excludes an
+       induced K2,3);
+    4. whenever three neighbours of a vertex c pairwise span squares with c,
+       the three vertices opposite c have a common neighbour (the 3-cube
+       condition).
+
+    Returns the squares as ``(top, x, y, bottom)`` tuples, or None as soon as
+    a check fails.
     """
-    n = dist.shape[0]
-    ends = np.array(int_edges, dtype=np.intp).reshape(-1, 2)
-    edge_wall = np.full(len(int_edges), -1, dtype=np.intp)
-    columns = []
-    for i, (a, b) in enumerate(int_edges):
-        if edge_wall[i] >= 0:
-            continue
-        # a median graph is bipartite, so no vertex is as near to a as to b
-        plus = dist[b] < dist[a]
-        if plus[0]:
-            plus = ~plus
-        edge_wall[plus[ends[:, 0]] != plus[ends[:, 1]]] = len(columns)
-        columns.append(plus)
-    plus = np.array(columns, dtype=bool).reshape(len(columns), n).T
-    return edge_wall.tolist(), plus
+    n = len(adj)
+    if any(level[a] == level[b] for a, b in int_edges):
+        return None
+    down = [{w for w in adj[v] if level[w] < level[v]} for v in range(n)]
+    squares = []
+    tops = set()
+    for v, below in enumerate(down):
+        # the down-edges at a vertex of a median graph span a cube
+        if 1 << len(below) > n:
+            return None
+        bottoms = set()
+        for x, y in itertools.combinations(below, 2):
+            common = down[x] & down[y]
+            if len(common) != 1:
+                return None
+            (z,) = common
+            pair = (x, y) if x < y else (y, x)
+            # a second top over the pair, or a second pair over z, closes a K2,3
+            if pair in tops or z in bottoms:
+                return None
+            tops.add(pair)
+            bottoms.add(z)
+            squares.append((v, x, y, z))
+    # link[c][p][q] is the vertex opposite c in the square through p, c, q
+    link = [{} for _ in range(n)]
+    for t, x, y, b in squares:
+        for c, p, q, o in ((t, x, y, b), (b, x, y, t), (x, t, b, y), (y, t, b, x)):
+            link[c].setdefault(p, {})[q] = o
+            link[c].setdefault(q, {})[p] = o
+    for spans in link:
+        for x, xs in spans.items():
+            for y, o_xy in xs.items():
+                if y < x:
+                    continue
+                ys = spans[y]
+                for z, o_xz in xs.items():
+                    if z > y and z in ys and not adj[o_xy] & adj[o_xz] & adj[ys[z]]:
+                        return None
+    return squares
 
 
-def _cubes(dist, int_edges, edge_wall, plus):
+def _walls_and_masks(order, int_edges, squares, queue, parent):
+    """Walls and vertex masks of a median graph from its squares.
+
+    The walls are the classes of edges under the transitive closure of being
+    opposite in a square, numbered by their first edge.  Each vertex's mask
+    is its parent's with the bit of the wall of the edge between them, so it
+    holds the walls separating the vertex from vertex 0.  Returns the wall id
+    of each edge, in ``int_edges`` order, the masks and the vertex of each
+    mask; raises InternalInvariantError unless the masks are distinct and
+    each edge's ends differ in exactly its wall's bit.
+    """
+    edge_index = {e: i for i, e in enumerate(int_edges)}
+    root = list(range(len(int_edges)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    def index(a, b):
+        return edge_index[(a, b) if a < b else (b, a)]
+
+    for t, x, y, b in squares:
+        root[find(index(t, x))] = find(index(y, b))
+        root[find(index(t, y))] = find(index(x, b))
+    ids = {}
+    edge_wall = [ids.setdefault(find(i), len(ids)) for i in range(len(int_edges))]
+    masks = [0] * len(order)
+    for v in queue[1:]:
+        u = parent[v]
+        masks[v] = masks[u] | 1 << edge_wall[index(u, v)]
+    for (a, b), h in zip(int_edges, edge_wall):
+        if masks[a] ^ masks[b] != 1 << h:
+            raise InternalInvariantError(
+                f"edge {order[a]!r} {order[b]!r} does not cross exactly its wall {h}"
+            )
+    vertex_of = {m: x for x, m in enumerate(masks)}
+    if len(vertex_of) != len(masks):
+        raise InternalInvariantError("two vertices have the same wall mask")
+    return edge_wall, masks, vertex_of
+
+
+def _cubes(level, int_edges, edge_wall, masks, vertex_of):
     """Every cube of a median graph, once, with the walls it crosses.
 
     A cube is found at its corner farthest from vertex 0: the edges there
     that lead towards vertex 0 cross distinct walls, and any subset S of them
     spans a cube whose vertices are the corner with any subset of S's sides
     flipped.  Returns one list per dimension of ``(vertex index tuple, wall
-    frozenset)`` pairs, sorted by vertex indices, and each vertex's plus-side
-    wall bitmask.
+    frozenset)`` pairs, sorted by vertex indices.
     """
-    n = len(plus)
-    masks = [sum(1 << h for h, p in enumerate(row) if p) for row in plus.tolist()]
-    vertex_of = {m: x for x, m in enumerate(masks)}
+    n = len(masks)
     down = [[] for _ in range(n)]
-    level = dist[0].tolist()
     for (a, b), h in zip(int_edges, edge_wall):
         down[b if level[a] < level[b] else a].append(h)
     by_dim = [[] for _ in range(max(map(len, down)) + 1)]
@@ -300,7 +408,17 @@ def _cubes(dist, int_edges, edge_wall, plus):
             )
     for cubes in by_dim:
         cubes.sort()
-    return by_dim, masks
+    return by_dim
+
+
+def _sign_matrix(masks, width):
+    """The masks as a vertex-by-wall int8 matrix: +1 on a wall's plus side,
+    -1 on its minus side."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    bits = np.unpackbits(packed, axis=1, count=width, bitorder="little")
+    return 2 * bits.astype(np.int8) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +446,18 @@ def _analyze(order, int_edges):
     for a, b in int_edges:
         adj_sets[a].add(b)
         adj_sets[b].add(a)
-    dist = _distances(n, adj_sets)
     sizes = dict(vertex_count=n, edge_count=len(int_edges), simple=True)
-    if not (dist >= 0).all():
+    level, queue, parent = _bfs(adj_sets)
+    if len(queue) < n:
         return ValidationReport(**sizes, connected=False), None
-    # a connected graph with one edge fewer than vertices is a tree, and
-    # every tree is median
-    if len(int_edges) == n - 1:
-        median_ok, violation = True, None
-    else:
-        median_ok, violation = _median_scan(dist)
-    if not median_ok:
+    squares = _median_squares(adj_sets, level, int_edges)
+    if squares is None:
+        # name the first triple without exactly one median
+        median_ok, violation = _median_scan(_distances(n, adj_sets))
+        if median_ok:
+            raise InternalInvariantError(
+                "the local median checks reject a graph the median scan accepts"
+            )
         report = ValidationReport(
             **sizes,
             connected=True,
@@ -346,8 +465,10 @@ def _analyze(order, int_edges):
             median_violation=tuple(order[i] for i in violation),
         )
         return report, None
-    edge_wall, plus = _walls(dist, int_edges)
-    cubes, masks = _cubes(dist, int_edges, edge_wall, plus)
+    edge_wall, masks, vertex_of = _walls_and_masks(
+        order, int_edges, squares, queue, parent
+    )
+    cubes = _cubes(level, int_edges, edge_wall, masks, vertex_of)
     cube_counts = tuple(map(len, cubes))
     report = ValidationReport(
         **sizes,
@@ -357,7 +478,7 @@ def _analyze(order, int_edges):
         cube_counts=cube_counts,
         euler_characteristic=sum((-1) ** d * c for d, c in enumerate(cube_counts)),
     )
-    return report, (adj_sets, dist, edge_wall, plus, cubes, masks)
+    return report, (adj_sets, edge_wall, masks, vertex_of, cubes)
 
 
 class CubeComplex:
@@ -365,7 +486,8 @@ class CubeComplex:
 
     Besides the public views, a complex keeps integer tables that the panel,
     collapse and symmetry modules read: ``_masks[i]`` is the bitmask of walls
-    with vertex ``i`` on their plus side, ``_wall_edges[h]`` lists the index
+    with vertex ``i`` on their plus side (``_vertex_of`` maps each mask back
+    to its vertex index), ``_wall_edges[h]`` lists the index
     pairs of wall ``h``'s edges, and ``_square_counts`` maps each crossing
     pair ``(h, e)``, ``h < e``, to the number of squares dual to both walls
     (``_crossing_pairs`` lists those pairs in order).
@@ -379,12 +501,13 @@ class CubeComplex:
         self._order = order
         self._ix = ix
         self._int_edges = int_edges
-        self._adj_int, self._dist, edge_wall, plus, int_cubes, masks = internals
+        self._adj_int, edge_wall, masks, self._vertex_of, int_cubes = internals
         self.validation_report = report
-        self._signs = np.where(plus, 1, -1).astype(np.int8)
+        walls = max(edge_wall, default=-1) + 1
+        self._signs = _sign_matrix(masks, walls)
         self._masks = masks
         self._edge_dual = {}
-        self._wall_edges = [[] for _ in range(plus.shape[1])]
+        self._wall_edges = [[] for _ in range(walls)]
         for (a, b), h in zip(int_edges, edge_wall):
             self._edge_dual[order[a], order[b]] = h
             self._wall_edges[h].append((a, b))
@@ -459,7 +582,7 @@ class CubeComplex:
         return (u, v)
 
     def distance(self, u, v) -> int:
-        return int(self._dist[self.index(u), self.index(v)])
+        return (self._masks[self.index(u)] ^ self._masks[self.index(v)]).bit_count()
 
     # -- cubes ---------------------------------------------------------------
 
@@ -603,17 +726,14 @@ class CubeComplex:
         return frozenset(int(h) for h in np.nonzero(signs[a] != signs[b])[0])
 
     def median(self, u, v, w):
-        da, db, dc = (self._dist[self.index(x)] for x in (u, v, w))
-        duv = self.distance(u, v)
-        duw = self.distance(u, w)
-        dvw = self.distance(v, w)
-        on = (da + db == duv) & (da + dc == duw) & (db + dc == dvw)
-        hits = np.nonzero(on)[0]
-        if hits.size != 1:
+        """The vertex on the majority side of every wall."""
+        a, b, c = (self._masks[self.index(x)] for x in (u, v, w))
+        try:
+            return self._order[self._vertex_of[a & b | a & c | b & c]]
+        except KeyError:
             raise InternalInvariantError(
-                f"median of ({u!r}, {v!r}, {w!r}) is not unique"
-            )
-        return self._order[int(hits[0])]
+                f"median of ({u!r}, {v!r}, {w!r}) is not a vertex"
+            ) from None
 
     def convex_hull(self, vertex_set) -> frozenset:
         """Smallest median-closed vertex set containing the input: cut out by

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complex import CubeComplex, canonical_vertex_order
-from .errors import InternalInvariantError, StructuralError
+from .complex import MAX_VERTICES, CubeComplex, canonical_vertex_order
+from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .symmetry import (
     Automorphism,
     GroupAction,
@@ -131,7 +131,9 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
 
     Vertices are the consistent orientations in the flip component of the
     principal orientation of the first point (recorded in the metadata);
-    an empty wall list yields the one-point complex.
+    an empty wall list yields the one-point complex.  The flip closure stops
+    with a PreconditionError once it holds more orientations than a complex
+    may have vertices.
     """
     walls = ws.walls
     k = len(walls)
@@ -169,6 +171,11 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
                 flipped = bits[:i] + (bits[i] ^ 1,) + bits[i + 1 :]
                 if flipped not in seen:
                     seen.add(flipped)
+                    if len(seen) > MAX_VERTICES:
+                        raise PreconditionError(
+                            f"wallspace has more than {MAX_VERTICES} consistent "
+                            f"orientations; the limit is {MAX_VERTICES}"
+                        )
                     frontier.append(flipped)
     orientations = sorted(seen)
     names = {bits: _orientation_name(bits) for bits in orientations}

@@ -51,6 +51,23 @@ def six_point_walls(*sides):
     return points, walls
 
 
+def pairwise_crossing_walls(k):
+    """The points z, e_i and e_i_j (i < j < k) and k walls, wall i holding
+    the points whose name contains i on one side: every two walls cross, so
+    all 2**k orientations are consistent."""
+    indices = {"z": ()}
+    indices.update((f"e_{i}", (i,)) for i in range(k))
+    indices.update(
+        (f"e_{i}_{j}", (i, j)) for i, j in itertools.combinations(range(k), 2)
+    )
+    walls = [
+        ({p for p, ix in indices.items() if i in ix},
+         {p for p, ix in indices.items() if i not in ix})
+        for i in range(k)
+    ]
+    return list(indices), walls
+
+
 def rotation(n: int, shift: int) -> dict:
     return {f"p{i}": f"p{(i + shift) % n}" for i in range(n)}
 

@@ -15,7 +15,13 @@ from panelcollapse.fileio import (
     serialize_wallspace,
 )
 
-from conftest import DATA, SEVEN_CUBE_SIDES, rotation, six_point_walls
+from conftest import (
+    DATA,
+    SEVEN_CUBE_SIDES,
+    pairwise_crossing_walls,
+    rotation,
+    six_point_walls,
+)
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +221,14 @@ def test_stallings_oversized_is_user_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stallings", str(path))
     assert code == 1
     assert "the limit is 1500" in err
+
+
+def test_stallings_too_many_orientations_is_user_error(capsys, tmp_path):
+    path = tmp_path / "crossing15.ws"
+    path.write_text(serialize_wallspace(*pairwise_crossing_walls(15), []))
+    code, _, err = run_cli(capsys, "stallings", str(path))
+    assert code == 1
+    assert "more than 1500 consistent orientations" in err
 
 
 def test_stats_command(capsys):

@@ -6,7 +6,12 @@ import random
 import pytest
 
 from panelcollapse.complex import MAX_VERTICES, CubeComplex, validate_graph
-from panelcollapse.errors import InvalidComplexError, PreconditionError, StructuralError
+from panelcollapse.errors import (
+    InternalInvariantError,
+    InvalidComplexError,
+    PreconditionError,
+    StructuralError,
+)
 from panelcollapse.pocset import dualize
 from panelcollapse.randgen import (
     GeneratorConfig,
@@ -414,3 +419,114 @@ def test_wallspace_duals_match_reference():
             dual = dualize(ws)
             assert _matches_reference(dual.vertices, dual.edges)
             checked += 1
+
+
+def _connected(vs, es) -> bool:
+    adj = {v: set() for v in vs}
+    for u, v in es:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = {next(iter(adj))}
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == len(adj)
+
+
+def _relabelled(rng, vs, es):
+    """The graph with its vertex names permuted at random, so that a random
+    vertex comes first and roots the breadth-first search."""
+    names = list(vs)
+    rng.shuffle(names)
+    rename = dict(zip(vs, names))
+    return names, [(rename[u], rename[v]) for u, v in es]
+
+
+def _general_graphs(rng):
+    """Connected graphs beyond hypercube subgraphs, each relabelled at random:
+    paths with random chords, random bipartite graphs, and duals of random
+    wallspaces with one vertex deleted or one non-edge added."""
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(3, 11)
+        es = {(i, i + 1) for i in range(n - 1)}
+        for _ in range(rng.randint(0, n // 2)):
+            a, b = sorted(rng.sample(range(n), 2))
+            es.add((a, b))
+        graphs.append((list(range(n)), sorted(es)))
+    while len(graphs) < 600:
+        left = [f"a{i}" for i in range(rng.randint(1, 6))]
+        right = [f"b{i}" for i in range(rng.randint(1, 6))]
+        p = rng.uniform(0.2, 0.8)
+        es = [(u, v) for u in left for v in right if rng.random() < p]
+        if _connected(left + right, es):
+            graphs.append((left + right, es))
+    cfg = GeneratorConfig(max_points=7, max_walls=5)
+    while len(graphs) < 800:
+        make = random_wallspace if len(graphs) % 2 else cyclic_wallspace
+        ws = make(rng, cfg)[0]
+        if len(ws.walls) > 5:
+            continue
+        dual = dualize(ws)
+        vs, es = list(dual.vertices), list(dual.edges)
+        if rng.random() < 0.5:
+            x = rng.choice(vs)
+            vs.remove(x)
+            es = [e for e in es if x not in e]
+        else:
+            non_edges = [
+                e for e in itertools.combinations(vs, 2)
+                if e not in es and e[::-1] not in es
+            ]
+            if not non_edges:
+                continue
+            es.append(rng.choice(non_edges))
+        if vs and _connected(vs, es):
+            graphs.append((vs, es))
+    return [_relabelled(rng, vs, es) for vs, es in graphs]
+
+
+def test_general_graphs_match_reference():
+    verdicts = [_matches_reference(vs, es) for vs, es in _general_graphs(random.Random(53))]
+    assert verdicts.count(True) >= 200 and verdicts.count(False) >= 200
+
+
+def test_median_scan_runs_only_on_rejection(monkeypatch):
+    from panelcollapse import complex as cplx
+
+    def refuse(dist):
+        raise AssertionError("the median scan ran on a median graph")
+
+    monkeypatch.setattr(cplx, "_median_scan", refuse)
+    assert grid_complex(12, 9).cube_counts == (130, 237, 108)
+    assert box_complex(3, 2, 2).cube_counts == (36, 75, 52, 12)
+    assert hypercube_complex(5).cube_counts == (32, 80, 80, 40, 10, 1)
+    rng = random.Random(59)
+    cfg = GeneratorConfig(max_points=7, max_walls=6)
+    for _ in range(20):
+        assert random_complex(rng, cfg).validation_report.passed
+    with pytest.raises(AssertionError, match="median scan ran"):
+        validate_graph(["a", "b", "x", "y", "z"], [(a, b) for a in "ab" for b in "xyz"])
+
+
+def test_recogniser_faults_are_internal_errors(monkeypatch):
+    from panelcollapse import complex as cplx
+
+    square = (["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    # a rejection the median scan cannot confirm
+    monkeypatch.setattr(cplx, "_median_squares", lambda *args: None)
+    with pytest.raises(InternalInvariantError, match="median scan accepts"):
+        validate_graph(*square)
+    # without its square, the walls of the 4-cycle do not match its masks
+    monkeypatch.setattr(cplx, "_median_squares", lambda *args: [])
+    with pytest.raises(InternalInvariantError, match="edge 'c' 'd' does not cross"):
+        CubeComplex(*square)
+
+
+def test_largest_grid_under_the_vertex_limit():
+    # 1444 vertices, just under MAX_VERTICES
+    cx = grid_complex(37, 37)
+    assert cx.cube_counts == (1444, 2812, 1369)
+    assert len(cx.hyperplanes()) == 74

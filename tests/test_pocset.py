@@ -17,7 +17,13 @@ from panelcollapse.pocset import (
 )
 from panelcollapse.symmetry import complexity, run_to_tree
 
-from conftest import SEVEN_CUBE_SIDES, rotation, six_point_walls, wallspaces
+from conftest import (
+    SEVEN_CUBE_SIDES,
+    pairwise_crossing_walls,
+    rotation,
+    six_point_walls,
+    wallspaces,
+)
 
 
 def crossing_wallspace(n):
@@ -173,6 +179,16 @@ def test_stallings_refuses_an_oversized_subdivision():
     ws = Wallspace.from_data(*six_point_walls(*SEVEN_CUBE_SIDES))
     with pytest.raises(PreconditionError, match="2187 vertices; the limit is 1500"):
         stallings_pipeline(ws, [rotation(6, 1)])
+
+
+def test_dualize_refuses_too_many_orientations():
+    # 15 pairwise-crossing walls have 2**15 consistent orientations; the flip
+    # closure stops after the first 1501 of them
+    ws = Wallspace.from_data(*pairwise_crossing_walls(15))
+    message = "wallspace has more than 1500 consistent orientations; the limit is 1500"
+    with pytest.raises(PreconditionError) as excinfo:
+        dualize_details(ws)
+    assert str(excinfo.value) == message
 
 
 @given(wallspaces())
