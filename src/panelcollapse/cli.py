@@ -51,8 +51,15 @@ class _Parser(argparse.ArgumentParser):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from None
 
 
 def _load_complex(path: str) -> CubeComplex:
@@ -151,7 +158,7 @@ def _parse_panel_arg(cx, triple: str):
     side = parts[2].strip()
     if side not in ("+", "-"):
         raise PreconditionError("side must be '+' or '-'")
-    k = len(cx.hyperplanes())
+    k = len(cx._wall_edges)
     for i in ids:
         if not 0 <= i < k:
             raise PreconditionError(f"hyperplane id {i} out of range (0..{k-1})")
@@ -175,12 +182,12 @@ def _cmd_collapse(args) -> int:
         ],
     )
     if args.output:
-        Path(args.output).write_text(out_text)
+        _write(args.output, out_text)
     else:
         sys.stdout.write(out_text)
     sidecar = "\n".join(result.provenance_lines()) + "\n"
     if args.provenance:
-        Path(args.provenance).write_text(sidecar)
+        _write(args.provenance, sidecar)
     else:
         sys.stdout.write(sidecar)
     return 0
@@ -218,7 +225,7 @@ def _cmd_run(args) -> int:
             ),
             "provenance_digest": trace.provenance_digest(),
         }
-        Path(args.trace).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.trace, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -234,7 +241,7 @@ def _cmd_dualize(args) -> int:
         ],
     )
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -262,7 +269,7 @@ def _cmd_stallings(args) -> int:
             "edge_stabilisers": sorted(result.edge_stabiliser_sizes.values()),
             "wall_stabilisers": sorted(result.wall_stabiliser_sizes),
         }
-        Path(args.trace).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.trace, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

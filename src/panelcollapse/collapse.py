@@ -331,20 +331,26 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     """Collapse a family of extremal panels with no facing panels.
 
     The output keeps the vertex set; its edges are the external input edges
-    plus the diagonal edges of the fundaments of the maximal cubes.  A failure
-    of the output to validate is reported as an internal invariant breach:
-    the construction guarantees a CAT(0) result.
+    plus the diagonal edges of the fundaments of the external maximal cubes
+    (a completely external cube is its own fundament, with no diagonals).
+    An edge is internal exactly when it is an internal edge of a panel.  A
+    failure of the output to validate is reported as an internal invariant
+    breach: the construction guarantees a CAT(0) result.
     """
     panels = tuple(sorted(panels, key=Panel.sort_key))
     cls = classify(cx, panels)
-    surviving = [e for e in cx.edges if not cls.edge_internal(e)]
+    internal = cls.internal_edges
+    surviving = [e for e in cx.edges if e not in internal]
     diag: dict[tuple, frozenset] = {}
     for m in cx.maximal_cubes():
+        status = cls.status(m)
         # internal cubes lie in panels, which are proper faces of block cubes
-        if cls.status(m) == INTERNAL:
+        if status == INTERNAL:
             raise InternalInvariantError(
                 f"maximal cube {set(m)} is internal to a panel"
             )
+        if status == COMPLETELY_EXTERNAL:
+            continue
         f = fundament(cls, m)
         for pair, separators in f.diagonal_pairs():
             a, b = sorted(pair, key=cx.index)
@@ -360,7 +366,7 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
             raise InternalInvariantError(
                 f"diagonal {a!r}-{b!r} duplicates an input edge"
             )
-    if panels and not cls.internal_edges:
+    if panels and not internal:
         raise InternalInvariantError("nonempty panel family with no internal edges")
 
     edges = list(surviving) + sorted(diag)
@@ -372,11 +378,11 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
         ) from exc
     provenance = {}
     for u, v in surviving:
-        provenance[(u, v)] = frozenset({cx.dual_hyperplane(u, v)})
+        provenance[(u, v)] = frozenset({cx._edge_dual[u, v]})
     provenance.update(diag)
     metadata = {
         "panel_triples": tuple(p.triple for p in panels),
-        "internal_edge_count": len(cls.internal_edges),
+        "internal_edge_count": len(internal),
     }
     return CollapseResult(
         input_complex=cx,
@@ -395,22 +401,23 @@ def hyperplane_provenance(result: CollapseResult) -> dict[int, tuple[int, ...]]:
     carries the same input crossing set, and that set is nonempty.
     """
     out = result.output_complex
+    order = out.vertices
     class_sets = {}
-    for plane in out.hyperplanes():
-        sets = {result.edge_provenance[e] for e in plane.edges}
+    for out_id, edges in enumerate(out._wall_edges):
+        sets = {result.edge_provenance[order[a], order[b]] for a, b in edges}
         if len(sets) != 1:
             raise InternalInvariantError(
-                f"output hyperplane {plane.id} mixes crossing sets "
+                f"output hyperplane {out_id} mixes crossing sets "
                 f"{sorted(map(sorted, sets))}"
             )
         common = next(iter(sets))
         if not common:
             raise InternalInvariantError(
-                f"output hyperplane {plane.id} has an empty crossing set"
+                f"output hyperplane {out_id} has an empty crossing set"
             )
-        class_sets[plane.id] = common
+        class_sets[out_id] = common
     mapping: dict[int, list[int]] = {
-        h.id: [] for h in result.input_complex.hyperplanes()
+        h: [] for h in range(len(result.input_complex._wall_edges))
     }
     for out_id, common in class_sets.items():
         for h in common:

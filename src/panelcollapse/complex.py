@@ -33,6 +33,15 @@ masks:
   vertex every set of edges leading towards the first vertex spans a cube, so
   the cubes are enumerated exactly once each, together with their walls.
 
+A build keeps only integer tables: the masks, each wall's edges, each edge's
+wall, the cubes with their walls and the square counts of crossing pairs.
+Signs, crossing sets, corner maps and convex hulls are read off the masks.
+The ``Hyperplane`` objects with their two sides, the vertex-by-wall sign
+matrix, the ``Cube`` objects, the maximal cubes and the carriers are built on
+first use and cached.  numpy serves only the sign matrix of
+``vertex_signs()`` and the median scan of a rejected graph, and is imported
+there, so a build never loads it.
+
 Conventions used throughout the package:
 
 * vertices are opaque hashable identifiers, ordered canonically (natural sort
@@ -50,8 +59,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     InternalInvariantError,
@@ -212,6 +219,8 @@ def _structural_pass(vertices, edges):
 
 def _distances(n, adj):
     """All-pairs BFS distances; -1 marks unreachable pairs."""
+    import numpy as np
+
     dist = np.full((n, n), -1, dtype=np.int32)
     for s in range(n):
         row = dist[s]
@@ -238,6 +247,8 @@ def _median_scan(dist):
     medians for all w at once.  Interval rows are bit-packed when numpy
     supports popcounting.  Returns (ok, violating_triple_indices).
     """
+    import numpy as np
+
     n = dist.shape[0]
     if n <= 2:
         return True, None
@@ -411,9 +422,19 @@ def _cubes(level, int_edges, edge_wall, masks, vertex_of):
     return by_dim
 
 
+def _bits(mask):
+    """The positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _sign_matrix(masks, width):
     """The masks as a vertex-by-wall int8 matrix: +1 on a wall's plus side,
     -1 on its minus side."""
+    import numpy as np
+
     nbytes = (width + 7) // 8
     raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
@@ -488,9 +509,12 @@ class CubeComplex:
     collapse and symmetry modules read: ``_masks[i]`` is the bitmask of walls
     with vertex ``i`` on their plus side (``_vertex_of`` maps each mask back
     to its vertex index), ``_wall_edges[h]`` lists the index
-    pairs of wall ``h``'s edges, and ``_square_counts`` maps each crossing
-    pair ``(h, e)``, ``h < e``, to the number of squares dual to both walls
-    (``_crossing_pairs`` lists those pairs in order).
+    pairs of wall ``h``'s edges, ``_int_cubes[d]`` lists the d-cubes as
+    (vertex index tuple, wall frozenset) pairs in table order, and
+    ``_square_counts`` maps each crossing pair ``(h, e)``, ``h < e``, to the
+    number of squares dual to both walls (``_crossing_pairs`` lists those
+    pairs in order).  The ``Hyperplane`` objects, the sign matrix, the
+    ``Cube`` objects and the maximal cubes are built on first use.
     """
 
     def __init__(self, vertices, edges):
@@ -503,14 +527,9 @@ class CubeComplex:
         self._int_edges = int_edges
         self._adj_int, edge_wall, masks, self._vertex_of, int_cubes = internals
         self.validation_report = report
-        walls = max(edge_wall, default=-1) + 1
-        self._signs = _sign_matrix(masks, walls)
         self._masks = masks
-        self._edge_dual = {}
-        self._wall_edges = [[] for _ in range(walls)]
-        for (a, b), h in zip(int_edges, edge_wall):
-            self._edge_dual[order[a], order[b]] = h
-            self._wall_edges[h].append((a, b))
+        self._compute_hyperplanes(edge_wall)
+        self._int_cubes = int_cubes
         # per dimension, the cubes' vertex sets; and each cube's walls
         self._cube_sets = tuple(
             tuple(frozenset([order[i] for i in c]) for c, _ in cubes)
@@ -525,9 +544,20 @@ class CubeComplex:
         self._square_counts = Counter(sorted(tuple(sorted(hs)) for _, hs in squares))
         self._crossing_pairs = tuple(self._square_counts)
         self._hyperplanes = None
+        self._signs = None
         self._carrier_cache = {}
         self._maximal = None
         self._cube_objects = {}
+
+    def _compute_hyperplanes(self, edge_wall):
+        """The wall tables: each wall's edges as index pairs, in edge order,
+        and each edge's wall by its canonical key."""
+        order = self._order
+        self._edge_dual = {}
+        self._wall_edges = [[] for _ in range(max(edge_wall, default=-1) + 1)]
+        for (a, b), h in zip(self._int_edges, edge_wall):
+            self._edge_dual[order[a], order[b]] = h
+            self._wall_edges[h].append((a, b))
 
     # -- basic structure ----------------------------------------------------
 
@@ -601,12 +631,12 @@ class CubeComplex:
 
     def _make_cube(self, vs: frozenset) -> Cube:
         axes = tuple(sorted(self.cube_axes(vs)))
-        signs = self.vertex_signs()
         corners = [None] * (1 << len(axes))
         for v in vs:
+            mask = self._masks[self._ix[v]]
             idx = 0
             for h in axes:
-                idx = (idx << 1) | (1 if signs[self.index(v), h] > 0 else 0)
+                idx = (idx << 1) | (mask >> h & 1)
             corners[idx] = v
         if any(c is None for c in corners):
             raise InternalInvariantError(f"cube {set(vs)} has an incoherent corner map")
@@ -617,20 +647,31 @@ class CubeComplex:
             yield from sets
 
     def maximal_cubes(self) -> tuple[frozenset, ...]:
-        """Cubes not properly contained in any other cube."""
+        """Cubes not properly contained in any other cube, by dimension
+        descending, then in table order.
+
+        A cube is keyed by the AND of its vertex masks and the mask of its
+        walls; the two facets of a cube across wall h drop h from the walls
+        and keep or add it in the AND.  A cube inside a larger one lies in a
+        facet of a cube one dimension up, so the maximal cubes are those that
+        no cube one dimension up marks as a facet.
+        """
         if self._maximal is None:
+            masks = self._masks
             result = []
+            marked = set()
             for d in range(self.dimension, -1, -1):
-                bigger = (
-                    set(self.cube_vertexsets(d + 1))
-                    if d + 1 <= self.dimension
-                    else set()
-                )
-                for vs in self.cube_vertexsets(d):
-                    if not any(vs < b for b in bigger):
+                facets = set()
+                for (c, hs), vs in zip(self._int_cubes[d], self._cube_sets[d]):
+                    axes = sum(1 << h for h in hs)
+                    base = masks[c[0]] & ~axes
+                    if (base, axes) not in marked:
                         result.append(vs)
-            # a cube strictly inside a non-adjacent-dimension cube is also
-            # inside one of its faces, so checking one dimension up suffices
+                    for h in hs:
+                        bit = 1 << h
+                        facets.add((base, axes ^ bit))
+                        facets.add((base | bit, axes ^ bit))
+                marked = facets
             self._maximal = tuple(result)
         return self._maximal
 
@@ -677,33 +718,38 @@ class CubeComplex:
 
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
         if self._hyperplanes is None:
-            self._compute_hyperplanes()
+            order = self._order
+            plus = [[] for _ in self._wall_edges]
+            for v, mask in zip(order, self._masks):
+                for h in _bits(mask):
+                    plus[h].append(v)
+            everything = frozenset(order)
+            self._hyperplanes = tuple(
+                Hyperplane(
+                    id=h_id,
+                    edges=frozenset((order[a], order[b]) for a, b in es),
+                    minus=everything.difference(side),
+                    plus=frozenset(side),
+                    _complex=self,
+                )
+                for h_id, (es, side) in enumerate(zip(self._wall_edges, plus))
+            )
         return self._hyperplanes
 
     def hyperplane(self, h_id: int) -> Hyperplane:
         return self.hyperplanes()[h_id]
 
-    def _compute_hyperplanes(self):
-        order = self._order
-        self._hyperplanes = tuple(
-            Hyperplane(
-                id=h_id,
-                edges=frozenset((order[a], order[b]) for a, b in es),
-                minus=frozenset(v for v, s in zip(order, col) if s < 0),
-                plus=frozenset(v for v, s in zip(order, col) if s > 0),
-                _complex=self,
-            )
-            for h_id, (es, col) in enumerate(
-                zip(self._wall_edges, self._signs.T.tolist())
-            )
-        )
-
-    def vertex_signs(self) -> np.ndarray:
-        """Matrix of halfspace signs, rows by vertex index, columns by wall id."""
+    def vertex_signs(self) -> "numpy.ndarray":
+        """Matrix of halfspace signs, rows by vertex index, columns by wall
+        id, as int8: +1 on a wall's plus side, -1 on its minus side."""
+        if self._signs is None:
+            self._signs = _sign_matrix(self._masks, len(self._wall_edges))
         return self._signs
 
     def sign(self, v, h_id: int) -> int:
-        return int(self._signs[self.index(v), h_id])
+        if not 0 <= h_id < len(self._wall_edges):
+            raise IndexError(f"no wall {h_id}")
+        return 1 if self._masks[self.index(v)] >> h_id & 1 else -1
 
     def dual_hyperplane(self, u, v) -> int:
         """Wall id of an edge."""
@@ -721,9 +767,7 @@ class CubeComplex:
 
     def crossing_set(self, u, v) -> frozenset:
         """Walls separating u from v; its size equals the graph distance."""
-        signs = self.vertex_signs()
-        a, b = self.index(u), self.index(v)
-        return frozenset(int(h) for h in np.nonzero(signs[a] != signs[b])[0])
+        return frozenset(_bits(self._masks[self.index(u)] ^ self._masks[self.index(v)]))
 
     def median(self, u, v, w):
         """The vertex on the majority side of every wall."""
@@ -737,19 +781,21 @@ class CubeComplex:
 
     def convex_hull(self, vertex_set) -> frozenset:
         """Smallest median-closed vertex set containing the input: cut out by
-        every halfspace containing it."""
-        vs = [self.index(v) for v in vertex_set]
-        if not vs:
+        every halfspace containing it.  The plus sides containing the set
+        are the bits of the AND of its masks, the minus sides those missing
+        from the OR."""
+        ms = [self._masks[self.index(v)] for v in vertex_set]
+        if not ms:
             raise StructuralError("convex hull of an empty set")
-        signs = self.vertex_signs()
-        keep = np.ones(self.n, dtype=bool)
-        for h in range(signs.shape[1]):
-            col = signs[vs, h]
-            if (col > 0).all():
-                keep &= signs[:, h] > 0
-            elif (col < 0).all():
-                keep &= signs[:, h] < 0
-        return frozenset(self._order[i] for i in np.nonzero(keep)[0])
+        all_plus, any_plus = ms[0], ms[0]
+        for m in ms:
+            all_plus &= m
+            any_plus |= m
+        return frozenset(
+            v
+            for v, m in zip(self._order, self._masks)
+            if m & all_plus == all_plus and not m & ~any_plus
+        )
 
     def is_tree(self) -> bool:
         return self.dimension <= 1

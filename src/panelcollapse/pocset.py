@@ -199,17 +199,17 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
         principal[p] = names[pb]
 
     wall_of = {}
-    for plane in cx.hyperplanes():
+    for h, wall_edges in enumerate(cx._wall_edges):
         flips = set()
-        for u, v in plane.edges:
-            bu = _bits_of_name(u)
-            bv = _bits_of_name(v)
+        for a, b in wall_edges:
+            bu = _bits_of_name(cx.vertices[a])
+            bv = _bits_of_name(cx.vertices[b])
             flips.add(next(i for i in range(k) if bu[i] != bv[i]))
         if len(flips) != 1:
             raise InternalInvariantError(
-                f"hyperplane {plane.id} flips several walls: {sorted(flips)}"
+                f"hyperplane {h} flips several walls: {sorted(flips)}"
             )
-        wall_of[plane.id] = next(iter(flips))
+        wall_of[h] = next(iter(flips))
     by_name = {names[b]: b for b in orientations}
     return DualComplexInfo(
         complex=cx,
@@ -270,12 +270,10 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     gens = [symmetry_automorphism(info, dict(m)) for m in symmetries]
     action = GroupAction(cx, gens)
 
-    wall_stabs = []
-    for plane in cx.hyperplanes():
-        stab = sum(
-            1 for g in action.elements if action.wall_image(g, plane.id) == plane.id
-        )
-        wall_stabs.append(stab)
+    wall_stabs = [
+        sum(1 for g in action.elements if action.wall_image(g, h) == h)
+        for h in range(len(cx._wall_edges))
+    ]
 
     subdivided = False
     if not action.is_inversion_free:

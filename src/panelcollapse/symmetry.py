@@ -126,41 +126,20 @@ class GroupAction:
     """A finite group of automorphisms, stored as an explicit element list."""
 
     def __init__(self, cx: CubeComplex, generators):
-        self.complex = cx
         gens = []
         for g in generators:
             if not isinstance(g, Automorphism):
                 g = Automorphism(cx, g)
-            broken = g.preserves_edges()
-            if broken is not None:
-                raise StructuralError(
-                    f"permutation breaks edge {broken[0]!r} {broken[1]!r}"
-                )
+            _require_edges_preserved(g)
             gens.append(g)
-        self.generators = tuple(gens)
-        self.elements = self._close(gens)
-        self._inversions = None
+        self._attach(cx, gens, _close(cx, gens))
 
-    def _close(self, gens) -> tuple:
-        identity = Automorphism(
-            self.complex, tuple(range(self.complex.n))
-        )
-        seen = {identity.perm: identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = s * g
-                    if h.perm not in seen:
-                        if len(seen) >= GROUP_SIZE_CAP:
-                            raise PreconditionError(
-                                f"group closure exceeds {GROUP_SIZE_CAP} elements"
-                            )
-                        seen[h.perm] = h
-                        nxt.append(h)
-            frontier = nxt
-        return tuple(seen[p] for p in sorted(seen))
+    def _attach(self, cx: CubeComplex, gens, elements):
+        self.complex = cx
+        self.generators = tuple(gens)
+        self.elements = elements
+        self._inversions = None
+        self._complexity = None
 
     @property
     def order(self) -> int:
@@ -173,12 +152,14 @@ class GroupAction:
         return self.side_image(g, h_id, "+")[0]
 
     def side_image(self, g: Automorphism, h_id: int, side: str) -> tuple[int, str]:
-        """Wall and side that the element maps a side of wall ``h_id`` onto."""
-        cx, perm = self.complex, g.perm
-        a, b = cx._wall_edges[h_id][0]
-        target = cx.dual_hyperplane(cx.vertices[perm[a]], cx.vertices[perm[b]])
-        end = a if cx._masks[a] >> h_id & 1 == SIDES.index(side) else b
-        return target, SIDES[cx._masks[perm[end]] >> target & 1]
+        """Wall and side that the element maps a side of wall ``h_id`` onto:
+        the image of an edge of the wall is an edge, whose ends' masks differ
+        in exactly the target wall's bit."""
+        masks, perm = self.complex._masks, g.perm
+        a, b = self.complex._wall_edges[h_id][0]
+        target = (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
+        end = a if masks[a] >> h_id & 1 == SIDES.index(side) else b
+        return target, SIDES[masks[perm[end]] >> target & 1]
 
     def inversions(self) -> tuple:
         """(element index, wall id) pairs where the element preserves the wall
@@ -187,7 +168,7 @@ class GroupAction:
             self._inversions = tuple(
                 (i, h)
                 for i, g in enumerate(self.elements)
-                for h in range(len(self.complex.hyperplanes()))
+                for h in range(len(self.complex._wall_edges))
                 if self.side_image(g, h, "+") == (h, "-")
             )
         return self._inversions
@@ -197,7 +178,7 @@ class GroupAction:
         return not self.inversions()
 
     def hyperplane_orbits(self) -> tuple[frozenset, ...]:
-        walls = range(len(self.complex.hyperplanes()))
+        walls = range(len(self.complex._wall_edges))
         return _orbits(walls, self.wall_image, self.generators)
 
     # -- orbits of cubes and panels ----------------------------------------------
@@ -228,17 +209,52 @@ class GroupAction:
 
     def transfer(self, other: CubeComplex) -> "GroupAction":
         """The same vertex permutations acting on another complex over the
-        same vertex set; raises if they fail to preserve its edges."""
+        same vertex set; raises if they fail to preserve its edges.  The
+        element list is carried over rather than closed again."""
         if other.vertices != self.complex.vertices:
             raise PreconditionError("transfer requires the identical vertex set")
+        gens = [Automorphism(other, g.perm) for g in self.generators]
         try:
-            return GroupAction(
-                other, [Automorphism(other, g.perm) for g in self.generators]
-            )
+            for g in gens:
+                _require_edges_preserved(g)
         except StructuralError as exc:
             raise InternalInvariantError(
                 f"action does not survive onto the collapsed complex: {exc}"
             ) from exc
+        new = GroupAction.__new__(GroupAction)
+        new._attach(
+            other, gens, tuple(Automorphism(other, g.perm) for g in self.elements)
+        )
+        return new
+
+
+def _require_edges_preserved(g: Automorphism):
+    broken = g.preserves_edges()
+    if broken is not None:
+        raise StructuralError(
+            f"permutation breaks edge {broken[0]!r} {broken[1]!r}"
+        )
+
+
+def _close(cx: CubeComplex, gens) -> tuple:
+    """Every product of the generators, sorted by permutation."""
+    identity = Automorphism(cx, tuple(range(cx.n)))
+    seen = {identity.perm: identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = s * g
+                if h.perm not in seen:
+                    if len(seen) >= GROUP_SIZE_CAP:
+                        raise PreconditionError(
+                            f"group closure exceeds {GROUP_SIZE_CAP} elements"
+                        )
+                    seen[h.perm] = h
+                    nxt.append(h)
+        frontier = nxt
+    return tuple(seen[p] for p in sorted(seen))
 
 
 def check_action(cx: CubeComplex, permutations) -> ActionReport:
@@ -318,10 +334,17 @@ class ComplexityVector:
 
 
 def complexity(cx: CubeComplex, action: GroupAction) -> ComplexityVector:
-    """Orbit counts of d-cubes for d from dim down to 2."""
+    """Orbit counts of d-cubes for d from dim down to 2; kept on the action
+    when ``cx`` is the complex it acts on, so that the vector a collapse
+    step computes for its output is the next step's starting vector."""
+    if cx is action.complex and action._complexity is not None:
+        return action._complexity
     dim = cx.dimension
     entries = tuple(action.cube_orbit_count(d) for d in range(dim, 1, -1))
-    return ComplexityVector(entries=entries, top_dimension=dim)
+    vector = ComplexityVector(entries=entries, top_dimension=dim)
+    if cx is action.complex:
+        action._complexity = vector
+    return vector
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +524,7 @@ def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
     """
     initial = cx
     limit = sum(cx.cube_counts)
-    origins = {e: frozenset({cx.dual_hyperplane(*e)}) for e in cx.edges}
+    origins = {e: frozenset({h}) for e, h in cx._edge_dual.items()}
     steps = []
     while True:
         with _context(f"step {len(steps) + 1}, "):
@@ -516,7 +539,8 @@ def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
         # all edges of a wall carry the same origins: at the start each edge's
         # origin is its wall, and each step checks that every output wall
         # has a single crossing set
-        lift = {h.id: origins[next(iter(h.edges))] for h in cx.hyperplanes()}
+        order = cx.vertices
+        lift = [origins[order[a], order[b]] for (a, b), *_ in cx._wall_edges]
         result = step.result
         origins = {
             e: frozenset().union(*(lift[h] for h in result.edge_provenance[e]))

@@ -68,6 +68,18 @@ def pairwise_crossing_walls(k):
     return list(indices), walls
 
 
+def coordinate_swap(cx, i, j) -> dict:
+    """The transposition of coordinates i and j of tuple- or string-named
+    vertices."""
+
+    def swap(v):
+        w = list(v)
+        w[i], w[j] = w[j], w[i]
+        return tuple(w) if isinstance(v, tuple) else "".join(w)
+
+    return {v: swap(v) for v in cx.vertices}
+
+
 def rotation(n: int, shift: int) -> dict:
     return {f"p{i}": f"p{(i + shift) % n}" for i in range(n)}
 

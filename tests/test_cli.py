@@ -1,8 +1,13 @@
 """Command-line surface: formats, exit codes, determinism, round trips."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import panelcollapse
 
 from panelcollapse.cli import main
 from panelcollapse.complex import CubeComplex
@@ -322,3 +327,55 @@ def test_fuzz_command(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "fuzz", "--count", "2", "--max-vertices", "40")
     assert code == 0
     assert "seed: 7" in out and out.strip().endswith("ok")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", str(DATA / "cube3.cc"), str(DATA / "trivial.act"), "--trace"],
+        ["stallings", str(DATA / "crossing2.ws"), "--trace"],
+        ["collapse", str(DATA / "cube3.cc"), "--auto", "--output"],
+        ["collapse", str(DATA / "cube3.cc"), "--auto", "--provenance"],
+        ["dualize", str(DATA / "crossing2.ws"), "--output"],
+    ],
+    ids=["run-trace", "stallings-trace", "collapse-output", "collapse-provenance",
+         "dualize-output"],
+)
+def test_unwritable_output_is_user_error(capsys, tmp_path, command):
+    target = tmp_path / "missing-directory" / "out"
+    code, _, err = run_cli(capsys, *command, str(target))
+    assert code == 1
+    assert any(
+        line.startswith(f"error: cannot write {target}:") for line in err.splitlines()
+    )
+    assert "Traceback" not in err
+
+
+def test_binary_input_is_user_error(capsys, tmp_path):
+    path = tmp_path / "binary.cc"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {path}:")
+    assert "Traceback" not in err
+
+
+def test_validate_does_not_import_numpy():
+    # numpy serves only the sign matrix and the rejection path's median scan
+    script = (
+        "import sys\n"
+        "from panelcollapse import cli\n"
+        f"assert cli.main(['validate', {str(DATA / 'cube3.cc')!r}]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(panelcollapse.__file__).resolve().parents[1]),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["valid; V=8 E=12 F=6 C=1; Euler=1", "False"]

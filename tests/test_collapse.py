@@ -18,9 +18,14 @@ from panelcollapse.collapse import (
 )
 from panelcollapse.errors import PreconditionError
 from panelcollapse.panels import build_panel, extremal_panels, find_extremal_panel
-from panelcollapse.randgen import GeneratorConfig, random_complex
+from panelcollapse.randgen import (
+    GeneratorConfig,
+    random_complex,
+    random_complex_with_action,
+)
+from panelcollapse.symmetry import GroupAction, equivariant_collapse_step
 
-from conftest import hypercube_complex, wallspaces
+from conftest import box_complex, coordinate_swap, hypercube_complex, wallspaces
 
 
 def cube_panel(cube3):
@@ -472,3 +477,35 @@ def test_collapse_properties_on_arbitrary_duals(ws):
     assert out.validation_report.passed
     mapping = hyperplane_provenance(res)
     assert set(mapping) == {h.id for h in cx.hyperplanes()}
+
+
+def test_completely_external_maximal_cubes_are_their_own_fundaments():
+    # collapse skips the fundaments of completely external maximal cubes: a
+    # cube with no internal edge is its own fundament, with no diagonals
+    instances = []
+    for sides in ((3, 3), (4, 4), (2, 2, 2)):
+        cx = box_complex(*sides)
+        swaps = [coordinate_swap(cx, i, i + 1) for i in range(len(sides) - 1)]
+        instances.append((cx, GroupAction(cx, swaps)))
+    rng = random.Random(17)
+    cfg = GeneratorConfig(max_points=7, max_walls=5, max_vertices=60)
+    instances += [random_complex_with_action(rng, cfg) for _ in range(60)]
+    skipped = diagonal_steps = 0
+    for cx, action in instances:
+        while (step := equivariant_collapse_step(cx, action)) is not None:
+            result = step.result
+            cls = classify(cx, result.panels)
+            diagonals = {}
+            for m in cx.maximal_cubes():
+                f = fundament(cls, m)
+                if cls.status(m) == COMPLETELY_EXTERNAL:
+                    assert not f.diagonals
+                    assert f.ordinary_cubes == set(cx.subcubes(m))
+                    skipped += 1
+                for pair, separators in f.diagonal_pairs():
+                    diagonals[tuple(sorted(pair, key=cx.index))] = separators
+            assert result.diagonal_edges == set(diagonals)
+            assert {e: result.edge_provenance[e] for e in diagonals} == diagonals
+            diagonal_steps += bool(diagonals)
+            cx, action = result.output_complex, step.action
+    assert skipped >= 100 and diagonal_steps >= 10, (skipped, diagonal_steps)

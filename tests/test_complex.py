@@ -208,6 +208,13 @@ def test_crossing_set_examples(cube3):
     assert cube3.crossing_set("000", "111") == frozenset({0, 1, 2})
 
 
+def test_sign_rejects_unknown_walls(cube3):
+    assert [cube3.sign("011", h) for h in range(3)] == [1, 1, -1]
+    for h in (-1, 3):
+        with pytest.raises(IndexError, match=f"no wall {h}"):
+            cube3.sign("011", h)
+
+
 def test_distance_equals_crossing_count(cube3, domino, strip3):
     for cx in (cube3, domino, strip3):
         for u, v in itertools.combinations(cx.vertices, 2):
@@ -394,7 +401,52 @@ def _matches_reference(vs, es) -> bool:
         for c in ref:
             expected = {wall_of[e] for e in int_edges if set(e) <= c}
             assert cx.cube_axes(frozenset(order[i] for i in c)) == expected
+    _mask_views_match_reference(cx, order, cubes, walls)
     return True
+
+
+def _mask_views_match_reference(cx, order, cubes, walls):
+    """The views read off the wall masks (maximal cubes, corner maps, signs,
+    crossing sets and hulls) against the reference cubes and walls."""
+    plus = [side for _, side in walls]
+    maximal = {
+        c for d, ref in enumerate(cubes) for c in ref
+        if not any(c < bigger for up in cubes[d + 1:] for bigger in up)
+    }
+    expected = [
+        vs
+        for d in range(len(cubes) - 1, -1, -1)
+        for vs in cx.cube_vertexsets(d)
+        if frozenset(map(cx.index, vs)) in maximal
+    ]
+    assert list(cx.maximal_cubes()) == expected
+    for d in range(len(cubes)):
+        for cube in cx.cubes(d):
+            assert list(cube.axes) == sorted(cx.cube_axes(cube.vertices))
+            assert set(cube.corners) == cube.vertices
+            for i, v in enumerate(cube.corners):
+                bits = format(i, f"0{d}b") if d else ""
+                assert [cx.index(v) in plus[h] for h in cube.axes] == [
+                    b == "1" for b in bits
+                ]
+    for u, v in itertools.product(range(len(order)), repeat=2):
+        assert cx.crossing_set(order[u], order[v]) == {
+            h for h, side in enumerate(plus) if (u in side) != (v in side)
+        }
+    for v in range(len(order)):
+        assert [cx.sign(order[v], h) for h in range(len(plus))] == [
+            1 if v in side else -1 for side in plus
+        ]
+    rng = random.Random(len(order))
+    everything = frozenset(range(len(order)))
+    for _ in range(8):
+        sample = set(rng.sample(range(len(order)), rng.randint(1, min(4, len(order)))))
+        hull = everything
+        for side in plus:
+            for half in (side, everything - side):
+                if sample <= half:
+                    hull &= half
+        assert cx.convex_hull({order[i] for i in sample}) == {order[i] for i in hull}
 
 
 def test_hypercube_subgraphs_match_reference():

@@ -21,7 +21,7 @@ from panelcollapse.randgen import GeneratorConfig, random_complex_with_action
 from panelcollapse.symmetry import GroupAction, equivariant_collapse_step
 
 import oracle
-from conftest import box_complex
+from conftest import box_complex, coordinate_swap
 
 
 def test_crossing_pairs(cube3, tree4, domino):
@@ -198,18 +198,6 @@ def test_panel_identity_is_the_triple(cube3):
     assert p1.internal_edges != p2.internal_edges
 
 
-def _coordinate_swap(cx, i, j):
-    """The transposition of coordinates i and j of tuple- or string-named
-    vertices."""
-
-    def swap(v):
-        w = list(v)
-        w[i], w[j] = w[j], w[i]
-        return tuple(w) if isinstance(v, tuple) else "".join(w)
-
-    return {v: swap(v) for v in cx.vertices}
-
-
 def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tree4):
     """Extremality, panels, blocks, cube status, persistent subcubes and
     panel orbits against the graph-level reference, on every complex met
@@ -220,9 +208,9 @@ def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tr
         for cx in (cube3, cube4, square, domino, strip3, tree4, box)
     ]
     instances += [
-        (cube3, GroupAction(cube3, [_coordinate_swap(cube3, 0, 1), _coordinate_swap(cube3, 1, 2)])),
-        (cube4, GroupAction(cube4, [_coordinate_swap(cube4, 0, 3)])),
-        (box, GroupAction(box, [_coordinate_swap(box, 0, 1)])),
+        (cube3, GroupAction(cube3, [coordinate_swap(cube3, 0, 1), coordinate_swap(cube3, 1, 2)])),
+        (cube4, GroupAction(cube4, [coordinate_swap(cube4, 0, 3)])),
+        (box, GroupAction(box, [coordinate_swap(box, 0, 1)])),
     ]
     rng = random.Random(4)
     cfg = GeneratorConfig(max_points=7, max_walls=5, max_vertices=60)

@@ -278,3 +278,50 @@ def test_run_to_tree_box():
     assert trace.step_count <= sum(cx.cube_counts[2:])
     walls = {h.id for h in cx.hyperplanes()}
     assert all(hs and hs <= walls for hs in trace.edge_origins.values())
+
+
+def _random_runs(seed, count):
+    rng = random.Random(seed)
+    cfg = GeneratorConfig(max_points=7, max_walls=5, max_vertices=60)
+    return [random_equivariant_instance(rng, cfg) for _ in range(count)]
+
+
+def test_transfer_carries_the_closed_group_over(cube3):
+    instances = [(cube3, GroupAction(cube3, [cube3_rotation(cube3)]))]
+    instances += _random_runs(23, 30)
+    moved = 0
+    for cx, action in instances:
+        while (step := equivariant_collapse_step(cx, action)) is not None:
+            out = step.result.output_complex
+            fresh = GroupAction(out, [g.perm for g in action.generators])
+            assert [g.perm for g in step.action.elements] == [
+                g.perm for g in fresh.elements
+            ]
+            assert all(g.complex is out for g in step.action.elements)
+            assert step.action.generators == fresh.generators
+            moved += action.order > 1
+            cx, action = out, step.action
+    assert moved >= 10, moved
+
+
+def test_transfer_rejects_a_generator_breaking_an_edge(square):
+    action = GroupAction(square, [square_diagonal(square)])
+    path = CubeComplex(square.vertices, [("00", "01"), ("01", "11"), ("10", "11")])
+    with pytest.raises(InternalInvariantError, match="does not survive"):
+        action.transfer(path)
+
+
+def test_each_step_starts_from_the_previous_complexity(cube4):
+    instances = [(cube4, GroupAction(cube4, []))] + _random_runs(29, 20)
+    for cx, action in instances:
+        gens = [g.perm for g in action.generators]
+        trace = run_to_tree(cx, action)
+        for before, after in zip(trace.steps, trace.steps[1:]):
+            assert after.complexity_before == before.complexity_after
+        for step in trace.steps:
+            out = step.result.output_complex
+            assert step.complexity_after == complexity(out, GroupAction(out, gens))
+        if trace.steps:
+            assert trace.steps[0].complexity_before == complexity(
+                cx, GroupAction(cx, gens)
+            )
