@@ -38,7 +38,7 @@ from .panels import (
 )
 from .pocset import Wallspace, dualize_details, stallings_pipeline
 from .randgen import GeneratorConfig, random_equivariant_instance, seed_from_env
-from .symmetry import GroupAction, push_action, run_to_tree
+from .symmetry import GroupAction, counts_text, push_action, run_to_tree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,13 +62,21 @@ def _write(path: str, text: str) -> None:
         raise FileFormatError(f"cannot write {path}: {exc}") from None
 
 
+def _int_at_least(low: int):
+    """An argument type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 def _load_complex(path: str) -> CubeComplex:
     return parse_complex(_read(path))
-
-
-def _counts_text(counts) -> str:
-    labels = ["V", "E", "F", "C"] + [f"D{d}" for d in range(4, len(counts))]
-    return " ".join(f"{label}={c}" for label, c in zip(labels, counts))
 
 
 def _cmd_validate(args) -> int:
@@ -93,7 +101,7 @@ def _cmd_validate(args) -> int:
     else:
         if report.passed:
             print(
-                f"valid; {_counts_text(report.cube_counts)}; "
+                f"valid; {counts_text(report.cube_counts)}; "
                 f"Euler={report.euler_characteristic}"
             )
         else:
@@ -251,7 +259,7 @@ def _cmd_stallings(args) -> int:
     points, walls, syms = parse_wallspace(_read(args.file))
     ws = Wallspace.from_data(points, walls)
     result = stallings_pipeline(ws, syms)
-    print(f"dual: {_counts_text(result.dual_info.complex.cube_counts)}")
+    print(f"dual: {counts_text(result.dual_info.complex.cube_counts)}")
     if result.subdivided:
         print("subdivided: yes (action inverted a hyperplane)")
     for line in result.trace.lines():
@@ -290,7 +298,7 @@ def _cmd_stats(args) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"{_counts_text(cx.cube_counts)}; Euler={cx.euler_characteristic}")
+        print(f"{counts_text(cx.cube_counts)}; Euler={cx.euler_characteristic}")
         print(f"dimension: {cx.dimension}")
         print(f"hyperplanes: {len(planes)}")
         print(f"crossing pairs: {len(crossing)}")
@@ -392,8 +400,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_export_dot)
 
     p = sub.add_parser("fuzz", help="random self-check runs (seed via env)")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--max-vertices", type=int, default=120)
+    p.add_argument("--count", type=_int_at_least(0), default=5)
+    p.add_argument("--max-vertices", type=_int_at_least(1), default=120)
     p.set_defaults(func=_cmd_fuzz)
 
     return parser

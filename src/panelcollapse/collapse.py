@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complex import CubeComplex
+from .complex import CubeComplex, _bits, _faces, _subsets
 from .errors import InternalInvariantError, InvalidComplexError, PreconditionError
 from .panels import SIDES, Panel, no_facing_panels
 
@@ -47,7 +47,8 @@ COMPLETELY_EXTERNAL = "completely-external"
 
 
 class CubeClassification:
-    """Edge and cube classification against a fixed panel family."""
+    """Edge and cube classification against a fixed panel family.  The
+    caches and every test are keyed by a cube's ``(base, axes)`` pair."""
 
     def __init__(self, cx: CubeComplex, panels):
         panels = tuple(sorted(panels, key=Panel.sort_key))
@@ -61,8 +62,8 @@ class CubeClassification:
         self._triples = [
             (p.abutting, p.extremalising, SIDES.index(p.side)) for p in panels
         ]
-        self._status: dict[frozenset, str] = {}
-        self._fundaments: dict[frozenset, Fundament] = {}
+        self._status: dict[tuple[int, int], str] = {}
+        self._diagonals: dict[tuple[int, int], frozenset] = {}
 
     @property
     def internal_edges(self) -> frozenset:
@@ -71,33 +72,36 @@ class CubeClassification:
     def edge_internal(self, edge) -> bool:
         return self.status(frozenset(edge)) == INTERNAL
 
-    def _meeting(self, cube: frozenset):
-        """The cube's walls, and the (abutting, extremalising, side bit)
-        triples of the panels with an internal edge in the cube."""
-        cx = self.complex
-        walls = cx.cube_axes(cube)
-        mask = cx._masks[cx._ix[next(iter(cube))]]
-        return walls, [
+    def _meeting(self, cube):
+        """The (abutting, extremalising, side bit) triples of the panels with
+        an internal edge in a ``(base, axes)`` cube: H is an axis, and E is
+        an axis or has the cube on side s."""
+        base, axes = cube
+        return [
             (h, e, bit)
             for h, e, bit in self._triples
-            if h in walls and (e in walls or mask >> e & 1 == bit)
+            if axes >> h & 1 and (axes >> e & 1 or base >> e & 1 == bit)
         ]
 
-    def status(self, cube: frozenset) -> str:
+    def _status_of(self, cube) -> str:
         cached = self._status.get(cube)
         if cached is None:
-            walls, meeting = self._meeting(cube)
-            if any(e not in walls for _, e, _ in meeting):
+            meeting = self._meeting(cube)
+            if any(not cube[1] >> e & 1 for _, e, _ in meeting):
                 cached = INTERNAL
             else:
                 cached = EXTERNAL if meeting else COMPLETELY_EXTERNAL
             self._status[cube] = cached
         return cached
 
+    def status(self, cube: frozenset) -> str:
+        return self._status_of(self.complex._key(cube))
+
     def counts(self) -> dict[str, int]:
         out = {INTERNAL: 0, EXTERNAL: 0, COMPLETELY_EXTERNAL: 0}
-        for vs in self.complex.all_cube_vertexsets():
-            out[self.status(vs)] += 1
+        for cubes in self.complex._cubes:
+            for cube in cubes:
+                out[self._status_of(cube)] += 1
         return out
 
 
@@ -123,35 +127,41 @@ class PersistentData:
         return len(self.separators)
 
 
+def _persistent(cls: CubeClassification, cube):
+    """The persistent subcube h(c) of a non-internal ``(base, axes)`` cube and
+    the mask of its separators.  Every panel meeting c is dual to both its
+    walls, and h(c) fixes each extremalising wall to the side other than the
+    panel's.  The separators are the extremalising walls that also abut; the
+    salient subcube is h(c) with their bits flipped in the base."""
+    base, axes = cube
+    meeting = cls._meeting(cube)
+    ones = sum({1 << e for _, e, bit in meeting if not bit})
+    zeros = sum({1 << e for _, e, bit in meeting if bit})
+    abutting = sum({1 << h for h, _, _ in meeting})
+    if ones & zeros:
+        raise InternalInvariantError(
+            f"external cube {set(cls.complex._vertex_set(cube))} has empty "
+            "persistent subcube"
+        )
+    extremalising = ones | zeros
+    return (base | ones, axes & ~extremalising), extremalising & abutting
+
+
 def persistent_subcube(cls: CubeClassification, cube: frozenset) -> PersistentData:
     """The persistent subcube h(c) (intersection of the faces opposite each
     panel meeting c), its salient parallel copy, and the separating walls."""
-    if cls.status(cube) == INTERNAL:
+    key = cls.complex._key(cube)
+    if cls._status_of(key) == INTERNAL:
         raise PreconditionError("persistent subcube of an internal cube")
     cx = cls.complex
-    masks, ix = cx._masks, cx._ix
-    # every panel meeting a non-internal cube is dual to both its walls
-    _, meeting = cls._meeting(cube)
-    h = frozenset(
-        v
-        for v in cube
-        if all(masks[ix[v]] >> e & 1 != bit for _, e, bit in meeting)
-    )
-    if not h:
-        raise InternalInvariantError(
-            f"external cube {set(cube)} has empty persistent subcube"
-        )
-    # h fixes the sides of the extremalising walls; the separators are those
-    # of them that are also abutting walls
-    separators = frozenset(e for _, e, _ in meeting) & {a for a, _, _ in meeting}
-    flip = sum(1 << a for a in separators)
-    by_mask = {masks[ix[v]]: v for v in cube}
-    partner = {v: by_mask[masks[ix[v]] ^ flip] for v in h}
-    salient = frozenset(partner.values())
+    (base, axes), flip = _persistent(cls, key)
+    order, masks, vertex_of = cx._order, cx._masks, cx._vertex_of
+    h = cx._vertex_set((base, axes))
+    partner = {v: order[vertex_of[masks[cx._ix[v]] ^ flip]] for v in h}
     return PersistentData(
         persistent=h,
-        salient=salient,
-        separators=separators,
+        salient=cx._vertex_set((base ^ flip, axes)),
+        separators=frozenset(_bits(flip)),
         partner=partner,
     )
 
@@ -207,94 +217,85 @@ class Fundament:
         return frozenset(out)
 
 
-def _deletion_connected(cls: CubeClassification, cube: frozenset) -> bool:
-    """Whether the union of completely external subcubes is connected; since
-    it contains every vertex, this is connectivity of the external edges."""
-    cx = cls.complex
-    vs = sorted(cube, key=cx.index)
-    adj = {v: [] for v in vs}
-    for u, v in cx.cube_edges(cube):
-        if not cls.edge_internal((u, v)):
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {vs[0]}
-    stack = [vs[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vs)
+def _deletion_connected(cls: CubeClassification, cube) -> bool:
+    """Whether the union of completely external subcubes is connected; it
+    holds every vertex ``base | s``, so search the subsets s of the axes
+    along external edges."""
+    base, axes = cube
+    seen = {0}
+    reached = [0]
+    for s in reached:
+        for h in _bits(axes):
+            bit = 1 << h
+            edge = (base | (s & ~bit), bit)
+            if s ^ bit not in seen and cls._status_of(edge) != INTERNAL:
+                seen.add(s ^ bit)
+                reached.append(s ^ bit)
+    return len(seen) == 1 << axes.bit_count()
+
+
+def _fundament_diagonals(cls: CubeClassification, cube) -> frozenset:
+    """The diagonal pieces of the fundament of a ``(base, axes)`` cube, as
+    ``(salient subcube, separator mask)`` pairs; memoized on the
+    classification.  Internal and deletion-connected cubes have none."""
+    cached = cls._diagonals.get(cube)
+    if cached is not None:
+        return cached
+    diagonals = set()
+    if cls._status_of(cube) != INTERNAL:
+        (pbase, paxes), flip = _persistent(cls, cube)
+        if not _deletion_connected(cls, cube):
+            # pieces of the external codimension-1 faces (those meeting the
+            # persistent subcube, equivalently those with a persistent corner)
+            for fbase, faxes in _faces(cube, cube[1].bit_count() - 1):
+                if not (fbase ^ pbase) & ~faxes & ~paxes:
+                    diagonals |= _fundament_diagonals(cls, (fbase, faxes))
+            # S(w) for each completely external subcube w of the salient
+            # cube; with fewer than two separators these degenerate to
+            # ordinary cubes
+            if flip.bit_count() >= 2:
+                for w in _faces((pbase ^ flip, paxes)):
+                    if cls._status_of(w) == COMPLETELY_EXTERNAL:
+                        diagonals.add((w, flip))
+    cached = cls._diagonals[cube] = frozenset(diagonals)
+    return cached
+
+
+def _diagonal_cube(cx: CubeComplex, w, flip) -> DiagonalCube:
+    (base, axes), order, vertex_of = w, cx._order, cx._vertex_of
+    pairs = sorted(
+        (vertex_of[base | s], vertex_of[(base | s) ^ flip]) for s in _subsets(axes)
+    )
+    return DiagonalCube(
+        salient_cube=cx._vertex_set(w),
+        persistent_cube=cx._vertex_set((base ^ flip, axes)),
+        separators=frozenset(_bits(flip)),
+        pairs=tuple((order[a], order[b]) for a, b in pairs),
+    )
 
 
 def fundament(cls: CubeClassification, cube: frozenset) -> Fundament:
-    """Fundament of a cube, memoized on the classification."""
-    cached = cls._fundaments.get(cube)
-    if cached is not None:
-        return cached
+    """Fundament of a cube."""
     cx = cls.complex
-    status = cls.status(cube)
-    ordinary = frozenset(
-        sub
-        for sub in cx.subcubes(cube)
-        if cls.status(sub) == COMPLETELY_EXTERNAL
-    )
-    d_conn = _deletion_connected(cls, cube)
-    if status == INTERNAL or d_conn:
-        pd = None
-        if status != INTERNAL:
-            pd = persistent_subcube(cls, cube)
-        result = Fundament(
-            cube=cube,
-            status=status,
-            d_connected=d_conn,
-            persistent=pd.persistent if pd else None,
-            salient=pd.salient if pd else None,
-            separators=pd.separators if pd else frozenset(),
-            ordinary_cubes=ordinary,
-            diagonals=frozenset(),
-        )
-        cls._fundaments[cube] = result
-        return result
-
-    pd = persistent_subcube(cls, cube)
-    diagonals = set()
-    # pieces of the external codimension-1 faces (those meeting the
-    # persistent subcube, equivalently those with a persistent corner)
-    for face in cx.codim1_faces(cube):
-        if face & pd.persistent:
-            diagonals |= fundament(cls, face).diagonals
-    # S(w) for each completely external subcube w of the salient cube;
-    # with fewer than two separators these degenerate to ordinary cubes
-    if pd.kappa >= 2:
-        flip = {w: v for v, w in pd.partner.items()}
-        for w in cx.subcubes(pd.salient):
-            if cls.status(w) != COMPLETELY_EXTERNAL:
-                continue
-            pairs = tuple(
-                sorted(((v, flip[v]) for v in w), key=lambda t: cx.index(t[0]))
-            )
-            diagonals.add(
-                DiagonalCube(
-                    salient_cube=w,
-                    persistent_cube=frozenset(flip[v] for v in w),
-                    separators=pd.separators,
-                    pairs=pairs,
-                )
-            )
-    result = Fundament(
+    key = cx._key(cube)
+    status = cls._status_of(key)
+    pd = None if status == INTERNAL else persistent_subcube(cls, cube)
+    return Fundament(
         cube=cube,
         status=status,
-        d_connected=False,
-        persistent=pd.persistent,
-        salient=pd.salient,
-        separators=pd.separators,
-        ordinary_cubes=ordinary,
-        diagonals=frozenset(diagonals),
+        d_connected=_deletion_connected(cls, key),
+        persistent=pd.persistent if pd else None,
+        salient=pd.salient if pd else None,
+        separators=pd.separators if pd else frozenset(),
+        ordinary_cubes=frozenset(
+            cx._vertex_set(f)
+            for f in _faces(key)
+            if cls._status_of(f) == COMPLETELY_EXTERNAL
+        ),
+        diagonals=frozenset(
+            _diagonal_cube(cx, w, flip) for w, flip in _fundament_diagonals(cls, key)
+        ),
     )
-    cls._fundaments[cube] = result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +343,22 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     internal = cls.internal_edges
     surviving = [e for e in cx.edges if e not in internal]
     diag: dict[tuple, frozenset] = {}
-    for m in cx.maximal_cubes():
-        status = cls.status(m)
+    order, vertex_of = cx._order, cx._vertex_of
+    for m in cx._maximal_cubes():
+        status = cls._status_of(m)
         # internal cubes lie in panels, which are proper faces of block cubes
         if status == INTERNAL:
             raise InternalInvariantError(
-                f"maximal cube {set(m)} is internal to a panel"
+                f"maximal cube {set(cx._vertex_set(m))} is internal to a panel"
             )
         if status == COMPLETELY_EXTERNAL:
             continue
-        f = fundament(cls, m)
-        for pair, separators in f.diagonal_pairs():
-            a, b = sorted(pair, key=cx.index)
-            prior = diag.get((a, b))
-            if prior is not None and prior != separators:
-                raise InternalInvariantError(
-                    f"diagonal {a!r}-{b!r} acquired two separator sets "
-                    f"{sorted(prior)} and {sorted(separators)}"
-                )
-            diag[(a, b)] = separators
+        for (base, axes), flip in _fundament_diagonals(cls, m):
+            separators = frozenset(_bits(flip))
+            for s in _subsets(axes):
+                i, j = sorted((vertex_of[base | s], vertex_of[(base | s) ^ flip]))
+                # the separators of a pair are the walls between its ends
+                diag[order[i], order[j]] = separators
     for (a, b) in diag:
         if cx.distance(a, b) < 2:
             raise InternalInvariantError(

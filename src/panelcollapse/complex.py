@@ -34,11 +34,13 @@ masks:
   the cubes are enumerated exactly once each, together with their walls.
 
 A build keeps only integer tables: the masks, each wall's edges, each edge's
-wall, the cubes with their walls and the square counts of crossing pairs.
-Signs, crossing sets, corner maps and convex hulls are read off the masks.
-The ``Hyperplane`` objects with their two sides, the vertex-by-wall sign
-matrix, the ``Cube`` objects, the maximal cubes and the carriers are built on
-first use and cached.  numpy serves only the sign matrix of
+wall, the cubes and the square counts of crossing pairs.  Inside the package
+a cube is the pair ``(base, axes)`` of the AND of its vertex masks and the
+mask of its walls; its vertices are the masks ``base | s`` for the subsets
+``s`` of ``axes``.  Signs, crossing sets, corner maps and convex hulls are
+read off the masks.  The ``Hyperplane`` objects with their two sides, the
+vertex-by-wall sign matrix, the ``Cube`` objects and the cubes' vertex sets
+are built on first use and cached.  numpy serves only the sign matrix of
 ``vertex_signs()`` and the median scan of a rejected graph, and is imported
 there, so a build never loads it.
 
@@ -47,8 +49,9 @@ Conventions used throughout the package:
 * vertices are opaque hashable identifiers, ordered canonically (natural sort
   when comparable, by ``repr`` otherwise);
 * an edge key is the pair ``(u, v)`` with ``u`` before ``v`` canonically;
-* a cube is identified by the frozenset of its vertices (in a median graph an
-  induced hypercube is determined by its vertex set);
+* the public API identifies a cube by the frozenset of its vertices (in a
+  median graph an induced hypercube is determined by its vertex set), which
+  ``CubeComplex._key`` turns into the internal ``(base, axes)`` pair;
 * walls are numbered by their canonically-first edge;
 * each hyperplane splits the vertex set into a ``minus`` side (the one
   containing the canonically-first vertex of the complex) and a ``plus`` side.
@@ -394,31 +397,21 @@ def _walls_and_masks(order, int_edges, squares, queue, parent):
     return edge_wall, masks, vertex_of
 
 
-def _cubes(level, int_edges, edge_wall, masks, vertex_of):
-    """Every cube of a median graph, once, with the walls it crosses.
+def _cubes(level, int_edges, edge_wall, masks):
+    """Every cube of a median graph, once, as its ``(base, axes)`` pair.
 
-    A cube is found at its corner farthest from vertex 0: the edges there
-    that lead towards vertex 0 cross distinct walls, and any subset S of them
-    spans a cube whose vertices are the corner with any subset of S's sides
-    flipped.  Returns one list per dimension of ``(vertex index tuple, wall
-    frozenset)`` pairs, sorted by vertex indices.
+    A cube is found at its corner ``top`` farthest from vertex 0: the edges
+    there that lead towards vertex 0 cross distinct walls, and any subset s
+    of them spans the cube ``(top & ~s, s)``.  Returns one list per
+    dimension, by top vertex.
     """
-    n = len(masks)
-    down = [[] for _ in range(n)]
+    down = [0] * len(masks)
     for (a, b), h in zip(int_edges, edge_wall):
-        down[b if level[a] < level[b] else a].append(h)
-    by_dim = [[] for _ in range(max(map(len, down)) + 1)]
-    for v in range(n):
-        faces = [((), [masks[v]])]
-        for h in sorted(down[v]):
-            bit = 1 << h
-            faces += [(hs + (h,), ms + [m ^ bit for m in ms]) for hs, ms in faces]
-        for hs, ms in faces:
-            by_dim[len(hs)].append(
-                (tuple(sorted([vertex_of[m] for m in ms])), frozenset(hs))
-            )
-    for cubes in by_dim:
-        cubes.sort()
+        down[b if level[a] < level[b] else a] |= 1 << h
+    by_dim = [[] for _ in range(max(map(int.bit_count, down)) + 1)]
+    for top, walls in zip(masks, down):
+        for s in _subsets(walls):
+            by_dim[s.bit_count()].append((top & ~s, s))
     return by_dim
 
 
@@ -428,6 +421,25 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _subsets(mask):
+    """Every submask of a mask, ascending."""
+    out = [0]
+    for h in _bits(mask):
+        out += [s | 1 << h for s in out]
+    return out
+
+
+def _faces(cube, dim=None):
+    """The faces of a ``(base, axes)`` cube, itself included, optionally of
+    one dimension: each subset f of the axes, with the other axes fixed
+    either way."""
+    base, axes = cube
+    for free in _subsets(axes):
+        if dim is None or free.bit_count() == dim:
+            for fixed in _subsets(axes ^ free):
+                yield base | fixed, free
 
 
 def _sign_matrix(masks, width):
@@ -489,7 +501,7 @@ def _analyze(order, int_edges):
     edge_wall, masks, vertex_of = _walls_and_masks(
         order, int_edges, squares, queue, parent
     )
-    cubes = _cubes(level, int_edges, edge_wall, masks, vertex_of)
+    cubes = _cubes(level, int_edges, edge_wall, masks)
     cube_counts = tuple(map(len, cubes))
     report = ValidationReport(
         **sizes,
@@ -509,12 +521,13 @@ class CubeComplex:
     collapse and symmetry modules read: ``_masks[i]`` is the bitmask of walls
     with vertex ``i`` on their plus side (``_vertex_of`` maps each mask back
     to its vertex index), ``_wall_edges[h]`` lists the index
-    pairs of wall ``h``'s edges, ``_int_cubes[d]`` lists the d-cubes as
-    (vertex index tuple, wall frozenset) pairs in table order, and
-    ``_square_counts`` maps each crossing pair ``(h, e)``, ``h < e``, to the
-    number of squares dual to both walls (``_crossing_pairs`` lists those
-    pairs in order).  The ``Hyperplane`` objects, the sign matrix, the
-    ``Cube`` objects and the maximal cubes are built on first use.
+    pairs of wall ``h``'s edges, ``_cubes[d]`` lists the d-cubes as
+    ``(base, axes)`` pairs in table order, and ``_square_counts`` maps each
+    crossing pair ``(h, e)``, ``h < e``, to the number of squares dual to
+    both walls (``_crossing_pairs`` lists those pairs in order).  The public
+    views take and return cubes as vertex sets, converted by ``_key`` and
+    ``_vertex_set``; they, the ``Hyperplane`` objects, the sign matrix and
+    the maximal cubes are built on first use.
     """
 
     def __init__(self, vertices, edges):
@@ -525,28 +538,17 @@ class CubeComplex:
         self._order = order
         self._ix = ix
         self._int_edges = int_edges
-        self._adj_int, edge_wall, masks, self._vertex_of, int_cubes = internals
+        self._adj_int, edge_wall, masks, self._vertex_of, self._cubes = internals
         self.validation_report = report
         self._masks = masks
         self._compute_hyperplanes(edge_wall)
-        self._int_cubes = int_cubes
-        # per dimension, the cubes' vertex sets; and each cube's walls
-        self._cube_sets = tuple(
-            tuple(frozenset([order[i] for i in c]) for c, _ in cubes)
-            for cubes in int_cubes
-        )
-        self._cube_axes = {
-            vs: hs
-            for sets, cubes in zip(self._cube_sets, int_cubes)
-            for vs, (_, hs) in zip(sets, cubes)
-        }
-        squares = int_cubes[2] if len(int_cubes) > 2 else ()
-        self._square_counts = Counter(sorted(tuple(sorted(hs)) for _, hs in squares))
+        squares = self._cubes[2] if len(self._cubes) > 2 else ()
+        self._square_counts = Counter(sorted(tuple(_bits(axes)) for _, axes in squares))
         self._crossing_pairs = tuple(self._square_counts)
         self._hyperplanes = None
         self._signs = None
-        self._carrier_cache = {}
         self._maximal = None
+        self._vertex_sets = {}
         self._cube_objects = {}
 
     def _compute_hyperplanes(self, edge_wall):
@@ -579,7 +581,7 @@ class CubeComplex:
 
     @property
     def dimension(self) -> int:
-        return len(self._cube_sets) - 1
+        return len(self._cubes) - 1
 
     @property
     def cube_counts(self) -> tuple[int, ...]:
@@ -616,103 +618,93 @@ class CubeComplex:
 
     # -- cubes ---------------------------------------------------------------
 
+    def _key(self, vs) -> tuple[int, int]:
+        """The ``(base, axes)`` pair of the cube with vertex set ``vs``.
+
+        With ``lo`` the AND and ``hi`` the OR of the vertex masks, every mask
+        of a cube lies between them, so the set is a cube exactly when it has
+        ``2 ** popcount(hi ^ lo)`` vertices: then every mask in between is a
+        vertex, and vertices whose masks differ in one bit are adjacent.
+        """
+        lo, hi = -1, 0
+        for v in vs:
+            m = self._masks[self.index(v)]
+            lo &= m
+            hi |= m
+        if not vs or len(vs) != 1 << (hi ^ lo).bit_count():
+            raise StructuralError(f"{set(vs)} is not a cube")
+        return lo, hi ^ lo
+
+    def _vertex_set(self, cube) -> frozenset:
+        """The vertices of a ``(base, axes)`` cube."""
+        base, axes = cube
+        order, vertex_of = self._order, self._vertex_of
+        return frozenset([order[vertex_of[base | s]] for s in _subsets(axes)])
+
+    def _dim_cubes(self, dim: int) -> list:
+        """The ``dim``-cubes (none beyond the dimension)."""
+        return self._cubes[dim] if 0 <= dim < len(self._cubes) else []
+
     def cube_vertexsets(self, dim: int) -> tuple[frozenset, ...]:
         """Vertex sets of all ``dim``-cubes (empty beyond the dimension)."""
-        if dim < 0 or dim >= len(self._cube_sets):
-            return ()
-        return self._cube_sets[dim]
+        if dim not in self._vertex_sets:
+            self._vertex_sets[dim] = tuple(map(self._vertex_set, self._dim_cubes(dim)))
+        return self._vertex_sets[dim]
 
     def cubes(self, dim: int) -> tuple[Cube, ...]:
         if dim not in self._cube_objects:
-            self._cube_objects[dim] = tuple(
-                self._make_cube(vs) for vs in self.cube_vertexsets(dim)
-            )
+            out = []
+            for base, axes in self._dim_cubes(dim):
+                # the first axis is the most significant digit of a corner's index
+                masks = [base]
+                for h in _bits(axes):
+                    masks = [m | bit for m in masks for bit in (0, 1 << h)]
+                corners = tuple(self._order[self._vertex_of[m]] for m in masks)
+                out.append(Cube(frozenset(corners), tuple(_bits(axes)), corners))
+            self._cube_objects[dim] = tuple(out)
         return self._cube_objects[dim]
 
-    def _make_cube(self, vs: frozenset) -> Cube:
-        axes = tuple(sorted(self.cube_axes(vs)))
-        corners = [None] * (1 << len(axes))
-        for v in vs:
-            mask = self._masks[self._ix[v]]
-            idx = 0
-            for h in axes:
-                idx = (idx << 1) | (mask >> h & 1)
-            corners[idx] = v
-        if any(c is None for c in corners):
-            raise InternalInvariantError(f"cube {set(vs)} has an incoherent corner map")
-        return Cube(vertices=vs, axes=axes, corners=tuple(corners))
-
     def all_cube_vertexsets(self):
-        for sets in self._cube_sets:
-            yield from sets
+        for d in range(len(self._cubes)):
+            yield from self.cube_vertexsets(d)
 
-    def maximal_cubes(self) -> tuple[frozenset, ...]:
-        """Cubes not properly contained in any other cube, by dimension
-        descending, then in table order.
-
-        A cube is keyed by the AND of its vertex masks and the mask of its
-        walls; the two facets of a cube across wall h drop h from the walls
-        and keep or add it in the AND.  A cube inside a larger one lies in a
-        facet of a cube one dimension up, so the maximal cubes are those that
-        no cube one dimension up marks as a facet.
-        """
+    def _maximal_cubes(self) -> tuple[tuple[int, int], ...]:
+        """The cubes not properly contained in any other cube, by dimension
+        descending, then in table order.  Every other cube is a face of a
+        maximal cube of higher dimension, which marks it first."""
         if self._maximal is None:
-            masks = self._masks
             result = []
             marked = set()
-            for d in range(self.dimension, -1, -1):
-                facets = set()
-                for (c, hs), vs in zip(self._int_cubes[d], self._cube_sets[d]):
-                    axes = sum(1 << h for h in hs)
-                    base = masks[c[0]] & ~axes
-                    if (base, axes) not in marked:
-                        result.append(vs)
-                    for h in hs:
-                        bit = 1 << h
-                        facets.add((base, axes ^ bit))
-                        facets.add((base | bit, axes ^ bit))
-                marked = facets
+            for cubes in reversed(self._cubes):
+                for cube in cubes:
+                    if cube not in marked:
+                        result.append(cube)
+                        marked.update(_faces(cube))
             self._maximal = tuple(result)
         return self._maximal
 
+    def maximal_cubes(self) -> tuple[frozenset, ...]:
+        """Vertex sets of the maximal cubes, in ``_maximal_cubes`` order."""
+        return tuple(map(self._vertex_set, self._maximal_cubes()))
+
     def cube_edges(self, vs: frozenset) -> tuple:
-        """Edge keys of the cube with vertex set ``vs``."""
-        out = []
-        for u in vs:
-            a = self.index(u)
-            for b in self._adj_int[a]:
-                if a < b and self._order[b] in vs:
-                    out.append((u, self._order[b]))
-        return tuple(out)
+        """Edge keys of the cube with vertex set ``vs``: its 1-faces."""
+        return tuple(
+            self.edge_key(*self._vertex_set(e)) for e in _faces(self._key(vs), 1)
+        )
 
     def cube_axes(self, vs: frozenset) -> frozenset:
         """Hyperplane ids crossing the cube ``vs``."""
-        try:
-            return self._cube_axes[vs]
-        except KeyError:
-            raise StructuralError(f"{set(vs)} is not a cube") from None
+        return frozenset(_bits(self._key(vs)[1]))
 
     def subcubes(self, vs: frozenset, dim: int | None = None):
         """All faces of the cube ``vs`` (including itself), optionally of one
-        dimension: for each set of free walls of the cube, the classes of its
-        vertices whose wall masks agree off those walls."""
-        axes = sorted(self.cube_axes(vs))
-        keyed = [(self._masks[self._ix[v]], v) for v in sorted(vs, key=self.index)]
-        dims = range(len(axes) + 1) if dim is None else [dim]
-        for free in itertools.chain.from_iterable(
-            itertools.combinations(axes, k) for k in dims if k >= 0
-        ):
-            keep = ~sum(1 << h for h in free)
-            faces = {}
-            for mask, v in keyed:
-                faces.setdefault(mask & keep, []).append(v)
-            yield from map(frozenset, faces.values())
+        dimension."""
+        return map(self._vertex_set, _faces(self._key(vs), dim))
 
     def codim1_faces(self, vs: frozenset):
-        d = len(self.cube_axes(vs))
-        if d == 0:
-            return
-        yield from self.subcubes(vs, d - 1)
+        cube = self._key(vs)
+        return map(self._vertex_set, _faces(cube, cube[1].bit_count() - 1))
 
     # -- hyperplanes ----------------------------------------------------------
 
@@ -757,11 +749,12 @@ class CubeComplex:
 
     def carrier(self, h_id: int) -> tuple[frozenset, ...]:
         """Cubes (all dimensions) containing an edge dual to wall ``h_id``."""
-        if h_id not in self._carrier_cache:
-            self._carrier_cache[h_id] = tuple(
-                vs for vs, hs in self._cube_axes.items() if h_id in hs
-            )
-        return self._carrier_cache[h_id]
+        return tuple(
+            self._vertex_set(c)
+            for cubes in self._cubes
+            for c in cubes
+            if c[1] >> h_id & 1
+        )
 
     # -- metric / convexity ----------------------------------------------------
 

@@ -85,8 +85,9 @@ def block(cx: CubeComplex, h: int, e: int) -> Block:
     if not hyperplanes_cross(cx, h, e):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
     a, b = sorted((h, e))
+    both = 1 << a | 1 << b
     maximal = frozenset(
-        vs for vs in cx.maximal_cubes() if {a, b} <= cx.cube_axes(vs)
+        cx._vertex_set(c) for c in cx._maximal_cubes() if c[1] & both == both
     )
     return Block(first=a, second=b, maximal_cubes=maximal)
 
@@ -122,15 +123,15 @@ def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
         raise PreconditionError(
             f"hyperplane pair ({h}, {e}) is not extremal on side {side!r}"
         )
-    # a cube not dual to E lies on one side of it, that of any of its vertices
+    # a cube not dual to E lies on one side of it, read off its base
     bit = SIDES.index(side)
-    masks, ix = cx._masks, cx._ix
     members = frozenset(
-        vs
-        for vs in cx.carrier(h)
-        if e not in cx.cube_axes(vs) and masks[ix[next(iter(vs))]] >> e & 1 == bit
+        cx._vertex_set((base, axes))
+        for cubes in cx._cubes[1:]
+        for base, axes in cubes
+        if axes >> h & 1 and not axes >> e & 1 and base >> e & 1 == bit
     )
-    order = cx._order
+    masks, order = cx._masks, cx._order
     internal = frozenset(
         (order[a], order[b])
         for a, b in cx._wall_edges[h]

@@ -179,13 +179,13 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
                     frontier.append(flipped)
     orientations = sorted(seen)
     names = {bits: _orientation_name(bits) for bits in orientations}
-    edges = []
+    flip_of = {}  # edge -> index of the wall its two orientations differ on
     for bits in orientations:
         for i in range(k):
             flipped = bits[:i] + (bits[i] ^ 1,) + bits[i + 1 :]
             if flipped in seen and bits < flipped:
-                edges.append((names[bits], names[flipped]))
-    cx = CubeComplex(list(names.values()), edges)
+                flip_of[names[bits], names[flipped]] = i
+    cx = CubeComplex(list(names.values()), flip_of)
 
     # every principal orientation should land in the flip component
     principal = {}
@@ -198,18 +198,16 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
             )
         principal[p] = names[pb]
 
+    flips = [set() for _ in cx._wall_edges]
+    for (u, v), i in flip_of.items():
+        flips[cx.dual_hyperplane(u, v)].add(i)
     wall_of = {}
-    for h, wall_edges in enumerate(cx._wall_edges):
-        flips = set()
-        for a, b in wall_edges:
-            bu = _bits_of_name(cx.vertices[a])
-            bv = _bits_of_name(cx.vertices[b])
-            flips.add(next(i for i in range(k) if bu[i] != bv[i]))
-        if len(flips) != 1:
+    for h, found in enumerate(flips):
+        if len(found) != 1:
             raise InternalInvariantError(
-                f"hyperplane {h} flips several walls: {sorted(flips)}"
+                f"hyperplane {h} flips several walls: {sorted(found)}"
             )
-        wall_of[h] = next(iter(flips))
+        (wall_of[h],) = found
     by_name = {names[b]: b for b in orientations}
     return DualComplexInfo(
         complex=cx,
@@ -224,10 +222,6 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
             "realized_walls": len(set(wall_of.values())),
         },
     )
-
-
-def _bits_of_name(name: str) -> tuple:
-    return tuple(1 if c == "+" else 0 for c in name[1:])
 
 
 def symmetry_automorphism(info: DualComplexInfo, mapping: dict) -> Automorphism:

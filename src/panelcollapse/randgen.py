@@ -136,7 +136,11 @@ def random_complex_with_action(
         except UserInputError as exc:  # pragma: no cover - generator retry path
             last_error = exc
             continue
-    raise StructuralError(f"could not generate a complex: {last_error}")
+    reason = last_error or (
+        f"no draw in {attempts} had at most {cfg.max_vertices} vertices and "
+        f"dimension {cfg.min_dimension} to {cfg.max_dimension}"
+    )
+    raise StructuralError(f"could not generate a complex: {reason}")
 
 
 def random_equivariant_instance(rng: random.Random, cfg: GeneratorConfig = GeneratorConfig()):

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from .collapse import CollapseResult, collapse, hyperplane_provenance
-from .complex import CubeComplex
+from .complex import CubeComplex, _faces
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
 
@@ -68,6 +68,14 @@ class Automorphism:
 
     def apply_set(self, vs) -> frozenset:
         return frozenset(self(v) for v in vs)
+
+    def _apply_cube(self, cube) -> tuple[int, int]:
+        """The image of a ``(base, axes)`` cube, read off the images of its
+        two opposite corners ``base`` and ``base | axes``."""
+        cx, (base, axes) = self.complex, cube
+        a = cx._masks[self.perm[cx._vertex_of[base]]]
+        b = cx._masks[self.perm[cx._vertex_of[base | axes]]]
+        return a & b, a ^ b
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         # (self * other)(v) == self(other(v))
@@ -184,8 +192,8 @@ class GroupAction:
     # -- orbits of cubes and panels ----------------------------------------------
 
     def cube_orbit_count(self, dim: int) -> int:
-        cubes = list(self.complex.cube_vertexsets(dim))
-        return len(_orbits(cubes, lambda g, vs: g.apply_set(vs), self.generators))
+        cubes = self.complex._dim_cubes(dim)
+        return len(_orbits(cubes, Automorphism._apply_cube, self.generators))
 
     def panel_orbit(self, panel: Panel) -> tuple[Panel, ...]:
         """Every image of one panel under the group, in triple order.  Two
@@ -352,31 +360,28 @@ def complexity(cx: CubeComplex, action: GroupAction) -> ComplexityVector:
 # ---------------------------------------------------------------------------
 
 
-def _subdivision_name(cx: CubeComplex, vs: frozenset) -> str:
-    from .fileio import format_vertex
-
-    return "|".join(format_vertex(v) for v in sorted(vs, key=cx.index))
-
-
 def subdivide(cx: CubeComplex):
     """First cubical subdivision: one vertex per cube, edges along the
     codimension-1 face relation.  Returns (complex, pushforward) where the
     pushforward turns an automorphism-as-dict of the original complex into a
     vertex mapping of the subdivision.  Any action becomes inversion-free."""
-    cubes = list(cx.all_cube_vertexsets())
-    names = {vs: _subdivision_name(cx, vs) for vs in cubes}
-    edges = []
-    for d in range(1, cx.dimension + 1):
-        for vs in cx.cube_vertexsets(d):
-            for face in cx.subcubes(vs, d - 1):
-                edges.append((names[face], names[vs]))
-    sub = CubeComplex([names[vs] for vs in cubes], edges)
+    from .fileio import format_vertex
+
+    cubes = [c for by_dim in cx._cubes for c in by_dim]
+    names = {
+        c: "|".join(format_vertex(v) for v in sorted(cx._vertex_set(c), key=cx.index))
+        for c in cubes
+    }
+    edges = [
+        (names[face], names[c])
+        for c in cubes
+        for face in _faces(c, c[1].bit_count() - 1)
+    ]
+    sub = CubeComplex(list(names.values()), edges)
 
     def pushforward(mapping) -> dict:
         g = mapping if isinstance(mapping, Automorphism) else Automorphism(cx, mapping)
-        return {
-            names[vs]: names[g.apply_set(vs)] for vs in cubes
-        }
+        return {names[c]: names[g._apply_cube(c)] for c in cubes}
 
     return sub, pushforward
 
@@ -493,14 +498,10 @@ class RunTrace:
     def lines(self) -> list[str]:
         out = []
         for i, s in enumerate(self.steps, 1):
-            oc = s.result.output_complex
-            counts = " ".join(
-                f"{label}={c}"
-                for label, c in zip(_count_labels(len(oc.cube_counts)), oc.cube_counts)
-            )
             out.append(
                 f"step {i}: panel={_triple_text(s.panel_triple)} orbit={s.orbit_size} "
-                f"complexity {s.complexity_before} -> {s.complexity_after} {counts}"
+                f"complexity {s.complexity_before} -> {s.complexity_after} "
+                f"{counts_text(s.result.output_complex.cube_counts)}"
             )
         fc = self.final_complex
         out.append(f"tree: V={fc.cube_counts[0]} E={fc.cube_counts[1] if len(fc.cube_counts) > 1 else 0}")
@@ -508,9 +509,10 @@ class RunTrace:
         return out
 
 
-def _count_labels(k):
-    base = ["V", "E", "F", "C"]
-    return base[:k] + [f"D{d}" for d in range(4, k)]
+def counts_text(counts) -> str:
+    """Cube counts by dimension as ``V=.. E=.. F=.. C=.. D4=..``."""
+    labels = ["V", "E", "F", "C"] + [f"D{d}" for d in range(4, len(counts))]
+    return " ".join(f"{label}={c}" for label, c in zip(labels, counts))
 
 
 def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:

@@ -379,3 +379,23 @@ def test_validate_does_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["valid; V=8 E=12 F=6 C=1; Euler=1", "False"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--count", "-3"], ["--max-vertices", "0"], ["--max-vertices", "1", "--count", "1"]],
+    ids=["negative-count", "no-vertices", "every-draw-too-large"],
+)
+def test_fuzz_bad_bounds_are_user_errors(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "panelcollapse.cli", "fuzz", *args],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(panelcollapse.__file__).resolve().parents[1]),
+        },
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in proc.stderr and "None" not in proc.stderr

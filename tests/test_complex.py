@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from panelcollapse.collapse import classify
 from panelcollapse.complex import MAX_VERTICES, CubeComplex, validate_graph
 from panelcollapse.errors import (
     InternalInvariantError,
@@ -188,6 +189,20 @@ def test_corner_map_consistency(cube3):
 def test_maximal_cubes(domino, cube3):
     assert sorted(len(m) for m in domino.maximal_cubes()) == [4, 4]
     assert [len(m) for m in cube3.maximal_cubes()] == [8]
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 0), (1, 1)], [(0, 0), (9, 9)], []],
+    ids=["path", "opposite-corners", "unknown-vertex", "empty"],
+)
+def test_non_cubes_are_structural_errors(vertices):
+    cx = grid_complex(3, 3)
+    cls = classify(cx, [])
+    with pytest.raises(StructuralError):
+        cx.cube_axes(frozenset(vertices))
+    with pytest.raises(StructuralError):
+        cls.status(frozenset(vertices))
 
 
 def test_subcube_enumeration(cube3):
@@ -406,9 +421,26 @@ def _matches_reference(vs, es) -> bool:
 
 
 def _mask_views_match_reference(cx, order, cubes, walls):
-    """The views read off the wall masks (maximal cubes, corner maps, signs,
-    crossing sets and hulls) against the reference cubes and walls."""
+    """The views read off the wall masks (maximal cubes, corner maps, faces,
+    carriers, signs, crossing sets and hulls) against the reference cubes
+    and walls."""
     plus = [side for _, side in walls]
+    every = [c for ref in cubes for c in ref]
+
+    def named(cs):
+        return sorted(sorted(order[i] for i in c) for c in cs)
+
+    for c in every:
+        faces = [f for f in every if f <= c]
+        vs = frozenset(order[i] for i in c)
+        assert named(map(cx.index, f) for f in cx.subcubes(vs)) == named(faces)
+        assert named(map(cx.index, f) for f in cx.codim1_faces(vs)) == named(
+            f for f in faces if 2 * len(f) == len(c)
+        )
+    for h, (members, _) in enumerate(walls):
+        assert named(map(cx.index, c) for c in cx.carrier(h)) == named(
+            c for c in every if any(a in c and b in c for a, b in members)
+        )
     maximal = {
         c for d, ref in enumerate(cubes) for c in ref
         if not any(c < bigger for up in cubes[d + 1:] for bigger in up)

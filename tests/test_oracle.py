@@ -98,6 +98,7 @@ def run_dimension(d):
             assert world.is_completely_external(sub) == (
                 lib_status == COMPLETELY_EXTERNAL
             )
+            assert fundament(cls, named).d_connected == world.deletion_connected(sub)
             if lib_status != INTERNAL:
                 # persistent subcubes agree (hull of corners vs face meet)
                 from panelcollapse.collapse import persistent_subcube

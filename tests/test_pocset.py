@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from panelcollapse.pocset import (
     stallings_pipeline,
     symmetry_automorphism,
 )
+from panelcollapse.randgen import GeneratorConfig, cyclic_wallspace, random_wallspace
 from panelcollapse.symmetry import complexity, run_to_tree
 
 from conftest import (
@@ -88,6 +90,30 @@ def test_hyperplanes_biject_with_realized_walls():
         assert wall_ids == set(range(ws.wall_count))
         # and distinct hyperplanes flip distinct walls
         assert len(wall_ids) == len(info.wall_of_hyperplane)
+
+
+def test_wall_map_matches_the_orientation_names():
+    # reference rule: an edge's two orientation names differ at the index of
+    # the wall it flips
+    rng = random.Random(41)
+    cfg = GeneratorConfig(max_points=7, max_walls=5)
+    checked = 0
+    while checked < 60:
+        ws = (random_wallspace if checked % 2 else cyclic_wallspace)(rng, cfg)[0]
+        if len(ws.walls) > 5:
+            continue
+        info = dualize_details(ws)
+        cx = info.complex
+        expected = {}
+        for h, edges in enumerate(cx._wall_edges):
+            flips = {
+                next(i for i, (a, b) in enumerate(zip(u[1:], v[1:])) if a != b)
+                for u, v in ((cx.vertices[a], cx.vertices[b]) for a, b in edges)
+            }
+            assert len(flips) == 1
+            expected[h] = flips.pop()
+        assert list(info.wall_of_hyperplane.items()) == sorted(expected.items())
+        checked += 1
 
 
 def test_principal_distance_equals_wall_separation():

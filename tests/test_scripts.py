@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/: each runs to completion and
 prints its summary."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,12 @@ def test_descent_experiment():
         "step histogram: {1: 1, 2: 2}",
         "diagonal edges created: 0",
     ]
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # the benchmark's tracer wraps these attributes by name; a rename must
+    # fail here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for owner, attr, _, _ in tracer.TARGETS:
+        assert callable(vars(owner).get(attr)), (owner, attr)

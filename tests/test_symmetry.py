@@ -325,3 +325,18 @@ def test_each_step_starts_from_the_previous_complexity(cube4):
             assert trace.steps[0].complexity_before == complexity(
                 cx, GroupAction(cx, gens)
             )
+
+
+def test_cube_orbit_count_matches_vertex_set_orbits():
+    rng = random.Random(37)
+    moved = 0
+    for _ in range(40):
+        cx, action = random_equivariant_instance(rng, GeneratorConfig())
+        moved += action.order > 1
+        for d in range(cx.dimension + 2):
+            orbits = {
+                frozenset(g.apply_set(vs) for g in action.elements)
+                for vs in cx.cube_vertexsets(d)
+            }
+            assert action.cube_orbit_count(d) == len(orbits)
+    assert moved >= 10, moved
