@@ -403,7 +403,7 @@ def _cubes(level, int_edges, edge_wall, masks):
     A cube is found at its corner ``top`` farthest from vertex 0: the edges
     there that lead towards vertex 0 cross distinct walls, and any subset s
     of them spans the cube ``(top & ~s, s)``.  Returns one list per
-    dimension, by top vertex.
+    dimension, by top vertex, and each vertex's mask of those down-walls.
     """
     down = [0] * len(masks)
     for (a, b), h in zip(int_edges, edge_wall):
@@ -412,7 +412,7 @@ def _cubes(level, int_edges, edge_wall, masks):
     for top, walls in zip(masks, down):
         for s in _subsets(walls):
             by_dim[s.bit_count()].append((top & ~s, s))
-    return by_dim
+    return by_dim, down
 
 
 def _bits(mask):
@@ -440,6 +440,12 @@ def _faces(cube, dim=None):
         if dim is None or free.bit_count() == dim:
             for fixed in _subsets(axes ^ free):
                 yield base | fixed, free
+
+
+def _same_complex(a, b) -> bool:
+    """Whether two complexes are one: the same object, or the same vertices
+    and edges in the same order, which give the same tables."""
+    return a is b or (a.vertices == b.vertices and a.edges == b.edges)
 
 
 def _sign_matrix(masks, width):
@@ -501,7 +507,7 @@ def _analyze(order, int_edges):
     edge_wall, masks, vertex_of = _walls_and_masks(
         order, int_edges, squares, queue, parent
     )
-    cubes = _cubes(level, int_edges, edge_wall, masks)
+    cubes, down = _cubes(level, int_edges, edge_wall, masks)
     cube_counts = tuple(map(len, cubes))
     report = ValidationReport(
         **sizes,
@@ -511,7 +517,7 @@ def _analyze(order, int_edges):
         cube_counts=cube_counts,
         euler_characteristic=sum((-1) ** d * c for d, c in enumerate(cube_counts)),
     )
-    return report, (adj_sets, edge_wall, masks, vertex_of, cubes)
+    return report, (adj_sets, edge_wall, masks, vertex_of, cubes, down)
 
 
 class CubeComplex:
@@ -520,11 +526,12 @@ class CubeComplex:
     Besides the public views, a complex keeps integer tables that the panel,
     collapse and symmetry modules read: ``_masks[i]`` is the bitmask of walls
     with vertex ``i`` on their plus side (``_vertex_of`` maps each mask back
-    to its vertex index), ``_wall_edges[h]`` lists the index
-    pairs of wall ``h``'s edges, ``_cubes[d]`` lists the d-cubes as
-    ``(base, axes)`` pairs in table order, and ``_square_counts`` maps each
-    crossing pair ``(h, e)``, ``h < e``, to the number of squares dual to
-    both walls (``_crossing_pairs`` lists those pairs in order).  The public
+    to its vertex index), ``_down[i]`` is the mask of the walls of i's edges
+    towards vertex 0, ``_wall_edges[h]`` lists the index pairs of wall
+    ``h``'s edges, ``_cubes[d]`` lists the d-cubes as ``(base, axes)`` pairs
+    in table order, and ``_square_counts`` maps each crossing pair
+    ``(h, e)``, ``h < e``, to the number of squares dual to both walls
+    (``_crossing_pairs`` lists those pairs in order).  The public
     views take and return cubes as vertex sets, converted by ``_key`` and
     ``_vertex_set``; they, the ``Hyperplane`` objects, the sign matrix and
     the maximal cubes are built on first use.
@@ -538,7 +545,8 @@ class CubeComplex:
         self._order = order
         self._ix = ix
         self._int_edges = int_edges
-        self._adj_int, edge_wall, masks, self._vertex_of, self._cubes = internals
+        (self._adj_int, edge_wall, masks, self._vertex_of, self._cubes,
+         self._down) = internals
         self.validation_report = report
         self._masks = masks
         self._compute_hyperplanes(edge_wall)
@@ -670,17 +678,28 @@ class CubeComplex:
 
     def _maximal_cubes(self) -> tuple[tuple[int, int], ...]:
         """The cubes not properly contained in any other cube, by dimension
-        descending, then in table order.  Every other cube is a face of a
-        maximal cube of higher dimension, which marks it first."""
+        descending, then by top vertex (table order).
+
+        With ``down[t]`` the walls of t's edges towards vertex 0, the cubes
+        topped by t are ``(t & ~s, s)`` for s ⊆ ``down[t]``.  Such a cube lies
+        in a larger cube exactly when s ⊊ ``down[t]``, or some up-neighbour
+        ``u = t | 1 << h`` has s ⊆ ``down[u]``: a larger cube has a face one
+        dimension up containing the cube, spanned by one more wall h at t,
+        and that face is topped by t when h ∈ ``down[t]`` and by u otherwise
+        (and u's down-walls then hold s and h).  So each vertex tops at most
+        one maximal cube, ``(t & ~down[t], down[t])``, exactly when no
+        up-neighbour's down-walls contain ``down[t]``; one look at every
+        edge finds them all.
+        """
         if self._maximal is None:
-            result = []
-            marked = set()
-            for cubes in reversed(self._cubes):
-                for cube in cubes:
-                    if cube not in marked:
-                        result.append(cube)
-                        marked.update(_faces(cube))
-            self._maximal = tuple(result)
+            masks, down = self._masks, self._down
+            by_dim = [[] for _ in self._cubes]
+            for t, (top, walls) in enumerate(zip(masks, down)):
+                if not any(
+                    masks[u] > top and not walls & ~down[u] for u in self._adj_int[t]
+                ):
+                    by_dim[walls.bit_count()].append((top & ~walls, walls))
+            self._maximal = tuple(c for cubes in reversed(by_dim) for c in cubes)
         return self._maximal
 
     def maximal_cubes(self) -> tuple[frozenset, ...]:

@@ -12,14 +12,23 @@ the carrier of the codimension-2 wall, which is what makes the panel
 collapsible.  Each such square has exactly one H-edge on each side of E, and
 no two of them share an H-edge, so the pair is extremal exactly when the
 H-edges on side s of E are as many as the squares dual to H and E.
+
+A ``Panel`` keeps its complex, its internal edges as vertex-index pairs and
+its vertices as a bitmask over vertex indices.  The collapse step reads only
+these and the complex's tables: two panels are disjoint when their vertex
+masks do not meet, and their blocks share a maximal cube when some maximal
+cube is dual to all four of their walls.  The vertex-name views
+(``internal_edges``, ``vertex_set``, ``cube_set``, ``block``) are built on
+first access.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .complex import CubeComplex
+from .complex import CubeComplex, _bits, _same_complex
 from .errors import InternalInvariantError, PreconditionError
 
 __all__ = [
@@ -95,15 +104,21 @@ def block(cx: CubeComplex, h: int, e: int) -> Block:
 @dataclass(frozen=True)
 class Panel:
     """An extremal panel.  Identity is the triple (abutting, extremalising,
-    side): the same subcomplex can be a panel in several ways."""
+    side): the same subcomplex can be a panel in several ways.
+
+    Built by ``build_panel`` only.  ``_edges`` holds the internal edges as
+    vertex-index pairs of ``complex`` and ``_vertex_mask`` has bit i set for
+    each vertex i they touch.  The views ``internal_edges`` (edge keys),
+    ``vertex_set``, ``cube_set`` (the panel's cubes of dimension at least 1)
+    and ``block`` are built from them on first access and cached.
+    """
 
     abutting: int
     extremalising: int
     side: str
-    cube_set: frozenset = field(compare=False)
-    internal_edges: frozenset = field(compare=False)
-    vertex_set: frozenset = field(compare=False)
-    block: Block = field(compare=False)
+    complex: CubeComplex = field(compare=False, repr=False)
+    _edges: tuple = field(compare=False, repr=False)
+    _vertex_mask: int = field(compare=False, repr=False)
 
     @property
     def triple(self) -> tuple[int, int, str]:
@@ -115,6 +130,32 @@ class Panel:
     def __repr__(self):
         return f"Panel(h{self.abutting}, e{self.extremalising}, {self.side})"
 
+    @functools.cached_property
+    def internal_edges(self) -> frozenset:
+        order = self.complex._order
+        return frozenset((order[a], order[b]) for a, b in self._edges)
+
+    @functools.cached_property
+    def vertex_set(self) -> frozenset:
+        order = self.complex._order
+        return frozenset(order[i] for i in _bits(self._vertex_mask))
+
+    @functools.cached_property
+    def cube_set(self) -> frozenset:
+        # a cube not dual to E lies on one side of it, read off its base
+        cx, h, e = self.complex, self.abutting, self.extremalising
+        bit = SIDES.index(self.side)
+        return frozenset(
+            cx._vertex_set((base, axes))
+            for cubes in cx._cubes[1:]
+            for base, axes in cubes
+            if axes >> h & 1 and not axes >> e & 1 and base >> e & 1 == bit
+        )
+
+    @functools.cached_property
+    def block(self) -> Block:
+        return block(self.complex, self.abutting, self.extremalising)
+
 
 def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
     """The extremal panel abutted by H, extremalised by E, on one side of E;
@@ -123,29 +164,12 @@ def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
         raise PreconditionError(
             f"hyperplane pair ({h}, {e}) is not extremal on side {side!r}"
         )
-    # a cube not dual to E lies on one side of it, read off its base
-    bit = SIDES.index(side)
-    members = frozenset(
-        cx._vertex_set((base, axes))
-        for cubes in cx._cubes[1:]
-        for base, axes in cubes
-        if axes >> h & 1 and not axes >> e & 1 and base >> e & 1 == bit
-    )
-    masks, order = cx._masks, cx._order
-    internal = frozenset(
-        (order[a], order[b])
-        for a, b in cx._wall_edges[h]
-        if masks[a] >> e & 1 == bit
-    )
-    return Panel(
-        abutting=h,
-        extremalising=e,
-        side=side,
-        cube_set=members,
-        internal_edges=internal,
-        vertex_set=frozenset(v for edge in internal for v in edge),
-        block=block(cx, h, e),
-    )
+    bit, masks = SIDES.index(side), cx._masks
+    edges = tuple((a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
+    vertex_mask = 0
+    for a, b in edges:
+        vertex_mask |= 1 << a | 1 << b
+    return Panel(h, e, side, cx, edges, vertex_mask)
 
 
 def extremal_panels(cx: CubeComplex) -> tuple[Panel, ...]:
@@ -180,11 +204,22 @@ def find_extremal_panel(cx: CubeComplex) -> Panel | None:
 
 def no_facing_panels(cx: CubeComplex, panels) -> bool:
     """True unless two disjoint panels of the family have blocks sharing a
-    maximal cube (such a pair would get collapsed toward each other)."""
+    maximal cube (such a pair would get collapsed toward each other).  The
+    block of (H, E) holds the maximal cubes dual to both walls, so two blocks
+    share one exactly when a maximal cube is dual to all four walls.  Raises
+    for a panel built on another complex."""
     panels = list(panels)
+    for other in {p.complex for p in panels} - {cx}:
+        if not _same_complex(other, cx):
+            raise PreconditionError("panel family was built on another complex")
+    maximal = cx._maximal_cubes()
     for p, q in itertools.combinations(panels, 2):
-        if p.vertex_set & q.vertex_set:
+        if p._vertex_mask & q._vertex_mask:
             continue
-        if p.block.maximal_cubes & q.block.maximal_cubes:
+        walls = (
+            1 << p.abutting | 1 << p.extremalising
+            | 1 << q.abutting | 1 << q.extremalising
+        )
+        if any(axes & walls == walls for _, axes in maximal):
             return False
     return True

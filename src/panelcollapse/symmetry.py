@@ -4,7 +4,12 @@ An automorphism is a vertex permutation preserving edges (and hence cubes,
 walls, and medians).  A finite action is given by generators and closed to an
 explicit element list.  An *inversion* is an element preserving a wall while
 swapping its two halfspaces; collapse requires inversion-free actions, and
-passing to the first cubical subdivision always removes inversions.
+passing to the first cubical subdivision always removes inversions.  Vertex 0
+lies on the minus side of every wall, so an element inverts a wall exactly
+when it maps the wall onto itself and vertex 0 to the wall's plus side: only
+the walls in the mask of vertex 0's image need testing, one edge image each.
+Elements are permutation tuples; products and inverses of checked elements
+skip the bijection check.
 
 The driver repeatedly collapses the full orbit of one extremal panel, which
 strictly decreases the lexicographic complexity (orbit counts of cubes of
@@ -20,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 
 from .collapse import CollapseResult, collapse, hyperplane_provenance
-from .complex import CubeComplex, _faces
+from .complex import CubeComplex, _bits, _faces, _same_complex
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
 
@@ -63,6 +68,14 @@ class Automorphism:
             raise StructuralError("vertex mapping is not a bijection")
         self.perm = perm
 
+    @classmethod
+    def _unchecked(cls, cx: CubeComplex, perm: tuple) -> "Automorphism":
+        """An element whose permutation is a bijection by construction."""
+        g = cls.__new__(cls)
+        g.complex = cx
+        g.perm = perm
+        return g
+
     def __call__(self, v):
         return self.complex.vertices[self.perm[self.complex.index(v)]]
 
@@ -79,7 +92,7 @@ class Automorphism:
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         # (self * other)(v) == self(other(v))
-        return Automorphism(
+        return Automorphism._unchecked(
             self.complex, tuple(self.perm[i] for i in other.perm)
         )
 
@@ -87,7 +100,7 @@ class Automorphism:
         inv = [0] * len(self.perm)
         for i, j in enumerate(self.perm):
             inv[j] = i
-        return Automorphism(self.complex, tuple(inv))
+        return Automorphism._unchecked(self.complex, tuple(inv))
 
     @property
     def is_identity(self) -> bool:
@@ -171,14 +184,20 @@ class GroupAction:
 
     def inversions(self) -> tuple:
         """(element index, wall id) pairs where the element preserves the wall
-        but swaps its halfspaces."""
+        but swaps its halfspaces, by element then wall.  Vertex 0 is on the
+        minus side of every wall, so g inverts h exactly when g maps h onto
+        itself and vertex 0 onto the plus side of h: a bit h of the mask of
+        g(0) whose first edge g maps onto an edge of h."""
         if self._inversions is None:
-            self._inversions = tuple(
-                (i, h)
-                for i, g in enumerate(self.elements)
-                for h in range(len(self.complex._wall_edges))
-                if self.side_image(g, h, "+") == (h, "-")
-            )
+            masks, wall_edges = self.complex._masks, self.complex._wall_edges
+            out = []
+            for i, g in enumerate(self.elements):
+                perm = g.perm
+                for h in _bits(masks[perm[0]]):
+                    a, b = wall_edges[h][0]
+                    if masks[perm[a]] ^ masks[perm[b]] == 1 << h:
+                        out.append((i, h))
+            self._inversions = tuple(out)
         return self._inversions
 
     @property
@@ -231,7 +250,9 @@ class GroupAction:
             ) from exc
         new = GroupAction.__new__(GroupAction)
         new._attach(
-            other, gens, tuple(Automorphism(other, g.perm) for g in self.elements)
+            other,
+            gens,
+            tuple(Automorphism._unchecked(other, g.perm) for g in self.elements),
         )
         return new
 
@@ -246,7 +267,7 @@ def _require_edges_preserved(g: Automorphism):
 
 def _close(cx: CubeComplex, gens) -> tuple:
     """Every product of the generators, sorted by permutation."""
-    identity = Automorphism(cx, tuple(range(cx.n)))
+    identity = Automorphism._unchecked(cx, tuple(range(cx.n)))
     seen = {identity.perm: identity}
     frontier = [identity]
     while frontier:
@@ -429,10 +450,7 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
     action is edge-preserving, inversion-free, and of strictly lower
     complexity, and that every output wall has one input crossing set.
     """
-    if action.complex is not cx and (
-        action.complex.vertices != cx.vertices
-        or action.complex.edges != cx.edges
-    ):
+    if not _same_complex(action.complex, cx):
         raise PreconditionError("action does not act on this complex")
     inv = action.inversions()
     if inv:

@@ -1,11 +1,16 @@
 """Command-line surface: formats, exit codes, determinism, round trips."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import panelcollapse
 
@@ -399,3 +404,83 @@ def test_fuzz_bad_bounds_are_user_errors(args):
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1].startswith("error: ")
     assert "Traceback" not in proc.stderr and "None" not in proc.stderr
+
+
+# -- fuzzing the text formats -------------------------------------------------
+
+FUZZ_SEEDS = {
+    path.name: path.read_text()
+    for path in sorted(DATA.iterdir())
+    if path.suffix in (".cc", ".ws", ".act")
+}
+FUZZ_TOKENS = sorted(
+    {tok for text in FUZZ_SEEDS.values() for tok in text.split()}
+    | {"", "|", ",", "->", "-1", "h0", "999", "v2", "é", "\x00", "0" * 40}
+)
+
+
+@st.composite
+def mutated_files(draw):
+    """A seed file of tests/data with up to four line, token or character
+    edits."""
+    name = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+    lines = FUZZ_SEEDS[name].splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if not lines:
+            lines = [""]
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "copy", "token", "char")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "token":
+            tokens = lines[i].split() or [""]
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+        else:
+            line = lines[i]
+            j = draw(st.integers(0, len(line)))
+            char = draw(st.characters(codec="utf-8"))
+            lines[i] = line[:j] + char + line[j + 1 :]
+    return name, "\n".join(lines) + "\n"
+
+
+def _commands(name, path):
+    square, cube3 = str(DATA / "square.cc"), str(DATA / "cube3.cc")
+    if name.endswith(".cc"):
+        return [
+            ["validate", path],
+            ["validate", "--json", path],
+            ["hyperplanes", path],
+            ["panels", "--json", path],
+            ["collapse", path],
+            ["collapse", "--panel", "h0,h1,+", path],
+            ["run", path, str(DATA / "trivial.act")],
+            ["run", path, str(DATA / "diag.act")],
+            ["stats", path],
+            ["export-dot", path],
+        ]
+    if name.endswith(".ws"):
+        return [["dualize", path], ["stallings", path]]
+    return [["run", square, path], ["run", cube3, path]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_files())
+def test_mutated_inputs_exit_cleanly(case):
+    # every command on a corrupted file exits 0 or 1, never with a traceback
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        for argv in _commands(name, str(path)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1), (argv, text, err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue(), (argv, text)

@@ -17,7 +17,13 @@ from panelcollapse.collapse import (
     persistent_subcube,
 )
 from panelcollapse.errors import PreconditionError
-from panelcollapse.panels import build_panel, extremal_panels, find_extremal_panel
+from panelcollapse.complex import CubeComplex
+from panelcollapse.panels import (
+    build_panel,
+    extremal_panels,
+    find_extremal_panel,
+    no_facing_panels,
+)
 from panelcollapse.randgen import (
     GeneratorConfig,
     random_complex,
@@ -479,9 +485,8 @@ def test_collapse_properties_on_arbitrary_duals(ws):
     assert set(mapping) == {h.id for h in cx.hyperplanes()}
 
 
-def test_completely_external_maximal_cubes_are_their_own_fundaments():
-    # collapse skips the fundaments of completely external maximal cubes: a
-    # cube with no internal edge is its own fundament, with no diagonals
+def _descent_instances():
+    """Boxes under coordinate swaps and 60 random equivariant complexes."""
     instances = []
     for sides in ((3, 3), (4, 4), (2, 2, 2)):
         cx = box_complex(*sides)
@@ -490,8 +495,14 @@ def test_completely_external_maximal_cubes_are_their_own_fundaments():
     rng = random.Random(17)
     cfg = GeneratorConfig(max_points=7, max_walls=5, max_vertices=60)
     instances += [random_complex_with_action(rng, cfg) for _ in range(60)]
+    return instances
+
+
+def test_completely_external_maximal_cubes_are_their_own_fundaments():
+    # collapse skips the fundaments of completely external maximal cubes: a
+    # cube with no internal edge is its own fundament, with no diagonals
     skipped = diagonal_steps = 0
-    for cx, action in instances:
+    for cx, action in _descent_instances():
         while (step := equivariant_collapse_step(cx, action)) is not None:
             result = step.result
             cls = classify(cx, result.panels)
@@ -509,3 +520,40 @@ def test_completely_external_maximal_cubes_are_their_own_fundaments():
             diagonal_steps += bool(diagonals)
             cx, action = result.output_complex, step.action
     assert skipped >= 100 and diagonal_steps >= 10, (skipped, diagonal_steps)
+
+
+def test_diagonal_ends_differ_in_exactly_their_separators():
+    # a diagonal joins the ends of a pair across at least two separator
+    # walls, so it never repeats an input edge; collapse does not recheck it
+    results = []
+    for cx, action in _descent_instances():
+        while (step := equivariant_collapse_step(cx, action)) is not None:
+            results.append(step.result)
+            cx, action = step.result.output_complex, step.action
+    rng = random.Random(42)
+    for _ in range(10):
+        cx = random_complex(rng, GeneratorConfig(max_points=8, max_walls=7))
+        panel = find_extremal_panel(cx)
+        if panel is not None:
+            results.append(collapse(cx, [panel]))
+    diagonals = 0
+    for result in results:
+        cx = result.input_complex
+        for a, b in result.diagonal_edges:
+            separators = result.edge_provenance[a, b]
+            assert cx.crossing_set(a, b) == separators
+            assert len(separators) >= 2
+            assert b not in cx.neighbors(a)
+            diagonals += 1
+    assert diagonals >= 20, diagonals
+
+
+def test_panels_of_another_complex_are_refused(cube3):
+    panel = find_extremal_panel(cube3)
+    out = collapse(cube3, [panel]).output_complex
+    for call in (collapse, classify, no_facing_panels):
+        with pytest.raises(PreconditionError, match="another complex"):
+            call(out, [panel])
+    # a complex with the same vertices and edges is the same complex
+    twin = CubeComplex(cube3.vertices, cube3.edges)
+    assert collapse(twin, [panel]).output_complex.edges == out.edges

@@ -614,3 +614,14 @@ def test_largest_grid_under_the_vertex_limit():
     cx = grid_complex(37, 37)
     assert cx.cube_counts == (1444, 2812, 1369)
     assert len(cx.hyperplanes()) == 74
+
+
+def test_maximal_cube_counts_in_closed_form(tree4):
+    # a grid's maximal cubes are its squares, a cube's is itself, a box's
+    # are its unit cubes and a path's are its edges
+    assert len(grid_complex(37, 37).maximal_cubes()) == 1369
+    assert [len(m) for m in hypercube_complex(7).maximal_cubes()] == [128]
+    assert len(box_complex(3, 2, 2).maximal_cubes()) == 12
+    assert len(path_complex(5).maximal_cubes()) == 5
+    assert len(tree4.maximal_cubes()) == 3
+    assert CubeComplex(["v"], []).maximal_cubes() == (frozenset({"v"}),)

@@ -1,5 +1,6 @@
 """Crossing pairs, extremality, panel construction, no-facing-panels."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -270,3 +271,42 @@ def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tr
     assert tally[True] >= 200 and tally[False] >= 200, tally
     assert min(tally["internal"], tally["external"], tally["completely-external"]) >= 100, tally
     assert tally["orbit > 1"] >= 20, tally
+
+
+def _facing_free_by_definition(panels):
+    """No two vertex-disjoint panels whose blocks share a maximal cube, read
+    off the vertex-set and block views."""
+    return not any(
+        not p.vertex_set & q.vertex_set
+        and p.block.maximal_cubes & q.block.maximal_cubes
+        for p, q in itertools.combinations(panels, 2)
+    )
+
+
+def test_no_facing_panels_matches_the_definition(cube3, cube4, square, domino, strip3, tree4):
+    tally = Counter()
+
+    def check(cx, family):
+        verdict = no_facing_panels(cx, family)
+        assert verdict == _facing_free_by_definition(family), (cx, family)
+        tally[verdict] += 1
+
+    for cx in (cube3, cube4, square, domino, strip3, tree4, box_complex(2, 2, 1)):
+        every = extremal_panels(cx)
+        for k in (2, 3):
+            for family in itertools.combinations(every, k):
+                check(cx, family)
+    rng = random.Random(47)
+    cfg = GeneratorConfig(max_points=7, max_walls=5, max_vertices=60)
+    for _ in range(60):
+        cx, action = random_complex_with_action(rng, cfg)
+        while True:
+            every = extremal_panels(cx)
+            for family in itertools.combinations(every, 2):
+                check(cx, family)
+            step = equivariant_collapse_step(cx, action)
+            if step is None:
+                break
+            check(cx, step.result.panels)
+            cx, action = step.result.output_complex, step.action
+    assert tally[True] >= 1000 and tally[False] >= 1000, tally

@@ -4,12 +4,17 @@ import random
 
 import pytest
 
-from panelcollapse import symmetry
+from panelcollapse import panels, symmetry
 from panelcollapse.complex import CubeComplex
 from panelcollapse.collapse import classify, fundament
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.panels import extremal_panels
-from panelcollapse.randgen import GeneratorConfig, random_equivariant_instance
+from panelcollapse.pocset import Wallspace, dualize_details, symmetry_automorphism
+from panelcollapse.randgen import (
+    GeneratorConfig,
+    cyclic_wallspace,
+    random_equivariant_instance,
+)
 from panelcollapse.symmetry import (
     Automorphism,
     ComplexityVector,
@@ -22,6 +27,14 @@ from panelcollapse.symmetry import (
     subdivide,
 )
 
+from conftest import (
+    SEVEN_CUBE_SIDES,
+    box_complex,
+    coordinate_swap,
+    grid_complex,
+    rotation,
+    six_point_walls,
+)
 
 
 def cube3_rotation(cube3):
@@ -340,3 +353,67 @@ def test_cube_orbit_count_matches_vertex_set_orbits():
             }
             assert action.cube_orbit_count(d) == len(orbits)
     assert moved >= 10, moved
+
+
+
+def _inversions_by_definition(action):
+    """Every (element index, wall) where the element maps the plus side of
+    the wall onto its minus side, read off ``side_image``."""
+    return tuple(
+        (i, h.id)
+        for i, g in enumerate(action.elements)
+        for h in action.complex.hyperplanes()
+        if action.side_image(g, h.id, "+") == (h.id, "-")
+    )
+
+
+def test_inversions_match_the_side_image_definition(square):
+    edge = CubeComplex(["a", "b"], [("a", "b")])
+    actions = [
+        GroupAction(edge, [{"a": "b", "b": "a"}]),
+        GroupAction(square, [{"00": "01", "01": "11", "11": "10", "10": "00"}]),
+        GroupAction(square, [square_diagonal(square)]),
+    ]
+    # duals of rotation-invariant wallspaces, before any subdivision
+    for sides, shift in ((SEVEN_CUBE_SIDES, 1), (("012", "015", "045"), 2)):
+        info = dualize_details(Wallspace.from_data(*six_point_walls(*sides)))
+        actions.append(
+            GroupAction(info.complex, [symmetry_automorphism(info, rotation(6, shift))])
+        )
+    rng = random.Random(41)
+    cfg = GeneratorConfig(max_points=6, max_walls=4)
+    while len(actions) < 125:
+        ws, rotate = cyclic_wallspace(rng, cfg)
+        info = dualize_details(ws)
+        if info.complex.n <= 200:
+            actions.append(
+                GroupAction(info.complex, [symmetry_automorphism(info, rotate)])
+            )
+    actions += [action for _, action in _random_runs(43, 40)]
+    inverting = 0
+    for action in actions:
+        expected = _inversions_by_definition(action)
+        assert action.inversions() == expected
+        inverting += bool(expected)
+    assert inverting >= 12, inverting
+
+
+def test_the_step_loop_builds_no_vertex_sets(monkeypatch):
+    def runs():
+        box = box_complex(3, 3, 3)
+        grid = grid_complex(6, 6)
+        return [
+            run_to_tree(box, GroupAction(
+                box, [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)]
+            )),
+            run_to_tree(grid, GroupAction(grid, [coordinate_swap(grid, 0, 1)])),
+        ]
+
+    expected = [(t.provenance_digest(), t.step_count) for t in runs()]
+
+    def refuse(*args):
+        raise AssertionError("the step loop built a public view")
+
+    monkeypatch.setattr(CubeComplex, "_vertex_set", refuse)
+    monkeypatch.setattr(panels, "block", refuse)
+    assert [(t.provenance_digest(), t.step_count) for t in runs()] == expected
