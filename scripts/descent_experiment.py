@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from panelcollapse.randgen import (
     GeneratorConfig,
-    random_equivariant_instance,
+    random_complex_with_action,
     seed_from_env,
 )
 from panelcollapse.symmetry import run_to_tree
@@ -41,7 +41,7 @@ def main():
     diagonals = 0
     started = time.perf_counter()
     for i in range(args.runs):
-        cx, action = random_equivariant_instance(rng, gen_cfg)
+        cx, action = random_complex_with_action(rng, gen_cfg)
         trace = run_to_tree(cx, action)
         dims[cx.dimension] += 1
         group_orders[action.order] += 1

@@ -27,6 +27,7 @@ from .fileio import (
     parse_action,
     parse_complex,
     parse_complex_data,
+    parse_provenance,
     parse_wallspace,
     serialize_complex,
 )
@@ -37,7 +38,7 @@ from .panels import (
     find_extremal_panel,
 )
 from .pocset import Wallspace, dualize_details, stallings_pipeline
-from .randgen import GeneratorConfig, random_equivariant_instance, seed_from_env
+from .randgen import GeneratorConfig, random_complex_with_action, seed_from_env
 from .symmetry import GroupAction, counts_text, push_action, run_to_tree
 
 
@@ -309,22 +310,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     cx = _load_complex(args.file)
-    provenance = None
-    if args.provenance:
-        provenance = {}
-        for lineno, line in enumerate(_read(args.provenance).splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 4 or parts[0] != "edge" or parts[3] != "crosses":
-                raise FileFormatError(f"line {lineno}: bad provenance line")
-            u, v = parts[1], parts[2]
-            for tok in parts[4:]:
-                if not (tok[:1] == "h" and tok[1:].isdecimal()):
-                    raise FileFormatError(f"line {lineno}: bad wall id {tok!r}")
-            hs = frozenset(int(tok[1:]) for tok in parts[4:])
-            provenance[cx.edge_key(u, v)] = hs
+    provenance = parse_provenance(_read(args.provenance), cx) if args.provenance else None
     sys.stdout.write(export_dot(cx, provenance))
     return 0
 
@@ -335,7 +321,7 @@ def _cmd_fuzz(args) -> int:
     cfg = GeneratorConfig(max_vertices=args.max_vertices)
     print(f"seed: {seed}")
     for i in range(args.count):
-        cx, action = random_equivariant_instance(rng, cfg)
+        cx, action = random_complex_with_action(rng, cfg)
         trace = run_to_tree(cx, action)
         print(
             f"run {i}: V={cx.n} dim={cx.dimension} group={action.order} "

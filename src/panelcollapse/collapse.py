@@ -314,19 +314,14 @@ class CollapseResult:
     panels: tuple
     edge_provenance: dict = field(repr=False)
     diagonal_edges: frozenset
-    metadata: dict = field(default_factory=dict, repr=False)
 
     def crossing_of(self, u, v) -> frozenset:
         return self.edge_provenance[self.output_complex.edge_key(u, v)]
 
     def provenance_lines(self) -> list[str]:
-        from .fileio import format_vertex
+        from .fileio import format_provenance
 
-        lines = []
-        for (u, v) in self.output_complex.edges:
-            hs = " ".join(f"h{i}" for i in sorted(self.edge_provenance[(u, v)]))
-            lines.append(f"edge {format_vertex(u)} {format_vertex(v)} crosses {hs}")
-        return lines
+        return format_provenance(self.output_complex, self.edge_provenance)
 
 
 def collapse(cx: CubeComplex, panels) -> CollapseResult:
@@ -343,9 +338,11 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     cls = classify(cx, panels)
     internal = set().union(*(p._edges for p in panels))
     order, vertex_of = cx._order, cx._vertex_of
-    surviving = [
-        (order[a], order[b]) for a, b in cx._int_edges if (a, b) not in internal
-    ]
+    provenance = {
+        (order[a], order[b]): frozenset({cx._wall_of(a, b)})
+        for a, b in cx._int_edges
+        if (a, b) not in internal
+    }
     diag: dict[tuple, frozenset] = {}
     for m in cx._maximal_cubes():
         status = cls._status_of(m)
@@ -366,28 +363,20 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     if panels and not internal:
         raise InternalInvariantError("nonempty panel family with no internal edges")
 
-    edges = list(surviving) + sorted(diag)
+    edges = list(provenance) + sorted(diag)
     try:
         out = CubeComplex(cx.vertices, edges)
     except InvalidComplexError as exc:
         raise InternalInvariantError(
             f"collapsed 1-skeleton failed validation: {exc.report.summary()}"
         ) from exc
-    provenance = {}
-    for u, v in surviving:
-        provenance[(u, v)] = frozenset({cx._edge_dual[u, v]})
     provenance.update(diag)
-    metadata = {
-        "panel_triples": tuple(p.triple for p in panels),
-        "internal_edge_count": len(internal),
-    }
     return CollapseResult(
         input_complex=cx,
         output_complex=out,
         panels=panels,
         edge_provenance=provenance,
         diagonal_edges=frozenset(diag),
-        metadata=metadata,
     )
 
 

@@ -33,8 +33,9 @@ masks:
   vertex every set of edges leading towards the first vertex spans a cube, so
   the cubes are enumerated exactly once each, together with their walls.
 
-A build keeps only integer tables: the masks, each wall's edges, each edge's
-wall, the cubes and the square counts of crossing pairs.  Inside the package
+A build keeps only integer tables: the masks, each wall's edges, the cubes
+and the square counts of crossing pairs.  An edge's wall is the one bit in
+which its ends' masks differ.  Inside the package
 a cube is the pair ``(base, axes)`` of the AND of its vertex masks and the
 mask of its walls; its vertices are the masks ``base | s`` for the subsets
 ``s`` of ``axes``.  Signs, crossing sets, corner maps and convex hulls are
@@ -445,7 +446,7 @@ def _faces(cube, dim=None):
 def _same_complex(a, b) -> bool:
     """Whether two complexes are one: the same object, or the same vertices
     and edges in the same order, which give the same tables."""
-    return a is b or (a.vertices == b.vertices and a.edges == b.edges)
+    return a is b or (a._order == b._order and a._int_edges == b._int_edges)
 
 
 def _sign_matrix(masks, width):
@@ -528,7 +529,8 @@ class CubeComplex:
     with vertex ``i`` on their plus side (``_vertex_of`` maps each mask back
     to its vertex index), ``_down[i]`` is the mask of the walls of i's edges
     towards vertex 0, ``_wall_edges[h]`` lists the index pairs of wall
-    ``h``'s edges, ``_cubes[d]`` lists the d-cubes as ``(base, axes)`` pairs
+    ``h``'s edges (an edge's wall, ``_wall_of``, is read off its ends'
+    masks), ``_cubes[d]`` lists the d-cubes as ``(base, axes)`` pairs
     in table order, and ``_square_counts`` maps each crossing pair
     ``(h, e)``, ``h < e``, to the number of squares dual to both walls
     (``_crossing_pairs`` lists those pairs in order).  The public
@@ -560,20 +562,17 @@ class CubeComplex:
         self._cube_objects = {}
 
     def _compute_hyperplanes(self, edge_wall):
-        """The wall tables: each wall's edges as index pairs, in edge order,
-        and each edge's wall by its canonical key."""
-        order = self._order
-        self._edge_dual = {}
+        """The wall table: each wall's edges as index pairs, in edge order."""
         self._wall_edges = [[] for _ in range(max(edge_wall, default=-1) + 1)]
-        for (a, b), h in zip(self._int_edges, edge_wall):
-            self._edge_dual[order[a], order[b]] = h
-            self._wall_edges[h].append((a, b))
+        for e, h in zip(self._int_edges, edge_wall):
+            self._wall_edges[h].append(e)
+
+    def _wall_of(self, a: int, b: int) -> int:
+        """The wall of the edge between vertex indices a and b: the one bit
+        in which their masks differ."""
+        return (self._masks[a] ^ self._masks[b]).bit_length() - 1
 
     # -- basic structure ----------------------------------------------------
-
-    @classmethod
-    def from_data(cls, vertices, edges) -> "CubeComplex":
-        return cls(vertices, edges)
 
     @property
     def vertices(self) -> tuple:
@@ -764,7 +763,8 @@ class CubeComplex:
 
     def dual_hyperplane(self, u, v) -> int:
         """Wall id of an edge."""
-        return self._edge_dual[self.edge_key(u, v)]
+        u, v = self.edge_key(u, v)
+        return self._wall_of(self._ix[u], self._ix[v])
 
     def carrier(self, h_id: int) -> tuple[frozenset, ...]:
         """Cubes (all dimensions) containing an edge dual to wall ``h_id``."""

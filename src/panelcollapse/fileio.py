@@ -1,8 +1,8 @@
-"""Text formats for complexes, actions, and wallspaces.
+"""Text formats for complexes, actions, wallspaces and provenance sidecars.
 
-All three formats are line oriented: a header line, then one declaration per
-line.  Blank lines and ``#`` comments are ignored.  Parse errors carry the
-offending line number.
+The first three formats are line oriented: a header line, then one
+declaration per line.  Blank lines and ``#`` comments are ignored.  Parse
+errors carry the offending line number.
 
 complex (``cubecomplex v1``)::
 
@@ -24,6 +24,10 @@ wallspace (``wallspace v1``)::
     point b
     wall a | b
     sym a->b b->a
+
+provenance sidecar, no header, one line per edge of a collapsed complex::
+
+    edge a b crosses h0 h2
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from .complex import CubeComplex
 from .errors import FileFormatError
 
 __all__ = [
+    "format_provenance",
     "format_vertex",
     "parse_action",
     "parse_complex",
     "parse_complex_data",
+    "parse_provenance",
     "parse_wallspace",
     "serialize_complex",
     "serialize_wallspace",
@@ -208,3 +214,31 @@ def serialize_wallspace(points, walls, syms=()) -> str:
     for s in syms:
         out.append("sym " + " ".join(f"{u}->{v}" for u, v in sorted(s.items())))
     return "\n".join(out) + "\n"
+
+
+def format_provenance(cx: CubeComplex, provenance: dict) -> list[str]:
+    """Sidecar lines: each edge of ``cx``, in edge order, with the input
+    walls ``provenance`` says it crosses."""
+    lines = []
+    for u, v in cx.edges:
+        hs = " ".join(f"h{i}" for i in sorted(provenance[(u, v)]))
+        lines.append(f"edge {format_vertex(u)} {format_vertex(v)} crosses {hs}")
+    return lines
+
+
+def parse_provenance(text: str, cx: CubeComplex) -> dict:
+    """Edge key -> crossed wall ids of a sidecar, against a known complex."""
+    provenance = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 4 or parts[0] != "edge" or parts[3] != "crosses":
+            raise FileFormatError(f"line {lineno}: bad provenance line")
+        for tok in parts[4:]:
+            if not (tok[:1] == "h" and tok[1:].isdecimal()):
+                raise FileFormatError(f"line {lineno}: bad wall id {tok!r}")
+        hs = frozenset(int(tok[1:]) for tok in parts[4:])
+        provenance[cx.edge_key(parts[1], parts[2])] = hs
+    return provenance

@@ -11,7 +11,8 @@ lies in a square dual to both H and E; the side-s half of H then sits inside
 the carrier of the codimension-2 wall, which is what makes the panel
 collapsible.  Each such square has exactly one H-edge on each side of E, and
 no two of them share an H-edge, so the pair is extremal exactly when the
-H-edges on side s of E are as many as the squares dual to H and E.
+H-edges on side s of E are as many as the squares dual to H and E.  One pass
+of that edge filter decides extremality and yields the panel's internal edges.
 
 A ``Panel`` keeps its complex, its internal edges as vertex-index pairs and
 its vertices as a bitmask over vertex indices.  The collapse step reads only
@@ -55,18 +56,29 @@ def hyperplanes_cross(cx: CubeComplex, h: int, e: int) -> bool:
     return (min(h, e), max(h, e)) in cx._square_counts
 
 
-def is_extremal(cx: CubeComplex, h: int, e: int, side: str) -> bool:
-    """Whether the codimension-2 wall H∩E is extremal in H on the given side
-    of E: the side-s halfspace of the wall-complex of H must lie inside the
-    carrier of H∩E there."""
+def _panel(cx: CubeComplex, h: int, e: int, side: str):
+    """The panel (H, E, side) when the pair is extremal there, else None:
+    H's edges on side s of E, when they are as many as the squares dual to
+    H and E."""
     if side not in SIDES:
         raise PreconditionError(f"side must be one of {SIDES}, got {side!r}")
     if not hyperplanes_cross(cx, h, e):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
-    bit = SIDES.index(side)
-    masks = cx._masks
-    on_side = sum(1 for a, _ in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
-    return on_side == cx._square_counts[min(h, e), max(h, e)]
+    bit, masks = SIDES.index(side), cx._masks
+    edges = tuple((a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
+    if len(edges) != cx._square_counts[min(h, e), max(h, e)]:
+        return None
+    vertex_mask = 0
+    for a, b in edges:
+        vertex_mask |= 1 << a | 1 << b
+    return Panel(h, e, side, cx, edges, vertex_mask)
+
+
+def is_extremal(cx: CubeComplex, h: int, e: int, side: str) -> bool:
+    """Whether the codimension-2 wall H∩E is extremal in H on the given side
+    of E: the side-s halfspace of the wall-complex of H must lie inside the
+    carrier of H∩E there."""
+    return _panel(cx, h, e, side) is not None
 
 
 @dataclass(frozen=True)
@@ -106,7 +118,7 @@ class Panel:
     """An extremal panel.  Identity is the triple (abutting, extremalising,
     side): the same subcomplex can be a panel in several ways.
 
-    Built by ``build_panel`` only.  ``_edges`` holds the internal edges as
+    Built by ``_panel`` only.  ``_edges`` holds the internal edges as
     vertex-index pairs of ``complex`` and ``_vertex_mask`` has bit i set for
     each vertex i they touch.  The views ``internal_edges`` (edge keys),
     ``vertex_set``, ``cube_set`` (the panel's cubes of dimension at least 1)
@@ -160,46 +172,41 @@ class Panel:
 def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
     """The extremal panel abutted by H, extremalised by E, on one side of E;
     raises unless the pair is extremal there."""
-    if not is_extremal(cx, h, e, side):
+    panel = _panel(cx, h, e, side)
+    if panel is None:
         raise PreconditionError(
             f"hyperplane pair ({h}, {e}) is not extremal on side {side!r}"
         )
-    bit, masks = SIDES.index(side), cx._masks
-    edges = tuple((a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
-    vertex_mask = 0
-    for a, b in edges:
-        vertex_mask |= 1 << a | 1 << b
-    return Panel(h, e, side, cx, edges, vertex_mask)
+    return panel
+
+
+def _extremal_walk(cx: CubeComplex):
+    """Every extremal panel, lazily, in canonical (abutting, extremalising,
+    side) order."""
+    pairs = codim2_hyperplanes(cx)
+    for h, e in sorted(itertools.chain(pairs, ((b, a) for a, b in pairs))):
+        for side in SIDES:
+            panel = _panel(cx, h, e, side)
+            if panel is not None:
+                yield panel
 
 
 def extremal_panels(cx: CubeComplex) -> tuple[Panel, ...]:
     """Every extremal panel, in canonical (abutting, extremalising, side)
     order."""
-    out = []
-    for a, b in codim2_hyperplanes(cx):
-        for h, e in ((a, b), (b, a)):
-            for side in SIDES:
-                if is_extremal(cx, h, e, side):
-                    out.append(build_panel(cx, h, e, side))
-    return tuple(sorted(out, key=Panel.sort_key))
+    return tuple(_extremal_walk(cx))
 
 
 def find_extremal_panel(cx: CubeComplex) -> Panel | None:
-    """Deterministic choice: the lowest extremal (H, E, side) triple.
-    Returns None exactly when no two walls cross (the complex is a tree)."""
-    pairs = codim2_hyperplanes(cx)
-    candidates = sorted(
-        itertools.chain.from_iterable(((a, b), (b, a)) for a, b in pairs)
-    )
-    for h, e in candidates:
-        for side in SIDES:
-            if is_extremal(cx, h, e, side):
-                return build_panel(cx, h, e, side)
-    if pairs:
+    """Deterministic choice: the lowest extremal (H, E, side) triple, the
+    first panel of the canonical walk.  Returns None exactly when no two
+    walls cross (the complex is a tree)."""
+    panel = next(_extremal_walk(cx), None)
+    if panel is None and cx._crossing_pairs:
         raise InternalInvariantError(
             "walls cross but no extremal panel was found in a finite complex"
         )
-    return None
+    return panel
 
 
 def no_facing_panels(cx: CubeComplex, panels) -> bool:

@@ -4,6 +4,10 @@ A wallspace is a finite point set with a family of bipartitions (walls).  Its
 dual complex has one vertex per consistent orientation (a choice of one side
 per wall, pairwise intersecting) reachable from a principal orientation by
 single-wall flips, and an edge between orientations differing on one wall.
+An orientation is a bitmask over the walls, bit i picking the second side of
+wall i, so a flip is an XOR; whether a flip stays consistent is two mask
+tests against a table of the walls each side of each wall misses, and the
+wall a dual edge flips is the XOR of its ends.
 Dualizing, pushing point symmetries to complex automorphisms, and running the
 equivariant collapse driver yields a tree with the induced action; for a
 group acting on a space with a finite separating pattern this is the engine
@@ -108,15 +112,15 @@ class Wallspace:
         return tuple(perm), tuple(swaps)
 
 
-def _orientation_name(bits) -> str:
-    return "o" + "".join("+" if b else "-" for b in bits)
+def _orientation_name(mask: int, k: int) -> str:
+    return "o" + "".join("+" if mask >> i & 1 else "-" for i in range(k))
 
 
 @dataclass(frozen=True)
 class DualComplexInfo:
     complex: CubeComplex = field(repr=False)
     wallspace: Wallspace = field(repr=False)
-    orientations: dict = field(repr=False)  # vertex name -> side-index tuple
+    orientations: dict = field(repr=False)  # vertex name -> orientation mask
     principal: dict = field(repr=False)  # point -> vertex name
     wall_of_hyperplane: dict  # hyperplane id -> wall index
     metadata: dict
@@ -139,80 +143,68 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
     k = len(walls)
     base = ws.points[0]
 
-    # orientation: tuple of 0/1, entry i names side walls[i][bit]
-    # disjoint[i][si][j][sj]: chosen sides are disjoint
-    def side(i, b):
-        return walls[i][b]
+    def orientation(p):
+        return sum(1 << i for i, (a, _) in enumerate(walls) if p not in a)
 
-    disjoint = [
-        [
-            [
-                [not (side(i, si) & side(j, sj)) for sj in (0, 1)]
-                for j in range(k)
-            ]
-            for si in (0, 1)
-        ]
-        for i in range(k)
-    ]
+    def missing(side, t):
+        return sum(1 << j for j, w in enumerate(walls) if not side & w[t])
 
-    def consistent_after_flip(bits, i):
-        nb = bits[i] ^ 1
-        return all(
-            j == i or not disjoint[i][nb][j][bits[j]] for j in range(k)
-        )
-
-    principal_bits = tuple(0 if base in side(i, 0) else 1 for i in range(k))
-    seen = {principal_bits}
-    frontier = [principal_bits]
+    # clash[i][s]: the walls whose first, and those whose second, side misses
+    # side s of wall i; flipping wall i of a consistent orientation to side s
+    # keeps it consistent exactly when the result chooses none of those sides
+    clash = [[(missing(side, 0), missing(side, 1)) for side in wall] for wall in walls]
+    seen = {orientation(base)}
+    frontier = list(seen)
     while frontier:
-        bits = frontier.pop()
+        m = frontier.pop()
         for i in range(k):
-            if consistent_after_flip(bits, i):
-                flipped = bits[:i] + (bits[i] ^ 1,) + bits[i + 1 :]
-                if flipped not in seen:
-                    seen.add(flipped)
-                    if len(seen) > MAX_VERTICES:
-                        raise PreconditionError(
-                            f"wallspace has more than {MAX_VERTICES} consistent "
-                            f"orientations; the limit is {MAX_VERTICES}"
-                        )
-                    frontier.append(flipped)
-    orientations = sorted(seen)
-    names = {bits: _orientation_name(bits) for bits in orientations}
-    flip_of = {}  # edge -> index of the wall its two orientations differ on
-    for bits in orientations:
-        for i in range(k):
-            flipped = bits[:i] + (bits[i] ^ 1,) + bits[i + 1 :]
-            if flipped in seen and bits < flipped:
-                flip_of[names[bits], names[flipped]] = i
-    cx = CubeComplex(list(names.values()), flip_of)
+            flipped = m ^ 1 << i
+            zeros, ones = clash[i][flipped >> i & 1]
+            if not (zeros & ~flipped or ones & flipped) and flipped not in seen:
+                seen.add(flipped)
+                if len(seen) > MAX_VERTICES:
+                    raise PreconditionError(
+                        f"wallspace has more than {MAX_VERTICES} consistent "
+                        f"orientations; the limit is {MAX_VERTICES}"
+                    )
+                frontier.append(flipped)
+    # in the order of the side-index tuples, wall 0 first
+    orientations = sorted(seen, key=lambda m: format(m, f"0{k}b")[::-1])
+    names = {m: _orientation_name(m, k) for m in orientations}
+    edges = [
+        (names[m], names[m | 1 << i])
+        for m in orientations
+        for i in range(k)
+        if not m >> i & 1 and m | 1 << i in seen
+    ]
+    cx = CubeComplex(list(names.values()), edges)
 
     # every principal orientation should land in the flip component
     principal = {}
     for p in ws.points:
-        pb = tuple(0 if p in side(i, 0) else 1 for i in range(k))
-        if pb not in seen:
+        pm = orientation(p)
+        if pm not in seen:
             raise InternalInvariantError(
                 f"principal orientation of point {p!r} is outside the "
                 "flip component"
             )
-        principal[p] = names[pb]
+        principal[p] = names[pm]
 
-    flips = [set() for _ in cx._wall_edges]
-    for (u, v), i in flip_of.items():
-        flips[cx.dual_hyperplane(u, v)].add(i)
+    # an edge's ends differ in the wall its hyperplane flips
+    order, mask_of = cx.vertices, {names[m]: m for m in orientations}
     wall_of = {}
-    for h, found in enumerate(flips):
-        if len(found) != 1:
+    for h, wall_edges in enumerate(cx._wall_edges):
+        flips = {mask_of[order[a]] ^ mask_of[order[b]] for a, b in wall_edges}
+        if len(flips) != 1:
             raise InternalInvariantError(
-                f"hyperplane {h} flips several walls: {sorted(found)}"
+                f"hyperplane {h} flips several walls: "
+                f"{sorted(f.bit_length() - 1 for f in flips)}"
             )
-        (wall_of[h],) = found
-    by_name = {names[b]: b for b in orientations}
+        wall_of[h] = flips.pop().bit_length() - 1
     return DualComplexInfo(
         complex=cx,
         wallspace=ws,
-        orientations=by_name,
+        orientations=mask_of,
         principal=principal,
         wall_of_hyperplane=wall_of,
         metadata={
@@ -228,11 +220,10 @@ def symmetry_automorphism(info: DualComplexInfo, mapping: dict) -> Automorphism:
     """Push a wall-preserving point permutation to the dual complex."""
     perm, swaps = info.wallspace.wall_permutation(mapping)
     vertex_map = {}
-    for name, bits in info.orientations.items():
-        image = [0] * len(bits)
-        for i, b in enumerate(bits):
-            image[perm[i]] = b ^ swaps[i]
-        iname = _orientation_name(tuple(image))
+    k = len(perm)
+    for name, m in info.orientations.items():
+        image = sum((m >> i & 1 ^ swaps[i]) << perm[i] for i in range(k))
+        iname = _orientation_name(image, k)
         if iname not in info.orientations:
             raise InternalInvariantError(
                 "wallspace symmetry leaves the dual flip component"

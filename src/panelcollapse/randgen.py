@@ -13,15 +13,13 @@ import os
 import random
 from dataclasses import dataclass
 
-from .complex import CubeComplex
 from .errors import StructuralError, UserInputError
 from .pocset import Wallspace, dualize_details, symmetry_automorphism
 from .symmetry import GroupAction, push_action
 
 __all__ = [
     "GeneratorConfig",
-    "random_equivariant_instance",
-    "random_complex",
+    "random_complex_with_action",
     "random_wallspace",
     "seed_from_env",
 ]
@@ -98,13 +96,6 @@ def cyclic_wallspace(rng: random.Random, cfg: GeneratorConfig = GeneratorConfig(
     return Wallspace.from_data(points, wall_list), rotate
 
 
-def random_complex(
-    rng: random.Random, cfg: GeneratorConfig = GeneratorConfig(), attempts: int = 60
-) -> CubeComplex:
-    cx, _ = random_complex_with_action(rng, cfg, attempts)
-    return cx
-
-
 def random_complex_with_action(
     rng: random.Random, cfg: GeneratorConfig = GeneratorConfig(), attempts: int = 60
 ):
@@ -142,7 +133,3 @@ def random_complex_with_action(
     )
     raise StructuralError(f"could not generate a complex: {reason}")
 
-
-def random_equivariant_instance(rng: random.Random, cfg: GeneratorConfig = GeneratorConfig()):
-    """(complex, inversion-free action) pair ready for the collapse driver."""
-    return random_complex_with_action(rng, cfg)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .collapse import CollapseResult, collapse, hyperplane_provenance
 from .complex import CubeComplex, _bits, _faces, _same_complex
 from .errors import InternalInvariantError, PreconditionError, StructuralError
+# no_facing_panels is not called here, but perfbench/tracer.py wraps it by name
 from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
 
 __all__ = [
@@ -448,7 +449,8 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
     Returns None when the complex is already a tree.  Requires an
     inversion-free action (subdivide first otherwise); guarantees the output
     action is edge-preserving, inversion-free, and of strictly lower
-    complexity, and that every output wall has one input crossing set.
+    complexity, and that every output wall has one input crossing set.  The
+    orbit's facing check is the one ``collapse`` makes.
     """
     if not _same_complex(action.complex, cx):
         raise PreconditionError("action does not act on this complex")
@@ -462,13 +464,15 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
         return None
     with _context(f"panel {_triple_text(panel.triple)}: "):
         orbit = action.panel_orbit(panel)
-        if not no_facing_panels(cx, orbit):
+        before = complexity(cx, action)
+        try:
+            result = collapse(cx, orbit)
+        except PreconditionError as exc:
+            # the orbit's panels are built on cx: only facing panels are refused
             raise InternalInvariantError(
                 "orbit of an extremal panel under an inversion-free action "
                 "has facing panels"
-            )
-        before = complexity(cx, action)
-        result = collapse(cx, orbit)
+            ) from exc
         hyperplane_provenance(result)  # one crossing set per output wall
         new_action = action.transfer(result.output_complex)
         new_inv = new_action.inversions()
@@ -544,7 +548,7 @@ def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
     """
     initial = cx
     limit = sum(cx.cube_counts)
-    origins = {e: frozenset({h}) for e, h in cx._edge_dual.items()}
+    origins = {(u, v): frozenset({cx.dual_hyperplane(u, v)}) for u, v in cx.edges}
     steps = []
     while True:
         with _context(f"step {len(steps) + 1}, "):

@@ -22,6 +22,10 @@ from those walls and the definitions on edges: extremality by looking for
 each edge's square, cube status by parallel classes of internal edges,
 persistent subcubes by intersecting faces, and panel orbits by applying every
 element of the group.
+
+The last part, ``dual_orientations``, is the dual of a small wallspace by
+enumeration: every one of the 2**k choices of one side per wall, kept when
+the chosen sides pairwise meet.
 """
 
 import itertools
@@ -557,3 +561,32 @@ class PanelReference:
         # distinct triples abutting one wall cut out distinct panels
         assert len(kept) == len(images), f"two triples of {sorted(images)} share a panel"
         return sorted(kept.values(), key=key)
+
+
+def dual_orientations(walls):
+    """Vertex names and edges of the dual of at most ten walls, each a pair
+    of point sets: every choice of one side per wall whose chosen sides
+    pairwise meet, named ``o`` plus ``-`` (first side) or ``+`` (second side)
+    per wall, with an edge between choices that differ on one wall."""
+    k = len(walls)
+    assert k <= 10, k
+    meet = {
+        (i, s, j, t): bool(walls[i][s] & walls[j][t])
+        for i, j in itertools.combinations(range(k), 2)
+        for s in (0, 1)
+        for t in (0, 1)
+    }
+    names = set()
+    for choice in itertools.product((0, 1), repeat=k):
+        if all(
+            meet[i, choice[i], j, choice[j]]
+            for i, j in itertools.combinations(range(k), 2)
+        ):
+            names.add("o" + "".join("-+"[c] for c in choice))
+    edges = set()
+    for name in names:
+        for i in range(1, k + 1):
+            other = name[:i] + ("+" if name[i] == "-" else "-") + name[i + 1 :]
+            if other in names:
+                edges.add(frozenset((name, other)))
+    return names, edges

@@ -23,7 +23,7 @@ from panelcollapse.panels import (
     no_facing_panels,
 )
 from panelcollapse.pocset import Wallspace, dualize, stallings_pipeline
-from panelcollapse.randgen import GeneratorConfig, random_equivariant_instance
+from panelcollapse.randgen import GeneratorConfig, random_complex_with_action
 from panelcollapse.symmetry import GroupAction, complexity, run_to_tree
 
 import test_collapse as collapse_checks
@@ -67,7 +67,7 @@ def descent_runs():
     runs = []
     while len(runs) < 48:
         cfg = cfgs[len(runs) % len(cfgs)]
-        cx, action = random_equivariant_instance(rng, cfg)
+        cx, action = random_complex_with_action(rng, cfg)
         assert cx.dimension <= 4 and cx.n <= 200
         trace = run_to_tree(cx, action)
         runs.append((cx, action, trace))

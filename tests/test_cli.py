@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism, round trips."""
 
 import contextlib
+import functools
 import io
 import json
 import subprocess
@@ -420,11 +421,11 @@ FUZZ_TOKENS = sorted(
 
 
 @st.composite
-def mutated_files(draw):
-    """A seed file of tests/data with up to four line, token or character
-    edits."""
-    name = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
-    lines = FUZZ_SEEDS[name].splitlines()
+def mutated_files(draw, seeds=FUZZ_SEEDS):
+    """A seed file (by default one of tests/data) with up to four line,
+    token or character edits."""
+    name = draw(st.sampled_from(sorted(seeds)))
+    lines = seeds[name].splitlines()
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if not lines:
             lines = [""]
@@ -484,3 +485,37 @@ def test_mutated_inputs_exit_cleanly(case):
                     code = exc.code
             assert code in (0, 1), (argv, text, err.getvalue())
             assert "Traceback" not in out.getvalue() + err.getvalue(), (argv, text)
+
+
+@functools.cache
+def _collapse_outputs():
+    """For each complex of tests/data that is not a tree, the collapsed
+    complex and the provenance sidecar that ``collapse`` writes."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cc, prov = Path(tmp) / "out.cc", Path(tmp) / "out.prov"
+        for name in ("cube3.cc", "square.cc"):
+            argv = ["collapse", str(DATA / name), "-o", str(cc), "--provenance", str(prov)]
+            assert main(argv) == 0
+            out[name + ".prov"] = (cc.read_text(), prov.read_text())
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_sidecars_exit_cleanly(data):
+    # export-dot on a corrupted provenance sidecar exits 0 or 1, never with
+    # a traceback
+    outputs = _collapse_outputs()
+    name, text = data.draw(
+        mutated_files({name: prov for name, (_, prov) in outputs.items()})
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cc, prov = Path(tmp) / "out.cc", Path(tmp) / "out.prov"
+        cc.write_text(outputs[name][0])
+        prov.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["export-dot", str(cc), "--provenance", str(prov)])
+        assert code in (0, 1), (text, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue(), text

@@ -26,7 +26,6 @@ from panelcollapse.panels import (
 )
 from panelcollapse.randgen import (
     GeneratorConfig,
-    random_complex,
     random_complex_with_action,
 )
 from panelcollapse.symmetry import GroupAction, equivariant_collapse_step
@@ -455,7 +454,7 @@ def test_fundament_determined_by_internal_edges(square):
 def test_collapse_random_complexes_validate():
     rng = random.Random(42)
     for _ in range(10):
-        cx = random_complex(rng, GeneratorConfig(max_points=8, max_walls=7))
+        cx, _ = random_complex_with_action(rng, GeneratorConfig(max_points=8, max_walls=7))
         panel = find_extremal_panel(cx)
         if panel is None:
             continue
@@ -532,7 +531,7 @@ def test_diagonal_ends_differ_in_exactly_their_separators():
             cx, action = step.result.output_complex, step.action
     rng = random.Random(42)
     for _ in range(10):
-        cx = random_complex(rng, GeneratorConfig(max_points=8, max_walls=7))
+        cx, _ = random_complex_with_action(rng, GeneratorConfig(max_points=8, max_walls=7))
         panel = find_extremal_panel(cx)
         if panel is not None:
             results.append(collapse(cx, [panel]))

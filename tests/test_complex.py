@@ -17,7 +17,7 @@ from panelcollapse.pocset import dualize
 from panelcollapse.randgen import (
     GeneratorConfig,
     cyclic_wallspace,
-    random_complex,
+    random_complex_with_action,
     random_wallspace,
 )
 
@@ -140,6 +140,24 @@ def test_wall_separation_two_components(domino, cube3, strip3):
             # removal splits the 1-skeleton into the two recorded halfspaces
             for u, v in h.edges:
                 assert (u in h.minus) != (v in h.minus)
+
+
+def test_dual_hyperplane_names_the_wall_holding_the_edge(
+    cube3, cube4, square, domino, strip3, tree4
+):
+    rng = random.Random(19)
+    complexes = [cube3, cube4, square, domino, strip3, tree4, box_complex(2, 2, 1)]
+    complexes += [
+        random_complex_with_action(rng, GeneratorConfig(max_points=7, max_walls=6))[0]
+        for _ in range(50)
+    ]
+    for cx in complexes:
+        seen = 0
+        for h in cx.hyperplanes():
+            for u, v in h.edges:
+                assert cx.dual_hyperplane(u, v) == cx.dual_hyperplane(v, u) == h.id
+            seen += len(h.edges)
+        assert seen == len(cx.edges)
 
 
 def test_hyperplane_ids_deterministic(cube3):
@@ -281,7 +299,7 @@ def test_helly_property_small_families():
 def test_euler_characteristic_always_one():
     rng = random.Random(3)
     for _ in range(8):
-        cx = random_complex(rng, GeneratorConfig(max_points=7, max_walls=6))
+        cx, _ = random_complex_with_action(rng, GeneratorConfig(max_points=7, max_walls=6))
         assert cx.euler_characteristic == 1
 
 
@@ -343,7 +361,7 @@ def test_box_complex_structure():
 def test_random_complexes_distance_crossing(strip3):
     rng = random.Random(5)
     for _ in range(5):
-        cx = random_complex(rng, GeneratorConfig(max_points=7, max_walls=6))
+        cx, _ = random_complex_with_action(rng, GeneratorConfig(max_points=7, max_walls=6))
         vs = list(cx.vertices)
         for _ in range(30):
             u, v = rng.choice(vs), rng.choice(vs)
@@ -590,7 +608,7 @@ def test_median_scan_runs_only_on_rejection(monkeypatch):
     rng = random.Random(59)
     cfg = GeneratorConfig(max_points=7, max_walls=6)
     for _ in range(20):
-        assert random_complex(rng, cfg).validation_report.passed
+        assert random_complex_with_action(rng, cfg)[0].validation_report.passed
     with pytest.raises(AssertionError, match="median scan ran"):
         validate_graph(["a", "b", "x", "y", "z"], [(a, b) for a in "ab" for b in "xyz"])
 

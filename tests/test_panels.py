@@ -226,6 +226,7 @@ def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tr
             ref = oracle.PanelReference(cx)
             pairs = codim2_hyperplanes(cx)
             assert list(pairs) == ref.crossing_pairs()
+            judged = []
             for a, b in pairs:
                 for h, e in ((a, b), (b, a)):
                     for s in SIDES:
@@ -234,6 +235,7 @@ def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tr
                         tally[verdict] += 1
                         if not verdict:
                             continue
+                        judged.append((h, e, s))
                         p = build_panel(cx, h, e, s)
                         cubes, internal, vertices = ref.panel(h, e, s)
                         assert p.cube_set == {names(cx, c) for c in cubes}
@@ -244,6 +246,10 @@ def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tr
                         assert p.block.maximal_cubes == {
                             names(cx, c) for c in ref.block_maximal_cubes(h, e)
                         }
+            judged.sort(key=lambda t: (t[0], t[1], SIDES.index(t[2])))
+            assert [p.triple for p in extremal_panels(cx)] == judged
+            first = find_extremal_panel(cx)
+            assert (first.triple if first else None) == (judged[0] if judged else None)
             step = equivariant_collapse_step(cx, action)
             if step is None:
                 break

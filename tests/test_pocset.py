@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from panelcollapse import pocset
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
+from panelcollapse.fileio import parse_wallspace
 from panelcollapse.pocset import (
     Wallspace,
     dualize,
@@ -19,7 +20,9 @@ from panelcollapse.pocset import (
 from panelcollapse.randgen import GeneratorConfig, cyclic_wallspace, random_wallspace
 from panelcollapse.symmetry import complexity, run_to_tree
 
+import oracle
 from conftest import (
+    DATA,
     SEVEN_CUBE_SIDES,
     pairwise_crossing_walls,
     rotation,
@@ -114,6 +117,35 @@ def test_wall_map_matches_the_orientation_names():
             expected[h] = flips.pop()
         assert list(info.wall_of_hyperplane.items()) == sorted(expected.items())
         checked += 1
+
+
+def test_dual_matches_the_brute_force_orientations():
+    # the flip closure from one principal orientation reaches every
+    # consistent orientation: the dual of a finite wallspace is connected
+    spaces = [
+        Wallspace.from_data(*parse_wallspace(path.read_text())[:2])
+        for path in sorted(DATA.glob("*.ws"))
+    ]
+    rng = random.Random(53)
+    cfg = GeneratorConfig(max_points=9, max_walls=10)
+    drawn = 0
+    while drawn < 300:
+        ws = (random_wallspace if drawn % 2 else cyclic_wallspace)(rng, cfg)[0]
+        if len(ws.walls) <= 10:
+            spaces.append(ws)
+            drawn += 1
+    sizes = []
+    for ws in spaces:
+        info = dualize_details(ws)
+        cx = info.complex
+        names, edges = oracle.dual_orientations(ws.walls)
+        assert set(cx.vertices) == names, ws
+        assert {frozenset(e) for e in cx.edges} == edges, ws
+        for p in ws.points:
+            side = "".join("-" if p in a else "+" for a, _ in ws.walls)
+            assert info.principal[p] == "o" + side
+        sizes.append(len(ws.walls))
+    assert max(sizes) >= 8 and sizes.count(1) + sizes.count(2) >= 10, sizes
 
 
 def test_principal_distance_equals_wall_separation():

@@ -1,19 +1,22 @@
 """Actions, inversions, subdivision, complexity, and the collapse driver."""
 
+import importlib
 import random
 
 import pytest
 
 from panelcollapse import panels, symmetry
+from panelcollapse.cli import main
 from panelcollapse.complex import CubeComplex
 from panelcollapse.collapse import classify, fundament
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
-from panelcollapse.panels import extremal_panels
+from panelcollapse.fileio import parse_complex
+from panelcollapse.panels import extremal_panels, find_extremal_panel
 from panelcollapse.pocset import Wallspace, dualize_details, symmetry_automorphism
 from panelcollapse.randgen import (
     GeneratorConfig,
     cyclic_wallspace,
-    random_equivariant_instance,
+    random_complex_with_action,
 )
 from panelcollapse.symmetry import (
     Automorphism,
@@ -28,6 +31,7 @@ from panelcollapse.symmetry import (
 )
 
 from conftest import (
+    DATA,
     SEVEN_CUBE_SIDES,
     box_complex,
     coordinate_swap,
@@ -35,6 +39,10 @@ from conftest import (
     rotation,
     six_point_walls,
 )
+
+
+# the package re-exports the function ``collapse`` under the module's name
+collapse_module = importlib.import_module("panelcollapse.collapse")
 
 
 def cube3_rotation(cube3):
@@ -217,6 +225,40 @@ def test_internal_errors_name_the_step_and_panel(cube3, monkeypatch):
     assert str(exc.value) == f"step 2, panel (h{h},h{e},{s}): boom"
 
 
+def test_each_step_makes_one_facing_check(monkeypatch):
+    calls = []
+    check = panels.no_facing_panels
+
+    def counted(cx, family):
+        calls.append(len(family))
+        return check(cx, family)
+
+    for module in (panels, collapse_module, symmetry):
+        monkeypatch.setattr(module, "no_facing_panels", counted)
+    box = box_complex(3, 3, 3)
+    s3 = [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)]
+    trace = run_to_tree(box, GroupAction(box, s3))
+    assert trace.step_count > 0 and len(calls) == trace.step_count
+    assert calls == [s.orbit_size for s in trace.steps]
+
+
+def test_a_facing_refusal_in_the_step_is_internal(monkeypatch, capsys):
+    # the step leaves the orbit's facing check to collapse; an orbit with
+    # facing panels breaks the step's own guarantee, not a precondition
+    cube3 = parse_complex((DATA / "cube3.cc").read_text())
+    h, e, s = find_extremal_panel(cube3).triple
+    monkeypatch.setattr(collapse_module, "no_facing_panels", lambda cx, family: False)
+    message = (
+        f"step 1, panel (h{h},h{e},{s}): orbit of an extremal panel under an "
+        "inversion-free action has facing panels"
+    )
+    with pytest.raises(InternalInvariantError) as exc:
+        run_to_tree(cube3, GroupAction(cube3, []))
+    assert str(exc.value) == message
+    assert main(["run", str(DATA / "cube3.cc"), str(DATA / "trivial.act")]) == 2
+    assert capsys.readouterr().err == f"internal invariant breached: {message}\n"
+
+
 def test_run_to_tree_on_tree_is_empty(tree4):
     trace = run_to_tree(tree4, GroupAction(tree4, []))
     assert trace.step_count == 0
@@ -232,7 +274,7 @@ def test_run_to_tree_4cube(cube4):
 def test_strict_descent_and_validity_random():
     rng = random.Random(99)
     for _ in range(6):
-        cx, action = random_equivariant_instance(
+        cx, action = random_complex_with_action(
             rng, GeneratorConfig(max_points=7, max_walls=6, max_vertices=80)
         )
         trace = run_to_tree(cx, action)
@@ -296,7 +338,7 @@ def test_run_to_tree_box():
 def _random_runs(seed, count):
     rng = random.Random(seed)
     cfg = GeneratorConfig(max_points=7, max_walls=5, max_vertices=60)
-    return [random_equivariant_instance(rng, cfg) for _ in range(count)]
+    return [random_complex_with_action(rng, cfg) for _ in range(count)]
 
 
 def test_transfer_carries_the_closed_group_over(cube3):
@@ -344,7 +386,7 @@ def test_cube_orbit_count_matches_vertex_set_orbits():
     rng = random.Random(37)
     moved = 0
     for _ in range(40):
-        cx, action = random_equivariant_instance(rng, GeneratorConfig())
+        cx, action = random_complex_with_action(rng, GeneratorConfig())
         moved += action.order > 1
         for d in range(cx.dimension + 2):
             orbits = {
