@@ -65,4 +65,60 @@ from .symmetry import (
     subdivide,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # complex
+    "Cube",
+    "CubeComplex",
+    "Hyperplane",
+    "ValidationReport",
+    "validate_graph",
+    # errors
+    "FileFormatError",
+    "InternalInvariantError",
+    "InvalidComplexError",
+    "PreconditionError",
+    "StructuralError",
+    "UserInputError",
+    # panels
+    "Block",
+    "Panel",
+    "block",
+    "build_panel",
+    "codim2_hyperplanes",
+    "extremal_panels",
+    "find_extremal_panel",
+    "is_extremal",
+    "no_facing_panels",
+    # collapse
+    "COMPLETELY_EXTERNAL",
+    "EXTERNAL",
+    "INTERNAL",
+    "CollapseResult",
+    "CubeClassification",
+    "DiagonalCube",
+    "Fundament",
+    "classify",
+    "collapse",
+    "fundament",
+    "hyperplane_provenance",
+    "persistent_subcube",
+    # symmetry
+    "ActionReport",
+    "Automorphism",
+    "ComplexityVector",
+    "GroupAction",
+    "RunTrace",
+    "check_action",
+    "complexity",
+    "equivariant_collapse_step",
+    "push_action",
+    "run_to_tree",
+    "subdivide",
+    # pocset
+    "DualComplexInfo",
+    "StallingsResult",
+    "Wallspace",
+    "dualize",
+    "dualize_details",
+    "stallings_pipeline",
+]

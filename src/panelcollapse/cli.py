@@ -353,8 +353,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("collapse", help="collapse one extremal panel")
     p.add_argument("file")
-    p.add_argument("--panel", help="H,E,side triple, e.g. h0,h1,+")
-    p.add_argument("--auto", action="store_true", help="pick the canonical panel")
+    choice = p.add_mutually_exclusive_group()
+    choice.add_argument("--panel", help="H,E,side triple, e.g. h0,h1,+")
+    choice.add_argument(
+        "--auto", action="store_true", help="pick the canonical panel (the default)"
+    )
     p.add_argument("-o", "--output", help="write the collapsed complex here")
     p.add_argument("--provenance", help="write the crossing-set sidecar here")
     p.set_defaults(func=_cmd_collapse)

@@ -16,10 +16,17 @@ the separating walls.  The collapsed complex keeps every vertex, keeps every
 external edge, and gains one diagonal edge per salient vertex of each
 disconnected external cube; its cube structure is again the canonical filling
 and it validates as CAT(0).
+
+Collapse keeps the vertex set and its order, and every output wall extends to
+input walls, so provenance is read off the input masks: an output edge crosses
+the input walls that separate its ends, the bits of the XOR of their masks.
+The step builds no per-edge provenance; ``CollapseResult.edge_provenance``
+is a view built on first access.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .complex import CubeComplex, _bits, _faces, _subsets
@@ -306,14 +313,24 @@ def fundament(cls: CubeClassification, cube: frozenset) -> Fundament:
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """Outcome of one panel collapse: a complex on the same vertex set, with
-    per-edge crossing sets into the walls of the input complex."""
+    """Outcome of one panel collapse: a complex on the same vertex set, so
+    the same vertex indices, whose edges cross the input walls separating
+    their ends."""
 
     input_complex: CubeComplex = field(repr=False)
     output_complex: CubeComplex = field(repr=False)
     panels: tuple
-    edge_provenance: dict = field(repr=False)
     diagonal_edges: frozenset
+
+    @functools.cached_property
+    def edge_provenance(self) -> dict:
+        """Each output edge key -> the input walls it crosses: the bits of
+        the XOR of its ends' input masks."""
+        masks, order = self.input_complex._masks, self.output_complex._order
+        return {
+            (order[a], order[b]): frozenset(_bits(masks[a] ^ masks[b]))
+            for a, b in self.output_complex._int_edges
+        }
 
     def crossing_of(self, u, v) -> frozenset:
         return self.edge_provenance[self.output_complex.edge_key(u, v)]
@@ -332,18 +349,14 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     (a completely external cube is its own fundament, with no diagonals).
     An edge is internal exactly when it is an internal edge of a panel.  A
     failure of the output to validate is reported as an internal invariant
-    breach: the construction guarantees a CAT(0) result.
+    breach: the construction guarantees a CAT(0) result.  Edges are kept as
+    index pairs and named only for the output's constructor.
     """
     panels = tuple(sorted(panels, key=Panel.sort_key))
     cls = classify(cx, panels)
     internal = set().union(*(p._edges for p in panels))
-    order, vertex_of = cx._order, cx._vertex_of
-    provenance = {
-        (order[a], order[b]): frozenset({cx._wall_of(a, b)})
-        for a, b in cx._int_edges
-        if (a, b) not in internal
-    }
-    diag: dict[tuple, frozenset] = {}
+    vertex_of = cx._vertex_of
+    diagonals = set()
     for m in cx._maximal_cubes():
         status = cls._status_of(m)
         # internal cubes lie in panels, which are proper faces of block cubes
@@ -354,29 +367,28 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
         if status == COMPLETELY_EXTERNAL:
             continue
         for (base, axes), flip in _fundament_diagonals(cls, m):
-            separators = frozenset(_bits(flip))
             for s in _subsets(axes):
-                i, j = sorted((vertex_of[base | s], vertex_of[(base | s) ^ flip]))
-                # the separators of a pair are the walls between its ends,
-                # at least two, so a diagonal never repeats an input edge
-                diag[order[i], order[j]] = separators
+                i, j = vertex_of[base | s], vertex_of[(base | s) ^ flip]
+                # the ends differ in the separators, at least two walls, so a
+                # diagonal never repeats an input edge
+                diagonals.add((i, j) if i < j else (j, i))
     if panels and not internal:
         raise InternalInvariantError("nonempty panel family with no internal edges")
 
-    edges = list(provenance) + sorted(diag)
+    order = cx._order
+    edges = [(order[a], order[b]) for a, b in cx._int_edges if (a, b) not in internal]
+    diagonal_edges = [(order[a], order[b]) for a, b in sorted(diagonals)]
     try:
-        out = CubeComplex(cx.vertices, edges)
+        out = CubeComplex(cx.vertices, edges + diagonal_edges)
     except InvalidComplexError as exc:
         raise InternalInvariantError(
             f"collapsed 1-skeleton failed validation: {exc.report.summary()}"
         ) from exc
-    provenance.update(diag)
     return CollapseResult(
         input_complex=cx,
         output_complex=out,
         panels=panels,
-        edge_provenance=provenance,
-        diagonal_edges=frozenset(diag),
+        diagonal_edges=frozenset(diagonal_edges),
     )
 
 
@@ -384,28 +396,25 @@ def hyperplane_provenance(result: CollapseResult) -> dict[int, tuple[int, ...]]:
     """Map each input wall to the output wall classes it decomposes into.
 
     Enforces the provenance invariant: within an output wall class every edge
-    carries the same input crossing set, and that set is nonempty.
+    carries the same input crossing set, and that set is nonempty.  An
+    edge's crossing set is the XOR of its ends' input masks.
     """
-    out = result.output_complex
-    order = out.vertices
-    class_sets = {}
-    for out_id, edges in enumerate(out._wall_edges):
-        sets = {result.edge_provenance[order[a], order[b]] for a, b in edges}
-        if len(sets) != 1:
-            raise InternalInvariantError(
-                f"output hyperplane {out_id} mixes crossing sets "
-                f"{sorted(map(sorted, sets))}"
-            )
-        common = next(iter(sets))
-        if not common:
-            raise InternalInvariantError(
-                f"output hyperplane {out_id} has an empty crossing set"
-            )
-        class_sets[out_id] = common
+    masks = result.input_complex._masks
     mapping: dict[int, list[int]] = {
         h: [] for h in range(len(result.input_complex._wall_edges))
     }
-    for out_id, common in class_sets.items():
-        for h in common:
+    for out_id, edges in enumerate(result.output_complex._wall_edges):
+        flips = {masks[a] ^ masks[b] for a, b in edges}
+        if len(flips) != 1:
+            raise InternalInvariantError(
+                f"output hyperplane {out_id} mixes crossing sets "
+                f"{sorted(list(_bits(f)) for f in flips)}"
+            )
+        (flip,) = flips
+        if not flip:
+            raise InternalInvariantError(
+                f"output hyperplane {out_id} has an empty crossing set"
+            )
+        for h in _bits(flip):
             mapping[h].append(out_id)
-    return {h: tuple(sorted(ids)) for h, ids in mapping.items()}
+    return {h: tuple(ids) for h, ids in mapping.items()}

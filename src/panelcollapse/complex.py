@@ -17,8 +17,10 @@ lie in a 3-cube).  On a bipartite graph the quadrangle condition at one root
 makes the square complex simply connected: the farthest vertex of any closed
 walk can be pushed across a square towards the root.  Every median graph
 satisfies that condition, so the checks in ``_median_squares`` decide
-medianness exactly.  Only a rejected graph pays for the all-triples median
-scan, which names the first violating triple.
+medianness exactly.  They run on vertex bitsets: a vertex's neighbours one
+level nearer the root are a bitmask, so the common ones of a pair are one
+AND, which must be a single bit.  Only a rejected graph pays for the
+all-triples median scan, which names the first violating triple.
 
 Once a graph is accepted, every derived fact comes from its squares and wall
 masks:
@@ -60,7 +62,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -311,32 +312,48 @@ def _median_squares(adj, level, int_edges):
        the three vertices opposite c have a common neighbour (the 3-cube
        condition).
 
-    Returns the squares as ``(top, x, y, bottom)`` tuples, or None as soon as
-    a check fails.
+    The ``down`` sets are vertex bitsets, so the common down-neighbours of
+    a pair are one AND, and a vertex's bottoms are a mask.  Returns the
+    squares as ``(top, x, y, bottom)`` tuples, or None as soon as a check
+    fails.
     """
     n = len(adj)
-    if any(level[a] == level[b] for a, b in int_edges):
-        return None
-    down = [{w for w in adj[v] if level[w] < level[v]} for v in range(n)]
-    squares = []
-    tops = set()
-    for v, below in enumerate(down):
-        # the down-edges at a vertex of a median graph span a cube
-        if 1 << len(below) > n:
+    down = [0] * n
+    below = [[] for _ in range(n)]  # the bits of down[v], ascending
+    for a, b in int_edges:
+        if level[a] < level[b]:
+            down[b] |= 1 << a
+            below[b].append(a)
+        elif level[b] < level[a]:
+            down[a] |= 1 << b
+            below[a].append(b)
+        else:
             return None
-        bottoms = set()
-        for x, y in itertools.combinations(below, 2):
-            common = down[x] & down[y]
-            if len(common) != 1:
-                return None
-            (z,) = common
-            pair = (x, y) if x < y else (y, x)
-            # a second top over the pair, or a second pair over z, closes a K2,3
-            if pair in tops or z in bottoms:
-                return None
-            tops.add(pair)
-            bottoms.add(z)
-            squares.append((v, x, y, z))
+    squares = []
+    tops = set()  # x * n + y for each pair x < y under a top
+    for v, xs in enumerate(below):
+        if len(xs) < 2:
+            continue
+        # the down-edges at a vertex of a median graph span a cube
+        if 1 << len(xs) > n:
+            return None
+        bottoms = 0
+        for i, x in enumerate(xs):
+            down_x = down[x]
+            for y in xs[i + 1 :]:
+                common = down_x & down[y]
+                # one common down-neighbour; a second top over the pair, or a
+                # second pair over that neighbour, closes a K2,3
+                if (
+                    not common
+                    or common & (common - 1)
+                    or common & bottoms
+                    or x * n + y in tops
+                ):
+                    return None
+                tops.add(x * n + y)
+                bottoms |= common
+                squares.append((v, x, y, common.bit_length() - 1))
     # link[c][p][q] is the vertex opposite c in the square through p, c, q
     link = [{} for _ in range(n)]
     for t, x, y, b in squares:
@@ -344,6 +361,8 @@ def _median_squares(adj, level, int_edges):
             link[c].setdefault(p, {})[q] = o
             link[c].setdefault(q, {})[p] = o
     for spans in link:
+        if len(spans) < 3:
+            continue
         for x, xs in spans.items():
             for y, o_xy in xs.items():
                 if y < x:
@@ -366,7 +385,8 @@ def _walls_and_masks(order, int_edges, squares, queue, parent):
     mask; raises InternalInvariantError unless the masks are distinct and
     each edge's ends differ in exactly its wall's bit.
     """
-    edge_index = {e: i for i, e in enumerate(int_edges)}
+    n = len(order)
+    edge_index = {a * n + b: i for i, (a, b) in enumerate(int_edges)}
     root = list(range(len(int_edges)))
 
     def find(i):
@@ -376,7 +396,7 @@ def _walls_and_masks(order, int_edges, squares, queue, parent):
         return i
 
     def index(a, b):
-        return edge_index[(a, b) if a < b else (b, a)]
+        return edge_index[a * n + b if a < b else b * n + a]
 
     for t, x, y, b in squares:
         root[find(index(t, x))] = find(index(y, b))
@@ -411,8 +431,13 @@ def _cubes(level, int_edges, edge_wall, masks):
         down[b if level[a] < level[b] else a] |= 1 << h
     by_dim = [[] for _ in range(max(map(int.bit_count, down)) + 1)]
     for top, walls in zip(masks, down):
-        for s in _subsets(walls):
-            by_dim[s.bit_count()].append((top & ~s, s))
+        if walls & (walls - 1):
+            for s in _subsets(walls):
+                by_dim[s.bit_count()].append((top & ~s, s))
+        else:
+            by_dim[0].append((top, 0))
+            if walls:
+                by_dim[1].append((top & ~walls, walls))
     return by_dim, down
 
 

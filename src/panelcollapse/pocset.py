@@ -269,11 +269,16 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     tree = trace.final_complex
 
     # provenance is equivariant: an element fixing a tree edge maps the
-    # walls the edge came from onto themselves
+    # walls the edge came from onto themselves; collapse keeps the vertex
+    # order, so the elements' permutations act on the tree's vertex indices
     edge_stabs = {}
-    for u, v in tree.edges:
+    order = tree.vertices
+    for a, b in tree._int_edges:
+        u, v = order[a], order[b]
         origins = trace.edge_origins[(u, v)]
-        stabiliser = [g for g in action.elements if {g(u), g(v)} == {u, v}]
+        stabiliser = [
+            g for g in action.elements if {g.perm[a], g.perm[b]} == {a, b}
+        ]
         for g in stabiliser:
             if {action.wall_image(g, h) for h in origins} != origins:
                 raise InternalInvariantError(

@@ -541,14 +541,18 @@ def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
     """Iterate equivariant collapse until no extremal panel remains.
 
     Tracks, through every step, the set of original walls each surviving or
-    diagonal edge crosses.  Verifies termination within the initial cube
-    count and that the result is a tree.  Collapse keeps every vertex and the
-    action's permutations, so each element fixes the same vertices
-    throughout.
+    diagonal edge crosses.  The sets are lifted per wall, as one mask of
+    original walls for each wall of the current complex: each step checks
+    that all edges of an output wall cross one set of input walls, the XOR
+    of any such edge's input masks, and the output wall's lift is the OR of
+    theirs.  They are expanded to edges once, at the end.  Verifies
+    termination within the initial cube count and that the result is a
+    tree.  Collapse keeps every vertex and the action's permutations, so
+    each element fixes the same vertices throughout.
     """
     initial = cx
     limit = sum(cx.cube_counts)
-    origins = {(u, v): frozenset({cx.dual_hyperplane(u, v)}) for u, v in cx.edges}
+    lift = [1 << h for h in range(len(cx._wall_edges))]
     steps = []
     while True:
         with _context(f"step {len(steps) + 1}, "):
@@ -560,25 +564,26 @@ def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
                     f"panel {_triple_text(step.panel_triple)}: collapse failed "
                     f"to terminate within {limit} steps"
                 )
-        # all edges of a wall carry the same origins: at the start each edge's
-        # origin is its wall, and each step checks that every output wall
-        # has a single crossing set
-        order = cx.vertices
-        lift = [origins[order[a], order[b]] for (a, b), *_ in cx._wall_edges]
-        result = step.result
-        origins = {
-            e: frozenset().union(*(lift[h] for h in result.edge_provenance[e]))
-            for e in result.output_complex.edges
-        }
+        masks, out = cx._masks, step.result.output_complex
+        new_lift = []
+        for (a, b), *_ in out._wall_edges:
+            origin = 0
+            for h in _bits(masks[a] ^ masks[b]):
+                origin |= lift[h]
+            new_lift.append(origin)
+        lift = new_lift
         steps.append(step)
-        cx = result.output_complex
+        cx = out
         action = step.action
     if not cx.is_tree():
         raise InternalInvariantError("driver stopped on a complex that is not a tree")
+    order, walls = cx._order, [frozenset(_bits(m)) for m in lift]
     return RunTrace(
         initial_complex=initial,
         final_complex=cx,
         final_action=action,
         steps=tuple(steps),
-        edge_origins=origins,
+        edge_origins={
+            (order[a], order[b]): walls[cx._wall_of(a, b)] for a, b in cx._int_edges
+        },
     )

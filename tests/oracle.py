@@ -23,12 +23,20 @@ each edge's square, cube status by parallel classes of internal edges,
 persistent subcubes by intersecting faces, and panel orbits by applying every
 element of the group.
 
-The last part, ``dual_orientations``, is the dual of a small wallspace by
+The fourth part, ``dual_orientations``, is the dual of a small wallspace by
 enumeration: every one of the 2**k choices of one side per wall, kept when
 the chosen sides pairwise meet.
+
+The last part keeps provenance per edge, as the collapse step once did: a
+surviving edge crosses its own input wall, a diagonal crosses the separators
+of its fundament piece, and a run lifts each edge's original walls through
+the crossing sets of every step.
 """
 
 import itertools
+
+from panelcollapse.collapse import classify, fundament
+from panelcollapse.symmetry import equivariant_collapse_step
 
 
 def cube_vertices(d):
@@ -590,3 +598,57 @@ def dual_orientations(walls):
             if other in names:
                 edges.add(frozenset((name, other)))
     return names, edges
+
+
+# ---------------------------------------------------------------------------
+# per-edge provenance
+# ---------------------------------------------------------------------------
+
+
+def reference_edge_provenance(result):
+    """Output edge -> input walls it crosses, from the input edges and the
+    fundaments: every input edge that no panel makes internal keeps its own
+    wall, and every diagonal pair of the fundament of a maximal cube crosses
+    that piece's separators."""
+    cx = result.input_complex
+    cls = classify(cx, result.panels)
+    internal = cls.internal_edges
+    provenance = {
+        e: frozenset({cx.dual_hyperplane(*e)}) for e in cx.edges if e not in internal
+    }
+    for m in cx.maximal_cubes():
+        for pair, separators in fundament(cls, m).diagonal_pairs():
+            provenance[tuple(sorted(pair, key=cx.index))] = separators
+    return provenance
+
+
+def reference_hyperplane_provenance(result, provenance):
+    """Input wall -> the output walls whose edges cross it, or None unless
+    all edges of each output wall carry one nonempty crossing set."""
+    crossing = {}
+    for plane in result.output_complex.hyperplanes():
+        sets = {provenance[e] for e in plane.edges}
+        if len(sets) != 1 or not next(iter(sets)):
+            return None
+        crossing[plane.id] = sets.pop()
+    return {
+        h.id: tuple(sorted(out for out, hs in crossing.items() if h.id in hs))
+        for h in result.input_complex.hyperplanes()
+    }
+
+
+def reference_edge_origins(cx, action):
+    """Final edge -> original walls after collapsing to a tree, lifted edge
+    by edge: an output edge's origins are the union of the origins of one
+    input edge (the first) of each input wall it crosses."""
+    origins = {e: frozenset({cx.dual_hyperplane(*e)}) for e in cx.edges}
+    while (step := equivariant_collapse_step(cx, action)) is not None:
+        first = {}
+        for e in cx.edges:
+            first.setdefault(cx.dual_hyperplane(*e), origins[e])
+        provenance = reference_edge_provenance(step.result)
+        cx, action = step.result.output_complex, step.action
+        origins = {
+            e: frozenset().union(*(first[h] for h in provenance[e])) for e in cx.edges
+        }
+    return origins

@@ -328,6 +328,15 @@ def test_bad_panel_argument(capsys):
     assert code == 1
 
 
+def test_collapse_panel_and_auto_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", str(DATA / "cube3.cc"), "--panel", "h0,h1,+", "--auto"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument --auto: not allowed with argument --panel" in err
+    assert "Traceback" not in err
+
+
 def test_fuzz_command(capsys, monkeypatch):
     monkeypatch.setenv("PANELCOLLAPSE_SEED", "7")
     code, out, _ = run_cli(capsys, "fuzz", "--count", "2", "--max-vertices", "40")
@@ -381,6 +390,7 @@ def test_validate_does_not_import_numpy():
         env={
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": str(Path(panelcollapse.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
         },
     )
     assert proc.returncode == 0, proc.stderr
@@ -400,6 +410,7 @@ def test_fuzz_bad_bounds_are_user_errors(args):
         env={
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": str(Path(panelcollapse.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
         },
     )
     assert proc.returncode == 1

@@ -10,13 +10,14 @@ from panelcollapse.collapse import (
     COMPLETELY_EXTERNAL,
     EXTERNAL,
     INTERNAL,
+    CollapseResult,
     classify,
     collapse,
     fundament,
     hyperplane_provenance,
     persistent_subcube,
 )
-from panelcollapse.errors import PreconditionError
+from panelcollapse.errors import InternalInvariantError, PreconditionError
 from panelcollapse.complex import CubeComplex
 from panelcollapse.panels import (
     build_panel,
@@ -28,8 +29,9 @@ from panelcollapse.randgen import (
     GeneratorConfig,
     random_complex_with_action,
 )
-from panelcollapse.symmetry import GroupAction, equivariant_collapse_step
+from panelcollapse.symmetry import GroupAction, equivariant_collapse_step, run_to_tree
 
+import oracle
 from conftest import box_complex, coordinate_swap, hypercube_complex, wallspaces
 
 
@@ -545,6 +547,41 @@ def test_diagonal_ends_differ_in_exactly_their_separators():
             assert b not in cx.neighbors(a)
             diagonals += 1
     assert diagonals >= 20, diagonals
+
+
+def test_provenance_and_origins_match_the_per_edge_references():
+    # the step reads crossing sets off the input masks and lifts origins per
+    # wall; the references keep both per edge
+    rng = random.Random(61)
+    instances = _descent_instances()
+    instances += [random_complex_with_action(rng, GeneratorConfig()) for _ in range(100)]
+    steps = diagonal_steps = 0
+    for cx, action in instances:
+        trace = run_to_tree(cx, action)
+        assert trace.edge_origins == oracle.reference_edge_origins(cx, action)
+        for step in trace.steps:
+            result = step.result
+            expected = oracle.reference_edge_provenance(result)
+            assert hyperplane_provenance(result) == (
+                oracle.reference_hyperplane_provenance(result, expected)
+            )
+            assert result.edge_provenance == expected
+            steps += 1
+            diagonal_steps += bool(result.diagonal_edges)
+    assert steps >= 250 and diagonal_steps >= 15, (steps, diagonal_steps)
+
+
+def test_an_output_wall_with_two_crossing_sets_is_refused():
+    # on the path v0-v1-v2-v3, v0v1 crosses h0 and v2v3 crosses h2, while the
+    # 4-cycle on the same vertices puts both edges on one wall
+    vertices = ["v0", "v1", "v2", "v3"]
+    path = CubeComplex(vertices, [("v0", "v1"), ("v1", "v2"), ("v2", "v3")])
+    cycle = CubeComplex(vertices, [*path.edges, ("v0", "v3")])
+    result = CollapseResult(
+        input_complex=path, output_complex=cycle, panels=(), diagonal_edges=frozenset()
+    )
+    with pytest.raises(InternalInvariantError, match=r"mixes crossing sets \[\[0\], \[2\]\]"):
+        hyperplane_provenance(result)
 
 
 def test_panels_of_another_complex_are_refused(cube3):

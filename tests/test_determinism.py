@@ -30,6 +30,7 @@ def run_subprocess(argv, hashseed):
             "PYTHONHASHSEED": str(hashseed),
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": str(PACKAGE_ROOT),
+            "PYTHONDONTWRITEBYTECODE": "1",
         },
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")

@@ -20,7 +20,11 @@ def run_script(name, *args):
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(PACKAGE_ROOT)},
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(PACKAGE_ROOT),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()

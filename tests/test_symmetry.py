@@ -8,7 +8,7 @@ import pytest
 from panelcollapse import panels, symmetry
 from panelcollapse.cli import main
 from panelcollapse.complex import CubeComplex
-from panelcollapse.collapse import classify, fundament
+from panelcollapse.collapse import CollapseResult, classify, fundament
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.fileio import parse_complex
 from panelcollapse.panels import extremal_panels, find_extremal_panel
@@ -458,4 +458,5 @@ def test_the_step_loop_builds_no_vertex_sets(monkeypatch):
 
     monkeypatch.setattr(CubeComplex, "_vertex_set", refuse)
     monkeypatch.setattr(panels, "block", refuse)
+    monkeypatch.setattr(CollapseResult, "edge_provenance", property(refuse))
     assert [(t.provenance_digest(), t.step_count) for t in runs()] == expected
