@@ -23,7 +23,7 @@ from .collapse import (
     hyperplane_provenance,
     persistent_subcube,
 )
-from .complex import Cube, CubeComplex, Hyperplane, ValidationReport, validate_graph
+from .complex import CubeComplex, Hyperplane, ValidationReport, validate_graph
 from .errors import (
     FileFormatError,
     InternalInvariantError,
@@ -47,17 +47,14 @@ from .pocset import (
     DualComplexInfo,
     StallingsResult,
     Wallspace,
-    dualize,
     dualize_details,
     stallings_pipeline,
 )
 from .symmetry import (
-    ActionReport,
     Automorphism,
     ComplexityVector,
     GroupAction,
     RunTrace,
-    check_action,
     complexity,
     equivariant_collapse_step,
     push_action,
@@ -67,7 +64,6 @@ from .symmetry import (
 
 __all__ = [
     # complex
-    "Cube",
     "CubeComplex",
     "Hyperplane",
     "ValidationReport",
@@ -103,12 +99,10 @@ __all__ = [
     "hyperplane_provenance",
     "persistent_subcube",
     # symmetry
-    "ActionReport",
     "Automorphism",
     "ComplexityVector",
     "GroupAction",
     "RunTrace",
-    "check_action",
     "complexity",
     "equivariant_collapse_step",
     "push_action",
@@ -118,7 +112,6 @@ __all__ = [
     "DualComplexInfo",
     "StallingsResult",
     "Wallspace",
-    "dualize",
     "dualize_details",
     "stallings_pipeline",
 ]

@@ -240,13 +240,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_dualize(args) -> int:
     points, walls, _ = parse_wallspace(_read(args.file))
-    info = dualize_details(Wallspace.from_data(points, walls))
+    ws = Wallspace.from_data(points, walls)
     text = serialize_complex(
-        info.complex,
+        dualize_details(ws).complex,
         comments=[
             f"dual of {args.file}",
-            f"policy: {info.metadata['orientation_policy']}",
-            f"base point: {info.metadata['base_point']}",
+            "policy: flip-component of a principal orientation",
+            f"base point: {ws.points[0]}",
         ],
     )
     if args.output:

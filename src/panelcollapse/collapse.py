@@ -58,14 +58,13 @@ class CubeClassification:
     caches and every test are keyed by a cube's ``(base, axes)`` pair."""
 
     def __init__(self, cx: CubeComplex, panels):
-        panels = tuple(sorted(panels, key=Panel.sort_key))
-        for p in panels:
-            if not isinstance(p, Panel):
-                raise PreconditionError(f"not a panel: {p!r}")
+        # no_facing_panels rejects a member that is not a panel, so it runs
+        # before the sort reads the members' keys
+        panels = tuple(panels)
         if not no_facing_panels(cx, panels):
             raise PreconditionError("panel family has facing panels")
         self.complex = cx
-        self.panels = panels
+        self.panels = tuple(sorted(panels, key=Panel.sort_key))
         self._triples = [
             (p.abutting, p.extremalising, SIDES.index(p.side)) for p in panels
         ]
@@ -75,9 +74,6 @@ class CubeClassification:
     @property
     def internal_edges(self) -> frozenset:
         return frozenset().union(*(p.internal_edges for p in self.panels))
-
-    def edge_internal(self, edge) -> bool:
-        return self.status(frozenset(edge)) == INTERNAL
 
     def _meeting(self, cube):
         """The (abutting, extremalising, side bit) triples of the panels with
@@ -332,9 +328,6 @@ class CollapseResult:
             for a, b in self.output_complex._int_edges
         }
 
-    def crossing_of(self, u, v) -> frozenset:
-        return self.edge_provenance[self.output_complex.edge_key(u, v)]
-
     def provenance_lines(self) -> list[str]:
         from .fileio import format_provenance
 
@@ -352,8 +345,8 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     breach: the construction guarantees a CAT(0) result.  Edges are kept as
     index pairs and named only for the output's constructor.
     """
-    panels = tuple(sorted(panels, key=Panel.sort_key))
     cls = classify(cx, panels)
+    panels = cls.panels
     internal = set().union(*(p._edges for p in panels))
     vertex_of = cx._vertex_of
     diagonals = set()

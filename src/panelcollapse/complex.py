@@ -40,12 +40,11 @@ and the square counts of crossing pairs.  An edge's wall is the one bit in
 which its ends' masks differ.  Inside the package
 a cube is the pair ``(base, axes)`` of the AND of its vertex masks and the
 mask of its walls; its vertices are the masks ``base | s`` for the subsets
-``s`` of ``axes``.  Signs, crossing sets, corner maps and convex hulls are
-read off the masks.  The ``Hyperplane`` objects with their two sides, the
-vertex-by-wall sign matrix, the ``Cube`` objects and the cubes' vertex sets
-are built on first use and cached.  numpy serves only the sign matrix of
-``vertex_signs()`` and the median scan of a rejected graph, and is imported
-there, so a build never loads it.
+``s`` of ``axes``.  Signs, crossing sets and convex hulls are read off the
+masks.  The ``Hyperplane`` objects with their two sides, the vertex-by-wall
+sign matrix and the cubes' vertex sets are built on first use and cached.
+numpy serves only the sign matrix of ``vertex_signs()`` and the median scan
+of a rejected graph, and is imported there, so a build never loads it.
 
 Conventions used throughout the package:
 
@@ -73,7 +72,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Cube",
     "CubeComplex",
     "Hyperplane",
     "ValidationReport",
@@ -156,33 +154,6 @@ class Hyperplane:
     def carrier(self) -> tuple[frozenset, ...]:
         """All cubes (as vertex sets) containing an edge dual to this wall."""
         return self._complex.carrier(self.id)
-
-
-@dataclass(frozen=True)
-class Cube:
-    """A single cube, with its corner map.
-
-    ``corners[i]`` is the vertex whose signs on the cube's axes (crossing
-    hyperplanes, ascending id) read off the binary digits of ``i``, most
-    significant digit first, with 1 meaning the plus side.
-    """
-
-    vertices: frozenset
-    axes: tuple[int, ...]
-    corners: tuple
-
-    @property
-    def dimension(self) -> int:
-        return len(self.axes)
-
-    def corner(self, bits) -> object:
-        bits = tuple(bits)
-        if len(bits) != len(self.axes):
-            raise ValueError(f"expected {len(self.axes)} bits, got {len(bits)}")
-        index = 0
-        for b in bits:
-            index = (index << 1) | (1 if b else 0)
-        return self.corners[index]
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +555,6 @@ class CubeComplex:
         self._signs = None
         self._maximal = None
         self._vertex_sets = {}
-        self._cube_objects = {}
 
     def _compute_hyperplanes(self, edge_wall):
         """The wall table: each wall's edges as index pairs, in edge order."""
@@ -631,9 +601,6 @@ class CubeComplex:
 
     def __contains__(self, v) -> bool:
         return v in self._ix
-
-    def neighbors(self, v) -> frozenset:
-        return frozenset(self._order[w] for w in self._adj_int[self.index(v)])
 
     def edge_key(self, u, v) -> tuple:
         """Canonical form of the edge {u, v}; raises if it is not an edge."""
@@ -683,23 +650,6 @@ class CubeComplex:
             self._vertex_sets[dim] = tuple(map(self._vertex_set, self._dim_cubes(dim)))
         return self._vertex_sets[dim]
 
-    def cubes(self, dim: int) -> tuple[Cube, ...]:
-        if dim not in self._cube_objects:
-            out = []
-            for base, axes in self._dim_cubes(dim):
-                # the first axis is the most significant digit of a corner's index
-                masks = [base]
-                for h in _bits(axes):
-                    masks = [m | bit for m in masks for bit in (0, 1 << h)]
-                corners = tuple(self._order[self._vertex_of[m]] for m in masks)
-                out.append(Cube(frozenset(corners), tuple(_bits(axes)), corners))
-            self._cube_objects[dim] = tuple(out)
-        return self._cube_objects[dim]
-
-    def all_cube_vertexsets(self):
-        for d in range(len(self._cubes)):
-            yield from self.cube_vertexsets(d)
-
     def _maximal_cubes(self) -> tuple[tuple[int, int], ...]:
         """The cubes not properly contained in any other cube, by dimension
         descending, then by top vertex (table order).
@@ -730,24 +680,10 @@ class CubeComplex:
         """Vertex sets of the maximal cubes, in ``_maximal_cubes`` order."""
         return tuple(map(self._vertex_set, self._maximal_cubes()))
 
-    def cube_edges(self, vs: frozenset) -> tuple:
-        """Edge keys of the cube with vertex set ``vs``: its 1-faces."""
-        return tuple(
-            self.edge_key(*self._vertex_set(e)) for e in _faces(self._key(vs), 1)
-        )
-
-    def cube_axes(self, vs: frozenset) -> frozenset:
-        """Hyperplane ids crossing the cube ``vs``."""
-        return frozenset(_bits(self._key(vs)[1]))
-
     def subcubes(self, vs: frozenset, dim: int | None = None):
         """All faces of the cube ``vs`` (including itself), optionally of one
         dimension."""
         return map(self._vertex_set, _faces(self._key(vs), dim))
-
-    def codim1_faces(self, vs: frozenset):
-        cube = self._key(vs)
-        return map(self._vertex_set, _faces(cube, cube[1].bit_count() - 1))
 
     # -- hyperplanes ----------------------------------------------------------
 
@@ -770,9 +706,6 @@ class CubeComplex:
                 for h_id, (es, side) in enumerate(zip(self._wall_edges, plus))
             )
         return self._hyperplanes
-
-    def hyperplane(self, h_id: int) -> Hyperplane:
-        return self.hyperplanes()[h_id]
 
     def vertex_signs(self) -> "numpy.ndarray":
         """Matrix of halfspace signs, rows by vertex index, columns by wall

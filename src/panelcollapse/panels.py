@@ -89,16 +89,6 @@ class Block:
     second: int
     maximal_cubes: frozenset
 
-    @property
-    def panel_descriptors(self) -> tuple[tuple[int, int, str], ...]:
-        """The four (abutting, extremalising, side) faces of the block."""
-        return (
-            (self.first, self.second, "-"),
-            (self.first, self.second, "+"),
-            (self.second, self.first, "-"),
-            (self.second, self.first, "+"),
-        )
-
 
 def block(cx: CubeComplex, h: int, e: int) -> Block:
     """The block of H∩E: a cube dual to both walls is maximal among such
@@ -214,8 +204,11 @@ def no_facing_panels(cx: CubeComplex, panels) -> bool:
     maximal cube (such a pair would get collapsed toward each other).  The
     block of (H, E) holds the maximal cubes dual to both walls, so two blocks
     share one exactly when a maximal cube is dual to all four walls.  Raises
-    for a panel built on another complex."""
+    for a member that is not a panel or was built on another complex."""
     panels = list(panels)
+    for p in panels:
+        if not isinstance(p, Panel):
+            raise PreconditionError(f"not a panel: {p!r}")
     for other in {p.complex for p in panels} - {cx}:
         if not _same_complex(other, cx):
             raise PreconditionError("panel family was built on another complex")

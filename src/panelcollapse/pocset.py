@@ -32,7 +32,6 @@ __all__ = [
     "DualComplexInfo",
     "StallingsResult",
     "Wallspace",
-    "dualize",
     "dualize_details",
     "stallings_pipeline",
 ]
@@ -80,14 +79,6 @@ class Wallspace:
     def wall_count(self) -> int:
         return len(self.walls)
 
-    def separating(self, p, q) -> tuple[int, ...]:
-        """Indices of walls with p and q on opposite sides."""
-        out = []
-        for i, (a, _) in enumerate(self.walls):
-            if (p in a) != (q in a):
-                out.append(i)
-        return tuple(out)
-
     def wall_permutation(self, mapping: dict):
         """How a point permutation acts on walls: (index perm, side swap flags).
 
@@ -123,25 +114,19 @@ class DualComplexInfo:
     orientations: dict = field(repr=False)  # vertex name -> orientation mask
     principal: dict = field(repr=False)  # point -> vertex name
     wall_of_hyperplane: dict  # hyperplane id -> wall index
-    metadata: dict
-
-
-def dualize(ws: Wallspace) -> CubeComplex:
-    return dualize_details(ws).complex
 
 
 def dualize_details(ws: Wallspace) -> DualComplexInfo:
     """Dual cube complex of a finite wallspace.
 
     Vertices are the consistent orientations in the flip component of the
-    principal orientation of the first point (recorded in the metadata);
-    an empty wall list yields the one-point complex.  The flip closure stops
-    with a PreconditionError once it holds more orientations than a complex
-    may have vertices.
+    principal orientation of the first point, ``ws.points[0]``; an empty
+    wall list yields the one-point complex.  The flip closure stops with a
+    PreconditionError once it holds more orientations than a complex may
+    have vertices.
     """
     walls = ws.walls
     k = len(walls)
-    base = ws.points[0]
 
     def orientation(p):
         return sum(1 << i for i, (a, _) in enumerate(walls) if p not in a)
@@ -153,7 +138,7 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
     # side s of wall i; flipping wall i of a consistent orientation to side s
     # keeps it consistent exactly when the result chooses none of those sides
     clash = [[(missing(side, 0), missing(side, 1)) for side in wall] for wall in walls]
-    seen = {orientation(base)}
+    seen = {orientation(ws.points[0])}
     frontier = list(seen)
     while frontier:
         m = frontier.pop()
@@ -207,12 +192,6 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
         orientations=mask_of,
         principal=principal,
         wall_of_hyperplane=wall_of,
-        metadata={
-            "orientation_policy": "flip-component of a principal orientation",
-            "base_point": base,
-            "wall_count": k,
-            "realized_walls": len(set(wall_of.values())),
-        },
     )
 
 

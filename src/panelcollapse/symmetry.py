@@ -8,8 +8,8 @@ passing to the first cubical subdivision always removes inversions.  Vertex 0
 lies on the minus side of every wall, so an element inverts a wall exactly
 when it maps the wall onto itself and vertex 0 to the wall's plus side: only
 the walls in the mask of vertex 0's image need testing, one edge image each.
-Elements are permutation tuples; products and inverses of checked elements
-skip the bijection check.
+Elements are permutation tuples; products of checked elements skip the
+bijection check.
 
 The driver repeatedly collapses the full orbit of one extremal panel, which
 strictly decreases the lexicographic complexity (orbit counts of cubes of
@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -31,13 +32,11 @@ from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
 
 __all__ = [
-    "ActionReport",
     "Automorphism",
     "ComplexityVector",
     "GroupAction",
     "RunTrace",
     "StepResult",
-    "check_action",
     "complexity",
     "equivariant_collapse_step",
     "push_action",
@@ -97,12 +96,6 @@ class Automorphism:
             self.complex, tuple(self.perm[i] for i in other.perm)
         )
 
-    def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return Automorphism._unchecked(self.complex, tuple(inv))
-
     @property
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.perm))
@@ -115,11 +108,6 @@ class Automorphism:
                 return cx.vertices[a], cx.vertices[b]
         return None
 
-    def fixed_vertices(self) -> frozenset:
-        return frozenset(
-            v for i, v in enumerate(self.complex.vertices) if self.perm[i] == i
-        )
-
     def __eq__(self, other):
         return isinstance(other, Automorphism) and self.perm == other.perm
 
@@ -129,19 +117,6 @@ class Automorphism:
     def __repr__(self):
         moved = sum(1 for i, j in enumerate(self.perm) if i != j)
         return f"Automorphism(moves {moved} of {len(self.perm)})"
-
-
-@dataclass(frozen=True)
-class ActionReport:
-    order: int
-    edge_preserving: bool
-    broken_edge: tuple | None
-    inversion_pairs: tuple  # (element index, wall id)
-    hyperplane_orbit_count: int
-
-    @property
-    def inversion_free(self) -> bool:
-        return not self.inversion_pairs
 
 
 class GroupAction:
@@ -204,10 +179,6 @@ class GroupAction:
     @property
     def is_inversion_free(self) -> bool:
         return not self.inversions()
-
-    def hyperplane_orbits(self) -> tuple[frozenset, ...]:
-        walls = range(len(self.complex._wall_edges))
-        return _orbits(walls, self.wall_image, self.generators)
 
     # -- orbits of cubes and panels ----------------------------------------------
 
@@ -287,18 +258,6 @@ def _close(cx: CubeComplex, gens) -> tuple:
     return tuple(seen[p] for p in sorted(seen))
 
 
-def check_action(cx: CubeComplex, permutations) -> ActionReport:
-    """Validate generators and report closure size and inversion status."""
-    action = GroupAction(cx, permutations)
-    return ActionReport(
-        order=action.order,
-        edge_preserving=True,
-        broken_edge=None,
-        inversion_pairs=action.inversions(),
-        hyperplane_orbit_count=len(action.hyperplane_orbits()),
-    )
-
-
 def _orbits(items, act, generators):
     remaining = set(items)
     orbits = []
@@ -334,30 +293,30 @@ class ComplexityVector:
     entries: tuple[int, ...]
     top_dimension: int
 
+    def _key(self) -> tuple:
+        """``(length, entries)`` of the entries without leading zeros.  The
+        counts are nonnegative, so padding two vectors with leading zeros to
+        one width and comparing them lexicographically orders them as these
+        keys do."""
+        entries = tuple(itertools.dropwhile(lambda e: e == 0, self.entries))
+        return len(entries), entries
+
     @property
     def is_zero(self) -> bool:
-        return not self.entries or all(e == 0 for e in self.entries)
-
-    def _aligned(self, other):
-        width = max(len(self.entries), len(other.entries))
-        pad = lambda t: (0,) * (width - len(t)) + t
-        return pad(self.entries), pad(other.entries)
+        return self._key()[0] == 0
 
     def __eq__(self, other):
         if not isinstance(other, ComplexityVector):
             return NotImplemented
-        a, b = self._aligned(other)
-        return a == b
+        return self._key() == other._key()
 
     def __lt__(self, other):
-        a, b = self._aligned(other)
-        return a < b
+        if not isinstance(other, ComplexityVector):
+            return NotImplemented
+        return self._key() < other._key()
 
     def __hash__(self):
-        stripped = tuple(
-            self.entries[next((i for i, e in enumerate(self.entries) if e), len(self.entries)):]
-        )
-        return hash(stripped)
+        return hash(self._key())
 
     def __str__(self):
         return "(" + ",".join(map(str, self.entries)) + ")" if self.entries else "()"

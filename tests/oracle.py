@@ -459,7 +459,9 @@ class PanelReference:
             self.adj[b].add(a)
             edges.append((a, b))
         self.cubes = [
-            frozenset(map(cx.index, vs)) for vs in cx.all_cube_vertexsets()
+            frozenset(map(cx.index, vs))
+            for d in range(cx.dimension + 1)
+            for vs in cx.cube_vertexsets(d)
         ]
         self.squares = [c for c in self.cubes if len(c) == 4]
         walls = square_walls(self.adj, edges, self.squares)

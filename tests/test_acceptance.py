@@ -22,7 +22,7 @@ from panelcollapse.panels import (
     find_extremal_panel,
     no_facing_panels,
 )
-from panelcollapse.pocset import Wallspace, dualize, stallings_pipeline
+from panelcollapse.pocset import Wallspace, dualize_details, stallings_pipeline
 from panelcollapse.randgen import GeneratorConfig, random_complex_with_action
 from panelcollapse.symmetry import GroupAction, complexity, run_to_tree
 
@@ -240,7 +240,7 @@ def test_criterion_8_provenance(descent_runs, cube3, square):
                 }
                 class_edges = set()
                 for oid in out_ids:
-                    class_edges |= set(out.hyperplane(oid).edges)
+                    class_edges |= set(out.hyperplanes()[oid].edges)
                 assert trace_edges == class_edges
 
 
@@ -249,7 +249,7 @@ def test_criterion_9_pocset_pipeline():
         nested = Wallspace.from_data(
             ["a", "b", "c"], [({"a"}, {"b", "c"}), ({"a", "b"}, {"c"})]
         )
-        assert dualize(nested).cube_counts == (3, 2)
+        assert dualize_details(nested).complex.cube_counts == (3, 2)
         for n in (2, 3, 4):
             pts = [
                 "p" + "".join(map(str, bits))
@@ -259,7 +259,7 @@ def test_criterion_9_pocset_pipeline():
             for i in range(n):
                 a = frozenset(p for p in pts if p[1 + i] == "0")
                 walls.append((a, frozenset(pts) - a))
-            cx = dualize(Wallspace.from_data(pts, walls))
+            cx = dualize_details(Wallspace.from_data(pts, walls)).complex
             assert cx.cube_counts[0] == 2 ** n and cx.dimension == n
         pts = [
             "p" + "".join(map(str, bits))

@@ -4,10 +4,12 @@ import contextlib
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -479,6 +481,17 @@ def _commands(name, path):
     return [["run", square, path], ["run", cube3, path]]
 
 
+def _main_in_process(argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=100, deadline=None)
 @given(mutated_files())
 def test_mutated_inputs_exit_cleanly(case):
@@ -488,14 +501,9 @@ def test_mutated_inputs_exit_cleanly(case):
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8")
         for argv in _commands(name, str(path)):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            assert code in (0, 1), (argv, text, err.getvalue())
-            assert "Traceback" not in out.getvalue() + err.getvalue(), (argv, text)
+            code, out, err = _main_in_process(argv)
+            assert code in (0, 1), (argv, text, err)
+            assert "Traceback" not in out + err, (argv, text)
 
 
 @functools.cache
@@ -530,3 +538,60 @@ def test_mutated_sidecars_exit_cleanly(data):
             code = main(["export-dot", str(cc), "--provenance", str(prov)])
         assert code in (0, 1), (text, err.getvalue())
         assert "Traceback" not in out.getvalue() + err.getvalue(), text
+
+
+OUTPUT_COMMANDS = [
+    ["collapse", str(DATA / "cube3.cc"), "-o"],
+    ["collapse", str(DATA / "cube3.cc"), "--provenance"],
+    ["run", str(DATA / "cube3.cc"), str(DATA / "trivial.act"), "--trace"],
+    ["stallings", str(DATA / "crossing2.ws"), "--trace"],
+    ["dualize", str(DATA / "crossing2.ws"), "-o"],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(OUTPUT_COMMANDS),
+    st.sampled_from(("new-file", "directory", "missing-directory", "under-a-file")),
+)
+def test_output_paths_exit_cleanly(command, kind):
+    # an output path is written when it names a new file and is otherwise
+    # refused with exit 1 and a message, never with a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        blocker = Path(tmp) / "a-file"
+        blocker.write_text("")
+        target = {
+            "new-file": Path(tmp) / "out",
+            "directory": Path(tmp),
+            "missing-directory": Path(tmp) / "missing" / "out",
+            "under-a-file": blocker / "out",
+        }[kind]
+        code, out, err = _main_in_process([*command, str(target)])
+        assert "Traceback" not in out + err, (command, kind)
+        if kind == "new-file":
+            assert code == 0 and target.is_file(), (command, err)
+        else:
+            assert code == 1, (command, kind, err)
+            assert err.startswith(f"error: cannot write {target}:"), err
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.one_of(
+        st.integers(-3, 60).map(str),
+        st.sampled_from(("", "x", "1.5", "0x10", "--", "-")),
+    ),
+    st.one_of(
+        st.integers(-(2**70), 2**70).map(str),
+        st.sampled_from(("", "x", "1.5", "seven", " 7", "-")),
+    ),
+)
+def test_fuzz_arguments_and_seed_exit_cleanly(count, max_vertices, seed):
+    argv = ["fuzz", "--count", str(count), "--max-vertices", max_vertices]
+    with mock.patch.dict(os.environ, {"PANELCOLLAPSE_SEED": seed}):
+        code, out, err = _main_in_process(argv)
+    assert code in (0, 1), (argv, seed, err)
+    assert "Traceback" not in out + err, (argv, seed)
+    if code == 0:
+        assert out.strip().endswith("ok"), out

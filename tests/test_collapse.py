@@ -54,7 +54,9 @@ def test_classify_square_single_edge_panel(square):
     p = build_panel(square, 0, 1, "+")
     cls = classify(square, [p])
     assert cls.internal_edges == p.internal_edges
-    external_edges = [e for e in square.edges if not cls.edge_internal(e)]
+    external_edges = [
+        e for e in square.edges if cls.status(frozenset(e)) != INTERNAL
+    ]
     assert len(external_edges) == 3
     # the square itself keeps an external parallel copy of the panel edge
     assert cls.status(frozenset(square.vertices)) == EXTERNAL
@@ -78,7 +80,9 @@ def test_classify_cube_single_panel(cube3):
 def test_classify_empty_panel_set(cube3):
     cls = classify(cube3, [])
     assert all(
-        cls.status(vs) == COMPLETELY_EXTERNAL for vs in cube3.all_cube_vertexsets()
+        cls.status(vs) == COMPLETELY_EXTERNAL
+        for d in range(cube3.dimension + 1)
+        for vs in cube3.cube_vertexsets(d)
     )
 
 
@@ -92,22 +96,24 @@ def test_internal_edges_of_external_cube_confined_per_panel(cube3, square):
     # codimension-1 face
     for cx, panels in ((cube3, [cube_panel(cube3)]), (square, conflict_panels(square))):
         cls = classify(cx, panels)
-        for vs in cx.all_cube_vertexsets():
+        cubes = [vs for d in range(cx.dimension + 1) for vs in cx.cube_vertexsets(d)]
+        for vs in cubes:
             if cls.status(vs) != EXTERNAL:
                 continue
             for p in panels:
-                edges = [e for e in cx.cube_edges(vs) if e in p.internal_edges]
+                internal = {frozenset(e) for e in p.internal_edges}
+                edges = [e for e in cx.subcubes(vs, 1) if e in internal]
                 if not edges:
                     continue
                 face = frozenset(
                     v for v in vs
-                    if v in cx.hyperplane(p.extremalising).side(p.side)
+                    if v in cx.hyperplanes()[p.extremalising].side(p.side)
                 )
-                assert all(u in face and v in face for u, v in edges)
+                assert all(e <= face for e in edges)
                 # and the whole parallel class inside that face is internal
-                for u, v in cx.cube_edges(face):
-                    if cx.dual_hyperplane(u, v) == p.abutting:
-                        assert (u, v) in p.internal_edges
+                for e in cx.subcubes(face, 1):
+                    if cx.dual_hyperplane(*e) == p.abutting:
+                        assert e in internal
 
 
 def test_panel_cube_intersections_follow_trichotomy(cube3, square, strip3):
@@ -115,14 +121,16 @@ def test_panel_cube_intersections_follow_trichotomy(cube3, square, strip3):
     # edges exactly in the codimension-1 face where the panel meets it
     for cx in (cube3, square, strip3):
         panels = extremal_panels(cx)
+        cubes = [vs for d in range(cx.dimension + 1) for vs in cx.cube_vertexsets(d)]
         for p in panels[:6]:
             cls = classify(cx, [p])
-            for vs in cx.all_cube_vertexsets():
-                edges = [e for e in cx.cube_edges(vs) if e in p.internal_edges]
+            internal = {frozenset(e) for e in p.internal_edges}
+            for vs in cubes:
+                edges = [e for e in cx.subcubes(vs, 1) if e in internal]
                 if cls.status(vs) == INTERNAL:
                     assert edges
                 elif edges:
-                    chosen = cx.hyperplane(p.extremalising).side(p.side)
+                    chosen = cx.hyperplanes()[p.extremalising].side(p.side)
                     face = frozenset(v for v in vs if v in chosen)
                     assert len(face) * 2 == len(vs)
 
@@ -172,7 +180,8 @@ def test_persistent_corners_match_hull(cube3, square):
         (square, conflict_panels(square)),
     ):
         cls = classify(cx, panels)
-        for vs in cx.all_cube_vertexsets():
+        cubes = [vs for d in range(cx.dimension + 1) for vs in cx.cube_vertexsets(d)]
+        for vs in cubes:
             if cls.status(vs) == INTERNAL:
                 continue
             pd = persistent_subcube(cls, vs)
@@ -180,8 +189,8 @@ def test_persistent_corners_match_hull(cube3, square):
                 v
                 for v in vs
                 if all(
-                    not cls.edge_internal(e)
-                    for e in cx.cube_edges(vs)
+                    cls.status(e) != INTERNAL
+                    for e in cx.subcubes(vs, 1)
                     if v in e
                 )
             }
@@ -293,8 +302,9 @@ def check_extra_cube_bound(cls, cube):
     f = fundament(cls, cube)
     if f.d_connected:
         return
+    d = len(cube).bit_length() - 1  # a d-cube has 2 ** d vertices
     ext_faces = [
-        face for face in cx.codim1_faces(cube) if face & f.persistent
+        face for face in cx.subcubes(cube, d - 1) if face & f.persistent
     ]
     completely = [
         sub for sub in cx.subcubes(cube)
@@ -313,10 +323,12 @@ def check_extra_cube_bound(cls, cube):
         # the extra factor uses no walls dual to internal edges
         internal_walls = {
             cx.dual_hyperplane(*e)
-            for e in cx.cube_edges(cube)
-            if cls.edge_internal(e)
+            for e in cx.subcubes(cube, 1)
+            if cls.status(e) == INTERNAL
         }
-        extra_axes = cx.cube_axes(extra) - cx.cube_axes(f.salient)
+        extra_axes = {cx.dual_hyperplane(*e) for e in cx.subcubes(extra, 1)} - {
+            cx.dual_hyperplane(*e) for e in cx.subcubes(f.salient, 1)
+        }
         assert not extra_axes & internal_walls
 
 
@@ -350,7 +362,7 @@ def test_collapse_cube_single_panel_counts(cube3):
     assert set(out.vertices) == set(cube3.vertices)
     assert not res.diagonal_edges
     # deleted strip: enumerate the three remaining squares
-    assert len(out.cubes(2)) == 3
+    assert len(out.cube_vertexsets(2)) == 3
 
 
 def test_collapse_rejects_facing(square):
@@ -369,7 +381,7 @@ def test_collapse_conflict_square(square):
     out = res.output_complex
     assert out.cube_counts == (4, 3)
     assert res.diagonal_edges == frozenset({("00", "11")})
-    assert res.crossing_of("00", "11") == frozenset({0, 1})
+    assert res.edge_provenance[out.edge_key("00", "11")] == frozenset({0, 1})
     for e in out.edges:
         if e not in res.diagonal_edges:
             assert len(res.edge_provenance[e]) == 1
@@ -389,7 +401,7 @@ def test_collapse_preserves_vertices_and_drops_internal(cube3, square):
         # panel insides avoided: no output edge is an internal input edge
         for e in out.edges:
             if e in set(cx.edges):
-                assert not cls.edge_internal(e)
+                assert cls.status(frozenset(e)) != INTERNAL
 
 
 def test_diagonal_square_closure():
@@ -410,7 +422,7 @@ def test_diagonal_square_closure():
         for diag in f.diagonals:
             if len(diag.salient_cube) < 2:
                 continue
-            for u, v in cx.cube_edges(diag.salient_cube):
+            for u, v in cx.subcubes(diag.salient_cube, 1):
                 pairs = dict(diag.pairs)
                 quad = frozenset({u, v, pairs[u], pairs[v]})
                 assert quad in squares
@@ -437,7 +449,7 @@ def test_provenance_classes_consistent(cube3, square):
             }
             class_edges = set()
             for oid in out_ids:
-                class_edges |= set(out.hyperplane(oid).edges)
+                class_edges |= set(out.hyperplanes()[oid].edges)
             assert trace_edges == class_edges
 
 
@@ -469,9 +481,9 @@ def test_collapse_random_complexes_validate():
 def test_collapse_properties_on_arbitrary_duals(ws):
     # any dual complex: collapsing the canonical panel keeps the vertex set,
     # drops at least one cube interior, validates, and has sound provenance
-    from panelcollapse.pocset import dualize
+    from panelcollapse.pocset import dualize_details
 
-    cx = dualize(ws)
+    cx = dualize_details(ws).complex
     panel = find_extremal_panel(cx)
     if panel is None:
         return
@@ -544,9 +556,40 @@ def test_diagonal_ends_differ_in_exactly_their_separators():
             separators = result.edge_provenance[a, b]
             assert cx.crossing_set(a, b) == separators
             assert len(separators) >= 2
-            assert b not in cx.neighbors(a)
+            assert (a, b) not in cx.edges
             diagonals += 1
     assert diagonals >= 20, diagonals
+
+
+def test_output_cubes_are_the_fundament_decomposition():
+    # the output's cubes are the completely external input cubes plus, for
+    # each diagonal piece S(w) of an external maximal cube's fundament, every
+    # face f of w, its partner across the separators and the union of the two
+    rng = random.Random(11)
+    instances = _descent_instances()
+    instances += [random_complex_with_action(rng, GeneratorConfig()) for _ in range(150)]
+    steps = diagonal_steps = 0
+    for cx, action in instances:
+        while (step := equivariant_collapse_step(cx, action)) is not None:
+            cls = classify(cx, step.result.panels)
+            cubes = [vs for d in range(cx.dimension + 1) for vs in cx.cube_vertexsets(d)]
+            expected = {vs for vs in cubes if cls.status(vs) == COMPLETELY_EXTERNAL}
+            for m in cx.maximal_cubes():
+                if cls.status(m) != EXTERNAL:
+                    continue
+                for diagonal in fundament(cls, m).diagonals:
+                    partner = dict(diagonal.pairs)
+                    for face in cx.subcubes(diagonal.salient_cube):
+                        across = frozenset(partner[v] for v in face)
+                        expected |= {face, across, face | across}
+            out = step.result.output_complex
+            assert {
+                vs for d in range(out.dimension + 1) for vs in out.cube_vertexsets(d)
+            } == expected
+            steps += 1
+            diagonal_steps += bool(step.result.diagonal_edges)
+            cx, action = out, step.action
+    assert steps >= 400 and diagonal_steps >= 30, (steps, diagonal_steps)
 
 
 def test_provenance_and_origins_match_the_per_edge_references():
@@ -582,6 +625,14 @@ def test_an_output_wall_with_two_crossing_sets_is_refused():
     )
     with pytest.raises(InternalInvariantError, match=r"mixes crossing sets \[\[0\], \[2\]\]"):
         hyperplane_provenance(result)
+
+
+def test_a_family_member_that_is_not_a_panel_is_refused(cube3):
+    panel = find_extremal_panel(cube3)
+    for call in (classify, collapse, no_facing_panels):
+        for family in ([(0, 1, "+")], [panel, (0, 1, "+")]):
+            with pytest.raises(PreconditionError, match="not a panel"):
+                call(cube3, family)
 
 
 def test_panels_of_another_complex_are_refused(cube3):

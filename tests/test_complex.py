@@ -13,7 +13,7 @@ from panelcollapse.errors import (
     PreconditionError,
     StructuralError,
 )
-from panelcollapse.pocset import dualize
+from panelcollapse.pocset import dualize_details
 from panelcollapse.randgen import (
     GeneratorConfig,
     cyclic_wallspace,
@@ -180,28 +180,13 @@ def test_carrier_of_cube_wall(cube3):
 
 
 def test_cube_counts_by_dimension(cube3, cube4):
-    assert [len(cube3.cubes(d)) for d in range(4)] == [8, 12, 6, 1]
-    assert [len(cube4.cubes(d)) for d in range(5)] == [16, 32, 24, 8, 1]
-    assert cube3.cubes(5) == ()
+    assert [len(cube3.cube_vertexsets(d)) for d in range(4)] == [8, 12, 6, 1]
+    assert [len(cube4.cube_vertexsets(d)) for d in range(5)] == [16, 32, 24, 8, 1]
+    assert cube3.cube_vertexsets(5) == ()
 
 
 def test_tree_has_no_squares(tree4):
-    assert tree4.cubes(2) == ()
-
-
-def test_corner_map_consistency(cube3):
-    c = cube3.cubes(3)[0]
-    assert c.dimension == 3
-    seen = set()
-    for bits in itertools.product((0, 1), repeat=3):
-        v = c.corner(bits)
-        seen.add(v)
-        for i in range(3):
-            flipped = list(bits)
-            flipped[i] ^= 1
-            w = c.corner(flipped)
-            assert cube3.distance(v, w) == 1
-    assert seen == set(c.vertices)
+    assert tree4.cube_vertexsets(2) == ()
 
 
 def test_maximal_cubes(domino, cube3):
@@ -218,7 +203,7 @@ def test_non_cubes_are_structural_errors(vertices):
     cx = grid_complex(3, 3)
     cls = classify(cx, [])
     with pytest.raises(StructuralError):
-        cx.cube_axes(frozenset(vertices))
+        list(cx.subcubes(frozenset(vertices)))
     with pytest.raises(StructuralError):
         cls.status(frozenset(vertices))
 
@@ -228,7 +213,7 @@ def test_subcube_enumeration(cube3):
     subs = list(cube3.subcubes(whole))
     assert len(subs) == 27  # 3^d faces of a d-cube
     assert sum(1 for s in subs if len(s) == 4) == 6
-    faces = list(cube3.codim1_faces(whole))
+    faces = list(cube3.subcubes(whole, 2))
     assert len(faces) == 6
 
 
@@ -433,15 +418,15 @@ def _matches_reference(vs, es) -> bool:
     for d, ref in enumerate(cubes):
         for c in ref:
             expected = {wall_of[e] for e in int_edges if set(e) <= c}
-            assert cx.cube_axes(frozenset(order[i] for i in c)) == expected
+            vs = frozenset(order[i] for i in c)
+            assert {cx.dual_hyperplane(*e) for e in cx.subcubes(vs, 1)} == expected
     _mask_views_match_reference(cx, order, cubes, walls)
     return True
 
 
 def _mask_views_match_reference(cx, order, cubes, walls):
-    """The views read off the wall masks (maximal cubes, corner maps, faces,
-    carriers, signs, crossing sets and hulls) against the reference cubes
-    and walls."""
+    """The views read off the wall masks (maximal cubes, faces, carriers,
+    signs, crossing sets and hulls) against the reference cubes and walls."""
     plus = [side for _, side in walls]
     every = [c for ref in cubes for c in ref]
 
@@ -452,7 +437,8 @@ def _mask_views_match_reference(cx, order, cubes, walls):
         faces = [f for f in every if f <= c]
         vs = frozenset(order[i] for i in c)
         assert named(map(cx.index, f) for f in cx.subcubes(vs)) == named(faces)
-        assert named(map(cx.index, f) for f in cx.codim1_faces(vs)) == named(
+        codim1 = cx.subcubes(vs, len(c).bit_length() - 2)
+        assert named(map(cx.index, f) for f in codim1) == named(
             f for f in faces if 2 * len(f) == len(c)
         )
     for h, (members, _) in enumerate(walls):
@@ -470,15 +456,6 @@ def _mask_views_match_reference(cx, order, cubes, walls):
         if frozenset(map(cx.index, vs)) in maximal
     ]
     assert list(cx.maximal_cubes()) == expected
-    for d in range(len(cubes)):
-        for cube in cx.cubes(d):
-            assert list(cube.axes) == sorted(cx.cube_axes(cube.vertices))
-            assert set(cube.corners) == cube.vertices
-            for i, v in enumerate(cube.corners):
-                bits = format(i, f"0{d}b") if d else ""
-                assert [cx.index(v) in plus[h] for h in cube.axes] == [
-                    b == "1" for b in bits
-                ]
     for u, v in itertools.product(range(len(order)), repeat=2):
         assert cx.crossing_set(order[u], order[v]) == {
             h for h, side in enumerate(plus) if (u in side) != (v in side)
@@ -518,7 +495,7 @@ def test_wallspace_duals_match_reference():
         make = random_wallspace if checked % 2 else cyclic_wallspace
         ws = make(rng, cfg)[0]
         if len(ws.walls) <= 5:
-            dual = dualize(ws)
+            dual = dualize_details(ws).complex
             assert _matches_reference(dual.vertices, dual.edges)
             checked += 1
 
@@ -571,7 +548,7 @@ def _general_graphs(rng):
         ws = make(rng, cfg)[0]
         if len(ws.walls) > 5:
             continue
-        dual = dualize(ws)
+        dual = dualize_details(ws).complex
         vs, es = list(dual.vertices), list(dual.edges)
         if rng.random() < 0.5:
             x = rng.choice(vs)

@@ -19,6 +19,8 @@ CASES = [
     (["run", str(DATA / "cube3.cc"), str(DATA / "trivial.act")], "cube3_run.txt"),
     (["stallings", str(DATA / "crossing2.ws")], "crossing2_stallings.txt"),
     (["collapse", str(DATA / "cube3.cc"), "--auto"], "cube3_collapse.txt"),
+    # dualize echoes its argument, so the path is relative to DATA
+    (["dualize", "crossing2.ws"], "crossing2_dualize.txt"),
 ]
 
 
@@ -26,6 +28,7 @@ def run_subprocess(argv, hashseed):
     proc = subprocess.run(
         [sys.executable, "-m", "panelcollapse.cli", *argv],
         capture_output=True,
+        cwd=DATA,
         env={
             "PYTHONHASHSEED": str(hashseed),
             "PATH": "/usr/bin:/bin",

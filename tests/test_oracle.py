@@ -58,7 +58,7 @@ def test_axis_encoding():
         assert sorted(mapping.values()) == list(range(d))
         for axis, wall in mapping.items():
             # the plus side holds digit 1 (vertex 0...0 is canonically first)
-            plus = cx.hyperplane(wall).plus
+            plus = cx.hyperplanes()[wall].plus
             assert all(v[axis] == "1" for v in plus)
 
 

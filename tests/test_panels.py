@@ -120,7 +120,6 @@ def test_block_carrier(cube3, square):
     assert len(b.maximal_cubes) == 1
     bsq = block(square, 0, 1)
     assert bsq.maximal_cubes == frozenset({frozenset(square.vertices)})
-    assert len(bsq.panel_descriptors) == 4
 
 
 def test_no_facing_panels_cases(square):

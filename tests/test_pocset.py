@@ -12,7 +12,6 @@ from panelcollapse.errors import InternalInvariantError, PreconditionError, Stru
 from panelcollapse.fileio import parse_wallspace
 from panelcollapse.pocset import (
     Wallspace,
-    dualize,
     dualize_details,
     stallings_pipeline,
     symmetry_automorphism,
@@ -65,23 +64,23 @@ def test_wallspace_validation():
 
 
 def test_two_crossing_walls_give_square():
-    assert dualize(SQUARE_WS).cube_counts == (4, 4, 1)
+    assert dualize_details(SQUARE_WS).complex.cube_counts == (4, 4, 1)
 
 
 def test_two_nested_walls_give_path():
-    cx = dualize(NESTED_WS)
+    cx = dualize_details(NESTED_WS).complex
     assert cx.cube_counts == (3, 2)
 
 
 def test_pairwise_crossing_walls_give_hypercubes():
     for n in (2, 3, 4):
-        cx = dualize(crossing_wallspace(n))
+        cx = dualize_details(crossing_wallspace(n)).complex
         assert cx.cube_counts[0] == 2 ** n
         assert cx.dimension == n
 
 
 def test_empty_wall_list_gives_point():
-    assert dualize(Wallspace.from_data(["x", "y"], [])).cube_counts == (1,)
+    assert dualize_details(Wallspace.from_data(["x", "y"], [])).complex.cube_counts == (1,)
 
 
 def test_hyperplanes_biject_with_realized_walls():
@@ -153,7 +152,7 @@ def test_principal_distance_equals_wall_separation():
         info = dualize_details(ws)
         for p, q in itertools.combinations(ws.points, 2):
             d = info.complex.distance(info.principal[p], info.principal[q])
-            assert d == len(ws.separating(p, q))
+            assert d == sum((p in a) != (q in a) for a, _ in ws.walls)
 
 
 def test_symmetry_pushes_to_automorphism():

@@ -22,7 +22,6 @@ from panelcollapse.symmetry import (
     Automorphism,
     ComplexityVector,
     GroupAction,
-    check_action,
     complexity,
     equivariant_collapse_step,
     push_action,
@@ -57,35 +56,35 @@ def square_diagonal(square):
 
 
 def test_identity_action_report(cube3):
-    rep = check_action(cube3, [])
-    assert rep.order == 1 and rep.inversion_free
+    action = GroupAction(cube3, [])
+    assert action.order == 1 and action.is_inversion_free
 
 
 def test_edge_reflection_is_inversion():
     edge = CubeComplex(["a", "b"], [("a", "b")])
-    rep = check_action(edge, [{"a": "b", "b": "a"}])
-    assert rep.order == 2
-    assert rep.inversion_pairs == ((1, 0),)
+    action = GroupAction(edge, [{"a": "b", "b": "a"}])
+    assert action.order == 2
+    assert action.inversions() == ((1, 0),)
 
 
 def test_square_rotation_inversions(square):
     rot = {"00": "01", "01": "11", "11": "10", "10": "00"}
-    rep = check_action(square, [rot])
-    assert rep.order == 4
+    action = GroupAction(square, [rot])
+    assert action.order == 4
     # the rotation itself swaps the two walls; its square preserves each wall
     # while swapping its halfspaces
-    assert not rep.inversion_free
-    bad_elements = {i for i, _ in rep.inversion_pairs}
+    assert not action.is_inversion_free
+    bad_elements = {i for i, _ in action.inversions()}
     assert len(bad_elements) == 1
-    assert {h for _, h in rep.inversion_pairs} == {0, 1}
+    assert {h for _, h in action.inversions()} == {0, 1}
 
 
 def test_non_edge_preserving_rejected(square):
     # swapping one edge's endpoints while fixing the rest breaks an edge
     with pytest.raises(StructuralError):
-        check_action(square, [{"00": "01", "01": "00"}])
+        GroupAction(square, [{"00": "01", "01": "00"}])
     with pytest.raises(StructuralError):
-        check_action(square, [{"00": "01", "01": "01"}])
+        GroupAction(square, [{"00": "01", "01": "01"}])
 
 
 def test_full_cube_symmetry_group(cube3):
@@ -94,13 +93,14 @@ def test_full_cube_symmetry_group(cube3):
     flip = {v: ("1" if v[0] == "0" else "0") + v[1:] for v in cube3.vertices}
     action = GroupAction(cube3, [rot, swap, flip])
     assert action.order == 48
-    assert len(action.hyperplane_orbits()) == 1
+    # one orbit of walls
+    assert {action.wall_image(g, 0) for g in action.elements} == {0, 1, 2}
 
 
 def test_automorphism_algebra(cube3):
     g = Automorphism(cube3, cube3_rotation(cube3))
     assert (g * g * g).is_identity
-    assert (g * g.inverse()).is_identity
+    assert not (g * g).is_identity
     assert g.apply_set(frozenset({"000", "001"})) == frozenset({"000", "010"})
 
 
@@ -127,7 +127,8 @@ def test_subdivision_removes_inversions():
     sub, pushed = push_action(edge, action)
     assert pushed.order == 2 and pushed.is_inversion_free
     involution = next(g for g in pushed.elements if not g.is_identity)
-    assert involution.fixed_vertices() == frozenset({"a|b"})
+    fixed = frozenset(v for v in pushed.complex.vertices if involution(v) == v)
+    assert fixed == frozenset({"a|b"})
 
 
 def test_subdivide_cube_counts(cube3):
@@ -159,6 +160,33 @@ def test_complexity_ordering():
     c = ComplexityVector(entries=(), top_dimension=1)
     assert c < b < a
     assert ComplexityVector(entries=(0, 3), top_dimension=3) == b
+
+
+def test_complexity_order_is_the_padded_lexicographic_order():
+    # vectors of different lengths compare after padding with leading zeros
+    rng = random.Random(5)
+    vectors = []
+    for _ in range(60):
+        entries = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(rng.randint(0, 4)))
+        vectors.append(ComplexityVector(entries=entries, top_dimension=len(entries) + 1))
+    for a in vectors:
+        assert a.is_zero == (not any(a.entries))
+        for b in vectors:
+            width = max(len(a.entries), len(b.entries))
+            pa = (0,) * (width - len(a.entries)) + a.entries
+            pb = (0,) * (width - len(b.entries)) + b.entries
+            assert (a < b, a <= b, a == b, a > b) == (pa < pb, pa <= pb, pa == pb, pa > pb)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_complexity_vectors_do_not_order_against_other_types():
+    v = ComplexityVector(entries=(1,), top_dimension=2)
+    with pytest.raises(TypeError):
+        v < 3
+    with pytest.raises(TypeError):
+        v >= (1,)
+    assert v != (1,)
 
 
 # -- the driver -------------------------------------------------------------------
@@ -295,8 +323,9 @@ def test_equivariance_of_fundaments(square, cube3):
         panel = extremal_panels(cx)[0]
         orbit = action.panel_orbit(panel)
         cls = classify(cx, orbit)
+        cubes = [vs for d in range(cx.dimension + 1) for vs in cx.cube_vertexsets(d)]
         for g in action.elements:
-            for vs in cx.all_cube_vertexsets():
+            for vs in cubes:
                 f = fundament(cls, vs)
                 gf = fundament(cls, g.apply_set(vs))
                 assert {g.apply_set(c) for c in f.ordinary_cubes} == set(
@@ -315,7 +344,9 @@ def test_fixed_point_sets_preserved(square):
     action = GroupAction(square, [square_diagonal(square)])
     trace = run_to_tree(square, action)
     for g_before, g_after in zip(action.elements, trace.final_action.elements):
-        assert g_before.fixed_vertices() == g_after.fixed_vertices()
+        assert frozenset(v for v in square.vertices if g_before(v) == v) == frozenset(
+            v for v in trace.final_complex.vertices if g_after(v) == v
+        )
 
 
 def test_termination_bound_examples(cube3, cube4):
