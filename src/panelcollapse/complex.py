@@ -8,39 +8,30 @@ condition already implies the flag condition and contractibility, so those
 are not re-checked per build; the test suite checks them against a
 brute-force reference.
 
-A graph is recognised as median by local checks around one breadth-first
-search from the first vertex.  Chepoi (2000, "Graphs of some CAT(0)
-complexes") shows that a graph is median exactly when its square complex is
-simply connected, it has no induced K2,3 and it satisfies the 3-cube
-condition (three squares that pairwise share an edge and all share a vertex
-lie in a 3-cube).  On a bipartite graph the quadrangle condition at one root
-makes the square complex simply connected: the farthest vertex of any closed
-walk can be pushed across a square towards the root.  Every median graph
-satisfies that condition, so the checks in ``_median_squares`` decide
-medianness exactly.  They run on vertex bitsets: a vertex's neighbours one
-level nearer the root are a bitmask, so the common ones of a pair are one
-AND, which must be a single bit.  Only a rejected graph pays for the
-all-triples median scan, which names the first violating triple.
-
-Once a graph is accepted, every derived fact comes from its squares and wall
-masks:
+A graph is recognised as median in one pass over a breadth-first search
+from the first vertex, ``_median_walls``, whose local checks on vertex
+bitsets decide medianness exactly (Chepoi 2000, "Graphs of some CAT(0)
+complexes").  Only a rejected graph pays for the all-triples median scan,
+which names the first violating triple.  The same pass labels the walls
+from each vertex's neighbours nearer the root, as Hagauer, Imrich and
+Klavžar (1999, "Recognizing median graphs in subquadratic time") do, and
+every derived fact comes from the labels:
 
 * the walls are the Djoković-Winkler classes of edges, the classes of the
   transitive closure of being opposite in a square;
-* a vertex's mask is the set of walls separating it from the first vertex,
-  read along any shortest path to it; the distance between two vertices is
-  the number of walls in which their masks differ, and the median of three
-  is the vertex whose mask is their bitwise majority;
+* a vertex's mask is the set of walls separating it from the first vertex;
+  the distance between two vertices is the number of walls in which their
+  masks differ, and the median of three is the vertex whose mask is their
+  bitwise majority;
 * every cube has a unique corner farthest from the first vertex, and at each
   vertex every set of edges leading towards the first vertex spans a cube, so
   the cubes are enumerated exactly once each, together with their walls.
 
 A build keeps only integer tables: the masks, each wall's edges, the cubes
 and the square counts of crossing pairs.  An edge's wall is the one bit in
-which its ends' masks differ.  Inside the package
-a cube is the pair ``(base, axes)`` of the AND of its vertex masks and the
-mask of its walls; its vertices are the masks ``base | s`` for the subsets
-``s`` of ``axes``.  Signs, crossing sets and convex hulls are read off the
+which its ends' masks differ.  Inside the package a cube is the pair
+``(base, axes)`` of the AND of its vertex masks and the mask of its walls;
+its vertices are the masks ``base | s`` for the subsets ``s`` of ``axes``.  Signs, crossing sets and convex hulls are read off the
 masks.  The ``Hyperplane`` objects with their two sides, the vertex-by-wall
 sign matrix and the cubes' vertex sets are built on first use and cached.
 numpy serves only the sign matrix of ``vertex_signs()`` and the median scan
@@ -61,7 +52,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -252,26 +244,29 @@ def _median_scan(dist):
 
 def _bfs(adj):
     """Breadth-first search from vertex 0: each vertex's level (-1 when
-    unreachable), the vertices in the order reached, and each reached
-    vertex's parent."""
+    unreachable) and the vertices in the order reached."""
     level = [-1] * len(adj)
-    parent = [-1] * len(adj)
     level[0] = 0
     queue = [0]
     for u in queue:
         for w in adj[u]:
             if level[w] < 0:
                 level[w] = level[u] + 1
-                parent[w] = u
                 queue.append(w)
-    return level, queue, parent
+    return level, queue
 
 
-def _median_squares(adj, level, int_edges):
-    """Decide by local checks whether a connected graph is median.
+def _median_walls(adj, level, queue, int_edges):
+    """Decide by local checks whether a connected graph is median, and label
+    its walls on the way.
 
-    With ``down[v]`` the neighbours of v one level nearer vertex 0, the graph
-    is median exactly when
+    Chepoi (2000) shows that a graph is median exactly when its square
+    complex is simply connected, it has no induced K2,3 and it satisfies the
+    3-cube condition.  On a bipartite graph the quadrangle condition at one
+    root makes the square complex simply connected: the farthest vertex of
+    any closed walk can be pushed across a square towards the root, and
+    every median graph satisfies it.  So with ``down[v]`` the neighbours of
+    v one level nearer vertex 0, the graph is median exactly when
 
     1. every edge joins adjacent levels (it is bipartite);
     2. any two vertices of ``down[v]`` have exactly one common neighbour in
@@ -284,9 +279,26 @@ def _median_squares(adj, level, int_edges):
        condition).
 
     The ``down`` sets are vertex bitsets, so the common down-neighbours of
-    a pair are one AND, and a vertex's bottoms are a mask.  Returns the
-    squares as ``(top, x, y, bottom)`` tuples, or None as soon as a check
-    fails.
+    a pair are one AND, and a vertex's bottoms are a mask.
+
+    The same pass, in BFS order, gives each vertex a wall mask from its
+    down-neighbours: with one, that neighbour's mask and a fresh wall; with
+    more, the OR of the first two's.  In a median graph these are the
+    Djoković-Winkler classes, so a graph is rejected unless each edge flips
+    one bit and the masks are distinct.  Given both, the four flips around a
+    square cancel and the two at a corner differ, so all four corners see
+    the same two walls.  Three neighbours of c that pairwise span squares
+    with c are then reached across three walls that pairwise cross: a
+    triangle in the crossing graph, which has an edge for the two walls of
+    each square.  So check 4 runs only when that graph has a triangle.  A
+    top with three down-walls closes one; the other tops add their one pair.
+    A 2-dimensional complex has none, and collapse never raises dimension.
+
+    The walls are then renumbered by their first edge in ``int_edges``, and
+    each mask is rebuilt as its first down-neighbour's OR its down-walls.
+    Returns the wall of each edge, in ``int_edges`` order, the masks, the
+    vertex of each mask and each vertex's mask of down-walls, or None as
+    soon as a check fails.
     """
     n = len(adj)
     down = [0] * n
@@ -300,33 +312,67 @@ def _median_squares(adj, level, int_edges):
             below[a].append(b)
         else:
             return None
+    masks = [0] * n
+    fresh = 1
     squares = []
     tops = set()  # x * n + y for each pair x < y under a top
-    for v, xs in enumerate(below):
-        if len(xs) < 2:
+    crossing = defaultdict(int)  # the walls crossing each wall
+    triangle = False
+    for v in queue[1:]:
+        xs = below[v]
+        if len(xs) == 1:
+            masks[v] = masks[xs[0]] | fresh
+            fresh <<= 1
             continue
         # the down-edges at a vertex of a median graph span a cube
         if 1 << len(xs) > n:
             return None
+        mask = masks[v] = masks[xs[0]] | masks[xs[1]]
         bottoms = 0
         for i, x in enumerate(xs):
+            flip = mask ^ masks[x]
+            if flip & (flip - 1) or not flip:
+                return None
             down_x = down[x]
             for y in xs[i + 1 :]:
                 common = down_x & down[y]
                 # one common down-neighbour; a second top over the pair, or a
                 # second pair over that neighbour, closes a K2,3
-                if (
-                    not common
-                    or common & (common - 1)
-                    or common & bottoms
-                    or x * n + y in tops
-                ):
+                if not common or common & (common - 1) or common & bottoms:
+                    return None
+                if x * n + y in tops:
                     return None
                 tops.add(x * n + y)
                 bottoms |= common
                 squares.append((v, x, y, common.bit_length() - 1))
+        if len(xs) > 2:
+            triangle = True
+        elif not triangle:
+            p, q = mask ^ masks[xs[0]], mask ^ masks[xs[1]]
+            triangle = crossing[p] & crossing[q] != 0
+            crossing[p] |= q
+            crossing[q] |= p
+    if triangle and not _three_cube_condition(adj, squares):
+        return None
+    ids = {}
+    edge_wall = [ids.setdefault(masks[a] ^ masks[b], len(ids)) for a, b in int_edges]
+    final = [0] * n
+    down_walls = [0] * n
+    for v in queue[1:]:
+        for x in below[v]:
+            down_walls[v] |= 1 << ids[masks[v] ^ masks[x]]
+        final[v] = final[below[v][0]] | down_walls[v]
+    vertex_of = {m: x for x, m in enumerate(final)}
+    if len(vertex_of) < n:
+        return None
+    return edge_wall, final, vertex_of, down_walls
+
+
+def _three_cube_condition(adj, squares):
+    """Whether three neighbours of a vertex c that pairwise span squares
+    with c always have opposite vertices with a common neighbour."""
     # link[c][p][q] is the vertex opposite c in the square through p, c, q
-    link = [{} for _ in range(n)]
+    link = [{} for _ in adj]
     for t, x, y, b in squares:
         for c, p, q, o in ((t, x, y, b), (b, x, y, t), (x, t, b, y), (y, t, b, x)):
             link[c].setdefault(p, {})[q] = o
@@ -341,75 +387,25 @@ def _median_squares(adj, level, int_edges):
                 ys = spans[y]
                 for z, o_xz in xs.items():
                     if z > y and z in ys and not adj[o_xy] & adj[o_xz] & adj[ys[z]]:
-                        return None
-    return squares
+                        return False
+    return True
 
 
-def _walls_and_masks(order, int_edges, squares, queue, parent):
-    """Walls and vertex masks of a median graph from its squares.
-
-    The walls are the classes of edges under the transitive closure of being
-    opposite in a square, numbered by their first edge.  Each vertex's mask
-    is its parent's with the bit of the wall of the edge between them, so it
-    holds the walls separating the vertex from vertex 0.  Returns the wall id
-    of each edge, in ``int_edges`` order, the masks and the vertex of each
-    mask; raises InternalInvariantError unless the masks are distinct and
-    each edge's ends differ in exactly its wall's bit.
-    """
-    n = len(order)
-    edge_index = {a * n + b: i for i, (a, b) in enumerate(int_edges)}
-    root = list(range(len(int_edges)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    def index(a, b):
-        return edge_index[a * n + b if a < b else b * n + a]
-
-    for t, x, y, b in squares:
-        root[find(index(t, x))] = find(index(y, b))
-        root[find(index(t, y))] = find(index(x, b))
-    ids = {}
-    edge_wall = [ids.setdefault(find(i), len(ids)) for i in range(len(int_edges))]
-    masks = [0] * len(order)
-    for v in queue[1:]:
-        u = parent[v]
-        masks[v] = masks[u] | 1 << edge_wall[index(u, v)]
-    for (a, b), h in zip(int_edges, edge_wall):
-        if masks[a] ^ masks[b] != 1 << h:
-            raise InternalInvariantError(
-                f"edge {order[a]!r} {order[b]!r} does not cross exactly its wall {h}"
-            )
-    vertex_of = {m: x for x, m in enumerate(masks)}
-    if len(vertex_of) != len(masks):
-        raise InternalInvariantError("two vertices have the same wall mask")
-    return edge_wall, masks, vertex_of
-
-
-def _cubes(level, int_edges, edge_wall, masks):
+def _cubes(masks, down):
     """Every cube of a median graph, once, as its ``(base, axes)`` pair.
 
     A cube is found at its corner ``top`` farthest from vertex 0: the edges
-    there that lead towards vertex 0 cross distinct walls, and any subset s
-    of them spans the cube ``(top & ~s, s)``.  Returns one list per
-    dimension, by top vertex, and each vertex's mask of those down-walls.
+    there that lead towards vertex 0 cross distinct walls, ``down[top]``, and
+    any subset s of them spans the cube ``(top ^ s, s)``.  Returns one list
+    per dimension, by top vertex.
     """
-    down = [0] * len(masks)
-    for (a, b), h in zip(int_edges, edge_wall):
-        down[b if level[a] < level[b] else a] |= 1 << h
-    by_dim = [[] for _ in range(max(map(int.bit_count, down)) + 1)]
+    by_dim = [[(top, 0) for top in masks]]
+    by_dim += [[] for _ in range(max(map(int.bit_count, down)))]
     for top, walls in zip(masks, down):
-        if walls & (walls - 1):
-            for s in _subsets(walls):
-                by_dim[s.bit_count()].append((top & ~s, s))
-        else:
-            by_dim[0].append((top, 0))
-            if walls:
-                by_dim[1].append((top & ~walls, walls))
-    return by_dim, down
+        if walls:
+            for s in _subsets(walls)[1:]:
+                by_dim[s.bit_count()].append((top ^ s, s))
+    return by_dim
 
 
 def _bits(mask):
@@ -423,8 +419,10 @@ def _bits(mask):
 def _subsets(mask):
     """Every submask of a mask, ascending."""
     out = [0]
-    for h in _bits(mask):
-        out += [s | 1 << h for s in out]
+    while mask:
+        low = mask & -mask
+        out += [s | low for s in out]
+        mask ^= low
     return out
 
 
@@ -483,11 +481,11 @@ def _analyze(order, int_edges):
         adj_sets[a].add(b)
         adj_sets[b].add(a)
     sizes = dict(vertex_count=n, edge_count=len(int_edges), simple=True)
-    level, queue, parent = _bfs(adj_sets)
+    level, queue = _bfs(adj_sets)
     if len(queue) < n:
         return ValidationReport(**sizes, connected=False), None
-    squares = _median_squares(adj_sets, level, int_edges)
-    if squares is None:
+    tables = _median_walls(adj_sets, level, queue, int_edges)
+    if tables is None:
         # name the first triple without exactly one median
         median_ok, violation = _median_scan(_distances(n, adj_sets))
         if median_ok:
@@ -501,10 +499,8 @@ def _analyze(order, int_edges):
             median_violation=tuple(order[i] for i in violation),
         )
         return report, None
-    edge_wall, masks, vertex_of = _walls_and_masks(
-        order, int_edges, squares, queue, parent
-    )
-    cubes, down = _cubes(level, int_edges, edge_wall, masks)
+    edge_wall, masks, vertex_of, down = tables
+    cubes = _cubes(masks, down)
     cube_counts = tuple(map(len, cubes))
     report = ValidationReport(
         **sizes,
@@ -527,12 +523,12 @@ class CubeComplex:
     towards vertex 0, ``_wall_edges[h]`` lists the index pairs of wall
     ``h``'s edges (an edge's wall, ``_wall_of``, is read off its ends'
     masks), ``_cubes[d]`` lists the d-cubes as ``(base, axes)`` pairs
-    in table order, and ``_square_counts`` maps each crossing pair
-    ``(h, e)``, ``h < e``, to the number of squares dual to both walls
-    (``_crossing_pairs`` lists those pairs in order).  The public
-    views take and return cubes as vertex sets, converted by ``_key`` and
-    ``_vertex_set``; they, the ``Hyperplane`` objects, the sign matrix and
-    the maximal cubes are built on first use.
+    in table order, and ``_square_counts`` maps the axes ``1 << h | 1 << e``
+    of each crossing pair to the number of squares dual to both walls
+    (``_crossing_pairs`` lists those pairs as ``(h, e)``, ``h < e``, in
+    order).  The public views take and return cubes as vertex sets,
+    converted by ``_key`` and ``_vertex_set``; they, the ``Hyperplane``
+    objects, the sign matrix and the maximal cubes are built on first use.
     """
 
     def __init__(self, vertices, edges):
@@ -549,8 +545,7 @@ class CubeComplex:
         self._masks = masks
         self._compute_hyperplanes(edge_wall)
         squares = self._cubes[2] if len(self._cubes) > 2 else ()
-        self._square_counts = Counter(sorted(tuple(_bits(axes)) for _, axes in squares))
-        self._crossing_pairs = tuple(self._square_counts)
+        self._square_counts = Counter([axes for _, axes in squares])
         self._hyperplanes = None
         self._signs = None
         self._maximal = None
@@ -561,6 +556,10 @@ class CubeComplex:
         self._wall_edges = [[] for _ in range(max(edge_wall, default=-1) + 1)]
         for e, h in zip(self._int_edges, edge_wall):
             self._wall_edges[h].append(e)
+
+    @functools.cached_property
+    def _crossing_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(map(tuple, map(_bits, self._square_counts))))
 
     def _wall_of(self, a: int, b: int) -> int:
         """The wall of the edge between vertex indices a and b: the one bit
@@ -689,22 +688,22 @@ class CubeComplex:
 
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
         if self._hyperplanes is None:
-            order = self._order
-            plus = [[] for _ in self._wall_edges]
-            for v, mask in zip(order, self._masks):
-                for h in _bits(mask):
-                    plus[h].append(v)
+            order, masks = self._order, self._masks
             everything = frozenset(order)
-            self._hyperplanes = tuple(
-                Hyperplane(
-                    id=h_id,
-                    edges=frozenset((order[a], order[b]) for a, b in es),
-                    minus=everything.difference(side),
-                    plus=frozenset(side),
-                    _complex=self,
+            hyperplanes = []
+            for h_id, es in enumerate(self._wall_edges):
+                bit = 1 << h_id
+                plus = frozenset([v for v, m in zip(order, masks) if m & bit])
+                hyperplanes.append(
+                    Hyperplane(
+                        id=h_id,
+                        edges=frozenset([(order[a], order[b]) for a, b in es]),
+                        minus=everything - plus,
+                        plus=plus,
+                        _complex=self,
+                    )
                 )
-                for h_id, (es, side) in enumerate(zip(self._wall_edges, plus))
-            )
+            self._hyperplanes = tuple(hyperplanes)
         return self._hyperplanes
 
     def vertex_signs(self) -> "numpy.ndarray":

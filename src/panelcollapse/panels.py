@@ -17,8 +17,8 @@ of that edge filter decides extremality and yields the panel's internal edges.
 A ``Panel`` keeps its complex, its internal edges as vertex-index pairs and
 its vertices as a bitmask over vertex indices.  The collapse step reads only
 these and the complex's tables: two panels are disjoint when their vertex
-masks do not meet, and their blocks share a maximal cube when some maximal
-cube is dual to all four of their walls.  The vertex-name views
+masks do not meet, and their blocks share a maximal cube when their walls
+pairwise cross.  The vertex-name views
 (``internal_edges``, ``vertex_set``, ``cube_set``, ``block``) are built on
 first access.
 """
@@ -53,7 +53,7 @@ def codim2_hyperplanes(cx: CubeComplex) -> tuple[tuple[int, int], ...]:
 
 
 def hyperplanes_cross(cx: CubeComplex, h: int, e: int) -> bool:
-    return (min(h, e), max(h, e)) in cx._square_counts
+    return (1 << h | 1 << e) in cx._square_counts
 
 
 def _panel(cx: CubeComplex, h: int, e: int, side: str):
@@ -66,7 +66,7 @@ def _panel(cx: CubeComplex, h: int, e: int, side: str):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
     bit, masks = SIDES.index(side), cx._masks
     edges = tuple((a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
-    if len(edges) != cx._square_counts[min(h, e), max(h, e)]:
+    if len(edges) != cx._square_counts[1 << h | 1 << e]:
         return None
     vertex_mask = 0
     for a, b in edges:
@@ -203,8 +203,11 @@ def no_facing_panels(cx: CubeComplex, panels) -> bool:
     """True unless two disjoint panels of the family have blocks sharing a
     maximal cube (such a pair would get collapsed toward each other).  The
     block of (H, E) holds the maximal cubes dual to both walls, so two blocks
-    share one exactly when a maximal cube is dual to all four walls.  Raises
-    for a member that is not a panel or was built on another complex."""
+    share one exactly when some cube is dual to all four walls.  Walls of a
+    CAT(0) cube complex that pairwise cross are dual to a common cube, so
+    that is a lookup: the distinct walls among the four pairwise share a
+    square.  Raises for a member that is not a panel or was built on another
+    complex."""
     panels = list(panels)
     for p in panels:
         if not isinstance(p, Panel):
@@ -212,14 +215,12 @@ def no_facing_panels(cx: CubeComplex, panels) -> bool:
     for other in {p.complex for p in panels} - {cx}:
         if not _same_complex(other, cx):
             raise PreconditionError("panel family was built on another complex")
-    maximal = cx._maximal_cubes()
+    crossing = cx._square_counts
     for p, q in itertools.combinations(panels, 2):
         if p._vertex_mask & q._vertex_mask:
             continue
-        walls = (
-            1 << p.abutting | 1 << p.extremalising
-            | 1 << q.abutting | 1 << q.extremalising
-        )
-        if any(axes & walls == walls for _, axes in maximal):
+        walls = {p.abutting, p.extremalising, q.abutting, q.extremalising}
+        pairs = itertools.combinations(walls, 2)
+        if all((1 << h | 1 << e) in crossing for h, e in pairs):
             return False
     return True

@@ -1,5 +1,6 @@
 """Core representation: validation, hyperplanes, cubes, hulls, crossings."""
 
+import inspect
 import itertools
 import random
 
@@ -20,9 +21,16 @@ from panelcollapse.randgen import (
     random_complex_with_action,
     random_wallspace,
 )
+from panelcollapse.symmetry import GroupAction, run_to_tree
 
 import oracle
-from conftest import box_complex, grid_complex, hypercube_complex, path_complex
+from conftest import (
+    box_complex,
+    coordinate_swap,
+    grid_complex,
+    hypercube_complex,
+    path_complex,
+)
 
 
 # -- validation ---------------------------------------------------------------
@@ -590,17 +598,92 @@ def test_median_scan_runs_only_on_rejection(monkeypatch):
         validate_graph(["a", "b", "x", "y", "z"], [(a, b) for a in "ab" for b in "xyz"])
 
 
+def test_three_cube_check_runs_only_where_three_walls_cross(monkeypatch):
+    from panelcollapse import complex as cplx
+
+    def refuse(adj, squares):
+        raise AssertionError("the 3-cube check ran")
+
+    monkeypatch.setattr(cplx, "_three_cube_condition", refuse)
+    # no three walls pairwise cross in a 2-dimensional complex, and collapse
+    # never raises the dimension
+    assert grid_complex(12, 9).cube_counts == (130, 237, 108)
+    assert grid_complex(37, 37).cube_counts == (1444, 2812, 1369)
+    grid = grid_complex(6, 6)
+    trace = run_to_tree(grid, GroupAction(grid, [coordinate_swap(grid, 0, 1)]))
+    assert trace.final_complex.is_tree()
+    for build in (lambda: hypercube_complex(3), lambda: box_complex(2, 2, 2)):
+        with pytest.raises(AssertionError, match="3-cube check ran"):
+            build()
+
+
+def _rooted_everywhere(vs, es):
+    """The graph renamed once per vertex so that it comes first and roots
+    the breadth-first search."""
+    for root in vs:
+        name = {v: ("0" if v == root else "1") + v for v in vs}
+        yield [name[v] for v in vs], [(name[u], name[v]) for u, v in es]
+
+
+def test_three_cube_check_holds_at_every_root(monkeypatch):
+    from panelcollapse import complex as cplx
+
+    verdicts = []
+    check = cplx._three_cube_condition
+
+    def recorded(adj, squares):
+        verdicts.append(check(adj, squares))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
+    corners = ["".join(b) for b in itertools.product("01", repeat=3)]
+    cube_edges = [
+        (u, v)
+        for u, v in itertools.combinations(corners, 2)
+        if sum(a != b for a, b in zip(u, v)) == 1
+    ]
+    # the 3-cube minus 111 with a pendant vertex on 100: rooted at the
+    # pendant, 000 has its neighbour 100 below it and 010, 001 above, so a
+    # 3-cube check made only at bottom corners would miss the corner 111
+    pendant = (
+        [v for v in corners if v != "111"] + ["p"],
+        [e for e in cube_edges if "111" not in e] + [("100", "p")],
+    )
+    # two halves of a 3-cube, each missing its far corner, over the same
+    # three vertices bxy, bxz, byz: from r the masks of x, y and z coincide
+    halves = (
+        ["r", "w1", "w2", "w3", "bxy", "bxz", "byz", "x", "y", "z", "c"],
+        [("r", w) for w in ("w1", "w2", "w3")]
+        + [("w1", "bxy"), ("w2", "bxy"), ("w1", "bxz"), ("w3", "bxz")]
+        + [("w2", "byz"), ("w3", "byz")]
+        + [(b, t) for b in ("bxy", "bxz", "byz") for t in "xyz" if t in b[1:]]
+        + [(t, "c") for t in "xyz"],
+    )
+    for graph in (pendant, halves):
+        for vs, es in _rooted_everywhere(*graph):
+            assert not _matches_reference(vs, es)
+    # the 3-cube check itself rejects some rootings of the first graph
+    assert False in verdicts
+
+
 def test_recogniser_faults_are_internal_errors(monkeypatch):
     from panelcollapse import complex as cplx
 
     square = (["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
     # a rejection the median scan cannot confirm
-    monkeypatch.setattr(cplx, "_median_squares", lambda *args: None)
+    monkeypatch.setattr(cplx, "_median_walls", lambda *args: None)
     with pytest.raises(InternalInvariantError, match="median scan accepts"):
         validate_graph(*square)
-    # without its square, the walls of the 4-cycle do not match its masks
-    monkeypatch.setattr(cplx, "_median_squares", lambda *args: [])
-    with pytest.raises(InternalInvariantError, match="edge 'c' 'd' does not cross"):
+    monkeypatch.undo()
+    # a broken mask rule, a vertex taking only its first down-neighbour's
+    # mask, rejects the square's top, and the median scan accepts the square
+    rule = "masks[xs[0]] | masks[xs[1]]"
+    source = inspect.getsource(cplx._median_walls)
+    assert source.count(rule) == 1
+    namespace = dict(vars(cplx))
+    exec(source.replace(rule, "masks[xs[0]]"), namespace)
+    monkeypatch.setattr(cplx, "_median_walls", namespace["_median_walls"])
+    with pytest.raises(InternalInvariantError, match="median scan accepts"):
         CubeComplex(*square)
 
 
