@@ -46,7 +46,7 @@ def main():
         dims[cx.dimension] += 1
         group_orders[action.order] += 1
         steps_hist[trace.step_count] += 1
-        diagonals += sum(len(s.result.diagonal_edges) for s in trace.steps)
+        diagonals += sum(s.diagonal_count for s in trace.steps)
         descent = " > ".join(
             str(s.complexity_before) for s in trace.steps
         )

@@ -20,7 +20,7 @@ from panelcollapse.collapse import collapse
 from panelcollapse.complex import CubeComplex
 from panelcollapse.dot import export_dot
 from panelcollapse.panels import build_panel, find_extremal_panel
-from panelcollapse.symmetry import GroupAction, run_to_tree
+from panelcollapse.symmetry import GroupAction, iter_steps, run_to_tree
 
 
 def hypercube(d):
@@ -66,7 +66,7 @@ def main():
     sq_trace = run_to_tree(square, action)
     for line in sq_trace.lines():
         print(line)
-    res3 = sq_trace.steps[0].result
+    res3 = next(iter_steps(square, action)).result
     print(f"diagonal edges: {sorted(res3.diagonal_edges)}")
     (out / "square_diagonal.dot").write_text(
         export_dot(res3.output_complex, res3.edge_provenance)

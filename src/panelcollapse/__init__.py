@@ -57,6 +57,7 @@ from .symmetry import (
     RunTrace,
     complexity,
     equivariant_collapse_step,
+    iter_steps,
     push_action,
     run_to_tree,
     subdivide,
@@ -105,6 +106,7 @@ __all__ = [
     "RunTrace",
     "complexity",
     "equivariant_collapse_step",
+    "iter_steps",
     "push_action",
     "run_to_tree",
     "subdivide",

@@ -221,7 +221,7 @@ def _cmd_run(args) -> int:
                     "orbit_size": s.orbit_size,
                     "complexity_before": list(s.complexity_before.entries),
                     "complexity_after": list(s.complexity_after.entries),
-                    "cube_counts": list(s.result.output_complex.cube_counts),
+                    "cube_counts": list(s.cube_counts),
                 }
                 for s in trace.steps
             ],
@@ -273,7 +273,7 @@ def _cmd_stallings(args) -> int:
     if args.trace:
         payload = {
             "tree": {"cube_counts": list(result.tree.cube_counts)},
-            "steps": len(result.trace.steps),
+            "steps": result.trace.step_count,
             "group_order": result.group_order,
             "edge_stabilisers": sorted(result.edge_stabiliser_sizes.values()),
             "wall_stabilisers": sorted(result.wall_stabiliser_sizes),

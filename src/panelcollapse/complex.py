@@ -89,7 +89,9 @@ def canonical_vertex_order(vertices):
 class ValidationReport:
     """Outcome of the CAT(0) checks on a finite graph.
 
-    Only connectivity and the median condition are tested.  For a median
+    The graph is simple: duplicate edges, self-loops and unknown endpoints
+    raise before a report exists.  Only connectivity and the median
+    condition are tested.  For a median
     graph the flag condition and Euler characteristic 1 follow, so
     ``flag_filled`` is True exactly when ``median`` is; ``cube_counts`` and
     ``euler_characteristic`` describe the cubes of a median graph and are
@@ -98,7 +100,6 @@ class ValidationReport:
 
     vertex_count: int
     edge_count: int
-    simple: bool
     connected: bool
     median: bool | None = None
     median_violation: tuple | None = None
@@ -109,8 +110,7 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return (
-            self.simple
-            and self.connected
+            self.connected
             and bool(self.median)
             and bool(self.flag_filled)
             and self.euler_characteristic == 1
@@ -480,7 +480,7 @@ def _analyze(order, int_edges):
     for a, b in int_edges:
         adj_sets[a].add(b)
         adj_sets[b].add(a)
-    sizes = dict(vertex_count=n, edge_count=len(int_edges), simple=True)
+    sizes = dict(vertex_count=n, edge_count=len(int_edges))
     level, queue = _bfs(adj_sets)
     if len(queue) < n:
         return ValidationReport(**sizes, connected=False), None

@@ -239,6 +239,10 @@ def parse_provenance(text: str, cx: CubeComplex) -> dict:
         for tok in parts[4:]:
             if not (tok[:1] == "h" and tok[1:].isdecimal()):
                 raise FileFormatError(f"line {lineno}: bad wall id {tok!r}")
-        hs = frozenset(int(tok[1:]) for tok in parts[4:])
-        provenance[cx.edge_key(parts[1], parts[2])] = hs
+        key = cx.edge_key(parts[1], parts[2])
+        if key in provenance:
+            raise FileFormatError(
+                f"line {lineno}: duplicate edge '{parts[1]} {parts[2]}'"
+            )
+        provenance[key] = frozenset(int(tok[1:]) for tok in parts[4:])
     return provenance

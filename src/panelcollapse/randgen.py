@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 SEED_ENV_VAR = "PANELCOLLAPSE_SEED"
+MAX_DIMENSION = 4  # draws of a higher dimension are rejected
+SYMMETRIC_SHARE = 0.5  # chance that a draw has a cyclic symmetry
+ATTEMPTS = 60  # draws before random_complex_with_action gives up
 
 
 def seed_from_env(default: int = 20240) -> int:
@@ -44,9 +47,7 @@ class GeneratorConfig:
     max_points: int = 9
     max_walls: int = 8
     max_vertices: int = 200
-    max_dimension: int = 4
     min_dimension: int = 0
-    symmetric_share: float = 0.5
 
 
 def random_wallspace(rng: random.Random, cfg: GeneratorConfig = GeneratorConfig()):
@@ -97,21 +98,21 @@ def cyclic_wallspace(rng: random.Random, cfg: GeneratorConfig = GeneratorConfig(
 
 
 def random_complex_with_action(
-    rng: random.Random, cfg: GeneratorConfig = GeneratorConfig(), attempts: int = 60
+    rng: random.Random, cfg: GeneratorConfig = GeneratorConfig()
 ):
     """A random validated complex within the size bounds, together with an
     inversion-free action on it (possibly trivial, after subdivision if the
     raw symmetry inverted a wall)."""
     last_error = None
-    for _ in range(attempts):
-        symmetric = rng.random() < cfg.symmetric_share
+    for _ in range(ATTEMPTS):
+        symmetric = rng.random() < SYMMETRIC_SHARE
         try:
             ws, rotate = (
                 cyclic_wallspace(rng, cfg) if symmetric else random_wallspace(rng, cfg)
             )
             info = dualize_details(ws)
             cx = info.complex
-            if cx.n > cfg.max_vertices or cx.dimension > cfg.max_dimension:
+            if cx.n > cfg.max_vertices or cx.dimension > MAX_DIMENSION:
                 continue
             if cx.dimension < cfg.min_dimension:
                 continue
@@ -128,8 +129,8 @@ def random_complex_with_action(
             last_error = exc
             continue
     reason = last_error or (
-        f"no draw in {attempts} had at most {cfg.max_vertices} vertices and "
-        f"dimension {cfg.min_dimension} to {cfg.max_dimension}"
+        f"no draw in {ATTEMPTS} had at most {cfg.max_vertices} vertices and "
+        f"dimension {cfg.min_dimension} to {MAX_DIMENSION}"
     )
     raise StructuralError(f"could not generate a complex: {reason}")
 

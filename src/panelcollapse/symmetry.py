@@ -13,7 +13,12 @@ bijection check.
 
 The driver repeatedly collapses the full orbit of one extremal panel, which
 strictly decreases the lexicographic complexity (orbit counts of cubes of
-each dimension at least 2), until the complex is a tree.
+each dimension at least 2), until the complex is a tree.  ``iter_steps`` is
+that loop: it yields each step's full ``StepResult`` and keeps none of them
+once the next is built.  ``run_to_tree`` folds the steps into a ``RunTrace``, which keeps the
+first and last complexes, the original walls under each tree edge and one
+small ``StepRecord`` per step, so a run's memory does not grow with the
+number of steps.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ __all__ = [
     "ComplexityVector",
     "GroupAction",
     "RunTrace",
+    "StepRecord",
     "StepResult",
     "complexity",
     "equivariant_collapse_step",
+    "iter_steps",
     "push_action",
     "run_to_tree",
     "subdivide",
@@ -291,7 +298,6 @@ class ComplexityVector:
     (empty) vector characterizes trees."""
 
     entries: tuple[int, ...]
-    top_dimension: int
 
     def _key(self) -> tuple:
         """``(length, entries)`` of the entries without leading zeros.  The
@@ -328,9 +334,8 @@ def complexity(cx: CubeComplex, action: GroupAction) -> ComplexityVector:
     step computes for its output is the next step's starting vector."""
     if cx is action.complex and action._complexity is not None:
         return action._complexity
-    dim = cx.dimension
-    entries = tuple(action.cube_orbit_count(d) for d in range(dim, 1, -1))
-    vector = ComplexityVector(entries=entries, top_dimension=dim)
+    entries = tuple(action.cube_orbit_count(d) for d in range(cx.dimension, 1, -1))
+    vector = ComplexityVector(entries=entries)
     if cx is action.complex:
         action._complexity = vector
     return vector
@@ -455,13 +460,28 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
 
 
 @dataclass(frozen=True)
+class StepRecord:
+    """What a run keeps of one step: the panel, the orbit size, the
+    complexity before and after, and the output's cube and diagonal counts."""
+
+    panel_triple: tuple
+    orbit_size: int
+    complexity_before: ComplexityVector
+    complexity_after: ComplexityVector
+    cube_counts: tuple
+    diagonal_count: int
+
+
+@dataclass(frozen=True)
 class RunTrace:
-    """Full record of an iterated equivariant collapse down to a tree."""
+    """Record of an iterated equivariant collapse down to a tree: the first
+    and last complexes, one ``StepRecord`` per step and the original walls
+    under each tree edge.  No intermediate complex is kept."""
 
     initial_complex: CubeComplex = field(repr=False)
     final_complex: CubeComplex = field(repr=False)
     final_action: GroupAction = field(repr=False)
-    steps: tuple  # of StepResult
+    steps: tuple  # of StepRecord
     edge_origins: dict = field(repr=False)  # final edge -> original wall ids
 
     @property
@@ -482,7 +502,7 @@ class RunTrace:
             out.append(
                 f"step {i}: panel={_triple_text(s.panel_triple)} orbit={s.orbit_size} "
                 f"complexity {s.complexity_before} -> {s.complexity_after} "
-                f"{counts_text(s.result.output_complex.cube_counts)}"
+                f"{counts_text(s.cube_counts)}"
             )
         fc = self.final_complex
         out.append(f"tree: V={fc.cube_counts[0]} E={fc.cube_counts[1] if len(fc.cube_counts) > 1 else 0}")
@@ -496,52 +516,79 @@ def counts_text(counts) -> str:
     return " ".join(f"{label}={c}" for label, c in zip(labels, counts))
 
 
+def iter_steps(cx: CubeComplex, action: GroupAction):
+    """Yield the ``StepResult`` of each equivariant collapse step from ``cx``
+    down to a tree, each step starting from the previous one's output.
+
+    Raises ``InternalInvariantError`` when a step breaks a guarantee or
+    more steps are taken than the initial complex has cubes, its message
+    prefixed with the step number, and when no extremal panel is left on a
+    complex that is not a tree.  The generator holds only the current step
+    and its output, so a caller that drops each step keeps no earlier
+    complex alive.
+    """
+    limit = sum(cx.cube_counts)
+    number = 0
+    while True:
+        number += 1
+        with _context(f"step {number}, "):
+            step = equivariant_collapse_step(cx, action)
+            if step is None:
+                break
+            if number > limit:
+                raise InternalInvariantError(
+                    f"panel {_triple_text(step.panel_triple)}: collapse failed "
+                    f"to terminate within {limit} steps"
+                )
+        yield step
+        cx, action = step.result.output_complex, step.action
+    if not cx.is_tree():
+        raise InternalInvariantError("driver stopped on a complex that is not a tree")
+
+
 def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
-    """Iterate equivariant collapse until no extremal panel remains.
+    """Iterate equivariant collapse until no extremal panel remains, keeping
+    one ``StepRecord`` per step.
 
     Tracks, through every step, the set of original walls each surviving or
     diagonal edge crosses.  The sets are lifted per wall, as one mask of
     original walls for each wall of the current complex: each step checks
     that all edges of an output wall cross one set of input walls, the XOR
     of any such edge's input masks, and the output wall's lift is the OR of
-    theirs.  They are expanded to edges once, at the end.  Verifies
-    termination within the initial cube count and that the result is a
-    tree.  Collapse keeps every vertex and the action's permutations, so
-    each element fixes the same vertices throughout.
+    theirs.  They are expanded to edges once, at the end.  Collapse keeps
+    every vertex and the action's permutations, so each element fixes the
+    same vertices throughout.
     """
     initial = cx
-    limit = sum(cx.cube_counts)
     lift = [1 << h for h in range(len(cx._wall_edges))]
-    steps = []
-    while True:
-        with _context(f"step {len(steps) + 1}, "):
-            step = equivariant_collapse_step(cx, action)
-            if step is None:
-                break
-            if len(steps) >= limit:
-                raise InternalInvariantError(
-                    f"panel {_triple_text(step.panel_triple)}: collapse failed "
-                    f"to terminate within {limit} steps"
-                )
-        masks, out = cx._masks, step.result.output_complex
+    records = []
+    for step in iter_steps(cx, action):
+        result = step.result
+        masks, cx = result.input_complex._masks, result.output_complex
         new_lift = []
-        for (a, b), *_ in out._wall_edges:
+        for (a, b), *_ in cx._wall_edges:
             origin = 0
             for h in _bits(masks[a] ^ masks[b]):
                 origin |= lift[h]
             new_lift.append(origin)
         lift = new_lift
-        steps.append(step)
-        cx = out
+        records.append(
+            StepRecord(
+                panel_triple=step.panel_triple,
+                orbit_size=step.orbit_size,
+                complexity_before=step.complexity_before,
+                complexity_after=step.complexity_after,
+                cube_counts=cx.cube_counts,
+                diagonal_count=len(result.diagonal_edges),
+            )
+        )
         action = step.action
-    if not cx.is_tree():
-        raise InternalInvariantError("driver stopped on a complex that is not a tree")
     order, walls = cx._order, [frozenset(_bits(m)) for m in lift]
     return RunTrace(
         initial_complex=initial,
         final_complex=cx,
         final_action=action,
-        steps=tuple(steps),
+        steps=tuple(records),
         edge_origins={
             (order[a], order[b]): walls[cx._wall_of(a, b)] for a, b in cx._int_edges
         },

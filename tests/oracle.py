@@ -36,7 +36,7 @@ the crossing sets of every step.
 import itertools
 
 from panelcollapse.collapse import classify, fundament
-from panelcollapse.symmetry import equivariant_collapse_step
+from panelcollapse.symmetry import iter_steps
 
 
 def cube_vertices(d):
@@ -644,12 +644,12 @@ def reference_edge_origins(cx, action):
     by edge: an output edge's origins are the union of the origins of one
     input edge (the first) of each input wall it crosses."""
     origins = {e: frozenset({cx.dual_hyperplane(*e)}) for e in cx.edges}
-    while (step := equivariant_collapse_step(cx, action)) is not None:
+    for step in iter_steps(cx, action):
         first = {}
         for e in cx.edges:
             first.setdefault(cx.dual_hyperplane(*e), origins[e])
         provenance = reference_edge_provenance(step.result)
-        cx, action = step.result.output_complex, step.action
+        cx = step.result.output_complex
         origins = {
             e: frozenset().union(*(first[h] for h in provenance[e])) for e in cx.edges
         }

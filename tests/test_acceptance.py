@@ -24,7 +24,7 @@ from panelcollapse.panels import (
 )
 from panelcollapse.pocset import Wallspace, dualize_details, stallings_pipeline
 from panelcollapse.randgen import GeneratorConfig, random_complex_with_action
-from panelcollapse.symmetry import GroupAction, complexity, run_to_tree
+from panelcollapse.symmetry import GroupAction, complexity, iter_steps, run_to_tree
 
 import test_collapse as collapse_checks
 from conftest import hypercube_complex
@@ -64,13 +64,17 @@ def descent_runs():
         GeneratorConfig(max_points=9, max_walls=8, max_vertices=200, min_dimension=2),
         GeneratorConfig(max_points=9, max_walls=8, max_vertices=200),
     ]
+
+    def run(cx, action):
+        # the trace, and every step's full result for the criteria reading them
+        return cx, action, run_to_tree(cx, action), list(iter_steps(cx, action))
+
     runs = []
     while len(runs) < 48:
         cfg = cfgs[len(runs) % len(cfgs)]
         cx, action = random_complex_with_action(rng, cfg)
         assert cx.dimension <= 4 and cx.n <= 200
-        trace = run_to_tree(cx, action)
-        runs.append((cx, action, trace))
+        runs.append(run(cx, action))
     # two larger grids with a transposition symmetry: conflicting panel
     # orbits, and vertex counts past one hundred
     from conftest import grid_complex
@@ -79,7 +83,7 @@ def descent_runs():
         cx = grid_complex(n, n)
         transpose = {(i, j): (j, i) for i in range(n + 1) for j in range(n + 1)}
         action = GroupAction(cx, [transpose])
-        runs.append((cx, action, run_to_tree(cx, action)))
+        runs.append(run(cx, action))
     elapsed = time.perf_counter() - start
     return runs, elapsed
 
@@ -114,7 +118,7 @@ def test_criterion_3_conflicting_panel_pair(square):
         out = trace.final_complex
         assert out.cube_counts == (4, 3)
         assert out.is_tree()
-        result = trace.steps[0].result
+        result = next(iter_steps(square, action)).result
         assert len(result.diagonal_edges) == 1
         diag = next(iter(result.diagonal_edges))
         assert result.edge_provenance[diag] == frozenset({0, 1})
@@ -134,7 +138,7 @@ def test_criterion_4_strict_descent(descent_runs):
         assert generation_elapsed < 60.0
         assert len(runs) >= 50
         nontrivial = 0
-        for cx, action, trace in runs:
+        for cx, action, trace, _ in runs:
             if action.order > 1:
                 nontrivial += 1
             for step in trace.steps:
@@ -147,8 +151,8 @@ def test_criterion_4_strict_descent(descent_runs):
 def test_criterion_5_cat0_preserved(descent_runs):
     runs, _ = descent_runs
     with criterion(5, "every intermediate complex validates as CAT(0)"):
-        for _, _, trace in runs:
-            for step in trace.steps:
+        for _, _, _, steps in runs:
+            for step in steps:
                 report = step.result.output_complex.validation_report
                 assert report.passed
                 assert report.euler_characteristic == 1
@@ -171,7 +175,7 @@ def test_criterion_6_face_compatibility(descent_runs):
                     collapse_checks.check_extra_cube_bound(cls, whole)
                     instances += 1
         # random complexes with their first panel orbits
-        for cx, action, _ in descent_runs[0]:
+        for cx, action, _, _ in descent_runs[0]:
             if instances >= 520:
                 break
             panel = find_extremal_panel(cx)
@@ -189,7 +193,7 @@ def test_criterion_6_face_compatibility(descent_runs):
 def test_criterion_7_equivariance(descent_runs):
     with criterion(7, "fundaments commute with panel-preserving symmetries"):
         checked = 0
-        for cx, action, _ in descent_runs[0]:
+        for cx, action, _, _ in descent_runs[0]:
             if action.order == 1:
                 continue
             panel = find_extremal_panel(cx)
@@ -226,8 +230,8 @@ def test_criterion_8_provenance(descent_runs, cube3, square):
                 [build_panel(square, 0, 1, "+"), build_panel(square, 1, 0, "+")],
             ),
         ]
-        for _, _, trace in descent_runs[0]:
-            results.extend(step.result for step in trace.steps)
+        for _, _, _, steps in descent_runs[0]:
+            results.extend(step.result for step in steps)
         for res in results:
             mapping = hyperplane_provenance(res)
             out = res.output_complex

@@ -303,12 +303,20 @@ def test_export_dot_dashed_diagonals(capsys, tmp_path):
 
 def test_export_dot_bad_wall_id(capsys, tmp_path):
     prov = tmp_path / "bad.prov"
-    prov.write_text("edge 00 01 crosses h0\nedge 00 10 crosses hx\n")
-    code, out, err = run_cli(
-        capsys, "export-dot", str(DATA / "square.cc"), "--provenance", str(prov)
-    )
-    assert code == 1 and out == ""
-    assert "line 2: bad wall id 'hx'" in err
+    for sidecar, message in (
+        ("edge 00 01 crosses h0\nedge 00 10 crosses hx\n", "line 2: bad wall id 'hx'"),
+        # one edge twice, its ends swapped, is refused rather than overwritten
+        (
+            "edge 00 01 crosses h0\n# note\nedge 01 00 crosses h1\n",
+            "line 3: duplicate edge '01 00'",
+        ),
+    ):
+        prov.write_text(sidecar)
+        code, out, err = run_cli(
+            capsys, "export-dot", str(DATA / "square.cc"), "--provenance", str(prov)
+        )
+        assert code == 1 and out == ""
+        assert message in err
 
 
 def test_unknown_command_exit_code(capsys):

@@ -29,7 +29,7 @@ from panelcollapse.randgen import (
     GeneratorConfig,
     random_complex_with_action,
 )
-from panelcollapse.symmetry import GroupAction, equivariant_collapse_step, run_to_tree
+from panelcollapse.symmetry import GroupAction, iter_steps, run_to_tree
 
 import oracle
 from conftest import box_complex, coordinate_swap, hypercube_complex, wallspaces
@@ -515,9 +515,10 @@ def test_completely_external_maximal_cubes_are_their_own_fundaments():
     # collapse skips the fundaments of completely external maximal cubes: a
     # cube with no internal edge is its own fundament, with no diagonals
     skipped = diagonal_steps = 0
-    for cx, action in _descent_instances():
-        while (step := equivariant_collapse_step(cx, action)) is not None:
+    for instance in _descent_instances():
+        for step in iter_steps(*instance):
             result = step.result
+            cx = result.input_complex
             cls = classify(cx, result.panels)
             diagonals = {}
             for m in cx.maximal_cubes():
@@ -531,18 +532,15 @@ def test_completely_external_maximal_cubes_are_their_own_fundaments():
             assert result.diagonal_edges == set(diagonals)
             assert {e: result.edge_provenance[e] for e in diagonals} == diagonals
             diagonal_steps += bool(diagonals)
-            cx, action = result.output_complex, step.action
     assert skipped >= 100 and diagonal_steps >= 10, (skipped, diagonal_steps)
 
 
 def test_diagonal_ends_differ_in_exactly_their_separators():
     # a diagonal joins the ends of a pair across at least two separator
     # walls, so it never repeats an input edge; collapse does not recheck it
-    results = []
-    for cx, action in _descent_instances():
-        while (step := equivariant_collapse_step(cx, action)) is not None:
-            results.append(step.result)
-            cx, action = step.result.output_complex, step.action
+    results = [
+        step.result for instance in _descent_instances() for step in iter_steps(*instance)
+    ]
     rng = random.Random(42)
     for _ in range(10):
         cx, _ = random_complex_with_action(rng, GeneratorConfig(max_points=8, max_walls=7))
@@ -569,8 +567,9 @@ def test_output_cubes_are_the_fundament_decomposition():
     instances = _descent_instances()
     instances += [random_complex_with_action(rng, GeneratorConfig()) for _ in range(150)]
     steps = diagonal_steps = 0
-    for cx, action in instances:
-        while (step := equivariant_collapse_step(cx, action)) is not None:
+    for instance in instances:
+        for step in iter_steps(*instance):
+            cx = step.result.input_complex
             cls = classify(cx, step.result.panels)
             cubes = [vs for d in range(cx.dimension + 1) for vs in cx.cube_vertexsets(d)]
             expected = {vs for vs in cubes if cls.status(vs) == COMPLETELY_EXTERNAL}
@@ -588,7 +587,6 @@ def test_output_cubes_are_the_fundament_decomposition():
             } == expected
             steps += 1
             diagonal_steps += bool(step.result.diagonal_edges)
-            cx, action = out, step.action
     assert steps >= 400 and diagonal_steps >= 30, (steps, diagonal_steps)
 
 
@@ -602,7 +600,7 @@ def test_provenance_and_origins_match_the_per_edge_references():
     for cx, action in instances:
         trace = run_to_tree(cx, action)
         assert trace.edge_origins == oracle.reference_edge_origins(cx, action)
-        for step in trace.steps:
+        for step in iter_steps(cx, action):
             result = step.result
             expected = oracle.reference_edge_provenance(result)
             assert hyperplane_provenance(result) == (

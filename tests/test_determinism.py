@@ -1,4 +1,5 @@
-"""Byte-identical output across runs, including under different hash seeds."""
+"""Byte-identical output and trace files across runs, including under
+different hash seeds."""
 
 import subprocess
 import sys
@@ -47,4 +48,22 @@ def test_outputs_match_golden_files(argv, golden):
         assert run_subprocess(argv, hashseed) == expected, (
             f"output differs from {golden} under PYTHONHASHSEED={hashseed} "
             f"for argv {argv}"
+        )
+
+
+TRACE_CASES = [
+    (["run", "cube3.cc", "trivial.act"], "cube3_run_trace.json"),
+    (["stallings", "crossing2.ws"], "crossing2_stallings_trace.json"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", TRACE_CASES)
+def test_traces_match_golden_files(argv, golden, tmp_path):
+    expected = (GOLDEN / golden).read_bytes()
+    for hashseed in (0, 1, 12345):
+        trace = tmp_path / f"{hashseed}.json"
+        run_subprocess([*argv, "--trace", str(trace)], hashseed)
+        assert trace.read_bytes() == expected, (
+            f"--trace output differs from {golden} under "
+            f"PYTHONHASHSEED={hashseed} for argv {argv}"
         )

@@ -1,7 +1,9 @@
 """Actions, inversions, subdivision, complexity, and the collapse driver."""
 
+import gc
 import importlib
 import random
+import weakref
 
 import pytest
 
@@ -22,8 +24,10 @@ from panelcollapse.symmetry import (
     Automorphism,
     ComplexityVector,
     GroupAction,
+    StepRecord,
     complexity,
     equivariant_collapse_step,
+    iter_steps,
     push_action,
     run_to_tree,
     subdivide,
@@ -155,11 +159,11 @@ def test_complexity_examples(cube3, tree4):
 
 
 def test_complexity_ordering():
-    a = ComplexityVector(entries=(1, 6), top_dimension=3)
-    b = ComplexityVector(entries=(3,), top_dimension=2)
-    c = ComplexityVector(entries=(), top_dimension=1)
+    a = ComplexityVector(entries=(1, 6))
+    b = ComplexityVector(entries=(3,))
+    c = ComplexityVector(entries=())
     assert c < b < a
-    assert ComplexityVector(entries=(0, 3), top_dimension=3) == b
+    assert ComplexityVector(entries=(0, 3)) == b
 
 
 def test_complexity_order_is_the_padded_lexicographic_order():
@@ -168,7 +172,7 @@ def test_complexity_order_is_the_padded_lexicographic_order():
     vectors = []
     for _ in range(60):
         entries = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(rng.randint(0, 4)))
-        vectors.append(ComplexityVector(entries=entries, top_dimension=len(entries) + 1))
+        vectors.append(ComplexityVector(entries=entries))
     for a in vectors:
         assert a.is_zero == (not any(a.entries))
         for b in vectors:
@@ -181,7 +185,7 @@ def test_complexity_order_is_the_padded_lexicographic_order():
 
 
 def test_complexity_vectors_do_not_order_against_other_types():
-    v = ComplexityVector(entries=(1,), top_dimension=2)
+    v = ComplexityVector(entries=(1,))
     with pytest.raises(TypeError):
         v < 3
     with pytest.raises(TypeError):
@@ -299,6 +303,45 @@ def test_run_to_tree_4cube(cube4):
     assert trace.step_count <= sum(cube4.cube_counts[2:])
 
 
+def test_a_run_keeps_no_intermediate_complex(cube4, monkeypatch):
+    outputs = []
+    collapse = symmetry.collapse
+
+    def recorded(cx, panels):
+        result = collapse(cx, panels)
+        outputs.append(weakref.ref(result.output_complex))
+        return result
+
+    monkeypatch.setattr(symmetry, "collapse", recorded)
+    box = box_complex(2, 2, 2)
+    s3 = [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)]
+    for cx, action in ((cube4, GroupAction(cube4, [])), (box, GroupAction(box, s3))):
+        outputs.clear()
+        trace = run_to_tree(cx, action)
+        gc.collect()
+        alive = [ref() for ref in outputs if ref() is not None]
+        assert trace.step_count == len(outputs) > 1
+        assert len(alive) == 1 and alive[0] is trace.final_complex
+
+
+def test_step_records_match_the_step_results():
+    instances = [(box_complex(3, 3), GroupAction(box_complex(3, 3), []))]
+    instances += _random_runs(31, 20)
+    for cx, action in instances:
+        records = run_to_tree(cx, action).steps
+        steps = list(iter_steps(cx, action))
+        assert len(records) == len(steps)
+        for record, step in zip(records, steps):
+            assert record == StepRecord(
+                panel_triple=step.panel_triple,
+                orbit_size=step.orbit_size,
+                complexity_before=step.complexity_before,
+                complexity_after=step.complexity_after,
+                cube_counts=step.result.output_complex.cube_counts,
+                diagonal_count=len(step.result.diagonal_edges),
+            )
+
+
 def test_strict_descent_and_validity_random():
     rng = random.Random(99)
     for _ in range(6):
@@ -306,8 +349,7 @@ def test_strict_descent_and_validity_random():
             rng, GeneratorConfig(max_points=7, max_walls=6, max_vertices=80)
         )
         trace = run_to_tree(cx, action)
-        vec = complexity(cx, action)
-        for step in trace.steps:
+        for step in iter_steps(cx, action):
             assert step.complexity_after < step.complexity_before
             assert step.result.output_complex.validation_report.passed
         assert trace.final_complex.is_tree()
@@ -377,7 +419,7 @@ def test_transfer_carries_the_closed_group_over(cube3):
     instances += _random_runs(23, 30)
     moved = 0
     for cx, action in instances:
-        while (step := equivariant_collapse_step(cx, action)) is not None:
+        for step in iter_steps(cx, action):
             out = step.result.output_complex
             fresh = GroupAction(out, [g.perm for g in action.generators])
             assert [g.perm for g in step.action.elements] == [
@@ -386,7 +428,7 @@ def test_transfer_carries_the_closed_group_over(cube3):
             assert all(g.complex is out for g in step.action.elements)
             assert step.action.generators == fresh.generators
             moved += action.order > 1
-            cx, action = out, step.action
+            action = step.action
     assert moved >= 10, moved
 
 
@@ -404,7 +446,7 @@ def test_each_step_starts_from_the_previous_complexity(cube4):
         trace = run_to_tree(cx, action)
         for before, after in zip(trace.steps, trace.steps[1:]):
             assert after.complexity_before == before.complexity_after
-        for step in trace.steps:
+        for step in iter_steps(cx, action):
             out = step.result.output_complex
             assert step.complexity_after == complexity(out, GroupAction(out, gens))
         if trace.steps:
