@@ -4,7 +4,6 @@ collapse driver, and summarize step counts, diagonal usage, and descent
 profiles.  Seeded via --seed or the PANELCOLLAPSE_SEED environment variable.
 """
 
-import argparse
 import random
 import sys
 import time
@@ -13,6 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from panelcollapse.cli import _int_at_least, _Parser
+from panelcollapse.errors import UserInputError
 from panelcollapse.randgen import (
     GeneratorConfig,
     random_complex_with_action,
@@ -22,12 +23,21 @@ from panelcollapse.symmetry import run_to_tree
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=50)
+    parser = _Parser(description=__doc__)
+    parser.add_argument("--runs", type=_int_at_least(0), default=50)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--max-vertices", type=int, default=200)
+    parser.add_argument("--max-vertices", type=_int_at_least(1), default=200)
     parser.add_argument("--min-dimension", type=int, default=2)
     args = parser.parse_args()
+    try:
+        experiment(args)
+    except UserInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def experiment(args):
     seed = args.seed if args.seed is not None else seed_from_env()
     rng = random.Random(seed)
     gen_cfg = GeneratorConfig(
@@ -65,4 +75,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

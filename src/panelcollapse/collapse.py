@@ -185,10 +185,6 @@ class DiagonalCube:
     separators: frozenset
     pairs: tuple  # (salient vertex, persistent vertex) pairs
 
-    @property
-    def kappa(self) -> int:
-        return len(self.separators)
-
 
 @dataclass(frozen=True)
 class Fundament:
@@ -207,10 +203,6 @@ class Fundament:
     separators: frozenset
     ordinary_cubes: frozenset
     diagonals: frozenset
-
-    @property
-    def kappa(self) -> int:
-        return len(self.separators)
 
     def diagonal_pairs(self) -> frozenset:
         """Deduplicated diagonal edges as (vertex pair frozenset, separators)."""

@@ -9,13 +9,15 @@ are not re-checked per build; the test suite checks them against a
 brute-force reference.
 
 A graph is recognised as median in one pass over a breadth-first search
-from the first vertex, ``_median_walls``, whose local checks on vertex
-bitsets decide medianness exactly (Chepoi 2000, "Graphs of some CAT(0)
-complexes").  Only a rejected graph pays for the all-triples median scan,
-which names the first violating triple.  The same pass labels the walls
-from each vertex's neighbours nearer the root, as Hagauer, Imrich and
-Klavžar (1999, "Recognizing median graphs in subquadratic time") do, and
-every derived fact comes from the labels:
+from the first vertex, ``_median_walls``.  It labels the walls from each
+vertex's neighbours nearer the root, as Hagauer, Imrich and Klavžar (1999,
+"Recognizing median graphs in subquadratic time") do, and decides
+medianness exactly by the local conditions of Chepoi (2000, "Graphs of
+some CAT(0) complexes"): a square under every pair of down-edges, no
+induced K2,3 and the 3-cube condition.  The labels exclude K2,3 once they
+are distinct and every edge flips one bit of them.  Only a rejected graph
+pays for the all-triples median scan, which names the first violating
+triple.  Every derived fact comes from the labels:
 
 * the walls are the Djoković-Winkler classes of edges, the classes of the
   transitive closure of being opposite in a square;
@@ -90,12 +92,12 @@ class ValidationReport:
     """Outcome of the CAT(0) checks on a finite graph.
 
     The graph is simple: duplicate edges, self-loops and unknown endpoints
-    raise before a report exists.  Only connectivity and the median
-    condition are tested.  For a median
-    graph the flag condition and Euler characteristic 1 follow, so
-    ``flag_filled`` is True exactly when ``median`` is; ``cube_counts`` and
-    ``euler_characteristic`` describe the cubes of a median graph and are
-    ``()`` and ``None`` for any graph that is disconnected or not median.
+    raise before a report exists.  The recogniser decides connectivity and
+    the median condition, and a graph passes exactly when it has both.  A
+    median graph is flag and has Euler characteristic 1, so ``flag_filled``
+    is True exactly when ``median`` is, and ``euler_characteristic`` is the
+    alternating sum of ``cube_counts``; both are None, and ``cube_counts``
+    is ``()``, for any graph that is disconnected or not median.
     """
 
     vertex_count: int
@@ -103,29 +105,28 @@ class ValidationReport:
     connected: bool
     median: bool | None = None
     median_violation: tuple | None = None
-    flag_filled: bool | None = None
     cube_counts: tuple[int, ...] = ()
-    euler_characteristic: int | None = None
 
     @property
     def passed(self) -> bool:
-        return (
-            self.connected
-            and bool(self.median)
-            and bool(self.flag_filled)
-            and self.euler_characteristic == 1
-        )
+        return self.connected and bool(self.median)
+
+    @property
+    def flag_filled(self) -> bool | None:
+        return self.median or None
+
+    @property
+    def euler_characteristic(self) -> int | None:
+        if not self.median:
+            return None
+        return sum((-1) ** d * c for d, c in enumerate(self.cube_counts))
 
     def summary(self) -> str:
         if self.passed:
             return "valid"
         if not self.connected:
             return "graph is not connected"
-        if self.median is False:
-            return f"median check fails on triple {self.median_violation}"
-        if self.euler_characteristic != 1:
-            return f"Euler characteristic is {self.euler_characteristic}, not 1"
-        return "invalid"
+        return f"median check fails on triple {self.median_violation}"
 
 
 @dataclass(frozen=True)
@@ -269,30 +270,40 @@ def _median_walls(adj, level, queue, int_edges):
     v one level nearer vertex 0, the graph is median exactly when
 
     1. every edge joins adjacent levels (it is bipartite);
-    2. any two vertices of ``down[v]`` have exactly one common neighbour in
-       their own ``down`` sets, which records a square with top v;
-    3. no two vertices lie under two tops, and no vertex reaches a vertex two
-       levels down along three paths (given 1 and 2, this excludes an
-       induced K2,3);
+    2. any two vertices of ``down[v]`` have a common neighbour in their own
+       ``down`` sets, which records a square with top v;
+    3. the wall labels flip one bit on every edge and are distinct, which
+       excludes an induced K2,3;
     4. whenever three neighbours of a vertex c pairwise span squares with c,
        the three vertices opposite c have a common neighbour (the 3-cube
        condition).
 
     The ``down`` sets are vertex bitsets, so the common down-neighbours of
-    a pair are one AND, and a vertex's bottoms are a mask.
+    a pair are one AND.
 
-    The same pass, in BFS order, gives each vertex a wall mask from its
-    down-neighbours: with one, that neighbour's mask and a fresh wall; with
-    more, the OR of the first two's.  In a median graph these are the
-    Djoković-Winkler classes, so a graph is rejected unless each edge flips
-    one bit and the masks are distinct.  Given both, the four flips around a
-    square cancel and the two at a corner differ, so all four corners see
-    the same two walls.  Three neighbours of c that pairwise span squares
-    with c are then reached across three walls that pairwise cross: a
-    triangle in the crossing graph, which has an edge for the two walls of
-    each square.  So check 4 runs only when that graph has a triangle.  A
-    top with three down-walls closes one; the other tops add their one pair.
-    A 2-dimensional complex has none, and collapse never raises dimension.
+    The labels are wall masks, given in BFS order from the down-neighbours:
+    with one, that neighbour's mask and a fresh wall; with more, the OR of
+    the first two's.  In a median graph these are the Djoković-Winkler
+    classes (Hagauer, Imrich and Klavžar 1999).  A graph is rejected unless
+    each down-edge flips at most one bit and the final labels, the masks
+    with their walls renumbered (last paragraph), are distinct.  While every
+    flip is one bit, by induction in BFS order a mask's popcount is its
+    vertex's level, so every edge adds one bit upwards.  At the first
+    down-edge that flips none, the top's mask has the popcount of the level
+    below, so its first two down-neighbours share one mask, and one label.
+    A common neighbour of vertices labelled p ≠ q is then labelled p ^ a or
+    p ^ b, where {a, b} = p ^ q, so distinct labels allow at most two common
+    neighbours.  That rules out a K2,3, two tops over a pair, two common
+    down-neighbours of a pair and three paths to a vertex two levels down.
+
+    Given check 3, the four flips around a square cancel and the two at a
+    corner differ, so all four corners see the same two walls.  Three
+    neighbours of c that pairwise span squares with c are then reached
+    across three walls that pairwise cross: a triangle in the crossing
+    graph, which has an edge for the two walls of each square.  So check 4
+    runs only when that graph has a triangle.  A top with three down-walls
+    closes one; the other tops add their one pair.  A 2-dimensional complex
+    has none, and collapse never raises dimension.
 
     The walls are then renumbered by their first edge in ``int_edges``, and
     each mask is rebuilt as its first down-neighbour's OR its down-walls.
@@ -315,7 +326,6 @@ def _median_walls(adj, level, queue, int_edges):
     masks = [0] * n
     fresh = 1
     squares = []
-    tops = set()  # x * n + y for each pair x < y under a top
     crossing = defaultdict(int)  # the walls crossing each wall
     triangle = False
     for v in queue[1:]:
@@ -328,22 +338,15 @@ def _median_walls(adj, level, queue, int_edges):
         if 1 << len(xs) > n:
             return None
         mask = masks[v] = masks[xs[0]] | masks[xs[1]]
-        bottoms = 0
         for i, x in enumerate(xs):
             flip = mask ^ masks[x]
-            if flip & (flip - 1) or not flip:
+            if flip & (flip - 1):
                 return None
             down_x = down[x]
             for y in xs[i + 1 :]:
                 common = down_x & down[y]
-                # one common down-neighbour; a second top over the pair, or a
-                # second pair over that neighbour, closes a K2,3
-                if not common or common & (common - 1) or common & bottoms:
+                if not common:
                     return None
-                if x * n + y in tops:
-                    return None
-                tops.add(x * n + y)
-                bottoms |= common
                 squares.append((v, x, y, common.bit_length() - 1))
         if len(xs) > 2:
             triangle = True
@@ -501,14 +504,8 @@ def _analyze(order, int_edges):
         return report, None
     edge_wall, masks, vertex_of, down = tables
     cubes = _cubes(masks, down)
-    cube_counts = tuple(map(len, cubes))
     report = ValidationReport(
-        **sizes,
-        connected=True,
-        median=True,
-        flag_filled=True,
-        cube_counts=cube_counts,
-        euler_characteristic=sum((-1) ** d * c for d, c in enumerate(cube_counts)),
+        **sizes, connected=True, median=True, cube_counts=tuple(map(len, cubes))
     )
     return report, (adj_sets, edge_wall, masks, vertex_of, cubes, down)
 

@@ -33,7 +33,7 @@ provenance sidecar, no header, one line per edge of a collapsed complex::
 from __future__ import annotations
 
 from .complex import CubeComplex
-from .errors import FileFormatError
+from .errors import FileFormatError, StructuralError
 
 __all__ = [
     "format_provenance",
@@ -239,7 +239,10 @@ def parse_provenance(text: str, cx: CubeComplex) -> dict:
         for tok in parts[4:]:
             if not (tok[:1] == "h" and tok[1:].isdecimal()):
                 raise FileFormatError(f"line {lineno}: bad wall id {tok!r}")
-        key = cx.edge_key(parts[1], parts[2])
+        try:
+            key = cx.edge_key(parts[1], parts[2])
+        except StructuralError as exc:
+            raise FileFormatError(f"line {lineno}: {exc}") from None
         if key in provenance:
             raise FileFormatError(
                 f"line {lineno}: duplicate edge '{parts[1]} {parts[2]}'"

@@ -15,10 +15,10 @@ The driver repeatedly collapses the full orbit of one extremal panel, which
 strictly decreases the lexicographic complexity (orbit counts of cubes of
 each dimension at least 2), until the complex is a tree.  ``iter_steps`` is
 that loop: it yields each step's full ``StepResult`` and keeps none of them
-once the next is built.  ``run_to_tree`` folds the steps into a ``RunTrace``, which keeps the
-first and last complexes, the original walls under each tree edge and one
-small ``StepRecord`` per step, so a run's memory does not grow with the
-number of steps.
+once the next is built.  ``run_to_tree`` folds the steps into a
+``RunTrace``, which keeps the first and last complexes, the original walls
+under each tree edge and one small ``StepRecord`` per step, so a run's
+memory does not grow with the number of steps.
 """
 
 from __future__ import annotations
@@ -548,7 +548,13 @@ def iter_steps(cx: CubeComplex, action: GroupAction):
 
 def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
     """Iterate equivariant collapse until no extremal panel remains, keeping
-    one ``StepRecord`` per step.
+    one ``StepRecord`` per step: ``iter_steps`` folded by ``_trace``."""
+    return _trace(cx, action, iter_steps(cx, action))
+
+
+def _trace(cx: CubeComplex, action: GroupAction, steps) -> RunTrace:
+    """The ``RunTrace`` of ``steps``, the ``StepResult``s that ``iter_steps``
+    yields from ``cx`` and ``action``.
 
     Tracks, through every step, the set of original walls each surviving or
     diagonal edge crosses.  The sets are lifted per wall, as one mask of
@@ -562,7 +568,7 @@ def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
     initial = cx
     lift = [1 << h for h in range(len(cx._wall_edges))]
     records = []
-    for step in iter_steps(cx, action):
+    for step in steps:
         result = step.result
         masks, cx = result.input_complex._masks, result.output_complex
         new_lift = []

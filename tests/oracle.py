@@ -36,7 +36,6 @@ the crossing sets of every step.
 import itertools
 
 from panelcollapse.collapse import classify, fundament
-from panelcollapse.symmetry import iter_steps
 
 
 def cube_vertices(d):
@@ -639,12 +638,13 @@ def reference_hyperplane_provenance(result, provenance):
     }
 
 
-def reference_edge_origins(cx, action):
-    """Final edge -> original walls after collapsing to a tree, lifted edge
-    by edge: an output edge's origins are the union of the origins of one
-    input edge (the first) of each input wall it crosses."""
+def reference_edge_origins(cx, steps):
+    """Final edge -> original walls after the steps of a descent from cx to
+    a tree, lifted edge by edge: an output edge's origins are the union of
+    the origins of one input edge (the first) of each input wall it
+    crosses."""
     origins = {e: frozenset({cx.dual_hyperplane(*e)}) for e in cx.edges}
-    for step in iter_steps(cx, action):
+    for step in steps:
         first = {}
         for e in cx.edges:
             first.setdefault(cx.dual_hyperplane(*e), origins[e])

@@ -24,6 +24,7 @@ from panelcollapse.panels import (
 )
 from panelcollapse.pocset import Wallspace, dualize_details, stallings_pipeline
 from panelcollapse.randgen import GeneratorConfig, random_complex_with_action
+from panelcollapse import symmetry
 from panelcollapse.symmetry import GroupAction, complexity, iter_steps, run_to_tree
 
 import test_collapse as collapse_checks
@@ -66,8 +67,10 @@ def descent_runs():
     ]
 
     def run(cx, action):
-        # the trace, and every step's full result for the criteria reading them
-        return cx, action, run_to_tree(cx, action), list(iter_steps(cx, action))
+        # every step's full result for the criteria reading them, and the
+        # trace folded from those steps
+        steps = list(iter_steps(cx, action))
+        return cx, action, symmetry._trace(cx, action, steps), steps
 
     runs = []
     while len(runs) < 48:

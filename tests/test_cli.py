@@ -310,13 +310,16 @@ def test_export_dot_bad_wall_id(capsys, tmp_path):
             "edge 00 01 crosses h0\n# note\nedge 01 00 crosses h1\n",
             "line 3: duplicate edge '01 00'",
         ),
+        # an unknown vertex or a non-edge is named with its line too
+        ("edge 00 01 crosses h0\nedge 00 zz crosses h1\n", "line 2: unknown vertex 'zz'"),
+        ("edge 00 01 crosses h0\nedge 00 11 crosses h1\n", "line 2: '00' '11' is not an edge"),
     ):
         prov.write_text(sidecar)
         code, out, err = run_cli(
             capsys, "export-dot", str(DATA / "square.cc"), "--provenance", str(prov)
         )
         assert code == 1 and out == ""
-        assert message in err
+        assert err == f"error: {message}\n"
 
 
 def test_unknown_command_exit_code(capsys):

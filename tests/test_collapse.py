@@ -29,7 +29,8 @@ from panelcollapse.randgen import (
     GeneratorConfig,
     random_complex_with_action,
 )
-from panelcollapse.symmetry import GroupAction, iter_steps, run_to_tree
+from panelcollapse import symmetry
+from panelcollapse.symmetry import GroupAction, iter_steps
 
 import oracle
 from conftest import box_complex, coordinate_swap, hypercube_complex, wallspaces
@@ -598,9 +599,10 @@ def test_provenance_and_origins_match_the_per_edge_references():
     instances += [random_complex_with_action(rng, GeneratorConfig()) for _ in range(100)]
     steps = diagonal_steps = 0
     for cx, action in instances:
-        trace = run_to_tree(cx, action)
-        assert trace.edge_origins == oracle.reference_edge_origins(cx, action)
-        for step in iter_steps(cx, action):
+        descent = list(iter_steps(cx, action))
+        trace = symmetry._trace(cx, action, descent)
+        assert trace.edge_origins == oracle.reference_edge_origins(cx, descent)
+        for step in descent:
             result = step.result
             expected = oracle.reference_edge_provenance(result)
             assert hyperplane_provenance(result) == (

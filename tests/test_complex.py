@@ -659,7 +659,28 @@ def test_three_cube_check_holds_at_every_root(monkeypatch):
         + [(b, t) for b in ("bxy", "bxz", "byz") for t in "xyz" if t in b[1:]]
         + [(t, "c") for t in "xyz"],
     )
-    for graph in (pendant, halves):
+    # each of these holds an induced K2,3; once every edge flips one bit, two
+    # vertices have at most two common neighbours when the labels are
+    # distinct, and that check alone rejects some rootings
+    k23 = (["a", "b", "x", "y", "z"], [(u, v) for u in "ab" for v in "xyz"])
+    # from r: x and y over z, under two tops t and u
+    two_tops = (
+        ["r", "z", "x", "y", "t", "u"],
+        [("r", "z"), ("z", "x"), ("z", "y")] + [(u, v) for u in "xy" for v in "tu"],
+    )
+    # from r: x and y over two common down-neighbours z and w, under t
+    two_bottoms = (
+        ["r", "z", "w", "x", "y", "t"],
+        [("r", "z"), ("r", "w"), ("x", "t"), ("y", "t")]
+        + [(u, v) for u in "zw" for v in "xy"],
+    )
+    # from r: three paths from t down to w, and a tail that gives the graph
+    # enough vertices for three down-edges at t to span a cube
+    three_paths = (
+        ["r", "w", "p", "q", "s", "t", "e", "f"],
+        [("r", "w"), ("r", "e"), ("e", "f")] + [(u, v) for u in "pqs" for v in "wt"],
+    )
+    for graph in (pendant, halves, k23, two_tops, two_bottoms, three_paths):
         for vs, es in _rooted_everywhere(*graph):
             assert not _matches_reference(vs, es)
     # the 3-cube check itself rejects some rootings of the first graph

@@ -1,10 +1,12 @@
 """Smoke tests of the scripts under scripts/: each runs to completion and
-prints its summary."""
+prints its summary, and bad arguments exit 1 with an error line."""
 
 import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import panelcollapse
 
@@ -15,8 +17,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 PACKAGE_ROOT = Path(panelcollapse.__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
-    proc = subprocess.run(
+def start_script(name, *args, env=None):
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
@@ -24,8 +26,13 @@ def run_script(name, *args):
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": str(PACKAGE_ROOT),
             "PYTHONDONTWRITEBYTECODE": "1",
+            **(env or {}),
         },
     )
+
+
+def run_script(name, *args):
+    proc = start_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -57,6 +64,26 @@ def test_descent_experiment():
         "step histogram: {1: 1, 2: 2}",
         "diagonal edges created: 0",
     ]
+
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["--runs", "-1"], None),
+        (["--max-vertices", "0"], None),
+        (["--seed", "x"], None),
+        (["--runs", "1"], {"PANELCOLLAPSE_SEED": "abc"}),
+        # no draw fits in one vertex, so the generator gives up
+        (["--runs", "1", "--max-vertices", "1"], None),
+    ],
+    ids=["negative-runs", "no-vertices", "bad-seed", "bad-env-seed", "no-draw-fits"],
+)
+def test_descent_experiment_bad_input_is_user_error(args, env):
+    proc = start_script("descent_experiment.py", *args, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_tracer_targets_exist(monkeypatch):

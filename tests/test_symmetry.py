@@ -328,8 +328,8 @@ def test_step_records_match_the_step_results():
     instances = [(box_complex(3, 3), GroupAction(box_complex(3, 3), []))]
     instances += _random_runs(31, 20)
     for cx, action in instances:
-        records = run_to_tree(cx, action).steps
         steps = list(iter_steps(cx, action))
+        records = symmetry._trace(cx, action, steps).steps
         assert len(records) == len(steps)
         for record, step in zip(records, steps):
             assert record == StepRecord(
@@ -348,8 +348,9 @@ def test_strict_descent_and_validity_random():
         cx, action = random_complex_with_action(
             rng, GeneratorConfig(max_points=7, max_walls=6, max_vertices=80)
         )
-        trace = run_to_tree(cx, action)
-        for step in iter_steps(cx, action):
+        steps = list(iter_steps(cx, action))
+        trace = symmetry._trace(cx, action, steps)
+        for step in steps:
             assert step.complexity_after < step.complexity_before
             assert step.result.output_complex.validation_report.passed
         assert trace.final_complex.is_tree()
@@ -443,10 +444,11 @@ def test_each_step_starts_from_the_previous_complexity(cube4):
     instances = [(cube4, GroupAction(cube4, []))] + _random_runs(29, 20)
     for cx, action in instances:
         gens = [g.perm for g in action.generators]
-        trace = run_to_tree(cx, action)
+        steps = list(iter_steps(cx, action))
+        trace = symmetry._trace(cx, action, steps)
         for before, after in zip(trace.steps, trace.steps[1:]):
             assert after.complexity_before == before.complexity_after
-        for step in iter_steps(cx, action):
+        for step in steps:
             out = step.result.output_complex
             assert step.complexity_after == complexity(out, GroupAction(out, gens))
         if trace.steps:
