@@ -166,7 +166,6 @@ def _structural_pass(vertices, edges):
         seen.add(v)
     ix = {v: i for i, v in enumerate(order)}
     edge_set = set()
-    int_edges = []
     for e in edges:
         try:
             u, v = e

@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 from .complex import MAX_VERTICES, CubeComplex, canonical_vertex_order
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .symmetry import (
-    Automorphism,
-    GroupAction,
-    RunTrace,
-    push_action,
-    run_to_tree,
+    Automorphism, GroupAction, RunTrace, _close, push_action, run_to_tree,
 )
 
 __all__ = [
@@ -233,15 +229,17 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     cx = info.complex
     gens = [symmetry_automorphism(info, dict(m)) for m in symmetries]
     action = GroupAction(cx, gens)
-
+    # the stabiliser counts are reports: only they close the group
+    group = _close(cx, action.generators)
     wall_stabs = [
-        sum(1 for g in action.elements if action.wall_image(g, h) == h)
+        sum(1 for g in group if action.wall_image(g, h) == h)
         for h in range(len(cx._wall_edges))
     ]
 
     subdivided = False
     if not action.is_inversion_free:
         cx, action = push_action(cx, action)
+        group = _close(cx, action.generators)
         subdivided = True
 
     trace = run_to_tree(cx, action)
@@ -249,14 +247,14 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
 
     # provenance is equivariant: an element fixing a tree edge maps the
     # walls the edge came from onto themselves; collapse keeps the vertex
-    # order, so the elements' permutations act on the tree's vertex indices
+    # order, so the permutations act on the tree's vertex indices
     edge_stabs = {}
     order = tree.vertices
     for a, b in tree._int_edges:
         u, v = order[a], order[b]
         origins = trace.edge_origins[(u, v)]
         stabiliser = [
-            g for g in action.elements if {g.perm[a], g.perm[b]} == {a, b}
+            g for g in group if {g.perm[a], g.perm[b]} == {a, b}
         ]
         for g in stabiliser:
             if {action.wall_image(g, h) for h in origins} != origins:
@@ -274,5 +272,5 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
         action=trace.final_action,
         edge_stabiliser_sizes=edge_stabs,
         wall_stabiliser_sizes=tuple(wall_stabs),
-        group_order=action.order,
+        group_order=len(group),
     )

@@ -1,15 +1,15 @@
 """Finite group actions on cube complexes and the equivariant collapse driver.
 
 An automorphism is a vertex permutation preserving edges (and hence cubes,
-walls, and medians).  A finite action is given by generators and closed to an
-explicit element list.  An *inversion* is an element preserving a wall while
-swapping its two halfspaces; collapse requires inversion-free actions, and
-passing to the first cubical subdivision always removes inversions.  Vertex 0
-lies on the minus side of every wall, so an element inverts a wall exactly
-when it maps the wall onto itself and vertex 0 to the wall's plus side: only
-the walls in the mask of vertex 0's image need testing, one edge image each.
-Elements are permutation tuples; products of checked elements skip the
-bijection check.
+walls, and medians).  A finite action is held as its generators alone: the
+orbits of panels and cubes and the inversions are read off them, and the
+group is closed only when a report asks for its order.  An *inversion* is
+an element preserving a wall while swapping its two halfspaces; collapse
+requires inversion-free actions, and passing to the first cubical
+subdivision always removes inversions.  Each generator maps each wall onto
+one wall, its minus side onto the minus or the plus side, so a wall orbit
+is inverted exactly when two paths of generators to one wall disagree on
+the side.
 
 The driver repeatedly collapses the full orbit of one extremal panel, which
 strictly decreases the lexicographic complexity (orbit counts of cubes of
@@ -103,10 +103,6 @@ class Automorphism:
             self.complex, tuple(self.perm[i] for i in other.perm)
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.perm))
-
     def preserves_edges(self):
         """None if edge-preserving, else one broken edge."""
         cx, perm = self.complex, self.perm
@@ -127,7 +123,7 @@ class Automorphism:
 
 
 class GroupAction:
-    """A finite group of automorphisms, stored as an explicit element list."""
+    """A finite group of automorphisms, held as its generators."""
 
     def __init__(self, cx: CubeComplex, generators):
         gens = []
@@ -136,18 +132,15 @@ class GroupAction:
                 g = Automorphism(cx, g)
             _require_edges_preserved(g)
             gens.append(g)
-        self._attach(cx, gens, _close(cx, gens))
-
-    def _attach(self, cx: CubeComplex, gens, elements):
         self.complex = cx
         self.generators = tuple(gens)
-        self.elements = elements
         self._inversions = None
         self._complexity = None
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
-        return len(self.elements)
+        """|G|, by closing the group, which only reports need."""
+        return len(_close(self.complex, self.generators))
 
     # -- walls under the action ------------------------------------------------
 
@@ -166,21 +159,40 @@ class GroupAction:
         return target, SIDES[masks[perm[end]] >> target & 1]
 
     def inversions(self) -> tuple:
-        """(element index, wall id) pairs where the element preserves the wall
-        but swaps its halfspaces, by element then wall.  Vertex 0 is on the
-        minus side of every wall, so g inverts h exactly when g maps h onto
-        itself and vertex 0 onto the plus side of h: a bit h of the mask of
-        g(0) whose first edge g maps onto an edge of h."""
+        """The walls that some element preserves while swapping their
+        halfspaces, ascending.  Each generator g maps wall h onto the wall t
+        of its first edge's image, and the minus side, which holds vertex 0,
+        onto the side of t that holds g(0).  Walking each wall orbit once
+        with these parities, an orbit is inverted exactly when two paths to
+        one wall disagree, and then every wall in it is inverted."""
         if self._inversions is None:
-            masks, wall_edges = self.complex._masks, self.complex._wall_edges
-            out = []
-            for i, g in enumerate(self.elements):
-                perm = g.perm
-                for h in _bits(masks[perm[0]]):
-                    a, b = wall_edges[h][0]
-                    if masks[perm[a]] ^ masks[perm[b]] == 1 << h:
-                        out.append((i, h))
-            self._inversions = tuple(out)
+            masks, walls = self.complex._masks, self.complex._wall_edges
+            firsts = [edges[0] for edges in walls]
+            maps = []
+            for g in self.generators:
+                perm, start = g.perm, masks[g.perm[0]]
+                targets = [
+                    (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
+                    for a, b in firsts
+                ]
+                maps.append([(t, start >> t & 1) for t in targets])
+            parity, out = [None] * len(walls), []
+            for root in range(len(walls)):
+                if parity[root] is not None:
+                    continue
+                parity[root], orbit, inverted = 0, [root], False
+                for h in orbit:
+                    for row in maps:
+                        t, flip = row[h]
+                        side = parity[h] ^ flip
+                        if parity[t] is None:
+                            parity[t] = side
+                            orbit.append(t)
+                        elif parity[t] != side:
+                            inverted = True
+                if inverted:
+                    out += orbit
+            self._inversions = tuple(sorted(out))
         return self._inversions
 
     @property
@@ -214,26 +226,16 @@ class GroupAction:
         return tuple(sorted(out, key=Panel.sort_key))
 
     def transfer(self, other: CubeComplex) -> "GroupAction":
-        """The same vertex permutations acting on another complex over the
-        same vertex set; raises if they fail to preserve its edges.  The
-        element list is carried over rather than closed again."""
+        """The same generating permutations acting on another complex over
+        the same vertex set; raises if they fail to preserve its edges."""
         if other.vertices != self.complex.vertices:
             raise PreconditionError("transfer requires the identical vertex set")
-        gens = [Automorphism(other, g.perm) for g in self.generators]
         try:
-            for g in gens:
-                _require_edges_preserved(g)
+            return GroupAction(other, [g.perm for g in self.generators])
         except StructuralError as exc:
             raise InternalInvariantError(
                 f"action does not survive onto the collapsed complex: {exc}"
             ) from exc
-        new = GroupAction.__new__(GroupAction)
-        new._attach(
-            other,
-            gens,
-            tuple(Automorphism._unchecked(other, g.perm) for g in self.elements),
-        )
-        return new
 
 
 def _require_edges_preserved(g: Automorphism):
@@ -257,7 +259,7 @@ def _close(cx: CubeComplex, gens) -> tuple:
                 if h.perm not in seen:
                     if len(seen) >= GROUP_SIZE_CAP:
                         raise PreconditionError(
-                            f"group closure exceeds {GROUP_SIZE_CAP} elements"
+                            f"group order exceeds GROUP_SIZE_CAP = {GROUP_SIZE_CAP}"
                         )
                     seen[h.perm] = h
                     nxt.append(h)
@@ -421,7 +423,7 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
     inv = action.inversions()
     if inv:
         raise PreconditionError(
-            f"action inverts hyperplane {inv[0][1]}; subdivide first"
+            f"action inverts hyperplane {inv[0]}; subdivide first"
         )
     panel = find_extremal_panel(cx)
     if panel is None:
@@ -442,7 +444,7 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
         new_inv = new_action.inversions()
         if new_inv:
             raise InternalInvariantError(
-                f"collapse introduced an inversion on output wall {new_inv[0][1]}"
+                f"collapse introduced an inversion on output wall {new_inv[0]}"
             )
         after = complexity(result.output_complex, new_action)
         if not after < before:

@@ -35,6 +35,7 @@ the crossing sets of every step.
 
 import itertools
 
+from panelcollapse import symmetry
 from panelcollapse.collapse import classify, fundament
 
 
@@ -556,7 +557,7 @@ class PanelReference:
         witness = min(self.side(e, s))
         kept = {}
         images = set()
-        for g in action.elements:
+        for g in symmetry._close(action.complex, action.generators):
             image_e = wall_image(g.perm, e)
             image = (
                 wall_image(g.perm, h),

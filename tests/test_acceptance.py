@@ -125,7 +125,7 @@ def test_criterion_3_conflicting_panel_pair(square):
         assert len(result.diagonal_edges) == 1
         diag = next(iter(result.diagonal_edges))
         assert result.edge_provenance[diag] == frozenset({0, 1})
-        g = next(g for g in trace.final_action.elements if not g.is_identity)
+        g = trace.final_action.generators[0]
         assert {frozenset((g(u), g(v))) for u, v in out.edges} == {
             frozenset(e) for e in out.edges
         }
@@ -204,7 +204,8 @@ def test_criterion_7_equivariance(descent_runs):
                 continue
             orbit = action.panel_orbit(panel)
             cls = classify(cx, orbit)
-            for g in action.elements:
+            # equivariance under the generators implies it under the group
+            for g in action.generators:
                 for m in cx.maximal_cubes():
                     f = fundament(cls, m)
                     gf = fundament(cls, g.apply_set(m))
