@@ -20,8 +20,9 @@ and it validates as CAT(0).
 Collapse keeps the vertex set and its order, and every output wall extends to
 input walls, so provenance is read off the input masks: an output edge crosses
 the input walls that separate its ends, the bits of the XOR of their masks.
-The step builds no per-edge provenance; ``CollapseResult.edge_provenance``
-is a view built on first access.
+The step builds no per-edge provenance: ``CollapseResult.wall_crossings``
+keeps one crossing mask per output wall, checked once, and
+``CollapseResult.edge_provenance`` is a view built on first access.
 """
 
 from __future__ import annotations
@@ -54,8 +55,17 @@ COMPLETELY_EXTERNAL = "completely-external"
 
 
 class CubeClassification:
-    """Edge and cube classification against a fixed panel family.  The
-    caches and every test are keyed by a cube's ``(base, axes)`` pair."""
+    """Edge and cube classification against a fixed panel family.
+
+    The family is indexed once by abutting wall: ``_abutting`` is the mask
+    of the abutting walls, and ``_sides[h]`` holds three masks of the
+    extremalising walls E of the panels (h, E, s): those with s = -, those
+    with s = +, and both.  A panel has an internal edge in a ``(base,
+    axes)`` cube exactly when h is an axis and E is an axis or has the cube
+    on side s, which is a bit of ``base``.  So a cube's status is a few ANDs
+    for each bit of ``axes & _abutting``, and every test is keyed by the
+    cube's ``(base, axes)`` pair.
+    """
 
     def __init__(self, cx: CubeComplex, panels):
         # no_facing_panels rejects a member that is not a panel, so it runs
@@ -65,37 +75,35 @@ class CubeClassification:
             raise PreconditionError("panel family has facing panels")
         self.complex = cx
         self.panels = tuple(sorted(panels, key=Panel.sort_key))
-        self._triples = [
-            (p.abutting, p.extremalising, SIDES.index(p.side)) for p in panels
-        ]
-        self._status: dict[tuple[int, int], str] = {}
+        self._abutting = 0
+        self._sides: dict[int, tuple[int, int, int]] = {}
+        for p in panels:
+            h, e = p.abutting, p.extremalising
+            minus, plus, both = self._sides.get(h, (0, 0, 0))
+            if p.side == SIDES[0]:
+                minus |= 1 << e
+            else:
+                plus |= 1 << e
+            self._sides[h] = minus, plus, both | 1 << e
+            self._abutting |= 1 << h
         self._diagonals: dict[tuple[int, int], frozenset] = {}
 
     @property
     def internal_edges(self) -> frozenset:
         return frozenset().union(*(p.internal_edges for p in self.panels))
 
-    def _meeting(self, cube):
-        """The (abutting, extremalising, side bit) triples of the panels with
-        an internal edge in a ``(base, axes)`` cube: H is an axis, and E is
-        an axis or has the cube on side s."""
-        base, axes = cube
-        return [
-            (h, e, bit)
-            for h, e, bit in self._triples
-            if axes >> h & 1 and (axes >> e & 1 or base >> e & 1 == bit)
-        ]
-
     def _status_of(self, cube) -> str:
-        cached = self._status.get(cube)
-        if cached is None:
-            meeting = self._meeting(cube)
-            if any(not cube[1] >> e & 1 for _, e, _ in meeting):
-                cached = INTERNAL
-            else:
-                cached = EXTERNAL if meeting else COMPLETELY_EXTERNAL
-            self._status[cube] = cached
-        return cached
+        """Internal when a panel (h, E, s) has h an axis, E not an axis and
+        the cube on side s of E; else external when a panel has h and E
+        both axes; else completely external."""
+        base, axes = cube
+        meets = False
+        for h in _bits(axes & self._abutting):
+            minus, plus, both = self._sides[h]
+            if (minus & ~base | plus & base) & ~axes:
+                return INTERNAL
+            meets = meets or both & axes != 0
+        return EXTERNAL if meets else COMPLETELY_EXTERNAL
 
     def status(self, cube: frozenset) -> str:
         return self._status_of(self.complex._key(cube))
@@ -138,10 +146,13 @@ def _persistent(cls: CubeClassification, cube):
     panel's.  The separators are the extremalising walls that also abut; the
     salient subcube is h(c) with their bits flipped in the base."""
     base, axes = cube
-    meeting = cls._meeting(cube)
-    ones = sum({1 << e for _, e, bit in meeting if not bit})
-    zeros = sum({1 << e for _, e, bit in meeting if bit})
-    abutting = sum({1 << h for h, _, _ in meeting})
+    ones = zeros = abutting = 0
+    for h in _bits(axes & cls._abutting):
+        minus, plus, both = cls._sides[h]
+        ones |= minus & axes
+        zeros |= plus & axes
+        if both & axes:
+            abutting |= 1 << h
     if ones & zeros:
         raise InternalInvariantError(
             f"external cube {set(cls.complex._vertex_set(cube))} has empty "
@@ -320,6 +331,31 @@ class CollapseResult:
             for a, b in self.output_complex._int_edges
         }
 
+    @functools.cached_property
+    def wall_crossings(self) -> tuple[int, ...]:
+        """Each output wall -> the mask of input walls its edges cross.
+
+        Enforces the provenance invariant: within an output wall every edge
+        carries the same input crossing set, the XOR of its ends' input
+        masks, and that set is nonempty.
+        """
+        masks = self.input_complex._masks
+        out = []
+        for out_id, edges in enumerate(self.output_complex._wall_edges):
+            flips = {masks[a] ^ masks[b] for a, b in edges}
+            if len(flips) != 1:
+                raise InternalInvariantError(
+                    f"output hyperplane {out_id} mixes crossing sets "
+                    f"{sorted(list(_bits(f)) for f in flips)}"
+                )
+            (flip,) = flips
+            if not flip:
+                raise InternalInvariantError(
+                    f"output hyperplane {out_id} has an empty crossing set"
+                )
+            out.append(flip)
+        return tuple(out)
+
     def provenance_lines(self) -> list[str]:
         from .fileio import format_provenance
 
@@ -380,26 +416,15 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
 def hyperplane_provenance(result: CollapseResult) -> dict[int, tuple[int, ...]]:
     """Map each input wall to the output wall classes it decomposes into.
 
-    Enforces the provenance invariant: within an output wall class every edge
-    carries the same input crossing set, and that set is nonempty.  An
-    edge's crossing set is the XOR of its ends' input masks.
+    Enforces the provenance invariant through ``result.wall_crossings``:
+    within an output wall class every edge carries the same input crossing
+    set, and that set is nonempty.  An edge's crossing set is the XOR of its
+    ends' input masks.
     """
-    masks = result.input_complex._masks
     mapping: dict[int, list[int]] = {
         h: [] for h in range(len(result.input_complex._wall_edges))
     }
-    for out_id, edges in enumerate(result.output_complex._wall_edges):
-        flips = {masks[a] ^ masks[b] for a, b in edges}
-        if len(flips) != 1:
-            raise InternalInvariantError(
-                f"output hyperplane {out_id} mixes crossing sets "
-                f"{sorted(list(_bits(f)) for f in flips)}"
-            )
-        (flip,) = flips
-        if not flip:
-            raise InternalInvariantError(
-                f"output hyperplane {out_id} has an empty crossing set"
-            )
+    for out_id, flip in enumerate(result.wall_crossings):
         for h in _bits(flip):
             mapping[h].append(out_id)
     return {h: tuple(ids) for h, ids in mapping.items()}

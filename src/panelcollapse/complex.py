@@ -26,15 +26,20 @@ triple.  Every derived fact comes from the labels:
   masks differ, and the median of three is the vertex whose mask is their
   bitwise majority;
 * every cube has a unique corner farthest from the first vertex, and at each
-  vertex every set of edges leading towards the first vertex spans a cube, so
-  the cubes are enumerated exactly once each, together with their walls.
+  vertex every set of k edges leading towards the first vertex (its
+  down-walls) spans a cube, so a vertex with k down-walls tops C(k, d)
+  d-cubes: the cube counts are a closed form in the down-wall counts, and
+  the d-cubes can be listed once each, together with their walls.
 
-A build keeps only integer tables: the masks, each wall's edges, the cubes
-and the square counts of crossing pairs.  An edge's wall is the one bit in
-which its ends' masks differ.  Inside the package a cube is the pair
-``(base, axes)`` of the AND of its vertex masks and the mask of its walls;
-its vertices are the masks ``base | s`` for the subsets ``s`` of ``axes``.  Signs, crossing sets and convex hulls are read off the
-masks.  The ``Hyperplane`` objects with their two sides, the vertex-by-wall
+A build keeps only integer tables: the masks, each vertex's down-walls,
+each wall's edges and the square counts of crossing pairs, counted from the
+squares the recogniser records.  It lists no cube.  An edge's wall is the
+one bit in which its ends' masks differ.  Inside the package a cube is the
+pair ``(base, axes)`` of the AND of its vertex masks and the mask of its
+walls; its vertices are the masks ``base | s`` for the subsets ``s`` of
+``axes``.  Signs, crossing sets and convex hulls are read off the masks.
+The list of one dimension's cubes, the table of every cube, the maximal
+cubes, the ``Hyperplane`` objects with their two sides, the vertex-by-wall
 sign matrix and the cubes' vertex sets are built on first use and cached.
 numpy serves only the sign matrix of ``vertex_signs()`` and the median scan
 of a rejected graph, and is imported there, so a build never loads it.
@@ -55,7 +60,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from collections import Counter, defaultdict
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -307,8 +313,9 @@ def _median_walls(adj, level, queue, int_edges):
     The walls are then renumbered by their first edge in ``int_edges``, and
     each mask is rebuilt as its first down-neighbour's OR its down-walls.
     Returns the wall of each edge, in ``int_edges`` order, the masks, the
-    vertex of each mask and each vertex's mask of down-walls, or None as
-    soon as a check fails.
+    vertex of each mask, each vertex's mask of down-walls and the number of
+    squares (each recorded once, at its top) dual to each crossing pair of
+    walls, keyed by the pair's mask, or None as soon as a check fails.
     """
     n = len(adj)
     down = [0] * n
@@ -325,6 +332,7 @@ def _median_walls(adj, level, queue, int_edges):
     masks = [0] * n
     fresh = 1
     squares = []
+    square_counts = defaultdict(int)  # by the pair of walls of a square
     crossing = defaultdict(int)  # the walls crossing each wall
     triangle = False
     for v in queue[1:]:
@@ -337,20 +345,23 @@ def _median_walls(adj, level, queue, int_edges):
         if 1 << len(xs) > n:
             return None
         mask = masks[v] = masks[xs[0]] | masks[xs[1]]
+        flips = [mask ^ masks[x] for x in xs]
         for i, x in enumerate(xs):
-            flip = mask ^ masks[x]
+            flip = flips[i]
             if flip & (flip - 1):
                 return None
             down_x = down[x]
-            for y in xs[i + 1 :]:
+            for j in range(i + 1, len(xs)):
+                y = xs[j]
                 common = down_x & down[y]
                 if not common:
                     return None
                 squares.append((v, x, y, common.bit_length() - 1))
+                square_counts[flip | flips[j]] += 1
         if len(xs) > 2:
             triangle = True
         elif not triangle:
-            p, q = mask ^ masks[xs[0]], mask ^ masks[xs[1]]
+            p, q = flips
             triangle = crossing[p] & crossing[q] != 0
             crossing[p] |= q
             crossing[q] |= p
@@ -367,7 +378,12 @@ def _median_walls(adj, level, queue, int_edges):
     vertex_of = {m: x for x, m in enumerate(final)}
     if len(vertex_of) < n:
         return None
-    return edge_wall, final, vertex_of, down_walls
+    # a pair's two bits: its lowest, and what is left when that is cleared
+    square_counts = {
+        1 << ids[pair & -pair] | 1 << ids[pair & (pair - 1)]: count
+        for pair, count in square_counts.items()
+    }
+    return edge_wall, final, vertex_of, down_walls, square_counts
 
 
 def _three_cube_condition(adj, squares):
@@ -393,21 +409,18 @@ def _three_cube_condition(adj, squares):
     return True
 
 
-def _cubes(masks, down):
-    """Every cube of a median graph, once, as its ``(base, axes)`` pair.
-
-    A cube is found at its corner ``top`` farthest from vertex 0: the edges
-    there that lead towards vertex 0 cross distinct walls, ``down[top]``, and
-    any subset s of them spans the cube ``(top ^ s, s)``.  Returns one list
-    per dimension, by top vertex.
-    """
-    by_dim = [[(top, 0) for top in masks]]
-    by_dim += [[] for _ in range(max(map(int.bit_count, down)))]
-    for top, walls in zip(masks, down):
-        if walls:
-            for s in _subsets(walls)[1:]:
-                by_dim[s.bit_count()].append((top ^ s, s))
-    return by_dim
+def _cube_counts(down):
+    """The number of cubes of each dimension of a median graph, from each
+    vertex's mask of down-walls: a vertex with k down-walls tops C(k, d)
+    d-cubes (see ``CubeComplex._dim_cubes``)."""
+    tops = [0] * (max(map(int.bit_count, down)) + 1)  # by down-wall count
+    for walls in down:
+        tops[walls.bit_count()] += 1
+    counts = [0] * len(tops)
+    for k, c in enumerate(tops):
+        for d in range(k + 1):
+            counts[d] += c * math.comb(k, d)
+    return tuple(counts)
 
 
 def _bits(mask):
@@ -501,12 +514,11 @@ def _analyze(order, int_edges):
             median_violation=tuple(order[i] for i in violation),
         )
         return report, None
-    edge_wall, masks, vertex_of, down = tables
-    cubes = _cubes(masks, down)
+    edge_wall, masks, vertex_of, down, square_counts = tables
     report = ValidationReport(
-        **sizes, connected=True, median=True, cube_counts=tuple(map(len, cubes))
+        **sizes, connected=True, median=True, cube_counts=_cube_counts(down)
     )
-    return report, (adj_sets, edge_wall, masks, vertex_of, cubes, down)
+    return report, (adj_sets, edge_wall, masks, vertex_of, down, square_counts)
 
 
 class CubeComplex:
@@ -518,13 +530,16 @@ class CubeComplex:
     to its vertex index), ``_down[i]`` is the mask of the walls of i's edges
     towards vertex 0, ``_wall_edges[h]`` lists the index pairs of wall
     ``h``'s edges (an edge's wall, ``_wall_of``, is read off its ends'
-    masks), ``_cubes[d]`` lists the d-cubes as ``(base, axes)`` pairs
-    in table order, and ``_square_counts`` maps the axes ``1 << h | 1 << e``
-    of each crossing pair to the number of squares dual to both walls
+    masks), and ``_square_counts`` maps the axes ``1 << h | 1 << e`` of
+    each crossing pair to the number of squares dual to both walls
     (``_crossing_pairs`` lists those pairs as ``(h, e)``, ``h < e``, in
-    order).  The public views take and return cubes as vertex sets,
-    converted by ``_key`` and ``_vertex_set``; they, the ``Hyperplane``
-    objects, the sign matrix and the maximal cubes are built on first use.
+    order).  ``cube_counts`` is read off the down-walls in closed form.
+    ``_dim_cubes(d)`` lists the d-cubes as ``(base, axes)`` pairs on first
+    use, and ``_cubes`` holds every dimension's list for the few callers
+    that walk every cube.  The public views take and return cubes as vertex
+    sets, converted by ``_key`` and ``_vertex_set``; they, the
+    ``Hyperplane`` objects, the sign matrix and the maximal cubes are built
+    on first use.
     """
 
     def __init__(self, vertices, edges):
@@ -535,16 +550,14 @@ class CubeComplex:
         self._order = order
         self._ix = ix
         self._int_edges = int_edges
-        (self._adj_int, edge_wall, masks, self._vertex_of, self._cubes,
-         self._down) = internals
+        (self._adj_int, edge_wall, self._masks, self._vertex_of, self._down,
+         self._square_counts) = internals
         self.validation_report = report
-        self._masks = masks
         self._compute_hyperplanes(edge_wall)
-        squares = self._cubes[2] if len(self._cubes) > 2 else ()
-        self._square_counts = Counter([axes for _, axes in squares])
         self._hyperplanes = None
         self._signs = None
         self._maximal = None
+        self._cube_lists = {}
         self._vertex_sets = {}
 
     def _compute_hyperplanes(self, edge_wall):
@@ -578,7 +591,7 @@ class CubeComplex:
 
     @property
     def dimension(self) -> int:
-        return len(self._cubes) - 1
+        return len(self.cube_counts) - 1
 
     @property
     def cube_counts(self) -> tuple[int, ...]:
@@ -636,8 +649,31 @@ class CubeComplex:
         return frozenset([order[vertex_of[base | s]] for s in _subsets(axes)])
 
     def _dim_cubes(self, dim: int) -> list:
-        """The ``dim``-cubes (none beyond the dimension)."""
-        return self._cubes[dim] if 0 <= dim < len(self._cubes) else []
+        """The ``dim``-cubes as ``(base, axes)`` pairs (none beyond the
+        dimension), listed on first use.
+
+        A cube is found at its corner ``top`` farthest from vertex 0: the
+        edges there that lead towards vertex 0 cross distinct walls,
+        ``_down[top]``, and any subset s of them spans the cube
+        ``(top ^ s, s)``.  So each cube is listed once, by top vertex, then
+        by axes ascending.
+        """
+        cubes = self._cube_lists.get(dim)
+        if cubes is None:
+            cubes = self._cube_lists[dim] = [
+                (top ^ s, s)
+                for top, walls in zip(self._masks, self._down)
+                if walls.bit_count() >= dim >= 0
+                for s in _subsets(walls)
+                if s.bit_count() == dim
+            ]
+        return cubes
+
+    @functools.cached_property
+    def _cubes(self) -> tuple[list, ...]:
+        """Every cube, as ``_dim_cubes(d)`` for each dimension d, for the
+        callers that walk them all."""
+        return tuple(map(self._dim_cubes, range(self.dimension + 1)))
 
     def cube_vertexsets(self, dim: int) -> tuple[frozenset, ...]:
         """Vertex sets of all ``dim``-cubes (empty beyond the dimension)."""
@@ -657,16 +693,21 @@ class CubeComplex:
         and that face is topped by t when h ∈ ``down[t]`` and by u otherwise
         (and u's down-walls then hold s and h).  So each vertex tops at most
         one maximal cube, ``(t & ~down[t], down[t])``, exactly when no
-        up-neighbour's down-walls contain ``down[t]``; one look at every
-        edge finds them all.
+        up-neighbour's down-walls contain ``down[t]``; one pass over the
+        edges marks the vertices that some up-neighbour covers.
         """
         if self._maximal is None:
             masks, down = self._masks, self._down
-            by_dim = [[] for _ in self._cubes]
+            covered = bytearray(len(masks))
+            for a, b in self._int_edges:
+                if masks[a] > masks[b]:
+                    a, b = b, a
+                # b is the up-neighbour: its mask has the edge's wall
+                if not down[a] & ~down[b]:
+                    covered[a] = 1
+            by_dim = [[] for _ in self.cube_counts]
             for t, (top, walls) in enumerate(zip(masks, down)):
-                if not any(
-                    masks[u] > top and not walls & ~down[u] for u in self._adj_int[t]
-                ):
+                if not covered[t]:
                     by_dim[walls.bit_count()].append((top & ~walls, walls))
             self._maximal = tuple(c for cubes in reversed(by_dim) for c in cubes)
         return self._maximal

@@ -560,23 +560,23 @@ def _trace(cx: CubeComplex, action: GroupAction, steps) -> RunTrace:
 
     Tracks, through every step, the set of original walls each surviving or
     diagonal edge crosses.  The sets are lifted per wall, as one mask of
-    original walls for each wall of the current complex: each step checks
-    that all edges of an output wall cross one set of input walls, the XOR
-    of any such edge's input masks, and the output wall's lift is the OR of
-    theirs.  They are expanded to edges once, at the end.  Collapse keeps
-    every vertex and the action's permutations, so each element fixes the
-    same vertices throughout.
+    original walls for each wall of the current complex: all edges of an
+    output wall cross one set of input walls, the step result's
+    ``wall_crossings`` (checked when the step ran), and the output wall's
+    lift is the OR of theirs.  They are expanded to edges once, at the end.
+    Collapse keeps every vertex and the action's permutations, so each
+    element fixes the same vertices throughout.
     """
     initial = cx
     lift = [1 << h for h in range(len(cx._wall_edges))]
     records = []
     for step in steps:
         result = step.result
-        masks, cx = result.input_complex._masks, result.output_complex
+        cx = result.output_complex
         new_lift = []
-        for (a, b), *_ in cx._wall_edges:
+        for flip in result.wall_crossings:
             origin = 0
-            for h in _bits(masks[a] ^ masks[b]):
+            for h in _bits(flip):
                 origin |= lift[h]
             new_lift.append(origin)
         lift = new_lift

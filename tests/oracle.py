@@ -27,13 +27,20 @@ The fourth part, ``dual_orientations``, is the dual of a small wallspace by
 enumeration: every one of the 2**k choices of one side per wall, kept when
 the chosen sides pairwise meet.
 
-The last part keeps provenance per edge, as the collapse step once did: a
+The fifth part keeps provenance per edge, as the collapse step once did: a
 surviving edge crosses its own input wall, a diagonal crosses the separators
 of its fundament piece, and a run lifts each edge's original walls through
 the crossing sets of every step.
+
+The last part keeps the eager tables a build once made, for the lazy ones to
+match: every cube listed at its top vertex, the square counts taken from
+those lists and the maximal cubes found by scanning each vertex's
+neighbours, and the status and persistent subcube of a cube found by listing
+the panels with an internal edge in it, one panel at a time.
 """
 
 import itertools
+from collections import Counter
 
 from panelcollapse import symmetry
 from panelcollapse.collapse import classify, fundament
@@ -655,3 +662,85 @@ def reference_edge_origins(cx, steps):
             e: frozenset().union(*(first[h] for h in provenance[e])) for e in cx.edges
         }
     return origins
+
+
+# ---------------------------------------------------------------------------
+# eager tables and the per-panel status rule
+# ---------------------------------------------------------------------------
+
+
+def _submasks(mask):
+    """The nonempty submasks of a mask, ascending."""
+    bits = [1 << b for b in range(mask.bit_length()) if mask >> b & 1]
+    return sorted(
+        sum(chosen)
+        for size in range(1, len(bits) + 1)
+        for chosen in itertools.combinations(bits, size)
+    )
+
+
+def eager_cubes(cx):
+    """One list of ``(base, axes)`` cubes per dimension, listed eagerly: at
+    each top vertex in turn, every nonempty subset s of its down-walls, in
+    ascending order, spans ``(top ^ s, s)``."""
+    by_dim = [[(top, 0) for top in cx._masks]]
+    by_dim += [[] for _ in range(max(map(int.bit_count, cx._down)))]
+    for top, walls in zip(cx._masks, cx._down):
+        for s in _submasks(walls):
+            by_dim[s.bit_count()].append((top ^ s, s))
+    return by_dim
+
+
+def eager_square_counts(cubes):
+    """The number of squares with each pair of walls, from ``eager_cubes``."""
+    return Counter(axes for _, axes in (cubes[2] if len(cubes) > 2 else ()))
+
+
+def adjacency_maximal_cubes(cx, cubes):
+    """The maximal cubes by the neighbour scan: a vertex t tops the maximal
+    cube ``(t & ~down[t], down[t])`` unless an up-neighbour's down-walls
+    contain ``down[t]``; by dimension descending, then by top vertex."""
+    masks, down = cx._masks, cx._down
+    by_dim = [[] for _ in cubes]
+    for t, (top, walls) in enumerate(zip(masks, down)):
+        if not any(masks[u] > top and not walls & ~down[u] for u in cx._adj_int[t]):
+            by_dim[walls.bit_count()].append((top & ~walls, walls))
+    return tuple(c for by in reversed(by_dim) for c in by)
+
+
+def meeting_panels(panels, cube):
+    """The (abutting, extremalising, side bit) triples of the panels with an
+    internal edge in a ``(base, axes)`` cube: H is an axis, and E is an axis
+    or has the cube on side s."""
+    base, axes = cube
+    triples = [(p.abutting, p.extremalising, "-+".index(p.side)) for p in panels]
+    return [
+        (h, e, bit)
+        for h, e, bit in triples
+        if axes >> h & 1 and (axes >> e & 1 or base >> e & 1 == bit)
+    ]
+
+
+def meeting_status(panels, cube):
+    """Internal when a panel meeting the cube has E not an axis, external
+    when some panel meets it, completely external otherwise."""
+    meeting = meeting_panels(panels, cube)
+    if any(not cube[1] >> e & 1 for _, e, _ in meeting):
+        return "internal"
+    return "external" if meeting else "completely-external"
+
+
+def meeting_persistent(panels, cube):
+    """The persistent subcube of a non-internal cube, as ``(base, axes)``,
+    and its separator mask, or None when two meeting panels fix one
+    extremalising wall to both sides: each meeting panel fixes its E to
+    the side other than its own."""
+    base, axes = cube
+    meeting = meeting_panels(panels, cube)
+    ones = sum({1 << e for _, e, bit in meeting if not bit})
+    zeros = sum({1 << e for _, e, bit in meeting if bit})
+    abutting = sum({1 << h for h, _, _ in meeting})
+    if ones & zeros:
+        return None
+    extremalising = ones | zeros
+    return (base | ones, axes & ~extremalising), extremalising & abutting

@@ -14,6 +14,7 @@ from panelcollapse.collapse import (
     classify,
     collapse,
     fundament,
+    _persistent,
     hyperplane_provenance,
     persistent_subcube,
 )
@@ -644,3 +645,48 @@ def test_panels_of_another_complex_are_refused(cube3):
     # a complex with the same vertices and edges is the same complex
     twin = CubeComplex(cube3.vertices, cube3.edges)
     assert collapse(twin, [panel]).output_complex.edges == out.edges
+
+
+def _assert_mask_status_matches_the_per_panel_rule(cls, cubes):
+    for cube in cubes:
+        status = cls._status_of(cube)
+        assert status == oracle.meeting_status(cls.panels, cube), (cls.panels, cube)
+        if status == INTERNAL:
+            continue
+        expected = oracle.meeting_persistent(cls.panels, cube)
+        if expected is None:
+            with pytest.raises(InternalInvariantError, match="empty persistent"):
+                _persistent(cls, cube)
+        else:
+            assert _persistent(cls, cube) == expected, (cls.panels, cube)
+
+
+def test_mask_status_matches_the_per_panel_rule_along_descents():
+    steps = 0
+    for instance in _descent_instances():
+        for step in iter_steps(*instance):
+            cx = step.result.input_complex
+            cls = classify(cx, step.result.panels)
+            cubes = [c for by_dim in cx._cubes for c in by_dim]
+            _assert_mask_status_matches_the_per_panel_rule(cls, cubes)
+            steps += 1
+    assert steps >= 50, steps
+
+
+def test_mask_status_matches_the_per_panel_rule_on_small_families(cube3):
+    # every facing-free family of up to three extremal panels, some of them
+    # with two panels on one abutting wall
+    families = shared = 0
+    for cx in (cube3, box_complex(2, 2), box_complex(2, 1, 1)):
+        cubes = [c for by_dim in cx._cubes for c in by_dim]
+        panels = extremal_panels(cx)
+        for size in (1, 2, 3):
+            for family in itertools.combinations(panels, size):
+                if not no_facing_panels(cx, family):
+                    continue
+                _assert_mask_status_matches_the_per_panel_rule(
+                    classify(cx, family), cubes
+                )
+                families += 1
+                shared += len({p.abutting for p in family}) < size
+    assert families >= 700 and shared >= 300, (families, shared)

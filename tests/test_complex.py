@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
 
 from panelcollapse.collapse import classify
 from panelcollapse.complex import MAX_VERTICES, CubeComplex, validate_graph
@@ -21,7 +22,7 @@ from panelcollapse.randgen import (
     random_complex_with_action,
     random_wallspace,
 )
-from panelcollapse.symmetry import GroupAction, run_to_tree
+from panelcollapse.symmetry import GroupAction, iter_steps, run_to_tree
 
 import oracle
 from conftest import (
@@ -30,7 +31,9 @@ from conftest import (
     grid_complex,
     hypercube_complex,
     path_complex,
+    wallspaces,
 )
+from test_collapse import _descent_instances
 
 
 # -- validation ---------------------------------------------------------------
@@ -724,3 +727,37 @@ def test_maximal_cube_counts_in_closed_form(tree4):
     assert len(path_complex(5).maximal_cubes()) == 5
     assert len(tree4.maximal_cubes()) == 3
     assert CubeComplex(["v"], []).maximal_cubes() == (frozenset({"v"}),)
+
+
+def _assert_lazy_tables_match_the_eager_ones(cx):
+    cubes = oracle.eager_cubes(cx)
+    assert cx.cube_counts == tuple(map(len, cubes))
+    assert cx._square_counts == oracle.eager_square_counts(cubes)
+    for d in range(-1, len(cubes) + 1):
+        assert cx._dim_cubes(d) == (cubes[d] if 0 <= d < len(cubes) else []), d
+    assert list(cx._cubes) == cubes
+    assert cx._maximal_cubes() == oracle.adjacency_maximal_cubes(cx, cubes)
+
+
+def test_lazy_cube_tables_match_the_eager_reference_along_descents():
+    # a step reads only the cubes of dimension 2 and up: the vertex and edge
+    # lists of its output stay unbuilt
+    steps = 0
+    for instance in _descent_instances():
+        for step in iter_steps(*instance):
+            out = step.result.output_complex
+            assert 0 not in out._cube_lists and 1 not in out._cube_lists
+            assert "_cubes" not in vars(out)
+            _assert_lazy_tables_match_the_eager_ones(step.result.input_complex)
+            _assert_lazy_tables_match_the_eager_ones(out)
+            steps += 1
+    assert steps >= 50, steps
+
+
+@given(wallspaces())
+def test_lazy_cube_tables_match_the_eager_reference_on_duals(ws):
+    dual = dualize_details(ws).complex
+    cx = CubeComplex(dual.vertices, dual.edges)
+    # a build lists no cube
+    assert not cx._cube_lists and "_cubes" not in vars(cx)
+    _assert_lazy_tables_match_the_eager_ones(cx)
