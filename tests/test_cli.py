@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import panelcollapse
@@ -357,6 +357,28 @@ def test_fuzz_command(capsys, monkeypatch):
     assert "seed: 7" in out and out.strip().endswith("ok")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", str(DATA / "cube3.cc"), str(DATA / "trivial.act"), "--trace"],
+        ["stallings", str(DATA / "crossing2.ws"), "--trace"],
+        ["collapse", str(DATA / "cube3.cc"), "--auto", "--output"],
+        ["collapse", str(DATA / "cube3.cc"), "--auto", "--provenance"],
+        ["dualize", str(DATA / "crossing2.ws"), "--output"],
+    ],
+    ids=["run-trace", "stallings-trace", "collapse-output", "collapse-provenance",
+         "dualize-output"],
+)
+def test_unwritable_output_is_user_error(capsys, tmp_path, command):
+    target = tmp_path / "missing-directory" / "out"
+    code, _, err = run_cli(capsys, *command, str(target))
+    assert code == 1
+    assert any(
+        line.startswith(f"error: cannot write {target}:") for line in err.splitlines()
+    )
+    assert "Traceback" not in err
+
+
 def test_binary_input_is_user_error(capsys, tmp_path):
     path = tmp_path / "binary.cc"
     path.write_bytes(b"\xff\xfe")
@@ -543,17 +565,6 @@ OUTPUT_COMMANDS = [
     st.sampled_from(OUTPUT_COMMANDS),
     st.sampled_from(("new-file", "directory", "missing-directory", "under-a-file")),
 )
-# every output option by its long name, under a missing directory
-@example(
-    ["run", str(DATA / "cube3.cc"), str(DATA / "trivial.act"), "--trace"],
-    "missing-directory",
-)
-@example(["stallings", str(DATA / "crossing2.ws"), "--trace"], "missing-directory")
-@example(["collapse", str(DATA / "cube3.cc"), "--auto", "--output"], "missing-directory")
-@example(
-    ["collapse", str(DATA / "cube3.cc"), "--auto", "--provenance"], "missing-directory"
-)
-@example(["dualize", str(DATA / "crossing2.ws"), "--output"], "missing-directory")
 def test_output_paths_exit_cleanly(command, kind):
     # an output path is written when it names a new file and is otherwise
     # refused with exit 1 and a message, never with a traceback
