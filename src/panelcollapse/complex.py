@@ -39,10 +39,13 @@ pair ``(base, axes)`` of the AND of its vertex masks and the mask of its
 walls; its vertices are the masks ``base | s`` for the subsets ``s`` of
 ``axes``.  Signs, crossing sets and convex hulls are read off the masks.
 The list of one dimension's cubes, the table of every cube, the maximal
-cubes, the ``Hyperplane`` objects with their two sides, the vertex-by-wall
+cubes, a table of one byte per vertex and wall (the masks written in
+binary), the ``Hyperplane`` objects with their two sides, the vertex-by-wall
 sign matrix and the cubes' vertex sets are built on first use and cached.
-numpy serves only the sign matrix of ``vertex_signs()`` and the median scan
-of a rejected graph, and is imported there, so a build never loads it.
+A wall's plus side is one column of the byte table, and the sign matrix of
+``vertex_signs()`` is the whole table, read by numpy.  numpy serves only
+that matrix and the median scan of a rejected graph, and is imported
+there, so a build never loads it.
 
 Conventions used throughout the package:
 
@@ -60,6 +63,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -281,7 +285,8 @@ def _median_walls(adj, level, queue, int_edges):
        excludes an induced K2,3;
     4. whenever three neighbours of a vertex c pairwise span squares with c,
        the three vertices opposite c have a common neighbour (the 3-cube
-       condition).
+       condition); it runs last, once the labels are known distinct, and
+       reads them.
 
     The ``down`` sets are vertex bitsets, so the common down-neighbours of
     a pair are one AND.
@@ -310,8 +315,11 @@ def _median_walls(adj, level, queue, int_edges):
     closes one; the other tops add their one pair.  A 2-dimensional complex
     has none, and collapse never raises dimension.
 
-    The walls are then renumbered by their first edge in ``int_edges``, and
-    each mask is rebuilt as its first down-neighbour's OR its down-walls.
+    The walls are renumbered by their first edge in ``int_edges``, and each
+    mask is rebuilt as its first down-neighbour's OR its down-walls; these
+    are the final labels.  Once they are distinct, each neighbour of a
+    vertex is named by a wall bit, so check 4 reads the corners of every
+    square off the labels (``_three_cube_condition``).
     Returns the wall of each edge, in ``int_edges`` order, the masks, the
     vertex of each mask, each vertex's mask of down-walls and the number of
     squares (each recorded once, at its top) dual to each crossing pair of
@@ -365,8 +373,6 @@ def _median_walls(adj, level, queue, int_edges):
             triangle = crossing[p] & crossing[q] != 0
             crossing[p] |= q
             crossing[q] |= p
-    if triangle and not _three_cube_condition(adj, squares):
-        return None
     ids = {}
     edge_wall = [ids.setdefault(masks[a] ^ masks[b], len(ids)) for a, b in int_edges]
     final = [0] * n
@@ -378,6 +384,8 @@ def _median_walls(adj, level, queue, int_edges):
     vertex_of = {m: x for x, m in enumerate(final)}
     if len(vertex_of) < n:
         return None
+    if triangle and not _three_cube_condition(adj, squares, final):
+        return None
     # a pair's two bits: its lowest, and what is left when that is cleared
     square_counts = {
         1 << ids[pair & -pair] | 1 << ids[pair & (pair - 1)]: count
@@ -386,26 +394,42 @@ def _median_walls(adj, level, queue, int_edges):
     return edge_wall, final, vertex_of, down_walls, square_counts
 
 
-def _three_cube_condition(adj, squares):
+def _three_cube_condition(adj, squares, labels):
     """Whether three neighbours of a vertex c that pairwise span squares
-    with c always have opposite vertices with a common neighbour."""
-    # link[c][p][q] is the vertex opposite c in the square through p, c, q
-    link = [{} for _ in adj]
+    with c always have opposite vertices with a common neighbour, read off
+    labels that are distinct and flip one bit on every edge.
+
+    Each neighbour of c, labelled m, is then named by the wall bit of its
+    edge, and the vertex opposite c in a square on walls p and q is labelled
+    m ^ p ^ q.  A common neighbour of the vertices opposite c in the squares
+    on p and q, on p and z and on q and z differs from each in one bit, so
+    it can only be m ^ p ^ q ^ z, and it is one exactly when m ^ p ^ q has
+    an edge on wall z, m ^ p ^ z one on q and m ^ q ^ z one on p.  So with
+    the link at c a map from each wall bit to the mask of walls that span a
+    square with it there, the condition holds exactly when, at each corner
+    c of each square, on walls p and q with o opposite c, every wall that
+    spans squares at c with both p and q is the wall of an edge at o.  Every
+    corner is checked, not only the bottom ones, and every square is in
+    ``squares``: its labels are m, m ^ p, m ^ q and m ^ p ^ q, so it has one
+    top, and two down-neighbours of the top have one common down-neighbour.
+    """
+    link = [{} for _ in labels]
     for t, x, y, b in squares:
-        for c, p, q, o in ((t, x, y, b), (b, x, y, t), (x, t, b, y), (y, t, b, x)):
-            link[c].setdefault(p, {})[q] = o
-            link[c].setdefault(q, {})[p] = o
-    for spans in link:
-        if len(spans) < 3:
-            continue
-        for x, xs in spans.items():
-            for y, o_xy in xs.items():
-                if y < x:
-                    continue
-                ys = spans[y]
-                for z, o_xz in xs.items():
-                    if z > y and z in ys and not adj[o_xy] & adj[o_xz] & adj[ys[z]]:
-                        return False
+        m = labels[t]
+        p, q = m ^ labels[x], m ^ labels[y]
+        for c in (t, x, y, b):
+            spans = link[c]
+            spans[p] = spans.get(p, 0) | q
+            spans[q] = spans.get(q, 0) | p
+    # the walls of each vertex's edges
+    walls_at = [sum([m ^ labels[u] for u in near]) for m, near in zip(labels, adj)]
+    for t, x, y, b in squares:
+        m = labels[t]
+        p, q = m ^ labels[x], m ^ labels[y]
+        for c, o in ((t, b), (b, t), (x, y), (y, x)):
+            spans = link[c]
+            if spans[p] & spans[q] & ~walls_at[o]:
+                return False
     return True
 
 
@@ -458,16 +482,8 @@ def _same_complex(a, b) -> bool:
     return a is b or (a._order == b._order and a._int_edges == b._int_edges)
 
 
-def _sign_matrix(masks, width):
-    """The masks as a vertex-by-wall int8 matrix: +1 on a wall's plus side,
-    -1 on its minus side."""
-    import numpy as np
-
-    nbytes = (width + 7) // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    bits = np.unpackbits(packed, axis=1, count=width, bitorder="little")
-    return 2 * bits.astype(np.int8) - 1
+# the digits of a mask written in binary, as the bytes 0 and 1
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +553,9 @@ class CubeComplex:
     ``_dim_cubes(d)`` lists the d-cubes as ``(base, axes)`` pairs on first
     use, and ``_cubes`` holds every dimension's list for the few callers
     that walk every cube.  The public views take and return cubes as vertex
-    sets, converted by ``_key`` and ``_vertex_set``; they, the
-    ``Hyperplane`` objects, the sign matrix and the maximal cubes are built
-    on first use.
+    sets, converted by ``_key`` and ``_vertex_set``; they, the byte table
+    of sides, the ``Hyperplane`` objects, the sign matrix and the maximal
+    cubes are built on first use.
     """
 
     def __init__(self, vertices, edges):
@@ -723,14 +739,28 @@ class CubeComplex:
 
     # -- hyperplanes ----------------------------------------------------------
 
+    @functools.cached_property
+    def _side_table(self) -> bytes:
+        """One byte per vertex and wall, a row per vertex in index order: 1
+        where the vertex lies on the wall's plus side, 0 on its minus side.
+        A row is its vertex's mask written in binary, so wall h sits in
+        column ``width - 1 - h``."""
+        width = len(self._wall_edges)
+        if not width:  # format writes at least one digit
+            return b""
+        spec = f"0{width}b"
+        digits = "".join([format(m, spec) for m in self._masks])
+        return digits.encode().translate(_BINARY_DIGITS)
+
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
         if self._hyperplanes is None:
-            order, masks = self._order, self._masks
+            order, table = self._order, self._side_table
+            width = len(self._wall_edges)
             everything = frozenset(order)
             hyperplanes = []
             for h_id, es in enumerate(self._wall_edges):
-                bit = 1 << h_id
-                plus = frozenset([v for v, m in zip(order, masks) if m & bit])
+                column = table[width - 1 - h_id :: width]
+                plus = frozenset(itertools.compress(order, column))
                 hyperplanes.append(
                     Hyperplane(
                         id=h_id,
@@ -747,7 +777,12 @@ class CubeComplex:
         """Matrix of halfspace signs, rows by vertex index, columns by wall
         id, as int8: +1 on a wall's plus side, -1 on its minus side."""
         if self._signs is None:
-            self._signs = _sign_matrix(self._masks, len(self._wall_edges))
+            import numpy as np
+
+            width = len(self._wall_edges)
+            table = np.frombuffer(self._side_table, dtype=np.uint8)
+            bits = table.reshape(self.n, width)[:, ::-1].astype(np.int8)
+            self._signs = 2 * bits - 1
         return self._signs
 
     def sign(self, v, h_id: int) -> int:

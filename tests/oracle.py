@@ -37,6 +37,11 @@ match: every cube listed at its top vertex, the square counts taken from
 those lists and the maximal cubes found by scanning each vertex's
 neighbours, and the status and persistent subcube of a cube found by listing
 the panels with an internal edge in it, one panel at a time.
+
+The recogniser's earlier tables close the file: the 3-cube condition on a
+dict-of-dicts vertex link at every vertex, each wall's sides found by
+filtering the vertices one wall at a time, and the sign matrix unpacked
+from the masks' bytes.
 """
 
 import itertools
@@ -744,3 +749,57 @@ def meeting_persistent(panels, cube):
         return None
     extremalising = ones | zeros
     return (base | ones, axes & ~extremalising), extremalising & abutting
+
+
+# ---------------------------------------------------------------------------
+# the recogniser's earlier tables
+# ---------------------------------------------------------------------------
+
+
+def three_cube_condition(adj, squares):
+    """Whether three neighbours of a vertex c that pairwise span squares
+    with c always have opposite vertices with a common neighbour, on vertex
+    links: each square ``(top, x, y, bottom)`` is entered at all four of its
+    corners."""
+    # link[c][p][q] is the vertex opposite c in the square through p, c, q
+    link = [{} for _ in adj]
+    for t, x, y, b in squares:
+        for c, p, q, o in ((t, x, y, b), (b, x, y, t), (x, t, b, y), (y, t, b, x)):
+            link[c].setdefault(p, {})[q] = o
+            link[c].setdefault(q, {})[p] = o
+    for spans in link:
+        if len(spans) < 3:
+            continue
+        for x, xs in spans.items():
+            for y, o_xy in xs.items():
+                if y < x:
+                    continue
+                ys = spans[y]
+                for z, o_xz in xs.items():
+                    if z > y and z in ys and not adj[o_xy] & adj[o_xz] & adj[ys[z]]:
+                        return False
+    return True
+
+
+def filtered_hyperplanes(cx):
+    """Each wall as ``(id, edges, minus, plus)``, its plus side filtered
+    from the vertices by its bit of their masks."""
+    order, masks = cx._order, cx._masks
+    out = []
+    for h, es in enumerate(cx._wall_edges):
+        plus = frozenset(v for v, m in zip(order, masks) if m >> h & 1)
+        edges = frozenset((order[a], order[b]) for a, b in es)
+        out.append((h, edges, frozenset(order) - plus, plus))
+    return out
+
+
+def sign_matrix(masks, width):
+    """The masks as a vertex-by-wall int8 matrix: +1 on a wall's plus side,
+    -1 on its minus side."""
+    import numpy as np
+
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    bits = np.unpackbits(packed, axis=1, count=width, bitorder="little")
+    return 2 * bits.astype(np.int8) - 1

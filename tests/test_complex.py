@@ -1,8 +1,10 @@
 """Core representation: validation, hyperplanes, cubes, hulls, crossings."""
 
+import importlib
 import inspect
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -604,7 +606,7 @@ def test_median_scan_runs_only_on_rejection(monkeypatch):
 def test_three_cube_check_runs_only_where_three_walls_cross(monkeypatch):
     from panelcollapse import complex as cplx
 
-    def refuse(adj, squares):
+    def refuse(*args):
         raise AssertionError("the 3-cube check ran")
 
     monkeypatch.setattr(cplx, "_three_cube_condition", refuse)
@@ -634,8 +636,10 @@ def test_three_cube_check_holds_at_every_root(monkeypatch):
     verdicts = []
     check = cplx._three_cube_condition
 
-    def recorded(adj, squares):
-        verdicts.append(check(adj, squares))
+    def recorded(*args):
+        verdicts.append(check(*args))
+        # the label check agrees with the vertex-link check wherever it runs
+        assert verdicts[-1] == oracle.three_cube_condition(*args[:2])
         return verdicts[-1]
 
     monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
@@ -688,6 +692,28 @@ def test_three_cube_check_holds_at_every_root(monkeypatch):
             assert not _matches_reference(vs, es)
     # the 3-cube check itself rejects some rootings of the first graph
     assert False in verdicts
+
+
+def test_recogniser_matches_the_reference_on_a_sweep_slice(monkeypatch):
+    from panelcollapse import complex as cplx
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    sweep = importlib.import_module("recogniser_sweep")
+    verdicts = []
+    check = cplx._three_cube_condition
+
+    def recorded(*args):
+        verdicts.append(check(*args))
+        assert verdicts[-1] == oracle.three_cube_condition(*args[:2])
+        return verdicts[-1]
+
+    monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
+    counts, wrong = sweep.sweep(seed=5, count=400)
+    assert wrong == []
+    assert counts["median"] >= 40 and counts["connected"] - counts["median"] >= 200
+    # the 3-cube check runs last, so each False is a graph that it alone
+    # rejects, and each True a median graph
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20
 
 
 def test_recogniser_faults_are_internal_errors(monkeypatch):
@@ -761,3 +787,35 @@ def test_lazy_cube_tables_match_the_eager_reference_on_duals(ws):
     # a build lists no cube
     assert not cx._cube_lists and "_cubes" not in vars(cx)
     _assert_lazy_tables_match_the_eager_ones(cx)
+
+
+def _assert_sides_and_signs_match_the_references(cx):
+    planes = [(h.id, h.edges, h.minus, h.plus) for h in cx.hyperplanes()]
+    assert planes == oracle.filtered_hyperplanes(cx)
+    signs = cx.vertex_signs()
+    reference = oracle.sign_matrix(cx._masks, len(cx._wall_edges))
+    assert (signs.dtype, signs.shape) == (reference.dtype, reference.shape)
+    assert signs.tobytes() == reference.tobytes()
+
+
+def test_sides_and_signs_match_the_references():
+    # no wall, a tree, more walls than a machine word holds, a cube and a box
+    tree = CubeComplex("rabcd", [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")])
+    grid = grid_complex(37, 37)
+    assert len(grid._wall_edges) == 74
+    for cx in (
+        CubeComplex(["v"], []),
+        tree,
+        grid,
+        hypercube_complex(6),
+        box_complex(3, 3, 3),
+    ):
+        # a build makes no side table
+        assert "_side_table" not in vars(cx)
+        _assert_sides_and_signs_match_the_references(cx)
+
+
+@given(wallspaces())
+def test_sides_and_signs_match_the_references_on_duals(ws):
+    dual = dualize_details(ws).complex
+    _assert_sides_and_signs_match_the_references(CubeComplex(dual.vertices, dual.edges))

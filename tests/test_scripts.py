@@ -86,6 +86,29 @@ def test_descent_experiment_bad_input_is_user_error(args, env):
     assert "Traceback" not in proc.stderr
 
 
+def test_recogniser_sweep():
+    lines = run_script("recogniser_sweep.py", "--seed", "3", "--count", "60")
+    assert lines[-1].startswith("seed=3 graphs=60 ")
+    assert lines[-1].endswith(" disagreements=0")
+
+
+def test_recogniser_sweep_exits_1_on_a_disagreement(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    sweep = importlib.import_module("recogniser_sweep")
+    monkeypatch.setattr(sweep, "compare", lambda vs, es: (None, {"median": (True, False)}))
+    monkeypatch.setattr(sys, "argv", ["recogniser_sweep.py", "--seed", "0", "--count", "2"])
+    assert sweep.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "graph 0: median True, reference False"
+    assert lines[-1].endswith(" disagreements=2")
+
+
+def test_recogniser_sweep_bad_input_is_user_error():
+    proc = start_script("recogniser_sweep.py", "--seed", "1", "--count", "-1")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
 def test_tracer_targets_exist(monkeypatch):
     # the benchmark's tracer wraps these attributes by name; a rename must
     # fail here rather than in a benchmark run
