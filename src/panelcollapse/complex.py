@@ -8,16 +8,19 @@ condition already implies the flag condition and contractibility, so those
 are not re-checked per build; the test suite checks them against a
 brute-force reference.
 
-A graph is recognised as median in one pass over a breadth-first search
-from the first vertex, ``_median_walls``.  It labels the walls from each
+A graph is recognised as median by ``_median_walls``, in two passes over
+a breadth-first search from the first vertex.  It labels the walls from each
 vertex's neighbours nearer the root, as Hagauer, Imrich and Klavžar (1999,
 "Recognizing median graphs in subquadratic time") do, and decides
 medianness exactly by the local conditions of Chepoi (2000, "Graphs of
 some CAT(0) complexes"): a square under every pair of down-edges, no
 induced K2,3 and the 3-cube condition.  The labels exclude K2,3 once they
-are distinct and every edge flips one bit of them.  Only a rejected graph
-pays for the all-triples median scan, which names the first violating
-triple.  Every derived fact comes from the labels:
+are distinct and every edge flips one bit of them, and the other two
+conditions are read off them: a square under a pair of down-edges is one
+mask test per down-edge, and the 3-cube condition is checked at the bottom
+corner of each square.  Only a rejected graph pays for the all-triples
+median scan, which names the first violating triple.  Every derived fact
+comes from the labels:
 
 * the walls are the Djoković-Winkler classes of edges, the classes of the
   transitive closure of being opposite in a square;
@@ -65,7 +68,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -220,10 +223,10 @@ def _distances(n, adj):
 def _median_scan(dist):
     """Check that every triple of vertices has exactly one median.
 
-    Vectorized over the third coordinate: for each pair (u, v) the boolean
-    matrix rows give interval membership, and a single numpy reduction counts
-    medians for all w at once.  Interval rows are bit-packed when numpy
-    supports popcounting.  Returns (ok, violating_triple_indices).
+    Vectorized over the third coordinate: for each pair (u, v) the
+    bit-packed matrix rows give interval membership, and a single numpy
+    popcount reduction counts medians for all w at once.  Returns
+    (ok, violating_triple_indices).
     """
     import numpy as np
 
@@ -231,21 +234,16 @@ def _median_scan(dist):
     if n <= 2:
         return True, None
     d = dist.astype(np.int32)
-    packed = hasattr(np, "bitwise_count")
-    # interval[u][v, x] == True iff x lies on a geodesic from u to v
-    intervals = []
-    for u in range(n):
-        rows = d[u][None, :] + d == d[u][:, None]
-        intervals.append(np.packbits(rows, axis=1) if packed else rows)
+    # bit x of intervals[u][v] is set iff x lies on a geodesic from u to v
+    intervals = [
+        np.packbits(d[u][None, :] + d == d[u][:, None], axis=1) for u in range(n)
+    ]
     for u in range(n - 2):
         A_u = intervals[u]
         for v in range(u + 1, n - 1):
             row = A_u[v]
             block = A_u[v + 1 :] & intervals[v][v + 1 :] & row[None, :]
-            if packed:
-                counts = np.bitwise_count(block).sum(axis=1)
-            else:
-                counts = block.sum(axis=1)
+            counts = np.bitwise_count(block).sum(axis=1)
             bad = np.nonzero(counts != 1)[0]
             if bad.size:
                 return False, (u, v, v + 1 + int(bad[0]))
@@ -275,74 +273,68 @@ def _median_walls(adj, level, queue, int_edges):
     3-cube condition.  On a bipartite graph the quadrangle condition at one
     root makes the square complex simply connected: the farthest vertex of
     any closed walk can be pushed across a square towards the root, and
-    every median graph satisfies it.  So with ``down[v]`` the neighbours of
-    v one level nearer vertex 0, the graph is median exactly when
+    every median graph satisfies it.  So with the down-neighbours of v its
+    neighbours one level nearer vertex 0, the graph is median exactly when
 
     1. every edge joins adjacent levels (it is bipartite);
-    2. any two vertices of ``down[v]`` have a common neighbour in their own
-       ``down`` sets, which records a square with top v;
+    2. any two down-neighbours of a vertex have a common down-neighbour,
+       which makes a square with that vertex as its top;
     3. the wall labels flip one bit on every edge and are distinct, which
        excludes an induced K2,3;
     4. whenever three neighbours of a vertex c pairwise span squares with c,
        the three vertices opposite c have a common neighbour (the 3-cube
-       condition); it runs last, once the labels are known distinct, and
-       reads them.
-
-    The ``down`` sets are vertex bitsets, so the common down-neighbours of
-    a pair are one AND.
+       condition).
 
     The labels are wall masks, given in BFS order from the down-neighbours:
     with one, that neighbour's mask and a fresh wall; with more, the OR of
     the first two's.  In a median graph these are the Djoković-Winkler
     classes (Hagauer, Imrich and Klavžar 1999).  A graph is rejected unless
     each down-edge flips at most one bit and the final labels, the masks
-    with their walls renumbered (last paragraph), are distinct.  While every
-    flip is one bit, by induction in BFS order a mask's popcount is its
-    vertex's level, so every edge adds one bit upwards.  At the first
-    down-edge that flips none, the top's mask has the popcount of the level
-    below, so its first two down-neighbours share one mask, and one label.
-    A common neighbour of vertices labelled p ≠ q is then labelled p ^ a or
-    p ^ b, where {a, b} = p ^ q, so distinct labels allow at most two common
+    with their walls renumbered (below), are distinct.  While every flip is
+    one bit, by induction in BFS order a mask's popcount is its vertex's
+    level, so every edge adds one bit upwards.  At the first down-edge that
+    flips none, the top's mask has the popcount of the level below, so its
+    first two down-neighbours share one mask, and one label.  A common
+    neighbour of vertices labelled p ≠ q is then labelled p ^ a or p ^ b,
+    where {a, b} = p ^ q, so distinct labels allow at most two common
     neighbours.  That rules out a K2,3, two tops over a pair, two common
     down-neighbours of a pair and three paths to a vertex two levels down.
+
+    Checks 2 to 4 read the final labels.  The walls are renumbered by their
+    first edge in ``int_edges``, and each mask is rebuilt as its first
+    down-neighbour's OR its down-walls.  With distinct labels, the only
+    vertex one bit below both m ^ p and m ^ q, the down-neighbours of m
+    across walls p and q, is m ^ p ^ q.  So check 2 holds at m exactly
+    when, for each down-neighbour x across p, every other down-wall of m is
+    a down-wall of x: one mask test per down-edge, made as the labels are
+    rebuilt.  It may run before the labels are known distinct, since a
+    graph whose labels are not is rejected either way.  Each square is
+    recorded once, as its top and its two walls.
 
     Given check 3, the four flips around a square cancel and the two at a
     corner differ, so all four corners see the same two walls.  Three
     neighbours of c that pairwise span squares with c are then reached
     across three walls that pairwise cross: a triangle in the crossing
     graph, which has an edge for the two walls of each square.  So check 4
-    runs only when that graph has a triangle.  A top with three down-walls
-    closes one; the other tops add their one pair.  A 2-dimensional complex
-    has none, and collapse never raises dimension.
-
-    The walls are renumbered by their first edge in ``int_edges``, and each
-    mask is rebuilt as its first down-neighbour's OR its down-walls; these
-    are the final labels.  Once they are distinct, each neighbour of a
-    vertex is named by a wall bit, so check 4 reads the corners of every
-    square off the labels (``_three_cube_condition``).
-    Returns the wall of each edge, in ``int_edges`` order, the masks, the
-    vertex of each mask, each vertex's mask of down-walls and the number of
-    squares (each recorded once, at its top) dual to each crossing pair of
-    walls, keyed by the pair's mask, or None as soon as a check fails.
+    (``_three_cube_condition``) runs last, and only when one pass over the
+    crossing pairs finds a triangle.  A 2-dimensional complex has none, and
+    collapse never raises dimension.
+    Returns the wall of each edge, in ``int_edges`` order, the labels, the
+    vertex of each label, each vertex's mask of down-walls and the number of
+    squares dual to each crossing pair of walls, keyed by the pair's mask,
+    or None as soon as a check fails.
     """
     n = len(adj)
-    down = [0] * n
-    below = [[] for _ in range(n)]  # the bits of down[v], ascending
+    below = [[] for _ in range(n)]  # the down-neighbours, ascending
     for a, b in int_edges:
         if level[a] < level[b]:
-            down[b] |= 1 << a
             below[b].append(a)
         elif level[b] < level[a]:
-            down[a] |= 1 << b
             below[a].append(b)
         else:
             return None
     masks = [0] * n
     fresh = 1
-    squares = []
-    square_counts = defaultdict(int)  # by the pair of walls of a square
-    crossing = defaultdict(int)  # the walls crossing each wall
-    triangle = False
     for v in queue[1:]:
         xs = below[v]
         if len(xs) == 1:
@@ -353,83 +345,96 @@ def _median_walls(adj, level, queue, int_edges):
         if 1 << len(xs) > n:
             return None
         mask = masks[v] = masks[xs[0]] | masks[xs[1]]
-        flips = [mask ^ masks[x] for x in xs]
-        for i, x in enumerate(xs):
-            flip = flips[i]
+        for x in xs:
+            flip = mask ^ masks[x]
             if flip & (flip - 1):
                 return None
-            down_x = down[x]
-            for j in range(i + 1, len(xs)):
-                y = xs[j]
-                common = down_x & down[y]
-                if not common:
-                    return None
-                squares.append((v, x, y, common.bit_length() - 1))
-                square_counts[flip | flips[j]] += 1
-        if len(xs) > 2:
-            triangle = True
-        elif not triangle:
-            p, q = flips
-            triangle = crossing[p] & crossing[q] != 0
-            crossing[p] |= q
-            crossing[q] |= p
     ids = {}
     edge_wall = [ids.setdefault(masks[a] ^ masks[b], len(ids)) for a, b in int_edges]
     final = [0] * n
     down_walls = [0] * n
+    squares = []
     for v in queue[1:]:
-        for x in below[v]:
-            down_walls[v] |= 1 << ids[masks[v] ^ masks[x]]
-        final[v] = final[below[v][0]] | down_walls[v]
+        xs = below[v]
+        if len(xs) == 1:
+            walls = down_walls[v] = 1 << ids[masks[v] ^ masks[xs[0]]]
+            final[v] = final[xs[0]] | walls
+            continue
+        flips = [1 << ids[masks[v] ^ masks[x]] for x in xs]
+        walls = down_walls[v] = sum(flips)
+        final[v] = final[xs[0]] | walls
+        # check 2: each down-neighbour has an edge down on the other walls
+        for x, p in zip(xs, flips):
+            if walls & ~p & ~down_walls[x]:
+                return None
+        squares += [(v, p, q) for p, q in itertools.combinations(flips, 2)]
     vertex_of = {m: x for x, m in enumerate(final)}
     if len(vertex_of) < n:
         return None
-    if triangle and not _three_cube_condition(adj, squares, final):
+    square_counts = Counter(p | q for _, p, q in squares)
+    crossing = defaultdict(int)  # the walls crossing each wall
+    triangle = False
+    for pair in square_counts:
+        # a triangle is found at the last of its three pairs
+        p, q = pair & -pair, pair & (pair - 1)
+        triangle = triangle or crossing[p] & crossing[q] != 0
+        crossing[p] |= q
+        crossing[q] |= p
+    if triangle and not _three_cube_condition(adj, squares, final, vertex_of):
         return None
-    # a pair's two bits: its lowest, and what is left when that is cleared
-    square_counts = {
-        1 << ids[pair & -pair] | 1 << ids[pair & (pair - 1)]: count
-        for pair, count in square_counts.items()
-    }
     return edge_wall, final, vertex_of, down_walls, square_counts
 
 
-def _three_cube_condition(adj, squares, labels):
+def _three_cube_condition(adj, squares, labels, vertex_of):
     """Whether three neighbours of a vertex c that pairwise span squares
     with c always have opposite vertices with a common neighbour, read off
-    labels that are distinct and flip one bit on every edge.
+    labels that are distinct and flip one bit on every edge, on a graph
+    that satisfies the quadrangle condition (check 2 of ``_median_walls``).
 
     Each neighbour of c, labelled m, is then named by the wall bit of its
     edge, and the vertex opposite c in a square on walls p and q is labelled
     m ^ p ^ q.  A common neighbour of the vertices opposite c in the squares
     on p and q, on p and z and on q and z differs from each in one bit, so
-    it can only be m ^ p ^ q ^ z, and it is one exactly when m ^ p ^ q has
-    an edge on wall z, m ^ p ^ z one on q and m ^ q ^ z one on p.  So with
+    it can only be w = m ^ p ^ q ^ z, and it is one exactly when m ^ p ^ q
+    has an edge on wall z, m ^ p ^ z one on q and m ^ q ^ z one on p.  With
     the link at c a map from each wall bit to the mask of walls that span a
-    square with it there, the condition holds exactly when, at each corner
-    c of each square, on walls p and q with o opposite c, every wall that
-    spans squares at c with both p and q is the wall of an edge at o.  Every
-    corner is checked, not only the bottom ones, and every square is in
-    ``squares``: its labels are m, m ^ p, m ^ q and m ^ p ^ q, so it has one
-    top, and two down-neighbours of the top have one common down-neighbour.
+    square with it there, it is enough to check, at the bottom corner b of
+    each square, the one nearest vertex 0, that every wall spanning squares
+    at b with both walls of the square is the wall of an edge at its top.
+    By how many of p, q and z are down-walls at c:
+
+    * none: c is the bottom of all three squares, whose checks give the
+      three edges;
+    * one, p: the square on q and z has c at its bottom, and its check
+      gives the edge from m ^ q ^ z to w on p; then m ^ q ^ z has
+      down-walls p, q and z, and the quadrangle condition there gives w's
+      edges on q and z;
+    * two, p and q: the up-neighbour m ^ z has down-walls p, q and z, as
+      its squares with c show, so the quadrangle condition there gives w
+      and its edges to m ^ z ^ p and m ^ z ^ q; at m ^ z ^ p, whose
+      down-walls include q and z, it gives w's edge on z;
+    * three: the quadrangle condition at c gives the vertices m ^ p ^ q,
+      m ^ p ^ z and m ^ q ^ z, and at m ^ p and m ^ q it gives w and its
+      three edges.
+
+    Every square is in ``squares``, as ``(top, p, q)``: its labels are m,
+    m ^ p, m ^ q and m ^ p ^ q, so it has one top, and two down-neighbours
+    of the top have one common down-neighbour.  Its corners are read off
+    ``vertex_of``.
     """
     link = [{} for _ in labels]
-    for t, x, y, b in squares:
+    for t, p, q in squares:
         m = labels[t]
-        p, q = m ^ labels[x], m ^ labels[y]
-        for c in (t, x, y, b):
+        for c in (t, vertex_of[m ^ p], vertex_of[m ^ q], vertex_of[m ^ p ^ q]):
             spans = link[c]
             spans[p] = spans.get(p, 0) | q
             spans[q] = spans.get(q, 0) | p
     # the walls of each vertex's edges
     walls_at = [sum([m ^ labels[u] for u in near]) for m, near in zip(labels, adj)]
-    for t, x, y, b in squares:
-        m = labels[t]
-        p, q = m ^ labels[x], m ^ labels[y]
-        for c, o in ((t, b), (b, t), (x, y), (y, x)):
-            spans = link[c]
-            if spans[p] & spans[q] & ~walls_at[o]:
-                return False
+    for t, p, q in squares:
+        b = vertex_of[labels[t] ^ p ^ q]
+        if link[b][p] & link[b][q] & ~walls_at[t]:
+            return False
     return True
 
 

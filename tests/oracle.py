@@ -756,27 +756,25 @@ def meeting_persistent(panels, cube):
 # ---------------------------------------------------------------------------
 
 
-def three_cube_condition(adj, squares):
-    """Whether three neighbours of a vertex c that pairwise span squares
-    with c always have opposite vertices with a common neighbour, on vertex
-    links: each square ``(top, x, y, bottom)`` is entered at all four of its
-    corners."""
-    # link[c][p][q] is the vertex opposite c in the square through p, c, q
-    link = [{} for _ in adj]
-    for t, x, y, b in squares:
-        for c, p, q, o in ((t, x, y, b), (b, x, y, t), (x, t, b, y), (y, t, b, x)):
-            link[c].setdefault(p, {})[q] = o
-            link[c].setdefault(q, {})[p] = o
-    for spans in link:
-        if len(spans) < 3:
-            continue
-        for x, xs in spans.items():
-            for y, o_xy in xs.items():
-                if y < x:
-                    continue
-                ys = spans[y]
-                for z, o_xz in xs.items():
-                    if z > y and z in ys and not adj[o_xy] & adj[o_xz] & adj[ys[z]]:
+def three_cube_condition(adj):
+    """Whether three neighbours x, y, z of a vertex c that pairwise span
+    squares with c always have opposite vertices with a common neighbour, on
+    vertex links.  The squares are the chordless 4-cycles of ``adj``, found
+    by search at every vertex, and every choice of the three opposite
+    vertices is tried."""
+    for c, near in enumerate(adj):
+        # opposite[x, y]: the vertices o of the chordless 4-cycles c, x, o, y
+        opposite = {}
+        for x, y in itertools.combinations(sorted(near), 2):
+            if y not in adj[x]:
+                far = (adj[x] & adj[y]) - near - {c}
+                if far:
+                    opposite[x, y] = far
+        for x, y, z in itertools.combinations(sorted(near), 3):
+            pairs = ((x, y), (x, z), (y, z))
+            if all(pair in opposite for pair in pairs):
+                for far in itertools.product(*(opposite[pair] for pair in pairs)):
+                    if not set.intersection(*(adj[o] for o in far)):
                         return False
     return True
 

@@ -630,19 +630,9 @@ def _rooted_everywhere(vs, es):
         yield [name[v] for v in vs], [(name[u], name[v]) for u, v in es]
 
 
-def test_three_cube_check_holds_at_every_root(monkeypatch):
-    from panelcollapse import complex as cplx
-
-    verdicts = []
-    check = cplx._three_cube_condition
-
-    def recorded(*args):
-        verdicts.append(check(*args))
-        # the label check agrees with the vertex-link check wherever it runs
-        assert verdicts[-1] == oracle.three_cube_condition(*args[:2])
-        return verdicts[-1]
-
-    monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
+def _three_cube_graphs():
+    """Six graphs that are not median, each rejected at some of its rootings
+    by the 3-cube check or by the distinct-labels check just before it."""
     corners = ["".join(b) for b in itertools.product("01", repeat=3)]
     cube_edges = [
         (u, v)
@@ -651,7 +641,8 @@ def test_three_cube_check_holds_at_every_root(monkeypatch):
     ]
     # the 3-cube minus 111 with a pendant vertex on 100: rooted at the
     # pendant, 000 has its neighbour 100 below it and 010, 001 above, so a
-    # 3-cube check made only at bottom corners would miss the corner 111
+    # 3-cube check made only at vertices that lie below all three of their
+    # squares would miss the corner 111
     pendant = (
         [v for v in corners if v != "111"] + ["p"],
         [e for e in cube_edges if "111" not in e] + [("100", "p")],
@@ -687,11 +678,51 @@ def test_three_cube_check_holds_at_every_root(monkeypatch):
         ["r", "w", "p", "q", "s", "t", "e", "f"],
         [("r", "w"), ("r", "e"), ("e", "f")] + [(u, v) for u in "pqs" for v in "wt"],
     )
-    for graph in (pendant, halves, k23, two_tops, two_bottoms, three_paths):
+    return pendant, halves, k23, two_tops, two_bottoms, three_paths
+
+
+def test_three_cube_check_holds_at_every_root(monkeypatch):
+    from panelcollapse import complex as cplx
+
+    verdicts = []
+    check = cplx._three_cube_condition
+
+    def recorded(*args):
+        verdicts.append(check(*args))
+        # the label check agrees with the vertex-link check wherever it runs
+        assert verdicts[-1] == oracle.three_cube_condition(args[0])
+        return verdicts[-1]
+
+    monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
+    for graph in _three_cube_graphs():
         for vs, es in _rooted_everywhere(*graph):
             assert not _matches_reference(vs, es)
     # the 3-cube check itself rejects some rootings of the first graph
     assert False in verdicts
+
+
+def test_three_cube_check_needs_the_bottom_corner(monkeypatch):
+    from panelcollapse import complex as cplx
+
+    # a mutant that checks each square's top corner against its bottom one
+    rule = "link[b][p] & link[b][q] & ~walls_at[t]"
+    source = inspect.getsource(cplx._three_cube_condition)
+    assert source.count(rule) == 1
+    namespace = dict(vars(cplx))
+    exec(source.replace(rule, "link[t][p] & link[t][q] & ~walls_at[b]"), namespace)
+    mutant = namespace["_three_cube_condition"]
+    disagreements = []
+
+    def recorded(*args):
+        verdict = mutant(*args)
+        disagreements.append(verdict != oracle.three_cube_condition(args[0]))
+        return verdict
+
+    monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
+    for graph in _three_cube_graphs():
+        for vs, es in _rooted_everywhere(*graph):
+            validate_graph(vs, es)
+    assert True in disagreements
 
 
 def test_recogniser_matches_the_reference_on_a_sweep_slice(monkeypatch):
@@ -704,7 +735,7 @@ def test_recogniser_matches_the_reference_on_a_sweep_slice(monkeypatch):
 
     def recorded(*args):
         verdicts.append(check(*args))
-        assert verdicts[-1] == oracle.three_cube_condition(*args[:2])
+        assert verdicts[-1] == oracle.three_cube_condition(args[0])
         return verdicts[-1]
 
     monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
