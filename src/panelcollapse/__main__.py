@@ -1,0 +1,6 @@
+"""``python -m panelcollapse``: the ``panelcollapse`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -17,9 +17,12 @@ external edge, and gains one diagonal edge per salient vertex of each
 disconnected external cube; its cube structure is again the canonical filling
 and it validates as CAT(0).
 
-Collapse keeps the vertex set and its order, and every output wall extends to
-input walls, so provenance is read off the input masks: an output edge crosses
-the input walls that separate its ends, the bits of the XOR of their masks.
+Collapse keeps the vertex set and its order, so the output complex is built on
+the input's vertex table from index pairs (``CubeComplex._with_edges``), with
+no second sort or edge check, and validated in full.  Every output wall extends
+to input walls, so provenance is read off the input masks: an output edge
+crosses the input walls that separate its ends, the bits of the XOR of their
+masks.
 The step builds no per-edge provenance: ``CollapseResult.wall_crossings``
 keeps one crossing mask per output wall, checked once, and
 ``CollapseResult.edge_provenance`` is a view built on first access.
@@ -371,7 +374,9 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     An edge is internal exactly when it is an internal edge of a panel.  A
     failure of the output to validate is reported as an internal invariant
     breach: the construction guarantees a CAT(0) result.  Edges are kept as
-    index pairs and named only for the output's constructor.
+    index pairs throughout: the output is built on the input's vertex table
+    by ``CubeComplex._with_edges``, which still validates it in full, and
+    only the diagonal edges are named, for ``diagonal_edges``.
     """
     cls = classify(cx, panels)
     panels = cls.panels
@@ -396,20 +401,19 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     if panels and not internal:
         raise InternalInvariantError("nonempty panel family with no internal edges")
 
-    order = cx._order
-    edges = [(order[a], order[b]) for a, b in cx._int_edges if (a, b) not in internal]
-    diagonal_edges = [(order[a], order[b]) for a, b in sorted(diagonals)]
+    kept = [e for e in cx._int_edges if e not in internal]
     try:
-        out = CubeComplex(cx.vertices, edges + diagonal_edges)
+        out = cx._with_edges(sorted([*kept, *diagonals]))
     except InvalidComplexError as exc:
         raise InternalInvariantError(
             f"collapsed 1-skeleton failed validation: {exc.report.summary()}"
         ) from exc
+    order = cx._order
     return CollapseResult(
         input_complex=cx,
         output_complex=out,
         panels=panels,
-        diagonal_edges=frozenset(diagonal_edges),
+        diagonal_edges=frozenset([(order[a], order[b]) for a, b in diagonals]),
     )
 
 

@@ -34,6 +34,15 @@ comes from the labels:
   d-cubes: the cube counts are a closed form in the down-wall counts, and
   the d-cubes can be listed once each, together with their walls.
 
+A complex is built in one of two ways, which share the validation and the
+tables.  The public constructor sorts the vertices canonically, indexes them
+and checks every edge (``_structural_pass``).  The private
+``CubeComplex._with_edges`` builds a complex on an existing complex's vertex
+table and index dict, for a collapse output, which keeps the vertex set: it
+takes index pairs ``(a, b)`` with ``a < b``, sorted and without duplicates,
+as the structural pass gives them, and neither sorts nor checks them again.
+Both run the full recogniser, so every complex is validated.
+
 A build keeps only integer tables: the masks, each vertex's down-walls,
 each wall's edges and the square counts of crossing pairs, counted from the
 squares the recogniser records.  It lists no cube.  An edge's wall is the
@@ -561,10 +570,29 @@ class CubeComplex:
     sets, converted by ``_key`` and ``_vertex_set``; they, the byte table
     of sides, the ``Hyperplane`` objects, the sign matrix and the maximal
     cubes are built on first use.
+
+    ``CubeComplex(vertices, edges)`` checks and canonicalizes raw data; the
+    private ``_with_edges(int_edges)`` builds a complex on this one's vertex
+    table from sorted, duplicate-free index pairs ``(a, b)`` with ``a < b``,
+    skipping that pass.  Both validate the graph in full and build the same
+    tables from the same edges.
     """
 
     def __init__(self, vertices, edges):
-        order, ix, int_edges = _structural_pass(vertices, edges)
+        self._setup(*_structural_pass(vertices, edges))
+
+    def _with_edges(self, int_edges) -> "CubeComplex":
+        """The complex on this complex's vertex table with the edges
+        ``int_edges``, which must already be in ``_structural_pass`` form.
+        The table and its index dict are shared; the graph is still
+        validated in full, raising ``InvalidComplexError`` when it is not
+        CAT(0)."""
+        out = CubeComplex.__new__(CubeComplex)
+        out._setup(self._order, self._ix, int_edges)
+        return out
+
+    def _setup(self, order, ix, int_edges):
+        """Validate the graph and build the tables, for both constructors."""
         report, internals = _analyze(order, int_edges)
         if not report.passed:
             raise InvalidComplexError(report)

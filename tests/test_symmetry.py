@@ -229,16 +229,27 @@ def test_a_group_beyond_the_cap_runs_to_a_tree():
 
 
 @pytest.mark.xfail(strict=True, raises=InternalInvariantError, reason=(
-    "known defect: on this draw two fundaments disagree on a shared square, "
-    "and the collapsed 1-skeleton of step 1, panel (h3,h4,-), is not median"
+    "known defect: on these draws two fundaments disagree on a shared face, "
+    "and the collapsed 1-skeleton of one step is not median"
 ))
-def test_fuzz_seed_88_draw_20_runs_to_a_tree():
-    # the 21st draw of ``PANELCOLLAPSE_SEED=88 panelcollapse fuzz``
-    rng, cfg = random.Random(88), GeneratorConfig(max_vertices=120)
-    for _ in range(20):
+@pytest.mark.parametrize(
+    "seed, draw, step", [(60, 34, 1), (88, 20, 1), (102, 27, 4), (107, 38, 8), (281, 44, 4)]
+)
+def test_known_fuzz_failures_run_to_a_tree(seed, draw, step):
+    # draw ``draw`` (from 0) of ``PANELCOLLAPSE_SEED=seed panelcollapse fuzz``;
+    # any other error, or this one at another step, fails the test outright,
+    # and so does a run that reaches a tree, since the mark is strict
+    rng, cfg = random.Random(seed), GeneratorConfig(max_vertices=120)
+    for _ in range(draw):
         random_complex_with_action(rng, cfg)
     cx, action = random_complex_with_action(rng, cfg)
-    run_to_tree(cx, action)
+    try:
+        run_to_tree(cx, action)
+    except InternalInvariantError as exc:
+        message = str(exc)
+        assert message.startswith(f"step {step}, panel "), message
+        assert "collapsed 1-skeleton failed validation" in message, message
+        raise
 
 
 def test_step_on_cube_trivial_group(cube3):
@@ -489,18 +500,21 @@ def test_each_step_starts_from_the_previous_complexity(cube4):
 
 
 def test_cube_orbit_count_matches_vertex_set_orbits():
+    # with no generators the count is the closed form ``cube_counts[d]``,
+    # and 0 beyond the dimension; both paths against brute-force orbits
     rng = random.Random(37)
     moved = 0
     for _ in range(40):
-        cx, action = random_complex_with_action(rng, GeneratorConfig())
-        moved += action.order > 1
-        group = symmetry._close(cx, action.generators)
-        for d in range(cx.dimension + 2):
-            orbits = {
-                frozenset(g.apply_set(vs) for g in group)
-                for vs in cx.cube_vertexsets(d)
-            }
-            assert action.cube_orbit_count(d) == len(orbits)
+        cx, drawn = random_complex_with_action(rng, GeneratorConfig())
+        moved += drawn.order > 1
+        for action in (drawn, GroupAction(cx, [])):
+            group = symmetry._close(cx, action.generators)
+            for d in range(cx.dimension + 2):
+                orbits = {
+                    frozenset(g.apply_set(vs) for g in group)
+                    for vs in cx.cube_vertexsets(d)
+                }
+                assert action.cube_orbit_count(d) == len(orbits)
     assert moved >= 10, moved
 
 
