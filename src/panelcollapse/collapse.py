@@ -18,11 +18,11 @@ disconnected external cube; its cube structure is again the canonical filling
 and it validates as CAT(0).
 
 Collapse keeps the vertex set and its order, so the output complex is built on
-the input's vertex table from index pairs (``CubeComplex._with_edges``), with
-no second sort or edge check, and validated in full.  Every output wall extends
-to input walls, so provenance is read off the input masks: an output edge
-crosses the input walls that separate its ends, the bits of the XOR of their
-masks.
+the input's vertex table from index pairs (``CubeComplex._from_indexed``),
+with no second sort or edge check, and validated in full.  Every output wall
+extends to input walls, so provenance is read off the input masks: an output
+edge crosses the input walls that separate its ends, the bits of the XOR of
+their masks.
 The step builds no per-edge provenance: ``CollapseResult.wall_crossings``
 keeps one crossing mask per output wall, checked once, and
 ``CollapseResult.edge_provenance`` is a view built on first access.
@@ -375,7 +375,7 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     failure of the output to validate is reported as an internal invariant
     breach: the construction guarantees a CAT(0) result.  Edges are kept as
     index pairs throughout: the output is built on the input's vertex table
-    by ``CubeComplex._with_edges``, which still validates it in full, and
+    by ``CubeComplex._from_indexed``, which still validates it in full, and
     only the diagonal edges are named, for ``diagonal_edges``.
     """
     cls = classify(cx, panels)
@@ -402,8 +402,9 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
         raise InternalInvariantError("nonempty panel family with no internal edges")
 
     kept = [e for e in cx._int_edges if e not in internal]
+    edges = sorted([*kept, *diagonals])
     try:
-        out = cx._with_edges(sorted([*kept, *diagonals]))
+        out = CubeComplex._from_indexed(cx._order, cx._ix, edges)
     except InvalidComplexError as exc:
         raise InternalInvariantError(
             f"collapsed 1-skeleton failed validation: {exc.report.summary()}"

@@ -37,11 +37,14 @@ comes from the labels:
 A complex is built in one of two ways, which share the validation and the
 tables.  The public constructor sorts the vertices canonically, indexes them
 and checks every edge (``_structural_pass``).  The private
-``CubeComplex._with_edges`` builds a complex on an existing complex's vertex
-table and index dict, for a collapse output, which keeps the vertex set: it
-takes index pairs ``(a, b)`` with ``a < b``, sorted and without duplicates,
-as the structural pass gives them, and neither sorts nor checks them again.
-Both run the full recogniser, so every complex is validated.
+``CubeComplex._from_indexed`` takes what that pass gives: a canonically
+sorted vertex table without duplicates, its index dict, and the edges as
+index pairs ``(a, b)`` with ``a < b``, sorted and without duplicates.  It
+neither sorts nor checks them again.  Its three callers have them by
+construction: a collapse output keeps its input's vertex table, and the dual
+of a wallspace and the first subdivision of a complex name each orientation
+or cube once, sort the names and join the indices of masks or cubes.  Both
+constructors run the full recogniser, so every complex is validated.
 
 A build keeps only integer tables: the masks, each vertex's down-walls,
 each wall's edges and the square counts of crossing pairs, counted from the
@@ -515,12 +518,17 @@ def validate_graph(vertices, edges) -> ValidationReport:
     return _analyze(order, int_edges)[0]
 
 
-def _analyze(order, int_edges):
-    n = len(order)
+def _check_size(n):
+    """Refuse a graph of more than MAX_VERTICES vertices."""
     if n > MAX_VERTICES:
         raise PreconditionError(
             f"graph has {n} vertices; the limit is {MAX_VERTICES}"
         )
+
+
+def _analyze(order, int_edges):
+    n = len(order)
+    _check_size(n)
     adj_sets = [set() for _ in range(n)]
     for a, b in int_edges:
         adj_sets[a].add(b)
@@ -572,23 +580,26 @@ class CubeComplex:
     cubes are built on first use.
 
     ``CubeComplex(vertices, edges)`` checks and canonicalizes raw data; the
-    private ``_with_edges(int_edges)`` builds a complex on this one's vertex
-    table from sorted, duplicate-free index pairs ``(a, b)`` with ``a < b``,
-    skipping that pass.  Both validate the graph in full and build the same
-    tables from the same edges.
+    private ``_from_indexed(order, ix, int_edges)``, which builds collapse
+    outputs, duals of wallspaces and subdivisions, takes data already in
+    that form and skips that pass.  Both validate the graph in full and
+    build the same tables from the same edges.
     """
 
     def __init__(self, vertices, edges):
         self._setup(*_structural_pass(vertices, edges))
 
-    def _with_edges(self, int_edges) -> "CubeComplex":
-        """The complex on this complex's vertex table with the edges
-        ``int_edges``, which must already be in ``_structural_pass`` form.
-        The table and its index dict are shared; the graph is still
-        validated in full, raising ``InvalidComplexError`` when it is not
-        CAT(0)."""
-        out = CubeComplex.__new__(CubeComplex)
-        out._setup(self._order, self._ix, int_edges)
+    @classmethod
+    def _from_indexed(cls, order, ix, int_edges) -> "CubeComplex":
+        """The complex on the vertex table ``order``, whose index dict is
+        ``ix``, with the edges ``int_edges``; all three must already be in
+        ``_structural_pass`` form: ``order`` canonically sorted without
+        duplicates, and the edges sorted, duplicate-free index pairs
+        ``(a, b)`` with ``a < b``.  The table and dict are kept, not copied;
+        the graph is still validated in full, raising
+        ``InvalidComplexError`` when it is not CAT(0)."""
+        out = cls.__new__(cls)
+        out._setup(order, ix, int_edges)
         return out
 
     def _setup(self, order, ix, int_edges):

@@ -16,12 +16,14 @@ behind splitting the group over the wall stabilisers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .complex import MAX_VERTICES, CubeComplex, canonical_vertex_order
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .symmetry import (
-    Automorphism, GroupAction, RunTrace, _close, push_action, run_to_tree,
+    Automorphism, GroupAction, RunTrace, _close, _wall_images, push_action,
+    run_to_tree,
 )
 
 __all__ = [
@@ -78,19 +80,27 @@ class Wallspace:
     def wall_permutation(self, mapping: dict):
         """How a point permutation acts on walls: (index perm, side swap flags).
 
-        Raises if the permutation does not send walls to walls.
+        Raises if the permutation does not send walls to walls.  The image
+        of each side is read as a point mask; a point sent outside the space
+        lands on a bit that no side has.
         """
-        lookup = {w: i for i, w in enumerate(self.walls)}
+        bit, walls = _side_masks(self)
+        beyond = 1 << len(bit)
+        image = {p: bit.get(mapping.get(p, p), beyond) for p in self.points}
+        first = {a: i for i, (a, _) in enumerate(walls)}
         perm = []
         swaps = []
         for a, b in self.walls:
-            ia = frozenset(mapping.get(p, p) for p in a)
-            ib = frozenset(mapping.get(p, p) for p in b)
-            if (ia, ib) in lookup:
-                perm.append(lookup[(ia, ib)])
+            ia = ib = 0
+            for p in a:
+                ia |= image[p]
+            for p in b:
+                ib |= image[p]
+            if ia in first and walls[first[ia]][1] == ib:
+                perm.append(first[ia])
                 swaps.append(0)
-            elif (ib, ia) in lookup:
-                perm.append(lookup[(ib, ia)])
+            elif ib in first and walls[first[ib]][1] == ia:
+                perm.append(first[ib])
                 swaps.append(1)
             else:
                 raise StructuralError(
@@ -99,8 +109,28 @@ class Wallspace:
         return tuple(perm), tuple(swaps)
 
 
+def _side_masks(ws: Wallspace):
+    """The bit of each point, ``1 << j`` for ``ws.points[j]``, and each wall
+    as the point masks of its two sides."""
+    bit = {p: 1 << j for j, p in enumerate(ws.points)}
+    everything = (1 << len(bit)) - 1
+    walls = []
+    for a, _ in ws.walls:
+        side = 0
+        for p in a:
+            side |= bit[p]
+        walls.append((side, everything ^ side))
+    return bit, walls
+
+
+# a mask's binary digits, wall 0 last, as the signs of the orientation's sides
+_SIGNS = str.maketrans("01", "-+")
+
+
 def _orientation_name(mask: int, k: int) -> str:
-    return "o" + "".join("+" if mask >> i & 1 else "-" for i in range(k))
+    """``o`` then, for each of the k walls in turn, ``-`` for its first side
+    or ``+`` for its second."""
+    return "o" + format(mask, f"0{k}b")[::-1].translate(_SIGNS) if k else "o"
 
 
 @dataclass(frozen=True)
@@ -111,6 +141,16 @@ class DualComplexInfo:
     principal: dict = field(repr=False)  # point -> vertex name
     wall_of_hyperplane: dict  # hyperplane id -> wall index
 
+    @functools.cached_property
+    def _masks(self) -> tuple:
+        """The orientation mask of each vertex, by vertex index."""
+        return tuple(map(self.orientations.__getitem__, self.complex.vertices))
+
+    @functools.cached_property
+    def _vertex_of(self) -> dict:
+        """The vertex index of each orientation mask."""
+        return {m: i for i, m in enumerate(self._masks)}
+
 
 def dualize_details(ws: Wallspace) -> DualComplexInfo:
     """Dual cube complex of a finite wallspace.
@@ -119,22 +159,38 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
     principal orientation of the first point, ``ws.points[0]``; an empty
     wall list yields the one-point complex.  The flip closure stops with a
     PreconditionError once it holds more orientations than a complex may
-    have vertices.
+    have vertices.  Each orientation is named once, the names are sorted
+    canonically, and the complex is built from the index pairs of the
+    orientations one flip apart, then validated in full.
     """
-    walls = ws.walls
-    k = len(walls)
-
-    def orientation(p):
-        return sum(1 << i for i, (a, _) in enumerate(walls) if p not in a)
-
-    def missing(side, t):
-        return sum(1 << j for j, w in enumerate(walls) if not side & w[t])
+    k = len(ws.walls)
+    bit, walls = _side_masks(ws)
+    # each point's principal orientation: bit i set when the point lies on
+    # the second side of wall i
+    principal_masks = []
+    for b in bit.values():
+        m = 0
+        for i, (a, _) in enumerate(walls):
+            if not a & b:
+                m |= 1 << i
+        principal_masks.append(m)
 
     # clash[i][s]: the walls whose first, and those whose second, side misses
     # side s of wall i; flipping wall i of a consistent orientation to side s
     # keeps it consistent exactly when the result chooses none of those sides
-    clash = [[(missing(side, 0), missing(side, 1)) for side in wall] for wall in walls]
-    seen = {orientation(ws.points[0])}
+    clash = []
+    for wall in walls:
+        row = []
+        for side in wall:
+            zeros = ones = 0
+            for j, (a, b) in enumerate(walls):
+                if not side & a:
+                    zeros |= 1 << j
+                if not side & b:
+                    ones |= 1 << j
+            row.append((zeros, ones))
+        clash.append(row)
+    seen = {principal_masks[0]}
     frontier = list(seen)
     while frontier:
         m = frontier.pop()
@@ -149,33 +205,36 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
                         f"orientations; the limit is {MAX_VERTICES}"
                     )
                 frontier.append(flipped)
-    # in the order of the side-index tuples, wall 0 first
-    orientations = sorted(seen, key=lambda m: format(m, f"0{k}b")[::-1])
-    names = {m: _orientation_name(m, k) for m in orientations}
-    edges = [
-        (names[m], names[m | 1 << i])
-        for m in orientations
-        for i in range(k)
-        if not m >> i & 1 and m | 1 << i in seen
-    ]
-    cx = CubeComplex(list(names.values()), edges)
+
+    # one name per orientation; the names are strings, which
+    # canonical_vertex_order sorts as sorted() does
+    named = sorted([(_orientation_name(m, k), m) for m in seen])
+    order = tuple([name for name, _ in named])
+    masks = [m for _, m in named]
+    ix = {name: i for i, name in enumerate(order)}
+    vertex_of = {m: i for i, m in enumerate(masks)}
+    edges = []
+    for a, m in enumerate(masks):
+        for i in range(k):
+            b = vertex_of.get(m | 1 << i)
+            if b is not None and not m >> i & 1:
+                edges.append((a, b) if a < b else (b, a))
+    cx = CubeComplex._from_indexed(order, ix, sorted(edges))
 
     # every principal orientation should land in the flip component
     principal = {}
-    for p in ws.points:
-        pm = orientation(p)
-        if pm not in seen:
+    for p, pm in zip(ws.points, principal_masks):
+        if pm not in vertex_of:
             raise InternalInvariantError(
                 f"principal orientation of point {p!r} is outside the "
                 "flip component"
             )
-        principal[p] = names[pm]
+        principal[p] = order[vertex_of[pm]]
 
     # an edge's ends differ in the wall its hyperplane flips
-    order, mask_of = cx.vertices, {names[m]: m for m in orientations}
     wall_of = {}
     for h, wall_edges in enumerate(cx._wall_edges):
-        flips = {mask_of[order[a]] ^ mask_of[order[b]] for a, b in wall_edges}
+        flips = {masks[a] ^ masks[b] for a, b in wall_edges}
         if len(flips) != 1:
             raise InternalInvariantError(
                 f"hyperplane {h} flips several walls: "
@@ -185,26 +244,31 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
     return DualComplexInfo(
         complex=cx,
         wallspace=ws,
-        orientations=mask_of,
+        orientations=dict(zip(order, masks)),
         principal=principal,
         wall_of_hyperplane=wall_of,
     )
 
 
 def symmetry_automorphism(info: DualComplexInfo, mapping: dict) -> Automorphism:
-    """Push a wall-preserving point permutation to the dual complex."""
+    """Push a wall-preserving point permutation to the dual complex: wall i
+    goes to wall ``perm[i]``, its sides swapped when ``swaps[i]``, so each
+    orientation mask goes to the mask of its image orientation, and that
+    to its vertex index."""
     perm, swaps = info.wallspace.wall_permutation(mapping)
-    vertex_map = {}
-    k = len(perm)
-    for name, m in info.orientations.items():
-        image = sum((m >> i & 1 ^ swaps[i]) << perm[i] for i in range(k))
-        iname = _orientation_name(image, k)
-        if iname not in info.orientations:
+    flip = sum(s << t for s, t in zip(swaps, perm))
+    vertex_of = info._vertex_of
+    images = []
+    for m in info._masks:
+        image = flip
+        for i, t in enumerate(perm):
+            image ^= (m >> i & 1) << t
+        if image not in vertex_of:
             raise InternalInvariantError(
                 "wallspace symmetry leaves the dual flip component"
             )
-        vertex_map[name] = iname
-    return Automorphism(info.complex, vertex_map)
+        images.append(vertex_of[image])
+    return Automorphism(info.complex, tuple(images))
 
 
 @dataclass(frozen=True)
@@ -229,12 +293,13 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     cx = info.complex
     gens = [symmetry_automorphism(info, dict(m)) for m in symmetries]
     action = GroupAction(cx, gens)
-    # the stabiliser counts are reports: only they close the group
+    # the stabiliser counts are reports: only they close the group, and
+    # they read one table per element of the wall each wall is mapped onto
     group = _close(cx, action.generators)
-    wall_stabs = [
-        sum(1 for g in group if action.wall_image(g, h) == h)
-        for h in range(len(cx._wall_edges))
-    ]
+    wall_stabs = [0] * len(cx._wall_edges)
+    for g in group:
+        for h, t in enumerate(_wall_images(cx, g.perm)):
+            wall_stabs[h] += t == h
 
     subdivided = False
     if not action.is_inversion_free:
@@ -248,16 +313,18 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     # provenance is equivariant: an element fixing a tree edge maps the
     # walls the edge came from onto themselves; collapse keeps the vertex
     # order, so the permutations act on the tree's vertex indices
+    images = [_wall_images(cx, g.perm) for g in group]
     edge_stabs = {}
     order = tree.vertices
     for a, b in tree._int_edges:
         u, v = order[a], order[b]
         origins = trace.edge_origins[(u, v)]
         stabiliser = [
-            g for g in group if {g.perm[a], g.perm[b]} == {a, b}
+            image for g, image in zip(group, images)
+            if {g.perm[a], g.perm[b]} == {a, b}
         ]
-        for g in stabiliser:
-            if {action.wall_image(g, h) for h in origins} != origins:
+        for image in stabiliser:
+            if {image[h] for h in origins} != origins:
                 raise InternalInvariantError(
                     f"an element fixing edge {(u, v)} moves its origin walls "
                     f"{sorted(origins)}"

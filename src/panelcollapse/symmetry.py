@@ -33,7 +33,10 @@ from dataclasses import dataclass, field
 # hyperplane_provenance and no_facing_panels are not called here, but
 # perfbench/tracer.py wraps both by name in this module
 from .collapse import CollapseResult, collapse, hyperplane_provenance
-from .complex import CubeComplex, _bits, _faces, _same_complex
+from .complex import (
+    CubeComplex, _bits, _check_size, _faces, _same_complex, _subsets,
+    canonical_vertex_order,
+)
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
 
@@ -167,16 +170,11 @@ class GroupAction:
         with these parities, an orbit is inverted exactly when two paths to
         one wall disagree, and then every wall in it is inverted."""
         if self._inversions is None:
-            masks, walls = self.complex._masks, self.complex._wall_edges
-            firsts = [edges[0] for edges in walls]
-            maps = []
+            cx = self.complex
+            walls, maps = cx._wall_edges, []
             for g in self.generators:
-                perm, start = g.perm, masks[g.perm[0]]
-                targets = [
-                    (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
-                    for a, b in firsts
-                ]
-                maps.append([(t, start >> t & 1) for t in targets])
+                start = cx._masks[g.perm[0]]
+                maps.append([(t, start >> t & 1) for t in _wall_images(cx, g.perm)])
             parity, out = [None] * len(walls), []
             for root in range(len(walls)):
                 if parity[root] is not None:
@@ -251,6 +249,17 @@ def _require_edges_preserved(g: Automorphism):
         raise StructuralError(
             f"permutation breaks edge {broken[0]!r} {broken[1]!r}"
         )
+
+
+def _wall_images(cx: CubeComplex, perm) -> list:
+    """The wall that a vertex permutation maps each wall onto, by wall id:
+    the wall of the image of the wall's first edge, the one bit in which the
+    masks of its ends differ."""
+    masks = cx._masks
+    return [
+        (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
+        for a, b in (edges[0] for edges in cx._wall_edges)
+    ]
 
 
 def _close(cx: CubeComplex, gens) -> tuple:
@@ -355,37 +364,75 @@ def complexity(cx: CubeComplex, action: GroupAction) -> ComplexityVector:
 # ---------------------------------------------------------------------------
 
 
+def _subdivision(cx: CubeComplex):
+    """The first cubical subdivision of ``cx``, every cube of ``cx`` as
+    ``(base, axes)``, and the dict from each cube to its vertex index in the
+    subdivision.
+
+    A cube's vertex is named by its corners' names in index order, joined
+    by ``|``; the names are made once and sorted canonically, and the edges
+    join each cube to its codimension-1 faces as index pairs.  A
+    subdivision of more than MAX_VERTICES vertices is refused before its
+    cubes are listed, and one whose names collide, which vertex names
+    holding ``|`` can bring about, is refused by name."""
+    from .fileio import format_vertex
+
+    _check_size(sum(cx.cube_counts))
+    cubes = [c for by_dim in cx._cubes for c in by_dim]
+    labels, vertex_of = [format_vertex(v) for v in cx._order], cx._vertex_of
+    names = []
+    for base, axes in cubes:
+        corners = sorted([vertex_of[base | s] for s in _subsets(axes)])
+        names.append("|".join([labels[i] for i in corners]))
+    order = tuple(canonical_vertex_order(names))
+    ix = {name: i for i, name in enumerate(order)}
+    if len(ix) < len(order):
+        twice = next(a for a, b in zip(order, order[1:]) if a == b)
+        raise PreconditionError(
+            f"subdivision names two cubes {twice!r}: '|' joins the corners of "
+            "a cube in its name and is reserved in vertex names"
+        )
+    index = {c: ix[name] for c, name in zip(cubes, names)}
+    edges = []
+    for c in cubes:
+        b = index[c]
+        for face in _faces(c, c[1].bit_count() - 1):
+            a = index[face]
+            edges.append((a, b) if a < b else (b, a))
+    return CubeComplex._from_indexed(order, ix, sorted(edges)), cubes, index
+
+
+def _pushed(cubes, index, g: Automorphism) -> tuple:
+    """The permutation of the subdivision's vertex indices that ``g`` induces
+    through its action on cubes."""
+    perm = [0] * len(cubes)
+    for c in cubes:
+        perm[index[c]] = index[g._apply_cube(c)]
+    return tuple(perm)
+
+
 def subdivide(cx: CubeComplex):
     """First cubical subdivision: one vertex per cube, edges along the
     codimension-1 face relation.  Returns (complex, pushforward) where the
     pushforward turns an automorphism-as-dict of the original complex into a
     vertex mapping of the subdivision.  Any action becomes inversion-free."""
-    from .fileio import format_vertex
-
-    cubes = [c for by_dim in cx._cubes for c in by_dim]
-    names = {
-        c: "|".join(format_vertex(v) for v in sorted(cx._vertex_set(c), key=cx.index))
-        for c in cubes
-    }
-    edges = [
-        (names[face], names[c])
-        for c in cubes
-        for face in _faces(c, c[1].bit_count() - 1)
-    ]
-    sub = CubeComplex(list(names.values()), edges)
+    sub, cubes, index = _subdivision(cx)
+    order = sub.vertices
 
     def pushforward(mapping) -> dict:
         g = mapping if isinstance(mapping, Automorphism) else Automorphism(cx, mapping)
-        return {names[c]: names[g._apply_cube(c)] for c in cubes}
+        return {order[i]: order[j] for i, j in enumerate(_pushed(cubes, index, g))}
 
     return sub, pushforward
 
 
 def push_action(cx: CubeComplex, action: GroupAction):
-    """Subdivide and carry the action over; the result has no inversions."""
-    sub, push = subdivide(cx)
-    new = GroupAction(sub, [push(g) for g in action.generators])
-    return sub, new
+    """Subdivide and carry the action over; the result has no inversions.
+    Each generator's cube images are read straight off as indices, and
+    are still checked to be a bijection preserving edges."""
+    sub, cubes, index = _subdivision(cx)
+    gens = [Automorphism(sub, _pushed(cubes, index, g)) for g in action.generators]
+    return sub, GroupAction(sub, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from panelcollapse.complex import CubeComplex
-from panelcollapse.pocset import Wallspace
+from panelcollapse.pocset import Wallspace, dualize_details, symmetry_automorphism
+from panelcollapse.randgen import GeneratorConfig, cyclic_wallspace, random_wallspace
+from panelcollapse.symmetry import GroupAction
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -66,6 +69,57 @@ def pairwise_crossing_walls(k):
         for i in range(k)
     ]
     return list(indices), walls
+
+
+# The integer tables of a complex: two builds of one graph, by any
+# constructor, must agree on every one of them.
+COMPLEX_TABLES = (
+    "_order",
+    "_int_edges",
+    "_masks",
+    "_vertex_of",
+    "_down",
+    "_wall_edges",
+    "_square_counts",
+    "validation_report",
+)
+
+
+def assert_same_tables(built, reference):
+    for table in COMPLEX_TABLES:
+        assert getattr(built, table) == getattr(reference, table), table
+
+
+def mixed_wallspaces(seed, per_class):
+    """``per_class`` seeded wallspaces of at most three walls of each input
+    class of the ``wallspace_mix`` bench workload, as ``(wallspace, rotation
+    or None)``: plain or closed under a cyclic point rotation, the rotation
+    inverting a wall or not, and dual dimension 1, 2 or 3."""
+    rng, cfg = random.Random(seed), GeneratorConfig(max_walls=3)
+    room = {
+        (symmetric, inverting, dim): per_class
+        for symmetric in (False, True)
+        for inverting in (False, True)
+        for dim in (1, 2, 3)
+        if symmetric or not inverting
+    }
+    out = []
+    for draw in range(20000):
+        if not any(room.values()):
+            return out
+        symmetric = draw % 2 == 1
+        ws, rotate = (cyclic_wallspace if symmetric else random_wallspace)(rng, cfg)
+        if ws.wall_count > 3:
+            continue
+        info = dualize_details(ws)
+        inverting = symmetric and not GroupAction(
+            info.complex, [symmetry_automorphism(info, rotate)]
+        ).is_inversion_free
+        key = (symmetric, inverting, info.complex.dimension)
+        if room.get(key):
+            room[key] -= 1
+            out.append((ws, rotate if symmetric else None))
+    raise AssertionError(f"classes left unfilled: {room}")
 
 
 def coordinate_swap(cx, i, j) -> dict:

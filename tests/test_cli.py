@@ -244,6 +244,24 @@ def test_stallings_too_many_orientations_is_user_error(capsys, tmp_path):
     assert "more than 1500 consistent orientations" in err
 
 
+def test_run_refuses_colliding_subdivision_names(capsys, tmp_path):
+    # a valid path whose reversal inverts the middle edge {a, b}, so the run
+    # subdivides, and that edge's name a|b is already a vertex's name
+    complex_path = tmp_path / "p4.cc"
+    complex_path.write_text(
+        "cubecomplex v1\nvertex a|b\nvertex a\nvertex b\nvertex s\n"
+        "edge a|b a\nedge a b\nedge b s\n"
+    )
+    action_path = tmp_path / "rev.act"
+    action_path.write_text("action v1\ngen a|b->s s->a|b a->b b->a\n")
+    code, out, err = run_cli(capsys, "run", str(complex_path), str(action_path))
+    assert code == 1 and out == ""
+    assert err == (
+        "error: subdivision names two cubes 'a|b': '|' joins the corners of "
+        "a cube in its name and is reserved in vertex names\n"
+    )
+
+
 def test_stats_command(capsys):
     code, out, _ = run_cli(capsys, "stats", str(DATA / "cube3.cc"), "--json")
     assert code == 0

@@ -38,7 +38,13 @@ from panelcollapse import symmetry
 from panelcollapse.symmetry import GroupAction, iter_steps
 
 import oracle
-from conftest import box_complex, coordinate_swap, hypercube_complex, wallspaces
+from conftest import (
+    assert_same_tables,
+    box_complex,
+    coordinate_swap,
+    hypercube_complex,
+    wallspaces,
+)
 
 
 def cube_panel(cube3):
@@ -524,17 +530,7 @@ def _assert_built_as_from_named_edges(result):
     out, cx = result.output_complex, result.input_complex
     assert out._order is cx._order and out._ix is cx._ix
     named = CubeComplex(cx.vertices, [(v, u) for u, v in reversed(out.edges)])
-    for table in (
-        "_order",
-        "_int_edges",
-        "_masks",
-        "_vertex_of",
-        "_down",
-        "_wall_edges",
-        "_square_counts",
-        "validation_report",
-    ):
-        assert getattr(out, table) == getattr(named, table), table
+    assert_same_tables(out, named)
 
 
 def test_completely_external_maximal_cubes_are_their_own_fundaments():
@@ -576,13 +572,16 @@ def test_outputs_of_fuzz_draws_are_built_as_from_named_edges():
 
 def test_the_private_constructor_still_validates(square):
     # a path and a disconnected graph on the square's vertex table
-    path = square._with_edges(square._int_edges[:3])
+    def on_square(int_edges):
+        return CubeComplex._from_indexed(square._order, square._ix, int_edges)
+
+    path = on_square(square._int_edges[:3])
     assert path.is_tree() and path.vertices is square.vertices
     with pytest.raises(InvalidComplexError, match="not connected"):
-        square._with_edges(square._int_edges[:2])
+        on_square(square._int_edges[:2])
     # the four vertices pairwise joined but for one pair: K4 minus an edge
     with pytest.raises(InvalidComplexError, match="median check fails"):
-        square._with_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        on_square([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
 def test_diagonal_ends_differ_in_exactly_their_separators():

@@ -22,6 +22,8 @@ CASES = [
     (["collapse", str(DATA / "cube3.cc"), "--auto"], "cube3_collapse.txt"),
     # dualize echoes its argument, so the path is relative to DATA
     (["dualize", "crossing2.ws"], "crossing2_dualize.txt"),
+    # a symmetry inverting a wall: the run goes through the subdivision
+    (["stallings", str(DATA / "inverted.ws")], "inverted_stallings.txt"),
 ]
 
 
@@ -54,6 +56,7 @@ def test_outputs_match_golden_files(argv, golden):
 TRACE_CASES = [
     (["run", "cube3.cc", "trivial.act"], "cube3_run_trace.json"),
     (["stallings", "crossing2.ws"], "crossing2_stallings_trace.json"),
+    (["stallings", "inverted.ws"], "inverted_stallings_trace.json"),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from panelcollapse import pocset
+from panelcollapse.complex import CubeComplex
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.fileio import parse_wallspace
 from panelcollapse.pocset import (
@@ -17,12 +18,20 @@ from panelcollapse.pocset import (
     symmetry_automorphism,
 )
 from panelcollapse.randgen import GeneratorConfig, cyclic_wallspace, random_wallspace
-from panelcollapse.symmetry import complexity, run_to_tree
+from panelcollapse.symmetry import (
+    GroupAction,
+    _close,
+    complexity,
+    push_action,
+    run_to_tree,
+)
 
 import oracle
 from conftest import (
     DATA,
     SEVEN_CUBE_SIDES,
+    assert_same_tables,
+    mixed_wallspaces,
     pairwise_crossing_walls,
     rotation,
     six_point_walls,
@@ -145,6 +154,128 @@ def test_dual_matches_the_brute_force_orientations():
             assert info.principal[p] == "o" + side
         sizes.append(len(ws.walls))
     assert max(sizes) >= 8 and sizes.count(1) + sizes.count(2) >= 10, sizes
+
+
+def _sign_mask(name):
+    """The orientation mask that a dual vertex name spells: bit i for a
+    ``+`` in place i after the ``o``."""
+    return sum(1 << i for i, c in enumerate(name[1:]) if c == "+")
+
+
+def _image_name(name, perm, swaps):
+    """The name of the image orientation under a wall permutation: the sign
+    of wall i moves to place ``perm[i]``, flipped when ``swaps[i]``."""
+    signs = [None] * len(perm)
+    for i, c in enumerate(name[1:]):
+        signs[perm[i]] = "+-"[(c == "+") ^ swaps[i] ^ 1]
+    return "o" + "".join(signs)
+
+
+def test_the_dual_is_built_as_from_its_named_orientations():
+    # the dual is built from index pairs; the public constructor, given the
+    # brute-force orientation names and edges, must build the same tables,
+    # and the masks, principal orientations, wall map and pushed symmetries
+    # must match their definitions on the names
+    spaces = [
+        (Wallspace.from_data(points, walls), syms)
+        for points, walls, syms in (
+            parse_wallspace(path.read_text()) for path in sorted(DATA.glob("*.ws"))
+        )
+    ]
+    spaces += [
+        (ws, [rotate] if rotate else [])
+        for ws, rotate in mixed_wallspaces(seed=3, per_class=4)
+    ]
+    pushed = 0
+    for ws, syms in spaces:
+        info = dualize_details(ws)
+        cx = info.complex
+        names, edges = oracle.dual_orientations(ws.walls)
+        named = CubeComplex(sorted(names, reverse=True), [tuple(e) for e in edges])
+        assert_same_tables(cx, named)
+        assert info.orientations == {v: _sign_mask(v) for v in cx.vertices}
+        for p in ws.points:
+            side = "".join("-" if p in a else "+" for a, _ in ws.walls)
+            assert info.principal[p] == "o" + side
+        for h, wall_edges in enumerate(cx._wall_edges):
+            (flip,) = {
+                _sign_mask(cx.vertices[a]) ^ _sign_mask(cx.vertices[b])
+                for a, b in wall_edges
+            }
+            assert info.wall_of_hyperplane[h] == flip.bit_length() - 1
+        for sym in syms:
+            perm, swaps = ws.wall_permutation(sym)
+            expected = tuple(
+                cx.index(_image_name(v, perm, swaps)) for v in cx.vertices
+            )
+            assert symmetry_automorphism(info, sym).perm == expected
+            pushed += 1
+    assert len(spaces) >= 40 and pushed >= 25, (len(spaces), pushed)
+
+
+def test_wall_permutation_matches_the_side_sets():
+    # a point map sends wall i onto wall perm[i], sides swapped when
+    # swaps[i], exactly when the image point sets are that wall's sides
+    for ws, rotate in mixed_wallspaces(seed=5, per_class=2):
+        maps = [rotate] if rotate else []
+        maps.append(dict(zip(ws.points, reversed(ws.points))))
+        # not injective: p1 folds onto p0
+        maps.append({ws.points[1]: ws.points[0]})
+        for mapping in maps:
+            images = [
+                tuple(frozenset(mapping.get(p, p) for p in side) for side in wall)
+                for wall in ws.walls
+            ]
+            if all(image in ws.walls or image[::-1] in ws.walls for image in images):
+                perm, swaps = ws.wall_permutation(mapping)
+                for (ia, ib), t, s in zip(images, perm, swaps):
+                    assert ws.walls[t] == ((ib, ia) if s else (ia, ib))
+            else:
+                with pytest.raises(StructuralError, match="does not preserve wall"):
+                    ws.wall_permutation(mapping)
+    # the image of one side is a wall's side, but not that of the other
+    for fold in ({"c": "a", "d": "b"}, {"a": "c", "b": "c", "c": "a", "d": "b"}):
+        with pytest.raises(StructuralError, match=r"wall \['a', 'b'\]"):
+            SQUARE_WS.wall_permutation(fold)
+    # a point sent outside the space leaves its walls
+    with pytest.raises(StructuralError, match=r"wall \['a', 'b'\] \| \['c', 'd'\]"):
+        SQUARE_WS.wall_permutation({"a": "z"})
+
+
+def test_stabiliser_reports_match_their_definition():
+    # the counts are read off one wall-image table per element; by
+    # definition, an element stabilises a wall when ``wall_image`` fixes it,
+    # and a tree edge when it maps the edge's ends onto themselves, and then
+    # it maps the edge's origin walls onto themselves
+    rng = random.Random(23)
+    cfg = GeneratorConfig(max_points=7, max_walls=3)
+    checked = subdivided = 0
+    while checked < 60:
+        ws, rotate = cyclic_wallspace(rng, cfg)
+        if ws.wall_count > 3:
+            continue
+        res = stallings_pipeline(ws, [rotate])
+        cx = res.dual_info.complex
+        action = GroupAction(cx, [symmetry_automorphism(res.dual_info, rotate)])
+        group = _close(cx, action.generators)
+        assert res.wall_stabiliser_sizes == tuple(
+            sum(action.wall_image(g, h) == h for g in group)
+            for h in range(len(cx.hyperplanes()))
+        )
+        if res.subdivided:
+            cx, action = push_action(cx, action)
+            group = _close(cx, action.generators)
+        assert res.group_order == len(group)
+        assert list(res.edge_stabiliser_sizes) == list(res.tree.edges)
+        for (u, v), size in res.edge_stabiliser_sizes.items():
+            fixing = [g for g in group if {g(u), g(v)} == {u, v}]
+            assert size == len(fixing)
+            origins = res.trace.edge_origins[(u, v)]
+            for g in fixing:
+                assert {action.wall_image(g, h) for h in origins} == origins
+        checked += 1
+        subdivided += res.subdivided
+    assert subdivided >= 10, subdivided
 
 
 def test_principal_distance_equals_wall_separation():

@@ -12,7 +12,7 @@ from panelcollapse.cli import main
 from panelcollapse.complex import CubeComplex
 from panelcollapse.collapse import CollapseResult, classify, fundament
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
-from panelcollapse.fileio import parse_complex
+from panelcollapse.fileio import format_vertex, parse_complex
 from panelcollapse.panels import extremal_panels, find_extremal_panel
 from panelcollapse.pocset import Wallspace, dualize_details, symmetry_automorphism
 from panelcollapse.randgen import (
@@ -36,10 +36,12 @@ from panelcollapse.symmetry import (
 from conftest import (
     DATA,
     SEVEN_CUBE_SIDES,
+    assert_same_tables,
     box_complex,
     coordinate_swap,
     grid_complex,
     hypercube_complex,
+    mixed_wallspaces,
     rotation,
     six_point_walls,
 )
@@ -145,6 +147,67 @@ def test_subdivide_cube_counts(cube3):
     assert sub.validation_report.passed
     # subdivision of a d-cube has 3^d vertices and dimension d
     assert sub.cube_counts[0] == 27 and sub.dimension == 3
+
+
+def _named_subdivision(cx):
+    """The first subdivision built by the public constructor from named
+    cubes: each cube named by its corners in index order joined by ``|``,
+    and joined to its codimension-1 faces.  Returns it and the namer."""
+
+    def name(vs):
+        return "|".join(format_vertex(v) for v in sorted(vs, key=cx.index))
+
+    names, edges = [], []
+    for d in range(cx.dimension + 1):
+        for vs in cx.cube_vertexsets(d):
+            names.append(name(vs))
+            if d:
+                edges += [(name(f), name(vs)) for f in cx.subcubes(vs, d - 1)]
+    return CubeComplex(names, edges), name
+
+
+def test_the_subdivision_is_built_as_from_its_named_cubes(square, cube3):
+    # subdivide builds from index pairs and pushes generators as cube index
+    # permutations; the public build from named cubes must have the same
+    # tables, and each pushed generator must be the named pushforward
+    instances = [
+        (square, GroupAction(square, [coordinate_swap(square, 0, 1)])),
+        (cube3, GroupAction(cube3, [coordinate_swap(cube3, 0, 1)])),
+    ]
+    for ws, rotate in mixed_wallspaces(seed=7, per_class=3):
+        if rotate:
+            info = dualize_details(ws)
+            g = symmetry_automorphism(info, rotate)
+            instances.append((info.complex, GroupAction(info.complex, [g])))
+    inverting = 0
+    for cx, action in instances:
+        named, name = _named_subdivision(cx)
+        sub, push = subdivide(cx)
+        assert_same_tables(sub, named)
+        pushed_sub, pushed = push_action(cx, action)
+        assert_same_tables(pushed_sub, named)
+        assert pushed.is_inversion_free
+        for g, h in zip(action.generators, pushed.generators, strict=True):
+            mapping = push(g)
+            assert mapping == {
+                name(vs): name(g.apply_set(vs))
+                for d in range(cx.dimension + 1)
+                for vs in cx.cube_vertexsets(d)
+            }
+            assert h == Automorphism(sub, mapping)
+        inverting += not action.is_inversion_free
+    assert len(instances) == 20 and inverting >= 9, (len(instances), inverting)
+
+
+def test_subdivision_refuses_colliding_names():
+    # the path a|b - a - b - s: the edge {a, b} is also named a|b
+    cx = CubeComplex(["a|b", "a", "b", "s"], [("a|b", "a"), ("a", "b"), ("b", "s")])
+    message = r"subdivision names two cubes 'a\|b': '\|' .* is reserved"
+    with pytest.raises(PreconditionError, match=message):
+        subdivide(cx)
+    reversal = {"a|b": "s", "s": "a|b", "a": "b", "b": "a"}
+    with pytest.raises(PreconditionError, match=message):
+        push_action(cx, GroupAction(cx, [reversal]))
 
 
 # -- complexity -------------------------------------------------------------------
