@@ -11,7 +11,9 @@ wall a dual edge flips is the XOR of its ends.
 Dualizing, pushing point symmetries to complex automorphisms, and running the
 equivariant collapse driver yields a tree with the induced action; for a
 group acting on a space with a finite separating pattern this is the engine
-behind splitting the group over the wall stabilisers.
+behind splitting the group over the wall stabilisers.  The group is closed
+once, for its order, and each wall or tree-edge stabiliser is read off its
+orbit under the generators.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass, field
 from .complex import MAX_VERTICES, CubeComplex, canonical_vertex_order
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .symmetry import (
-    Automorphism, GroupAction, RunTrace, _close, _wall_images, push_action,
-    run_to_tree,
+    Automorphism, GroupAction, RunTrace, _orbits, push_action, run_to_tree,
 )
 
 __all__ = [
@@ -273,8 +274,8 @@ def symmetry_automorphism(info: DualComplexInfo, mapping: dict) -> Automorphism:
 
 @dataclass(frozen=True)
 class StallingsResult:
-    """Tree produced from a wallspace with symmetries, with the orders of the
-    edge stabilisers of the tree and the wall stabilisers of the dual."""
+    """Tree from a wallspace with symmetries, with the stabiliser orders of
+    the tree's edges and the dual's walls, each |G| over its orbit's size."""
 
     wallspace: Wallspace = field(repr=False)
     dual_info: DualComplexInfo = field(repr=False)
@@ -288,48 +289,43 @@ class StallingsResult:
 
 
 def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
-    """Dualize, push symmetries, subdivide when inverted, collapse to a tree."""
+    """Dualize, push symmetries, subdivide when inverted, collapse to a tree;
+    the group is closed once, on the dual, as the subdivision carries it."""
     info = dualize_details(ws)
     cx = info.complex
     gens = [symmetry_automorphism(info, dict(m)) for m in symmetries]
     action = GroupAction(cx, gens)
-    # the stabiliser counts are reports: only they close the group, and
-    # they read one table per element of the wall each wall is mapped onto
-    group = _close(cx, action.generators)
-    wall_stabs = [0] * len(cx._wall_edges)
-    for g in group:
-        for h, t in enumerate(_wall_images(cx, g.perm)):
-            wall_stabs[h] += t == h
+    order = action.order
+    orbit_of = {h: orbit for orbit in action._wall_orbits[0] for h in orbit}
+    wall_stabs = tuple(order // len(orbit_of[h]) for h in range(len(orbit_of)))
 
-    subdivided = False
-    if not action.is_inversion_free:
+    subdivided = not action.is_inversion_free
+    if subdivided:
         cx, action = push_action(cx, action)
-        group = _close(cx, action.generators)
-        subdivided = True
 
     trace = run_to_tree(cx, action)
     tree = trace.final_complex
 
-    # provenance is equivariant: an element fixing a tree edge maps the
-    # walls the edge came from onto themselves; collapse keeps the vertex
+    # provenance is equivariant: each generator maps the walls a tree edge
+    # came from onto those of the edge's image, so every element fixing an
+    # edge maps its origin walls onto themselves; collapse keeps the vertex
     # order, so the permutations act on the tree's vertex indices
-    images = [_wall_images(cx, g.perm) for g in group]
-    edge_stabs = {}
-    order = tree.vertices
-    for a, b in tree._int_edges:
-        u, v = order[a], order[b]
-        origins = trace.edge_origins[(u, v)]
-        stabiliser = [
-            image for g, image in zip(group, images)
-            if {g.perm[a], g.perm[b]} == {a, b}
-        ]
-        for image in stabiliser:
-            if {image[h] for h in origins} != origins:
+    names = tree.vertices
+    origins = {e: trace.edge_origins[(names[e[0]], names[e[1]])] for e in tree._int_edges}
+    moves = []
+    for g, row in zip(action.generators, action._wall_table):
+        move = {}
+        for (a, b), walls in origins.items():
+            image = tuple(sorted((g.perm[a], g.perm[b])))
+            if origins[image] != {row[h][0] for h in walls}:
                 raise InternalInvariantError(
-                    f"an element fixing edge {(u, v)} moves its origin walls "
-                    f"{sorted(origins)}"
+                    f"a generator maps edge {(names[a], names[b])} but not its "
+                    f"origin walls {sorted(walls)} onto its image's"
                 )
-        edge_stabs[(u, v)] = len(stabiliser)
+            move[(a, b)] = image
+        moves.append(move)
+    orbits = _orbits(list(origins), lambda move, e: move[e], moves)
+    size = {e: order // len(orbit) for orbit in orbits for e in orbit}
     return StallingsResult(
         wallspace=ws,
         dual_info=info,
@@ -337,7 +333,7 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
         trace=trace,
         tree=tree,
         action=trace.final_action,
-        edge_stabiliser_sizes=edge_stabs,
-        wall_stabiliser_sizes=tuple(wall_stabs),
-        group_order=len(group),
+        edge_stabiliser_sizes={(names[a], names[b]): size[(a, b)] for a, b in origins},
+        wall_stabiliser_sizes=wall_stabs,
+        group_order=order,
     )

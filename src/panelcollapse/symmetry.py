@@ -1,15 +1,15 @@
 """Finite group actions on cube complexes and the equivariant collapse driver.
 
 An automorphism is a vertex permutation preserving edges (and hence cubes,
-walls, and medians).  A finite action is held as its generators alone: the
-orbits of panels and cubes and the inversions are read off them, and the
-group is closed only when a report asks for its order.  An *inversion* is
-an element preserving a wall while swapping its two halfspaces; collapse
+walls, and medians).  A finite action is held as its generators alone, and
+the group is closed only when a report asks for its order.  An *inversion*
+is an element preserving a wall while swapping its two halfspaces; collapse
 requires inversion-free actions, and passing to the first cubical
 subdivision always removes inversions.  Each generator maps each wall onto
-one wall, its minus side onto the minus or the plus side, so a wall orbit
-is inverted exactly when two paths of generators to one wall disagree on
-the side.
+one wall, its minus side onto the minus or the plus side: one signed wall
+table per generator, off which the wall orbits, the inversions and the panel
+orbits are read.  A wall orbit is inverted exactly when two paths of
+generators to one wall disagree on the side.
 
 The driver repeatedly collapses the full orbit of one extremal panel, which
 strictly decreases the lexicographic complexity (orbit counts of cubes of
@@ -138,8 +138,6 @@ class GroupAction:
             gens.append(g)
         self.complex = cx
         self.generators = tuple(gens)
-        self._inversions = None
-        self._complexity = None
 
     @functools.cached_property
     def order(self) -> int:
@@ -155,44 +153,58 @@ class GroupAction:
     def side_image(self, g: Automorphism, h_id: int, side: str) -> tuple[int, str]:
         """Wall and side that the element maps a side of wall ``h_id`` onto:
         the image of an edge of the wall is an edge, whose ends' masks differ
-        in exactly the target wall's bit."""
+        in exactly the target wall's bit.  Tests check the tables against it."""
         masks, perm = self.complex._masks, g.perm
         a, b = self.complex._wall_edges[h_id][0]
         target = (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
         end = a if masks[a] >> h_id & 1 == SIDES.index(side) else b
         return target, SIDES[masks[perm[end]] >> target & 1]
 
+    @functools.cached_property
+    def _wall_table(self) -> tuple:
+        """A row per generator g of ``(t, flip)`` per wall h: g maps h onto
+        the wall t of its first edge's image, and side s of h, the minus side
+        holding vertex 0, onto side ``s ^ flip`` of t, flip the side of g(0)."""
+        masks, firsts = self.complex._masks, [e[0] for e in self.complex._wall_edges]
+        table = []
+        for g in self.generators:
+            perm, row = g.perm, []
+            for a, b in firsts:
+                t = (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
+                row.append((t, masks[perm[0]] >> t & 1))
+            table.append(row)
+        return tuple(table)
+
+    @functools.cached_property
+    def _wall_orbits(self) -> tuple:
+        """The wall orbits, each from its least wall, and the inverted walls,
+        ascending, from one walk over the tables: a wall's parity is its side
+        that the root's minus side reaches on the path that found it, and an
+        orbit is inverted, all of it, when two paths to one wall disagree."""
+        table = self._wall_table
+        parity, orbits, inverted = [None] * len(self.complex._wall_edges), [], []
+        for root in range(len(parity)):
+            if parity[root] is not None:
+                continue
+            parity[root], orbit, flipped = 0, [root], False
+            for h in orbit:
+                for row in table:
+                    t, flip = row[h]
+                    side = parity[h] ^ flip
+                    if parity[t] is None:
+                        parity[t] = side
+                        orbit.append(t)
+                    elif parity[t] != side:
+                        flipped = True
+            orbits.append(orbit)
+            if flipped:
+                inverted += orbit
+        return tuple(orbits), tuple(sorted(inverted))
+
     def inversions(self) -> tuple:
         """The walls that some element preserves while swapping their
-        halfspaces, ascending.  Each generator g maps wall h onto the wall t
-        of its first edge's image, and the minus side, which holds vertex 0,
-        onto the side of t that holds g(0).  Walking each wall orbit once
-        with these parities, an orbit is inverted exactly when two paths to
-        one wall disagree, and then every wall in it is inverted."""
-        if self._inversions is None:
-            cx = self.complex
-            walls, maps = cx._wall_edges, []
-            for g in self.generators:
-                start = cx._masks[g.perm[0]]
-                maps.append([(t, start >> t & 1) for t in _wall_images(cx, g.perm)])
-            parity, out = [None] * len(walls), []
-            for root in range(len(walls)):
-                if parity[root] is not None:
-                    continue
-                parity[root], orbit, inverted = 0, [root], False
-                for h in orbit:
-                    for row in maps:
-                        t, flip = row[h]
-                        side = parity[h] ^ flip
-                        if parity[t] is None:
-                            parity[t] = side
-                            orbit.append(t)
-                        elif parity[t] != side:
-                            inverted = True
-                if inverted:
-                    out += orbit
-            self._inversions = tuple(sorted(out))
-        return self._inversions
+        halfspaces, ascending."""
+        return self._wall_orbits[1]
 
     @property
     def is_inversion_free(self) -> bool:
@@ -208,15 +220,22 @@ class GroupAction:
         cubes = self.complex._dim_cubes(dim)
         return len(_orbits(cubes, Automorphism._apply_cube, self.generators))
 
+    @functools.cached_property
+    def _complexity(self) -> "ComplexityVector":
+        """Orbit counts of d-cubes for d from the dimension down to 2."""
+        dims = range(self.complex.dimension, 1, -1)
+        return ComplexityVector(tuple(self.cube_orbit_count(d) for d in dims))
+
     def panel_orbit(self, panel: Panel) -> tuple[Panel, ...]:
         """Every image of one panel under the group, in triple order.  Two
         triples never give one panel: for one abutting wall H, equal H-edges
         are equal halfspaces of H, so the extremalising walls coincide."""
-        triples = _orbits(
-            [panel.triple],
-            lambda g, t: (self.wall_image(g, t[0]), *self.side_image(g, t[1], t[2])),
-            self.generators,
-        )[0]
+        def image(row, triple):
+            h, e, side = triple
+            t, flip = row[e]
+            return row[h][0], t, SIDES[(side == "+") ^ flip]
+
+        triples = _orbits([panel.triple], image, self._wall_table)[0]
         out = []
         for h, e, s in triples:
             try:
@@ -251,35 +270,21 @@ def _require_edges_preserved(g: Automorphism):
         )
 
 
-def _wall_images(cx: CubeComplex, perm) -> list:
-    """The wall that a vertex permutation maps each wall onto, by wall id:
-    the wall of the image of the wall's first edge, the one bit in which the
-    masks of its ends differ."""
-    masks = cx._masks
-    return [
-        (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
-        for a, b in (edges[0] for edges in cx._wall_edges)
-    ]
-
-
 def _close(cx: CubeComplex, gens) -> tuple:
     """Every product of the generators, sorted by permutation."""
     identity = Automorphism._unchecked(cx, tuple(range(cx.n)))
     seen = {identity.perm: identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = s * g
-                if h.perm not in seen:
-                    if len(seen) >= GROUP_SIZE_CAP:
-                        raise PreconditionError(
-                            f"group order exceeds GROUP_SIZE_CAP = {GROUP_SIZE_CAP}"
-                        )
-                    seen[h.perm] = h
-                    nxt.append(h)
-        frontier = nxt
+    found = [identity]
+    for g in found:
+        for s in gens:
+            h = s * g
+            if h.perm not in seen:
+                if len(seen) >= GROUP_SIZE_CAP:
+                    raise PreconditionError(
+                        f"group order exceeds GROUP_SIZE_CAP = {GROUP_SIZE_CAP}"
+                    )
+                seen[h.perm] = h
+                found.append(h)
     return tuple(seen[p] for p in sorted(seen))
 
 
@@ -347,16 +352,12 @@ class ComplexityVector:
 
 
 def complexity(cx: CubeComplex, action: GroupAction) -> ComplexityVector:
-    """Orbit counts of d-cubes for d from dim down to 2; kept on the action
-    when ``cx`` is the complex it acts on, so that the vector a collapse
-    step computes for its output is the next step's starting vector."""
-    if cx is action.complex and action._complexity is not None:
-        return action._complexity
-    entries = tuple(action.cube_orbit_count(d) for d in range(cx.dimension, 1, -1))
-    vector = ComplexityVector(entries=entries)
-    if cx is action.complex:
-        action._complexity = vector
-    return vector
+    """Orbit counts of d-cubes for d from dim down to 2, under an action on
+    ``cx``.  The vector is kept on the action, so the one a collapse step
+    computes for its output is the next step's starting vector."""
+    if not _same_complex(action.complex, cx):
+        raise PreconditionError("action does not act on this complex")
+    return action._complexity
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +422,7 @@ def subdivide(cx: CubeComplex):
 
     def pushforward(mapping) -> dict:
         g = mapping if isinstance(mapping, Automorphism) else Automorphism(cx, mapping)
+        _require_edges_preserved(g)
         return {order[i]: order[j] for i, j in enumerate(_pushed(cubes, index, g))}
 
     return sub, pushforward
@@ -429,7 +431,8 @@ def subdivide(cx: CubeComplex):
 def push_action(cx: CubeComplex, action: GroupAction):
     """Subdivide and carry the action over; the result has no inversions.
     Each generator's cube images are read straight off as indices, and
-    are still checked to be a bijection preserving edges."""
+    are still checked to be a bijection preserving edges.  It is the same
+    group: an element is determined by how it acts on cubes."""
     sub, cubes, index = _subdivision(cx)
     gens = [Automorphism(sub, _pushed(cubes, index, g)) for g in action.generators]
     return sub, GroupAction(sub, gens)

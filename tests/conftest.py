@@ -7,6 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from panelcollapse.complex import CubeComplex
+from panelcollapse.fileio import parse_wallspace
 from panelcollapse.pocset import Wallspace, dualize_details, symmetry_automorphism
 from panelcollapse.randgen import GeneratorConfig, cyclic_wallspace, random_wallspace
 from panelcollapse.symmetry import GroupAction
@@ -120,6 +121,17 @@ def mixed_wallspaces(seed, per_class):
             room[key] -= 1
             out.append((ws, rotate if symmetric else None))
     raise AssertionError(f"classes left unfilled: {room}")
+
+
+def data_wallspace(name):
+    """The wallspace of a file in ``tests/data`` and its symmetry mappings."""
+    points, walls, syms = parse_wallspace((DATA / name).read_text())
+    return Wallspace.from_data(points, walls), syms
+
+
+# the 3-cube's points under S3 permuting the coordinates (order 6, inverting
+# no wall) and under B3, which adds a reflection (order 48, inverting all)
+NONABELIAN_WS = ("cube3_s3.ws", "cube3_b3.ws")
 
 
 def coordinate_swap(cx, i, j) -> dict:

@@ -24,6 +24,10 @@ CASES = [
     (["dualize", "crossing2.ws"], "crossing2_dualize.txt"),
     # a symmetry inverting a wall: the run goes through the subdivision
     (["stallings", str(DATA / "inverted.ws")], "inverted_stallings.txt"),
+    # non-abelian actions on the 3-cube: S3 permuting the coordinates, and
+    # B3, which adds a reflection inverting a wall and so subdivides
+    (["stallings", str(DATA / "cube3_s3.ws")], "cube3_s3_stallings.txt"),
+    (["stallings", str(DATA / "cube3_b3.ws")], "cube3_b3_stallings.txt"),
 ]
 
 
@@ -57,6 +61,8 @@ TRACE_CASES = [
     (["run", "cube3.cc", "trivial.act"], "cube3_run_trace.json"),
     (["stallings", "crossing2.ws"], "crossing2_stallings_trace.json"),
     (["stallings", "inverted.ws"], "inverted_stallings_trace.json"),
+    (["stallings", "cube3_s3.ws"], "cube3_s3_stallings_trace.json"),
+    (["stallings", "cube3_b3.ws"], "cube3_b3_stallings_trace.json"),
 ]
 
 

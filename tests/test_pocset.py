@@ -29,8 +29,10 @@ from panelcollapse.symmetry import (
 import oracle
 from conftest import (
     DATA,
+    NONABELIAN_WS,
     SEVEN_CUBE_SIDES,
     assert_same_tables,
+    data_wallspace,
     mixed_wallspaces,
     pairwise_crossing_walls,
     rotation,
@@ -242,11 +244,35 @@ def test_wall_permutation_matches_the_side_sets():
         SQUARE_WS.wall_permutation({"a": "z"})
 
 
+def _check_stabiliser_reports(ws, syms):
+    """Check the pipeline's stabiliser reports against their definition: an
+    element stabilises a wall when ``wall_image`` fixes it, and a tree edge
+    when it maps the edge's ends onto themselves, and then it maps the
+    edge's origin walls onto themselves.  Returns the result."""
+    res = stallings_pipeline(ws, syms)
+    cx = res.dual_info.complex
+    action = GroupAction(cx, [symmetry_automorphism(res.dual_info, m) for m in syms])
+    group = _close(cx, action.generators)
+    assert res.wall_stabiliser_sizes == tuple(
+        sum(action.wall_image(g, h) == h for g in group)
+        for h in range(len(cx.hyperplanes()))
+    )
+    if res.subdivided:
+        cx, action = push_action(cx, action)
+        group = _close(cx, action.generators)
+    assert res.group_order == len(group)
+    assert list(res.edge_stabiliser_sizes) == list(res.tree.edges)
+    for (u, v), size in res.edge_stabiliser_sizes.items():
+        fixing = [g for g in group if {g(u), g(v)} == {u, v}]
+        assert size == len(fixing)
+        origins = res.trace.edge_origins[(u, v)]
+        for g in fixing:
+            assert {action.wall_image(g, h) for h in origins} == origins
+    return res
+
+
 def test_stabiliser_reports_match_their_definition():
-    # the counts are read off one wall-image table per element; by
-    # definition, an element stabilises a wall when ``wall_image`` fixes it,
-    # and a tree edge when it maps the edge's ends onto themselves, and then
-    # it maps the edge's origin walls onto themselves
+    # the reports are the group order over orbit sizes under the generators
     rng = random.Random(23)
     cfg = GeneratorConfig(max_points=7, max_walls=3)
     checked = subdivided = 0
@@ -254,28 +280,12 @@ def test_stabiliser_reports_match_their_definition():
         ws, rotate = cyclic_wallspace(rng, cfg)
         if ws.wall_count > 3:
             continue
-        res = stallings_pipeline(ws, [rotate])
-        cx = res.dual_info.complex
-        action = GroupAction(cx, [symmetry_automorphism(res.dual_info, rotate)])
-        group = _close(cx, action.generators)
-        assert res.wall_stabiliser_sizes == tuple(
-            sum(action.wall_image(g, h) == h for g in group)
-            for h in range(len(cx.hyperplanes()))
-        )
-        if res.subdivided:
-            cx, action = push_action(cx, action)
-            group = _close(cx, action.generators)
-        assert res.group_order == len(group)
-        assert list(res.edge_stabiliser_sizes) == list(res.tree.edges)
-        for (u, v), size in res.edge_stabiliser_sizes.items():
-            fixing = [g for g in group if {g(u), g(v)} == {u, v}]
-            assert size == len(fixing)
-            origins = res.trace.edge_origins[(u, v)]
-            for g in fixing:
-                assert {action.wall_image(g, h) for h in origins} == origins
+        subdivided += _check_stabiliser_reports(ws, [rotate]).subdivided
         checked += 1
-        subdivided += res.subdivided
     assert subdivided >= 10, subdivided
+    # non-abelian: S3 on the 3-cube keeps its walls' sides, B3 subdivides
+    reports = [_check_stabiliser_reports(*data_wallspace(n)) for n in NONABELIAN_WS]
+    assert [(r.group_order, r.subdivided) for r in reports] == [(6, False), (48, True)]
 
 
 def test_principal_distance_equals_wall_separation():
@@ -356,6 +366,24 @@ def test_stallings_rejects_origins_moved_by_a_stabiliser(monkeypatch):
         origins = dict(trace.edge_origins)
         diagonal = max(origins, key=lambda e: len(origins[e]))
         origins[diagonal] = frozenset({0})
+        return dataclasses.replace(trace, edge_origins=origins)
+
+    monkeypatch.setattr(pocset, "run_to_tree", corrupted_run)
+    with pytest.raises(InternalInvariantError, match="origin walls"):
+        stallings_pipeline(TRIPLE_WS, [rotation(6, 2)])
+
+
+def test_stallings_rejects_origins_a_generator_does_not_carry(monkeypatch):
+    # only the identity fixes this edge, so no element stabilising it can
+    # see its origins moved; the generator carrying it to another edge does
+    sizes = stallings_pipeline(TRIPLE_WS, [rotation(6, 2)]).edge_stabiliser_sizes
+    edge = next(e for e, k in sizes.items() if k == 1)
+
+    def corrupted_run(cx, action):
+        trace = run_to_tree(cx, action)
+        origins = dict(trace.edge_origins)
+        (h,) = origins[edge]
+        origins[edge] = frozenset({(h + 1) % 3})
         return dataclasses.replace(trace, edge_origins=origins)
 
     monkeypatch.setattr(pocset, "run_to_tree", corrupted_run)

@@ -35,10 +35,12 @@ from panelcollapse.symmetry import (
 
 from conftest import (
     DATA,
+    NONABELIAN_WS,
     SEVEN_CUBE_SIDES,
     assert_same_tables,
     box_complex,
     coordinate_swap,
+    data_wallspace,
     grid_complex,
     hypercube_complex,
     mixed_wallspaces,
@@ -199,6 +201,16 @@ def test_the_subdivision_is_built_as_from_its_named_cubes(square, cube3):
     assert len(instances) == 20 and inverting >= 9, (len(instances), inverting)
 
 
+def test_pushforward_refuses_a_mapping_that_breaks_edges():
+    # on the square a-b-d-c, swapping a and b alone is a bijection that
+    # breaks edges; pushed forward it would send both a|c and b|d to a|b|c|d
+    cx = CubeComplex(list("abcd"), [("a", "b"), ("b", "d"), ("d", "c"), ("c", "a")])
+    _, push = subdivide(cx)
+    with pytest.raises(StructuralError, match="permutation breaks edge"):
+        push({"a": "b", "b": "a"})
+    assert push({"a": "b", "b": "a", "c": "d", "d": "c"})["a|c"] == "b|d"
+
+
 def test_subdivision_refuses_colliding_names():
     # the path a|b - a - b - s: the edge {a, b} is also named a|b
     cx = CubeComplex(["a|b", "a", "b", "s"], [("a|b", "a"), ("a", "b"), ("b", "s")])
@@ -223,6 +235,16 @@ def test_complexity_examples(cube3, tree4):
     flip = {v: ("1" if v[0] == "0" else "0") + v[1:] for v in cube3.vertices}
     full = GroupAction(cube3, [rot, swap, flip])
     assert complexity(cube3, full).entries == (1, 1)
+
+
+def test_complexity_is_kept_on_the_action_of_its_complex(cube3, square):
+    action = GroupAction(cube3, [cube3_rotation(cube3)])
+    vector = complexity(cube3, action)
+    assert complexity(cube3, action) is vector
+    # an equal complex built apart is the complex the action acts on
+    assert complexity(CubeComplex(cube3.vertices, cube3.edges), action) is vector
+    with pytest.raises(PreconditionError, match="does not act on this complex"):
+        complexity(square, action)
 
 
 def test_complexity_ordering():
@@ -617,12 +639,23 @@ def test_inversions_match_the_side_image_definition(square):
                 GroupAction(info.complex, [symmetry_automorphism(info, rotate)])
             )
     actions += [action for _, action in _random_runs(43, 40)]
+    # non-abelian: S3 and B3 on the dual 3-cube, each also pushed to the
+    # subdivision, where B3 inverts no wall
+    for name in NONABELIAN_WS:
+        ws, syms = data_wallspace(name)
+        info = dualize_details(ws)
+        action = GroupAction(
+            info.complex, [symmetry_automorphism(info, m) for m in syms]
+        )
+        actions += [action, push_action(info.complex, action)[1]]
     inverting = 0
     for action in actions:
         expected = _inversions_by_definition(action)
         assert action.inversions() == expected
         inverting += bool(expected)
     assert inverting >= 12, inverting
+    assert [a.order for a in actions[-4:]] == [6, 6, 48, 48]
+    assert [bool(a.inversions()) for a in actions[-4:]] == [False, False, True, False]
 
 
 def test_the_step_loop_builds_no_vertex_sets(monkeypatch):
