@@ -25,7 +25,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from panelcollapse.cli import _int_at_least, _Parser
-from panelcollapse.complex import _distances, _median_scan, validate_graph
+from panelcollapse.complex import _median_scan, validate_graph
 from panelcollapse.errors import InternalInvariantError
 
 FIELDS = ("connected", "median", "median_violation", "cube_counts")
@@ -115,7 +115,7 @@ def reference_report(vs, es):
             stack.append(w)
     if len(seen) < len(vs):
         return dict(connected=False, median=None, median_violation=None, cube_counts=())
-    median, violation = _median_scan(_distances(len(vs), adj))
+    median, violation = _median_scan(adj)
     if not median:
         return dict(connected=True, median=False, median_violation=violation,
                     cube_counts=())

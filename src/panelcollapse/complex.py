@@ -58,9 +58,9 @@ cubes, a table of one byte per vertex and wall (the masks written in
 binary), the ``Hyperplane`` objects with their two sides, the vertex-by-wall
 sign matrix and the cubes' vertex sets are built on first use and cached.
 A wall's plus side is one column of the byte table, and the sign matrix of
-``vertex_signs()`` is the whole table, read by numpy.  numpy serves only
-that matrix and the median scan of a rejected graph, and is imported
-there, so a build never loads it.
+``vertex_signs()`` is the whole table with its bytes translated to -1 and
++1, as an int8 ``memoryview``.  The package uses the standard library
+only: the median scan of a rejected graph runs on integer bitsets too.
 
 Conventions used throughout the package:
 
@@ -97,9 +97,12 @@ __all__ = [
     "validate_graph",
 ]
 
-# A rejected graph is handed to the median scan, which holds n * n * ceil(n / 8)
-# bytes of interval bitsets, about 420 MB at this many vertices; larger graphs
-# are refused before any table is allocated.
+# A rejected graph is handed to the median scan, whose cached cone rows hold at
+# most about n**3 / 16 bytes of bitsets, some 210 MB at this many vertices.
+# The slowest case measured below the limit, on one core of a Xeon, is a
+# 10x10x10 box less a corner, numbered so that the first violating triple lies
+# in row 1045 of 1330: 40 s and 179 MB of peak RSS.  Larger graphs are refused
+# before any table is allocated.
 MAX_VERTICES = 1500
 
 
@@ -210,70 +213,81 @@ def _structural_pass(vertices, edges):
     return tuple(order), ix, int_edges
 
 
-def _distances(n, adj):
-    """All-pairs BFS distances; -1 marks unreachable pairs."""
-    import numpy as np
-
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if row[w] < 0:
-                        row[w] = d
-                        nxt.append(w)
-            frontier = nxt
-    return dist
-
-
-def _median_scan(dist):
-    """Check that every triple of vertices has exactly one median.
-
-    Vectorized over the third coordinate: for each pair (u, v) the
-    bit-packed matrix rows give interval membership, and a single numpy
-    popcount reduction counts medians for all w at once.  Returns
-    (ok, violating_triple_indices).
-    """
-    import numpy as np
-
-    n = dist.shape[0]
-    if n <= 2:
-        return True, None
-    d = dist.astype(np.int32)
-    # bit x of intervals[u][v] is set iff x lies on a geodesic from u to v
-    intervals = [
-        np.packbits(d[u][None, :] + d == d[u][:, None], axis=1) for u in range(n)
-    ]
-    for u in range(n - 2):
-        A_u = intervals[u]
-        for v in range(u + 1, n - 1):
-            row = A_u[v]
-            block = A_u[v + 1 :] & intervals[v][v + 1 :] & row[None, :]
-            counts = np.bitwise_count(block).sum(axis=1)
-            bad = np.nonzero(counts != 1)[0]
-            if bad.size:
-                return False, (u, v, v + 1 + int(bad[0]))
-    return True, None
-
-
-def _bfs(adj):
-    """Breadth-first search from vertex 0: each vertex's level (-1 when
+def _bfs(adj, root):
+    """Breadth-first search from ``root``: each vertex's level (-1 when
     unreachable) and the vertices in the order reached."""
     level = [-1] * len(adj)
-    level[0] = 0
-    queue = [0]
+    level[root] = 0
+    queue = [root]
     for u in queue:
         for w in adj[u]:
             if level[w] < 0:
                 level[w] = level[u] + 1
                 queue.append(w)
     return level, queue
+
+
+def _median_scan(adj):
+    """Name the first triple u < v < w of a connected graph, in
+    lexicographic order, that does not have exactly one median; returns
+    (ok, violating_triple_indices).
+
+    The medians of (u, v, w) are the x in the interval I(u, v), the vertices
+    on a geodesic from u to v, with w in both cones J(u, x) and J(v, x),
+    where J(s, x) = {w : x in I(s, w)}.  A search from s gives both as
+    bitsets: I(s, t) is t and the intervals of t's neighbours one level
+    nearer s, and J(s, x) is x and the cones of x's neighbours one level
+    farther, taken in reverse search order.  For each pair (u, v), a walk
+    over the x in I(u, v) marks the w with one median or more and those with
+    two or more, so the first violating w is the lowest bit above v that is
+    unmarked or marked twice.  The walk skips each x whose cone from v holds
+    no vertex above v.
+
+    Only row u of the intervals is kept.  A vertex's cone row is built the
+    first time a pair needs it and dropped once the scan passes it, and it
+    keeps only the bits above its vertex, the only ones read.  So a first
+    violation in row 0 costs one interval row and the cone rows up to it,
+    and the cone rows hold the most, about n**3 / 16 bytes, once row 0
+    passes.
+    """
+    n = len(adj)
+    cones = {}
+
+    def cone_row(s, level, queue):
+        row = [1 << x for x in range(n)]
+        for x in reversed(queue):
+            farther = level[x] + 1
+            for z in adj[x]:
+                if level[z] == farther:
+                    row[x] |= row[z]
+        # bit k of row[x] is vertex s + 1 + k
+        row = [j >> s + 1 for j in row]
+        return row, sum([1 << x for x, j in enumerate(row) if j])
+
+    for u in range(n - 2):
+        level, queue = _bfs(adj, u)
+        interval = [0] * n
+        for t in queue:
+            nearer = level[t] - 1
+            acc = 1 << t
+            for y in adj[t]:
+                if level[y] == nearer:
+                    acc |= interval[y]
+            interval[t] = acc
+        cone_u, _ = cones.pop(u, None) or cone_row(u, level, queue)
+        for v in range(u + 1, n - 1):
+            if v not in cones:
+                cones[v] = cone_row(v, *_bfs(adj, v))
+            cone_v, reach_v = cones[v]
+            once = twice = 0
+            for x in _bits(interval[v] & reach_v):
+                both = cone_u[x] >> v - u & cone_v[x]
+                twice |= once & both
+                once |= both
+            bad = (~once | twice) & ((1 << n - 1 - v) - 1)
+            if bad:
+                return False, (u, v, v + (bad & -bad).bit_length())
+    return True, None
 
 
 def _median_walls(adj, level, queue, int_edges):
@@ -501,6 +515,8 @@ def _same_complex(a, b) -> bool:
 
 # the digits of a mask written in binary, as the bytes 0 and 1
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+# the side table's bytes 0 and 1 as the int8 signs -1 and +1
+_SIGN_BYTES = bytes.maketrans(b"\x00\x01", b"\xff\x01")
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +550,13 @@ def _analyze(order, int_edges):
         adj_sets[a].add(b)
         adj_sets[b].add(a)
     sizes = dict(vertex_count=n, edge_count=len(int_edges))
-    level, queue = _bfs(adj_sets)
+    level, queue = _bfs(adj_sets, 0)
     if len(queue) < n:
         return ValidationReport(**sizes, connected=False), None
     tables = _median_walls(adj_sets, level, queue, int_edges)
     if tables is None:
         # name the first triple without exactly one median
-        median_ok, violation = _median_scan(_distances(n, adj_sets))
+        median_ok, violation = _median_scan(adj_sets)
         if median_ok:
             raise InternalInvariantError(
                 "the local median checks reject a graph the median scan accepts"
@@ -787,13 +803,14 @@ class CubeComplex:
     def _side_table(self) -> bytes:
         """One byte per vertex and wall, a row per vertex in index order: 1
         where the vertex lies on the wall's plus side, 0 on its minus side.
-        A row is its vertex's mask written in binary, so wall h sits in
-        column ``width - 1 - h``."""
+        A row is its vertex's mask written in binary, least significant bit
+        first, so wall h sits in column h."""
         width = len(self._wall_edges)
         if not width:  # format writes at least one digit
             return b""
         spec = f"0{width}b"
-        digits = "".join([format(m, spec) for m in self._masks])
+        # the rows in reverse, each most significant bit first, then reversed
+        digits = "".join([format(m, spec) for m in reversed(self._masks)])[::-1]
         return digits.encode().translate(_BINARY_DIGITS)
 
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
@@ -803,8 +820,7 @@ class CubeComplex:
             everything = frozenset(order)
             hyperplanes = []
             for h_id, es in enumerate(self._wall_edges):
-                column = table[width - 1 - h_id :: width]
-                plus = frozenset(itertools.compress(order, column))
+                plus = frozenset(itertools.compress(order, table[h_id::width]))
                 hyperplanes.append(
                     Hyperplane(
                         id=h_id,
@@ -817,16 +833,18 @@ class CubeComplex:
             self._hyperplanes = tuple(hyperplanes)
         return self._hyperplanes
 
-    def vertex_signs(self) -> "numpy.ndarray":
+    def vertex_signs(self) -> memoryview:
         """Matrix of halfspace signs, rows by vertex index, columns by wall
-        id, as int8: +1 on a wall's plus side, -1 on its minus side."""
+        id, as a read-only int8 view (format ``"b"``) of shape ``(n, walls)``:
+        +1 on a wall's plus side, -1 on its minus side.  It is the side
+        table with its bytes translated, and ``numpy.asarray`` reads it
+        without a copy.  A view cannot have a zero in its shape, so a
+        complex with no wall, a single vertex, gets the empty view of shape
+        ``(0,)``."""
         if self._signs is None:
-            import numpy as np
-
             width = len(self._wall_edges)
-            table = np.frombuffer(self._side_table, dtype=np.uint8)
-            bits = table.reshape(self.n, width)[:, ::-1].astype(np.int8)
-            self._signs = 2 * bits - 1
+            signs = memoryview(self._side_table.translate(_SIGN_BYTES))
+            self._signs = signs.cast("b", (self.n, width)) if width else signs.cast("b")
         return self._signs
 
     def sign(self, v, h_id: int) -> int:

@@ -792,12 +792,9 @@ def filtered_hyperplanes(cx):
 
 
 def sign_matrix(masks, width):
-    """The masks as a vertex-by-wall int8 matrix: +1 on a wall's plus side,
-    -1 on its minus side."""
-    import numpy as np
-
-    nbytes = (width + 7) // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    bits = np.unpackbits(packed, axis=1, count=width, bitorder="little")
-    return 2 * bits.astype(np.int8) - 1
+    """The masks as a vertex-by-wall int8 matrix, row by row: the byte +1
+    on a wall's plus side, -1 on its minus side, and the matrix's shape."""
+    raw = b"".join(
+        b"\x01" if m >> h & 1 else b"\xff" for m in masks for h in range(width)
+    )
+    return raw, (len(masks), width)

@@ -407,7 +407,7 @@ def test_binary_input_is_user_error(capsys, tmp_path):
 
 
 def test_validate_does_not_import_numpy():
-    # numpy serves only the sign matrix and the rejection path's median scan
+    # validating a complex loads no numpy
     script = (
         "import sys\n"
         "from panelcollapse import cli\n"
@@ -426,6 +426,57 @@ def test_validate_does_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["valid; V=8 E=12 F=6 C=1; Euler=1", "False"]
+
+
+def test_no_path_needs_numpy(tmp_path):
+    # with numpy made unimportable: signs, rejection, collapse and stallings
+    k23 = tmp_path / "k23.cc"
+    lines = ["cubecomplex v1"]
+    lines += [f"vertex {v}" for v in ["a", "b", "x", "y", "z"]]
+    lines += [f"edge {a} {b}" for a in "ab" for b in "xyz"]
+    k23.write_text("\n".join(lines) + "\n")
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from panelcollapse import cli\n"
+        "from panelcollapse.complex import CubeComplex, validate_graph\n"
+        "from panelcollapse.symmetry import GroupAction, run_to_tree\n"
+        "def grid(k):\n"
+        "    vs = [(i, j) for i in range(k + 1) for j in range(k + 1)]\n"
+        "    es = [((i, j), (i + 1, j)) for i in range(k) for j in range(k + 1)]\n"
+        "    es += [((i, j), (i, j + 1)) for i in range(k + 1) for j in range(k)]\n"
+        "    return CubeComplex(vs, es)\n"
+        "cx = grid(16)\n"
+        "print(len(cx.hyperplanes()), cx.vertex_signs().shape)\n"
+        "k23 = ([*'abxyz'], [(a, b) for a in 'ab' for b in 'xyz'])\n"
+        "print(validate_graph(*k23).median_violation)\n"
+        f"print(cli.main(['validate', {str(k23)!r}]))\n"
+        "cx = grid(6)\n"
+        "swap = {(i, j): (j, i) for i, j in cx.vertices}\n"
+        "print(run_to_tree(cx, GroupAction(cx, [swap])).final_complex.is_tree())\n"
+        f"print(cli.main(['stallings', {str(DATA / 'cube3_b3.ws')!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(panelcollapse.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[:6] == [
+        "32 (289, 32)",
+        "('x', 'y', 'z')",
+        "invalid; median check fails on triple ('x', 'y', 'z')",
+        "1",
+        "True",
+        "dual: V=8 E=12 F=6 C=1",
+    ]
+    assert "tree: V=27 E=26" in out and out[-1] == "0"
 
 
 def test_the_package_runs_as_a_module():

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -302,13 +303,13 @@ def test_euler_characteristic_always_one():
 
 
 def test_median_scan_matches_naive_reference():
-    # the vectorized all-triples scan agrees with a direct computation on
-    # arbitrary small connected graphs, median or not
-    import numpy as np
-
-    from panelcollapse.complex import _distances, _median_scan
+    # the bitset scan agrees with a direct computation on arbitrary small
+    # connected graphs, median or not, and on connected induced subgraphs of
+    # hypercubes, where the first violation often lies past row 0
+    from panelcollapse.complex import _median_scan
 
     rng = random.Random(2024)
+    graphs = []
     for _ in range(60):
         n = rng.randint(3, 11)
         edges = {(i, i + 1) for i in range(n - 1)}  # spine keeps it connected
@@ -316,12 +317,18 @@ def test_median_scan_matches_naive_reference():
             a, b = rng.randrange(n), rng.randrange(n)
             if a != b:
                 edges.add((min(a, b), max(a, b)))
+        graphs.append((n, edges))
+    for vs, es in _hypercube_subgraphs(rng, 120):
+        ix = {v: i for i, v in enumerate(sorted(vs))}
+        graphs.append((len(vs), {(ix[u], ix[v]) for u, v in es}))
+    past_row_0 = 0
+    for n, edges in graphs:
         adj = [set() for _ in range(n)]
         for a, b in edges:
             adj[a].add(b)
             adj[b].add(a)
-        dist = _distances(n, adj)
-        ok, violation = _median_scan(dist)
+        dist = oracle.bfs_distances(adj)
+        ok, violation = _median_scan(adj)
         naive_ok = True
         naive_violation = None
         for u in range(n):
@@ -340,6 +347,8 @@ def test_median_scan_matches_naive_reference():
         assert ok == naive_ok
         if not ok:
             assert violation == naive_violation
+            past_row_0 += violation[0] > 0
+    assert past_row_0 > 0
 
 
 def test_validation_scales_to_three_hundred_vertices():
@@ -422,12 +431,12 @@ def _matches_reference(vs, es) -> bool:
     walls = oracle.square_walls(adj, int_edges, cubes[2] if len(cubes) > 2 else ())
     wall_of = {e: h for h, (members, _) in enumerate(walls) for e in members}
     assert len(cx.hyperplanes()) == len(walls)
-    signs = cx.vertex_signs()
+    signs = cx.vertex_signs().tolist()
     for h, (members, plus) in zip(cx.hyperplanes(), walls):
         assert h.edges == {(order[a], order[b]) for a, b in members}
         assert h.plus == {order[i] for i in plus}
         assert h.minus == set(order) - h.plus
-        assert signs[:, h.id].tolist() == [1 if i in plus else -1 for i in range(len(order))]
+        assert [row[h.id] for row in signs] == [1 if i in plus else -1 for i in range(len(order))]
     for d, ref in enumerate(cubes):
         for c in ref:
             expected = {wall_of[e] for e in int_edges if set(e) <= c}
@@ -588,7 +597,7 @@ def test_general_graphs_match_reference():
 def test_median_scan_runs_only_on_rejection(monkeypatch):
     from panelcollapse import complex as cplx
 
-    def refuse(dist):
+    def refuse(adj):
         raise AssertionError("the median scan ran on a median graph")
 
     monkeypatch.setattr(cplx, "_median_scan", refuse)
@@ -775,6 +784,34 @@ def test_largest_grid_under_the_vertex_limit():
     assert len(cx.hyperplanes()) == 74
 
 
+def test_rejection_at_the_vertex_limit_names_row_0_in_bounded_memory():
+    # the first violating triple lies in row 0, so the scan builds the
+    # interval row of vertex 0 and the cone rows it reads, not a table of
+    # every pair
+    grid = grid_complex(37, 37)
+    chord = ((37, 37), (36, 35))
+    tracemalloc.start()
+    try:
+        report = validate_graph(grid.vertices, [*grid.edges, chord])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.median_violation == ((0, 0), (0, 37), (37, 37))
+    assert peak < 64 << 20
+
+
+def test_rejection_past_row_0_reads_the_cached_cone_rows():
+    # box 5^3 less its top corner: the three corners next to it have no
+    # median, and every earlier triple has one, so rows 0 to 34 pass and
+    # reuse the cone rows cached on the way
+    box = box_complex(5, 5, 5)
+    vs = [v for v in box.vertices if v != (5, 5, 5)]
+    es = [e for e in box.edges if (5, 5, 5) not in e]
+    report = validate_graph(vs, es)
+    assert report.median_violation == ((0, 5, 5), (5, 0, 5), (5, 5, 0))
+    assert vs.index((0, 5, 5)) == 35
+
+
 def test_maximal_cube_counts_in_closed_form(tree4):
     # a grid's maximal cubes are its squares, a cube's is itself, a box's
     # are its unit cubes and a path's are its edges
@@ -824,9 +861,12 @@ def _assert_sides_and_signs_match_the_references(cx):
     planes = [(h.id, h.edges, h.minus, h.plus) for h in cx.hyperplanes()]
     assert planes == oracle.filtered_hyperplanes(cx)
     signs = cx.vertex_signs()
-    reference = oracle.sign_matrix(cx._masks, len(cx._wall_edges))
-    assert (signs.dtype, signs.shape) == (reference.dtype, reference.shape)
-    assert signs.tobytes() == reference.tobytes()
+    raw, shape = oracle.sign_matrix(cx._masks, len(cx._wall_edges))
+    if not cx._wall_edges:
+        # a view cannot have a zero in its shape: no wall gives the empty view
+        shape = (0,)
+    assert (signs.format, signs.shape) == ("b", shape)
+    assert signs.tobytes() == raw
 
 
 def test_sides_and_signs_match_the_references():
