@@ -9,11 +9,21 @@ edges dropped and up to two pendant vertices added, and its vertices renamed
 at random so that a random vertex roots the recogniser's search.  For each it
 compares ``validate_graph``'s ``connected``, ``median``, ``median_violation``
 and ``cube_counts`` with a reference that decides them from the definitions:
-connectivity by search, medianness and the first violating triple by the
-scan over all triples of vertices, and the cubes by trying every set of a
-vertex's neighbours as the edges of an induced cube at that corner.  Prints
-one line per disagreement and a summary, and exits 1 when any graph
-disagrees.
+connectivity by search, and the cubes by trying every set of a vertex's
+neighbours as the edges of an induced cube at that corner.  On a graph of at
+most NAIVE_LIMIT vertices, medianness and the first violating triple come
+from counting, for every triple of vertices, the vertices on geodesics
+between each two of them, over distances found by search (the tests'
+``oracle.py``); on a larger graph they come from the package's own median
+scan, so there only connectivity and the cubes are checked independently.
+
+On every median graph it also checks the tables a collapse step reads
+against the derivations a step once made, ``oracle.step_reads``: the
+squares, the crossing pairs, the walk over extremal panels and the maximal
+cubes across each wall.
+
+Prints one line per disagreement, how many graphs had the naive median
+reference and a summary, and exits 1 when any graph disagrees.
 """
 
 import itertools
@@ -22,13 +32,19 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))
 
 from panelcollapse.cli import _int_at_least, _Parser
-from panelcollapse.complex import _median_scan, validate_graph
+from panelcollapse.complex import CubeComplex, _median_scan, validate_graph
 from panelcollapse.errors import InternalInvariantError
 
+from oracle import bfs_distances, first_median_violation, step_reads
+
 FIELDS = ("connected", "median", "median_violation", "cube_counts")
+# the naive median count tests about n**4 / 6 (triple, vertex) pairs
+NAIVE_LIMIT = 30
 
 
 def _hypercube(d):
@@ -115,7 +131,11 @@ def reference_report(vs, es):
             stack.append(w)
     if len(seen) < len(vs):
         return dict(connected=False, median=None, median_violation=None, cube_counts=())
-    median, violation = _median_scan(adj)
+    if len(vs) <= NAIVE_LIMIT:
+        violation = first_median_violation(bfs_distances(adj))
+        median = violation is None
+    else:
+        median, violation = _median_scan(adj)
     if not median:
         return dict(connected=True, median=False, median_violation=violation,
                     cube_counts=())
@@ -125,24 +145,35 @@ def reference_report(vs, es):
 
 def compare(vs, es):
     """The recogniser's report, None when it raised, and the fields on which
-    it differs from the reference, as ``{field: (report, reference)}``."""
+    it differs from the reference, as ``{field: (report, reference)}``; on a
+    median graph, also the step's tables that differ from their
+    derivations."""
     expected = reference_report(vs, es)
     try:
         report = validate_graph(vs, es)
     except InternalInvariantError as exc:
         return None, {"error": (str(exc), None)}
     got = {field: getattr(report, field) for field in FIELDS}
-    return report, {f: (got[f], expected[f]) for f in FIELDS if got[f] != expected[f]}
+    diff = {f: (got[f], expected[f]) for f in FIELDS if got[f] != expected[f]}
+    if report.median:
+        cx = CubeComplex(vs, es)
+        walls = [1 << h for h in range(len(cx._wall_edges))]
+        reads = step_reads(cx, walls).items()
+        diff.update((name, pair) for name, pair in reads if pair[0] != pair[1])
+    return report, diff
 
 
 def sweep(seed, count):
-    """Run the sweep: the number of connected and of median graphs, and the
-    disagreeing graphs as ``(index, fields)``."""
+    """Run the sweep: the number of connected and of median graphs and of
+    graphs with the naive median reference, and the disagreeing graphs as
+    ``(index, fields)``."""
     rng = random.Random(seed)
     verdicts = Counter()
     wrong = []
     for i in range(count):
-        report, diff = compare(*damaged_graph(rng))
+        vs, es = damaged_graph(rng)
+        verdicts["naive"] += len(vs) <= NAIVE_LIMIT
+        report, diff = compare(vs, es)
         if diff:
             wrong.append((i, diff))
         elif report.connected:
@@ -161,6 +192,8 @@ def main():
         print(f"graph {i}: " + "; ".join(
             f"{field} {got!r}, reference {want!r}" for field, (got, want) in diff.items()
         ))
+    print(f"naive median reference on {verdicts['naive']} of {args.count} graphs "
+          f"(at most {NAIVE_LIMIT} vertices)")
     print(f"seed={args.seed} graphs={args.count} connected={verdicts['connected']} "
           f"median={verdicts['median']} disagreements={len(wrong)}")
     return 1 if wrong else 0

@@ -15,7 +15,9 @@ diagonal cubes joining the salient subcube to the persistent subcube across
 the separating walls.  The collapsed complex keeps every vertex, keeps every
 external edge, and gains one diagonal edge per salient vertex of each
 disconnected external cube; its cube structure is again the canonical filling
-and it validates as CAT(0).
+and it validates as CAT(0).  Only the maximal cubes with an abutting wall
+among their axes can be external, and they are found at the upper ends of
+those walls' edges: the rest of the complex is not visited.
 
 Collapse keeps the vertex set and its order, so the output complex is built on
 the input's vertex table from index pairs (``CubeComplex._from_indexed``),
@@ -371,6 +373,9 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     The output keeps the vertex set; its edges are the external input edges
     plus the diagonal edges of the fundaments of the external maximal cubes
     (a completely external cube is its own fundament, with no diagonals).
+    Only the maximal cubes across the abutting walls are visited
+    (``CubeComplex._maximal_cubes_across``): a cube with no abutting wall
+    among its axes holds no panel's edge, so it is completely external.
     An edge is internal exactly when it is an internal edge of a panel.  A
     failure of the output to validate is reported as an internal invariant
     breach: the construction guarantees a CAT(0) result.  Edges are kept as
@@ -383,7 +388,7 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     internal = set().union(*(p._edges for p in panels))
     vertex_of = cx._vertex_of
     diagonals = set()
-    for m in cx._maximal_cubes():
+    for m in cx._maximal_cubes_across(cls._abutting):
         status = cls._status_of(m)
         # internal cubes lie in panels, which are proper faces of block cubes
         if status == INTERNAL:

@@ -47,16 +47,19 @@ or cube once, sort the names and join the indices of masks or cubes.  Both
 constructors run the full recogniser, so every complex is validated.
 
 A build keeps only integer tables: the masks, each vertex's down-walls,
-each wall's edges and the square counts of crossing pairs, counted from the
-squares the recogniser records.  It lists no cube.  An edge's wall is the
-one bit in which its ends' masks differ.  Inside the package a cube is the
-pair ``(base, axes)`` of the AND of its vertex masks and the mask of its
-walls; its vertices are the masks ``base | s`` for the subsets ``s`` of
-``axes``.  Signs, crossing sets and convex hulls are read off the masks.
-The list of one dimension's cubes, the table of every cube, the maximal
-cubes, a table of one byte per vertex and wall (the masks written in
-binary), the ``Hyperplane`` objects with their two sides, the vertex-by-wall
-sign matrix and the cubes' vertex sets are built on first use and cached.
+each wall's edges, and what the recogniser found on the way: the squares,
+as each one's top and walls, the number of squares of each crossing pair and
+the mask of the walls crossing each wall.  It lists no other cube.  An
+edge's wall is the one bit in which its ends' masks differ.  Inside the
+package a cube is the pair ``(base, axes)`` of the AND of its vertex masks
+and the mask of its walls; its vertices are the masks ``base | s`` for the
+subsets ``s`` of ``axes``.  Signs, crossing sets and convex hulls are read
+off the masks.  The list of one dimension's cubes (for squares, the
+recorded squares sorted), the table of every cube, the maximal cubes, a
+table of one byte per vertex and wall (the masks written in binary), the
+``Hyperplane`` objects with their two sides, the vertex-by-wall sign matrix
+and the cubes' vertex sets are built on first use and cached.  The maximal
+cubes across a few walls are found from those walls' edges alone.
 A wall's plus side is one column of the byte table, and the sign matrix of
 ``vertex_signs()`` is the whole table with its bytes translated to -1 and
 +1, as an int8 ``memoryview``.  The package uses the standard library
@@ -80,7 +83,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -335,7 +338,8 @@ def _median_walls(adj, level, queue, int_edges):
     a down-wall of x: one mask test per down-edge, made as the labels are
     rebuilt.  It may run before the labels are known distinct, since a
     graph whose labels are not is rejected either way.  Each square is
-    recorded once, as its top and its two walls.
+    recorded once, as its top and the mask of its two walls, and each wall
+    keeps the mask of the walls it shares a square with.
 
     Given check 3, the four flips around a square cancel and the two at a
     corner differ, so all four corners see the same two walls.  Three
@@ -346,9 +350,10 @@ def _median_walls(adj, level, queue, int_edges):
     crossing pairs finds a triangle.  A 2-dimensional complex has none, and
     collapse never raises dimension.
     Returns the wall of each edge, in ``int_edges`` order, the labels, the
-    vertex of each label, each vertex's mask of down-walls and the number of
-    squares dual to each crossing pair of walls, keyed by the pair's mask,
-    or None as soon as a check fails.
+    vertex of each label, each vertex's mask of down-walls, the squares as
+    ``(top, axes)`` pairs in search order, the number of squares dual to
+    each crossing pair of walls, keyed by the pair's mask, and the mask of
+    the walls crossing each wall, or None as soon as a check fails.
     """
     n = len(adj)
     below = [[] for _ in range(n)]  # the down-neighbours, ascending
@@ -393,22 +398,23 @@ def _median_walls(adj, level, queue, int_edges):
         for x, p in zip(xs, flips):
             if walls & ~p & ~down_walls[x]:
                 return None
-        squares += [(v, p, q) for p, q in itertools.combinations(flips, 2)]
+        squares += [(v, p | q) for p, q in itertools.combinations(flips, 2)]
     vertex_of = {m: x for x, m in enumerate(final)}
     if len(vertex_of) < n:
         return None
-    square_counts = Counter(p | q for _, p, q in squares)
-    crossing = defaultdict(int)  # the walls crossing each wall
+    square_counts = Counter([axes for _, axes in squares])
+    crossing = [0] * len(ids)  # the walls crossing each wall
     triangle = False
     for pair in square_counts:
         # a triangle is found at the last of its three pairs
         p, q = pair & -pair, pair & (pair - 1)
-        triangle = triangle or crossing[p] & crossing[q] != 0
-        crossing[p] |= q
-        crossing[q] |= p
+        h, e = p.bit_length() - 1, q.bit_length() - 1
+        triangle = triangle or crossing[h] & crossing[e] != 0
+        crossing[h] |= q
+        crossing[e] |= p
     if triangle and not _three_cube_condition(adj, squares, final, vertex_of):
         return None
-    return edge_wall, final, vertex_of, down_walls, square_counts
+    return edge_wall, final, vertex_of, down_walls, squares, square_counts, crossing
 
 
 def _three_cube_condition(adj, squares, labels, vertex_of):
@@ -443,22 +449,23 @@ def _three_cube_condition(adj, squares, labels, vertex_of):
       m ^ p ^ z and m ^ q ^ z, and at m ^ p and m ^ q it gives w and its
       three edges.
 
-    Every square is in ``squares``, as ``(top, p, q)``: its labels are m,
-    m ^ p, m ^ q and m ^ p ^ q, so it has one top, and two down-neighbours
-    of the top have one common down-neighbour.  Its corners are read off
-    ``vertex_of``.
+    Every square is in ``squares``, as ``(top, axes)`` with axes p | q: its
+    labels are m, m ^ p, m ^ q and m ^ p ^ q, so it has one top, and two
+    down-neighbours of the top have one common down-neighbour.  Its corners
+    are read off ``vertex_of``.
     """
     link = [{} for _ in labels]
-    for t, p, q in squares:
-        m = labels[t]
+    for t, axes in squares:
+        p, q, m = axes & -axes, axes & (axes - 1), labels[t]
         for c in (t, vertex_of[m ^ p], vertex_of[m ^ q], vertex_of[m ^ p ^ q]):
             spans = link[c]
             spans[p] = spans.get(p, 0) | q
             spans[q] = spans.get(q, 0) | p
     # the walls of each vertex's edges
     walls_at = [sum([m ^ labels[u] for u in near]) for m, near in zip(labels, adj)]
-    for t, p, q in squares:
-        b = vertex_of[labels[t] ^ p ^ q]
+    for t, axes in squares:
+        p, q = axes & -axes, axes & (axes - 1)
+        b = vertex_of[labels[t] ^ axes]
         if link[b][p] & link[b][q] & ~walls_at[t]:
             return False
     return True
@@ -568,11 +575,10 @@ def _analyze(order, int_edges):
             median_violation=tuple(order[i] for i in violation),
         )
         return report, None
-    edge_wall, masks, vertex_of, down, square_counts = tables
     report = ValidationReport(
-        **sizes, connected=True, median=True, cube_counts=_cube_counts(down)
+        **sizes, connected=True, median=True, cube_counts=_cube_counts(tables[3])
     )
-    return report, (adj_sets, edge_wall, masks, vertex_of, down, square_counts)
+    return report, (adj_sets, *tables)
 
 
 class CubeComplex:
@@ -584,16 +590,18 @@ class CubeComplex:
     to its vertex index), ``_down[i]`` is the mask of the walls of i's edges
     towards vertex 0, ``_wall_edges[h]`` lists the index pairs of wall
     ``h``'s edges (an edge's wall, ``_wall_of``, is read off its ends'
-    masks), and ``_square_counts`` maps the axes ``1 << h | 1 << e`` of
-    each crossing pair to the number of squares dual to both walls
-    (``_crossing_pairs`` lists those pairs as ``(h, e)``, ``h < e``, in
-    order).  ``cube_counts`` is read off the down-walls in closed form.
+    masks), ``_squares`` holds each square as ``(top, axes)`` in the
+    recogniser's search order, ``_square_counts`` maps the axes
+    ``1 << h | 1 << e`` of each crossing pair to the number of squares dual
+    to both walls, and ``_crossing[h]`` is the mask of the walls crossing
+    wall h (``_crossing_pairs`` lists the pairs as ``(h, e)``, ``h < e``,
+    in order).  ``cube_counts`` is read off the down-walls in closed form.
     ``_dim_cubes(d)`` lists the d-cubes as ``(base, axes)`` pairs on first
-    use, and ``_cubes`` holds every dimension's list for the few callers
-    that walk every cube.  The public views take and return cubes as vertex
-    sets, converted by ``_key`` and ``_vertex_set``; they, the byte table
-    of sides, the ``Hyperplane`` objects, the sign matrix and the maximal
-    cubes are built on first use.
+    use, the squares by sorting ``_squares``, and ``_cubes`` holds every
+    dimension's list for the few callers that walk every cube.  The public
+    views take and return cubes as vertex sets, converted by ``_key`` and
+    ``_vertex_set``; they, the byte table of sides, the ``Hyperplane``
+    objects, the sign matrix and the maximal cubes are built on first use.
 
     ``CubeComplex(vertices, edges)`` checks and canonicalizes raw data; the
     private ``_from_indexed(order, ix, int_edges)``, which builds collapse
@@ -627,7 +635,7 @@ class CubeComplex:
         self._ix = ix
         self._int_edges = int_edges
         (self._adj_int, edge_wall, self._masks, self._vertex_of, self._down,
-         self._square_counts) = internals
+         self._squares, self._square_counts, self._crossing) = internals
         self.validation_report = report
         self._compute_hyperplanes(edge_wall)
         self._hyperplanes = None
@@ -644,7 +652,9 @@ class CubeComplex:
 
     @functools.cached_property
     def _crossing_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(map(tuple, map(_bits, self._square_counts))))
+        return tuple(
+            (h, e) for h, walls in enumerate(self._crossing) for e in _bits(walls) if e > h
+        )
 
     def _wall_of(self, a: int, b: int) -> int:
         """The wall of the edge between vertex indices a and b: the one bit
@@ -732,17 +742,23 @@ class CubeComplex:
         edges there that lead towards vertex 0 cross distinct walls,
         ``_down[top]``, and any subset s of them spans the cube
         ``(top ^ s, s)``.  So each cube is listed once, by top vertex, then
-        by axes ascending.
+        by axes ascending.  The squares are the ones the recogniser
+        recorded, ``_squares``, sorted into this order.
         """
         cubes = self._cube_lists.get(dim)
         if cubes is None:
-            cubes = self._cube_lists[dim] = [
-                (top ^ s, s)
-                for top, walls in zip(self._masks, self._down)
-                if walls.bit_count() >= dim >= 0
-                for s in _subsets(walls)
-                if s.bit_count() == dim
-            ]
+            masks = self._masks
+            if dim == 2:
+                cubes = [(masks[t] ^ s, s) for t, s in sorted(self._squares)]
+            else:
+                cubes = [
+                    (top ^ s, s)
+                    for top, walls in zip(masks, self._down)
+                    if walls.bit_count() >= dim >= 0
+                    for s in _subsets(walls)
+                    if s.bit_count() == dim
+                ]
+            self._cube_lists[dim] = cubes
         return cubes
 
     @functools.cached_property
@@ -757,9 +773,9 @@ class CubeComplex:
             self._vertex_sets[dim] = tuple(map(self._vertex_set, self._dim_cubes(dim)))
         return self._vertex_sets[dim]
 
-    def _maximal_cubes(self) -> tuple[tuple[int, int], ...]:
-        """The cubes not properly contained in any other cube, by dimension
-        descending, then by top vertex (table order).
+    def _maximal_topped_by(self, tops) -> tuple[tuple[int, int], ...]:
+        """The maximal cubes topped by the vertices ``tops``, given in
+        ascending order, by dimension descending, then by top vertex.
 
         With ``down[t]`` the walls of t's edges towards vertex 0, the cubes
         topped by t are ``(t & ~s, s)`` for s ⊆ ``down[t]``.  Such a cube lies
@@ -769,24 +785,32 @@ class CubeComplex:
         and that face is topped by t when h ∈ ``down[t]`` and by u otherwise
         (and u's down-walls then hold s and h).  So each vertex tops at most
         one maximal cube, ``(t & ~down[t], down[t])``, exactly when no
-        up-neighbour's down-walls contain ``down[t]``; one pass over the
-        edges marks the vertices that some up-neighbour covers.
+        up-neighbour's down-walls contain ``down[t]``.
         """
+        masks, down, adj = self._masks, self._down, self._adj_int
+        by_dim = [[] for _ in self.cube_counts]
+        for t in tops:
+            top, walls = masks[t], down[t]
+            if not any([masks[u] > top and not walls & ~down[u] for u in adj[t]]):
+                by_dim[walls.bit_count()].append((top & ~walls, walls))
+        return tuple(c for cubes in reversed(by_dim) for c in cubes)
+
+    def _maximal_cubes(self) -> tuple[tuple[int, int], ...]:
+        """The cubes not properly contained in any other cube, by dimension
+        descending, then by top vertex (table order)."""
         if self._maximal is None:
-            masks, down = self._masks, self._down
-            covered = bytearray(len(masks))
-            for a, b in self._int_edges:
-                if masks[a] > masks[b]:
-                    a, b = b, a
-                # b is the up-neighbour: its mask has the edge's wall
-                if not down[a] & ~down[b]:
-                    covered[a] = 1
-            by_dim = [[] for _ in self.cube_counts]
-            for t, (top, walls) in enumerate(zip(masks, down)):
-                if not covered[t]:
-                    by_dim[walls.bit_count()].append((top & ~walls, walls))
-            self._maximal = tuple(c for cubes in reversed(by_dim) for c in cubes)
+            self._maximal = self._maximal_topped_by(range(self.n))
         return self._maximal
+
+    def _maximal_cubes_across(self, walls: int) -> tuple[tuple[int, int], ...]:
+        """The maximal cubes with an axis in the mask ``walls``, in
+        ``_maximal_cubes`` order.  A maximal cube's axes are its top's
+        down-walls, so it has axis h exactly when its top is the upper end,
+        the end on h's plus side, of an edge of h."""
+        masks, tops = self._masks, set()
+        for h in _bits(walls):
+            tops.update([b if masks[b] >> h & 1 else a for a, b in self._wall_edges[h]])
+        return self._maximal_topped_by(sorted(tops))
 
     def maximal_cubes(self) -> tuple[frozenset, ...]:
         """Vertex sets of the maximal cubes, in ``_maximal_cubes`` order."""

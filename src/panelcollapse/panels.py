@@ -14,6 +14,9 @@ no two of them share an H-edge, so the pair is extremal exactly when the
 H-edges on side s of E are as many as the squares dual to H and E.  One pass
 of that edge filter decides extremality and yields the panel's internal edges.
 
+The canonical walk over extremal panels reads the mask of the walls crossing
+each wall, which the complex keeps from its build, so a step sorts no pairs.
+
 A ``Panel`` keeps its complex, its internal edges as vertex-index pairs and
 its vertices as a bitmask over vertex indices.  The collapse step reads only
 these and the complex's tables: two panels are disjoint when their vertex
@@ -172,13 +175,14 @@ def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
 
 def _extremal_walk(cx: CubeComplex):
     """Every extremal panel, lazily, in canonical (abutting, extremalising,
-    side) order."""
-    pairs = codim2_hyperplanes(cx)
-    for h, e in sorted(itertools.chain(pairs, ((b, a) for a, b in pairs))):
-        for side in SIDES:
-            panel = _panel(cx, h, e, side)
-            if panel is not None:
-                yield panel
+    side) order: each wall h ascending, then the walls crossing it, the bits
+    of its crossing mask, ascending."""
+    for h, crossing in enumerate(cx._crossing):
+        for e in _bits(crossing):
+            for side in SIDES:
+                panel = _panel(cx, h, e, side)
+                if panel is not None:
+                    yield panel
 
 
 def extremal_panels(cx: CubeComplex) -> tuple[Panel, ...]:
@@ -192,7 +196,7 @@ def find_extremal_panel(cx: CubeComplex) -> Panel | None:
     first panel of the canonical walk.  Returns None exactly when no two
     walls cross (the complex is a tree)."""
     panel = next(_extremal_walk(cx), None)
-    if panel is None and cx._crossing_pairs:
+    if panel is None and any(cx._crossing):
         raise InternalInvariantError(
             "walls cross but no extremal panel was found in a finite complex"
         )

@@ -99,7 +99,9 @@ COMPLEX_TABLES = (
     "_vertex_of",
     "_down",
     "_wall_edges",
+    "_squares",
     "_square_counts",
+    "_crossing",
     "validation_report",
 )
 

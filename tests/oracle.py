@@ -38,16 +38,20 @@ those lists and the maximal cubes found by scanning each vertex's
 neighbours, and the status and persistent subcube of a cube found by listing
 the panels with an internal edge in it, one panel at a time.
 
-The recogniser's earlier tables close the file: the 3-cube condition on a
+The recogniser's earlier tables follow: the 3-cube condition on a
 dict-of-dicts vertex link at every vertex, each wall's sides found by
 filtering the vertices one wall at a time, and the sign matrix unpacked
-from the masks' bytes.
+from the masks' bytes.  Last come the derivations a collapse step once
+made of the tables it now reads from the build: the squares listed at each
+top, the panel walk over sorted crossing pairs and the maximal cubes
+filtered by a wall mask.  ``scripts/recogniser_sweep.py`` runs them too.
 """
 
 import itertools
 from collections import Counter
 
 from panelcollapse import symmetry
+from panelcollapse.panels import SIDES, _extremal_walk, is_extremal
 from panelcollapse.collapse import classify, fundament
 
 
@@ -798,3 +802,38 @@ def sign_matrix(masks, width):
         b"\x01" if m >> h & 1 else b"\xff" for m in masks for h in range(width)
     )
     return raw, (len(masks), width)
+
+
+def step_reads(cx, families):
+    """The tables a collapse step reads, each beside the derivation a step
+    once made of it, as ``{name: (table, reference)}``: the squares beside
+    every pair of each vertex's down-walls, by top and then axes; the walk
+    over extremal panels beside every ordered crossing pair, sorted, with
+    both sides; and for each wall mask of ``families``, the maximal cubes
+    across it beside the maximal cubes filtered by it."""
+    def ids(mask):
+        return [h for h in range(mask.bit_length()) if mask >> h & 1]
+
+    listed = []
+    for top, down in zip(cx._masks, cx._down):
+        bits = [1 << h for h in ids(down)]
+        listed += [
+            (top ^ s, s)
+            for s in sorted(p | q for p, q in itertools.combinations(bits, 2))
+        ]
+    pairs = sorted(tuple(ids(axes)) for axes in cx._square_counts)
+    walk = [
+        (h, e, side)
+        for h, e in sorted(pairs + [(e, h) for h, e in pairs])
+        for side in SIDES
+        if is_extremal(cx, h, e, side)
+    ]
+    return {
+        "squares": (cx._dim_cubes(2), listed),
+        "crossing pairs": (cx._crossing_pairs, tuple(pairs)),
+        "walk": ([p.triple for p in _extremal_walk(cx)], walk),
+        "carrier": (
+            [cx._maximal_cubes_across(walls) for walls in families],
+            [tuple(c for c in cx._maximal_cubes() if c[1] & walls) for walls in families],
+        ),
+    }

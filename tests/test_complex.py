@@ -848,6 +848,51 @@ def test_lazy_cube_tables_match_the_eager_reference_along_descents():
     assert steps >= 50, steps
 
 
+def _assert_step_reads_match_their_references(cx, families):
+    for name, (table, reference) in oracle.step_reads(cx, families).items():
+        assert table == reference, name
+
+
+def _every_wall(cx):
+    walls = len(cx._wall_edges)
+    return [(1 << walls) - 1, *(1 << h for h in range(walls))]
+
+
+def _assert_steps_read_what_the_build_recorded(cx, action):
+    # a step reads the squares, the crossing masks and the maximal cubes
+    # across its abutting walls from the build of its input
+    steps = 0
+    for step in iter_steps(cx, action):
+        before = step.result.input_complex
+        abutting = sum({1 << p.abutting for p in step.result.panels})
+        _assert_step_reads_match_their_references(before, [abutting, *_every_wall(before)])
+        steps += 1
+    return steps
+
+
+def test_step_reads_match_their_references_along_descents():
+    steps = sum(
+        _assert_steps_read_what_the_build_recorded(*instance)
+        for instance in _descent_instances()
+    )
+    assert steps >= 50, steps
+
+
+def test_step_reads_match_their_references_on_grids_and_boxes():
+    grid = grid_complex(6, 6)
+    box = box_complex(3, 3, 3)
+    s3 = [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)]
+    runs = [
+        (grid, GroupAction(grid, [coordinate_swap(grid, 0, 1)])),
+        (box, GroupAction(box, s3)),
+        (box, GroupAction(box, [])),
+    ]
+    steps = [_assert_steps_read_what_the_build_recorded(*run) for run in runs]
+    assert steps == [21, 12, 54]
+    for cx in (grid_complex(12, 5), box_complex(2, 3, 1), hypercube_complex(5)):
+        _assert_step_reads_match_their_references(cx, _every_wall(cx))
+
+
 @given(wallspaces())
 def test_lazy_cube_tables_match_the_eager_reference_on_duals(ws):
     dual = dualize_details(ws).complex

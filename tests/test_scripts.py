@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import panelcollapse
+from panelcollapse import complex as complex_module
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -88,8 +89,30 @@ def test_descent_experiment_bad_input_is_user_error(args, env):
 
 def test_recogniser_sweep():
     lines = run_script("recogniser_sweep.py", "--seed", "3", "--count", "60")
+    assert lines[-2] == "naive median reference on 38 of 60 graphs (at most 30 vertices)"
     assert lines[-1].startswith("seed=3 graphs=60 ")
     assert lines[-1].endswith(" disagreements=0")
+
+
+def test_recogniser_sweep_reference_is_naive_on_small_graphs(monkeypatch):
+    # up to NAIVE_LIMIT vertices the reference never asks the median scan
+    # that validate_graph runs on a rejected graph
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    sweep = importlib.import_module("recogniser_sweep")
+    scan = sweep._median_scan
+
+    def large_only(adj):
+        assert len(adj) > sweep.NAIVE_LIMIT, "the reference scanned a small graph"
+        return scan(adj)
+
+    monkeypatch.setattr(sweep, "_median_scan", large_only)
+    verdicts, wrong = sweep.sweep(3, 60)
+    assert not wrong and verdicts["naive"] == 38
+    # so a scan that names a wrong triple disagrees with it (K2,3 on 0..4)
+    monkeypatch.setattr(complex_module, "_median_scan", lambda adj: (False, (0, 1, 2)))
+    k23 = [(a, b) for a in (0, 1) for b in (2, 3, 4)]
+    _, diff = sweep.compare(list(range(5)), k23)
+    assert diff == {"median_violation": ((0, 1, 2), (2, 3, 4))}
 
 
 def test_recogniser_sweep_exits_1_on_a_disagreement(monkeypatch, capsys):

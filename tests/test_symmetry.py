@@ -318,7 +318,8 @@ def test_a_group_beyond_the_cap_runs_to_a_tree():
     "and the collapsed 1-skeleton of one step is not median"
 ))
 @pytest.mark.parametrize(
-    "seed, draw, step", [(60, 34, 1), (88, 20, 1), (102, 27, 4), (107, 38, 8), (281, 44, 4)]
+    "seed, draw, step",
+    [(60, 34, 1), (88, 20, 1), (102, 27, 4), (102, 30, 5), (107, 38, 8), (281, 44, 4)],
 )
 def test_known_fuzz_failures_run_to_a_tree(seed, draw, step):
     # draw ``draw`` (from 0) of ``PANELCOLLAPSE_SEED=seed panelcollapse fuzz``;
@@ -335,6 +336,17 @@ def test_known_fuzz_failures_run_to_a_tree(seed, draw, step):
         assert message.startswith(f"step {step}, panel "), message
         assert "collapsed 1-skeleton failed validation" in message, message
         raise
+
+
+def test_provenance_digests_repeat():
+    # the digests of two long runs; any change to the panels chosen, the
+    # diagonals added or the walls lifted changes them
+    grid = grid_complex(12, 12)
+    trace = run_to_tree(grid, GroupAction(grid, [coordinate_swap(grid, 0, 1)]))
+    assert (trace.provenance_digest(), trace.step_count) == ("274ace38a0f1", 78)
+    box = box_complex(4, 4, 4)
+    trace = run_to_tree(box, GroupAction(box, []))
+    assert (trace.provenance_digest(), trace.step_count) == ("a1743ad7e2fe", 112)
 
 
 def test_step_on_cube_trivial_group(cube3):
