@@ -15,7 +15,11 @@ diagonal cubes joining the salient subcube to the persistent subcube across
 the separating walls.  The collapsed complex keeps every vertex, keeps every
 external edge, and gains one diagonal edge per salient vertex of each
 disconnected external cube; its cube structure is again the canonical filling
-and it validates as CAT(0).  Only the maximal cubes with an abutting wall
+and it validates as CAT(0).  A fundament keeps one diagonal record per
+contributing cube, its salient subcube and separator mask; ``fundament``
+lists the record's pieces S(w), one per completely external face w of the
+salient subcube, and the collapse joins every vertex of the salient subcube
+to its partner across the mask.  Only the maximal cubes with an abutting wall
 among their axes can be external, and they are found at the upper ends of
 those walls' edges: the rest of the complex is not visited.
 
@@ -247,9 +251,15 @@ def _deletion_connected(cls: CubeClassification, cube) -> bool:
 
 
 def _fundament_diagonals(cls: CubeClassification, cube) -> frozenset:
-    """The diagonal pieces of the fundament of a ``(base, axes)`` cube, as
-    ``(salient subcube, separator mask)`` pairs; memoized on the
-    classification.  Internal and deletion-connected cubes have none."""
+    """The diagonal records of the fundament of a ``(base, axes)`` cube, as
+    ``(salient subcube, separator mask)`` pairs, one for the cube and one
+    for each external face that contributes; memoized on the classification.
+    Internal and deletion-connected cubes have none, and with fewer than two
+    separators the diagonal pieces degenerate to ordinary cubes.  A record
+    stands for the pieces S(w), w a completely external face of the salient
+    cube; each of its vertices is such a face, so the record's diagonal
+    edges join every vertex of the salient cube to its partner across the
+    mask."""
     cached = cls._diagonals.get(cube)
     if cached is not None:
         return cached
@@ -257,18 +267,13 @@ def _fundament_diagonals(cls: CubeClassification, cube) -> frozenset:
     if cls._status_of(cube) != INTERNAL:
         (pbase, paxes), flip = _persistent(cls, cube)
         if not _deletion_connected(cls, cube):
-            # pieces of the external codimension-1 faces (those meeting the
+            # records of the external codimension-1 faces (those meeting the
             # persistent subcube, equivalently those with a persistent corner)
             for fbase, faxes in _faces(cube, cube[1].bit_count() - 1):
                 if not (fbase ^ pbase) & ~faxes & ~paxes:
                     diagonals |= _fundament_diagonals(cls, (fbase, faxes))
-            # S(w) for each completely external subcube w of the salient
-            # cube; with fewer than two separators these degenerate to
-            # ordinary cubes
             if flip.bit_count() >= 2:
-                for w in _faces((pbase ^ flip, paxes)):
-                    if cls._status_of(w) == COMPLETELY_EXTERNAL:
-                        diagonals.add((w, flip))
+                diagonals.add(((pbase ^ flip, paxes), flip))
     cached = cls._diagonals[cube] = frozenset(diagonals)
     return cached
 
@@ -305,7 +310,10 @@ def fundament(cls: CubeClassification, cube: frozenset) -> Fundament:
             if cls._status_of(f) == COMPLETELY_EXTERNAL
         ),
         diagonals=frozenset(
-            _diagonal_cube(cx, w, flip) for w, flip in _fundament_diagonals(cls, key)
+            _diagonal_cube(cx, w, flip)
+            for salient, flip in _fundament_diagonals(cls, key)
+            for w in _faces(salient)
+            if cls._status_of(w) == COMPLETELY_EXTERNAL
         ),
     )
 

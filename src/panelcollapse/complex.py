@@ -871,9 +871,15 @@ class CubeComplex:
             self._signs = signs.cast("b", (self.n, width)) if width else signs.cast("b")
         return self._signs
 
+    def _require_walls(self, *ids) -> None:
+        """Raise ``IndexError`` unless every id names a wall: the one range
+        check of the entry points that take wall ids."""
+        for h_id in ids:
+            if not 0 <= h_id < len(self._wall_edges):
+                raise IndexError(f"no wall {h_id}")
+
     def sign(self, v, h_id: int) -> int:
-        if not 0 <= h_id < len(self._wall_edges):
-            raise IndexError(f"no wall {h_id}")
+        self._require_walls(h_id)
         return 1 if self._masks[self.index(v)] >> h_id & 1 else -1
 
     def dual_hyperplane(self, u, v) -> int:
@@ -883,6 +889,7 @@ class CubeComplex:
 
     def carrier(self, h_id: int) -> tuple[frozenset, ...]:
         """Cubes (all dimensions) containing an edge dual to wall ``h_id``."""
+        self._require_walls(h_id)
         return tuple(
             self._vertex_set(c)
             for cubes in self._cubes

@@ -81,6 +81,7 @@ def is_extremal(cx: CubeComplex, h: int, e: int, side: str) -> bool:
     """Whether the codimension-2 wall H∩E is extremal in H on the given side
     of E: the side-s halfspace of the wall-complex of H must lie inside the
     carrier of H∩E there."""
+    cx._require_walls(h, e)
     return _panel(cx, h, e, side) is not None
 
 
@@ -96,6 +97,7 @@ class Block:
 def block(cx: CubeComplex, h: int, e: int) -> Block:
     """The block of H∩E: a cube dual to both walls is maximal among such
     cubes exactly when it is a maximal cube of the complex."""
+    cx._require_walls(h, e)
     if not hyperplanes_cross(cx, h, e):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
     a, b = sorted((h, e))
@@ -165,6 +167,7 @@ class Panel:
 def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
     """The extremal panel abutted by H, extremalised by E, on one side of E;
     raises unless the pair is extremal there."""
+    cx._require_walls(h, e)
     panel = _panel(cx, h, e, side)
     if panel is None:
         raise PreconditionError(

@@ -13,7 +13,9 @@ equivariant collapse driver yields a tree with the induced action; for a
 group acting on a space with a finite separating pattern this is the engine
 behind splitting the group over the wall stabilisers.  The group is closed
 once, for its order, and each wall or tree-edge stabiliser is read off its
-orbit under the generators.
+orbit under the generators: a tree edge is its own wall, so its orbit is a
+wall orbit of the tree's action.  The run itself checks that the tree
+edges' origin walls move with the edges.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from .complex import MAX_VERTICES, CubeComplex, canonical_vertex_order
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .symmetry import (
-    Automorphism, GroupAction, RunTrace, _orbits, push_action, run_to_tree,
+    Automorphism, GroupAction, RunTrace, push_action, run_to_tree,
 )
 
 __all__ = [
@@ -288,6 +290,12 @@ class StallingsResult:
     group_order: int
 
 
+def _stabiliser_orders(action: GroupAction, order: int) -> tuple:
+    """Each wall's stabiliser order, |G| over the size of its orbit."""
+    orbit_of = {h: orbit for orbit in action._wall_orbits[0] for h in orbit}
+    return tuple(order // len(orbit_of[h]) for h in range(len(orbit_of)))
+
+
 def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     """Dualize, push symmetries, subdivide when inverted, collapse to a tree;
     the group is closed once, on the dual, as the subdivision carries it."""
@@ -296,8 +304,7 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     gens = [symmetry_automorphism(info, dict(m)) for m in symmetries]
     action = GroupAction(cx, gens)
     order = action.order
-    orbit_of = {h: orbit for orbit in action._wall_orbits[0] for h in orbit}
-    wall_stabs = tuple(order // len(orbit_of[h]) for h in range(len(orbit_of)))
+    wall_stabs = _stabiliser_orders(action, order)
 
     subdivided = not action.is_inversion_free
     if subdivided:
@@ -305,27 +312,9 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
 
     trace = run_to_tree(cx, action)
     tree = trace.final_complex
-
-    # provenance is equivariant: each generator maps the walls a tree edge
-    # came from onto those of the edge's image, so every element fixing an
-    # edge maps its origin walls onto themselves; collapse keeps the vertex
-    # order, so the permutations act on the tree's vertex indices
-    names = tree.vertices
-    origins = {e: trace.edge_origins[(names[e[0]], names[e[1]])] for e in tree._int_edges}
-    moves = []
-    for g, row in zip(action.generators, action._wall_table):
-        move = {}
-        for (a, b), walls in origins.items():
-            image = tuple(sorted((g.perm[a], g.perm[b])))
-            if origins[image] != {row[h][0] for h in walls}:
-                raise InternalInvariantError(
-                    f"a generator maps edge {(names[a], names[b])} but not its "
-                    f"origin walls {sorted(walls)} onto its image's"
-                )
-            move[(a, b)] = image
-        moves.append(move)
-    orbits = _orbits(list(origins), lambda move, e: move[e], moves)
-    size = {e: order // len(orbit) for orbit in orbits for e in orbit}
+    # a tree edge is its own wall, so its stabiliser is read off its wall's
+    # orbit; the run has checked that the action carries its origin walls
+    sizes, names = _stabiliser_orders(trace.final_action, order), tree.vertices
     return StallingsResult(
         wallspace=ws,
         dual_info=info,
@@ -333,7 +322,9 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
         trace=trace,
         tree=tree,
         action=trace.final_action,
-        edge_stabiliser_sizes={(names[a], names[b]): size[(a, b)] for a, b in origins},
+        edge_stabiliser_sizes={
+            (names[a], names[b]): sizes[tree._wall_of(a, b)] for a, b in tree._int_edges
+        },
         wall_stabiliser_sizes=wall_stabs,
         group_order=order,
     )

@@ -68,8 +68,6 @@ def random_wallspace(rng: random.Random, cfg: GeneratorConfig = GeneratorConfig(
             continue
         seen.add(key)
         walls.append((side, other))
-    if not walls:
-        walls.append((frozenset(points[:1]), frozenset(points[1:])))
     return Wallspace.from_data(points, walls), None
 
 

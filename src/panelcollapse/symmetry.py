@@ -18,7 +18,10 @@ that loop: it yields each step's full ``StepResult`` and keeps none of them
 once the next is built.  ``run_to_tree`` folds the steps into a
 ``RunTrace``, which keeps the first and last complexes, the original walls
 under each tree edge and one small ``StepRecord`` per step, so a run's
-memory does not grow with the number of steps.
+memory does not grow with the number of steps.  Every run ends by checking
+that this provenance is equivariant: each generator maps the original walls
+under a wall onto those under its image, read off the signed wall tables of
+the first and last actions.
 """
 
 from __future__ import annotations
@@ -154,6 +157,7 @@ class GroupAction:
         """Wall and side that the element maps a side of wall ``h_id`` onto:
         the image of an edge of the wall is an edge, whose ends' masks differ
         in exactly the target wall's bit.  Tests check the tables against it."""
+        self.complex._require_walls(h_id)
         masks, perm = self.complex._masks, g.perm
         a, b = self.complex._wall_edges[h_id][0]
         target = (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
@@ -623,8 +627,14 @@ def _trace(cx: CubeComplex, action: GroupAction, steps) -> RunTrace:
     lift is the OR of theirs.  They are expanded to edges once, at the end.
     Collapse keeps every vertex and the action's permutations, so each
     element fixes the same vertices throughout.
+
+    Provenance is equivariant: each generator g maps the original walls
+    under a final wall w onto those under g(w).  That is checked at the end,
+    on the signed wall tables of the first and last actions, and a breach
+    raises ``InternalInvariantError`` naming an edge of w and its origin
+    walls; every element fixing an edge then keeps its origin walls.
     """
-    initial = cx
+    initial, first = cx, action
     lift = [1 << h for h in range(len(cx._wall_edges))]
     records = []
     for step in steps:
@@ -649,6 +659,14 @@ def _trace(cx: CubeComplex, action: GroupAction, steps) -> RunTrace:
         )
         action = step.action
     order, walls = cx._order, [frozenset(_bits(m)) for m in lift]
+    for first_row, row in zip(first._wall_table, action._wall_table):
+        for w, (t, _) in enumerate(row):
+            if walls[t] != {first_row[h][0] for h in walls[w]}:
+                a, b = cx._wall_edges[w][0]
+                raise InternalInvariantError(
+                    f"a generator maps edge {(order[a], order[b])} but not its "
+                    f"origin walls {sorted(walls[w])} onto its image's"
+                )
     return RunTrace(
         initial_complex=initial,
         final_complex=cx,

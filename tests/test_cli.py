@@ -19,7 +19,7 @@ import panelcollapse
 
 from panelcollapse.cli import main
 from panelcollapse.complex import CubeComplex
-from panelcollapse.errors import FileFormatError
+from panelcollapse.errors import FileFormatError, PreconditionError, StructuralError
 from panelcollapse.fileio import (
     parse_action,
     parse_complex,
@@ -27,10 +27,13 @@ from panelcollapse.fileio import (
     serialize_complex,
     serialize_wallspace,
 )
+from panelcollapse.pocset import Wallspace
+from panelcollapse.symmetry import Automorphism, GroupAction
 
 from conftest import (
     DATA,
     SEVEN_CUBE_SIDES,
+    hypercube_complex,
     pairwise_crossing_walls,
     rotation,
     six_point_walls,
@@ -359,6 +362,14 @@ def test_bad_panel_argument(capsys):
     assert code == 1
 
 
+def test_panel_argument_out_of_range(capsys):
+    # the command names the range; the library raises a bare IndexError
+    code, _, err = run_cli(
+        capsys, "collapse", str(DATA / "cube3.cc"), "--panel", "h3,h0,+"
+    )
+    assert (code, err) == (1, "error: hyperplane id 3 out of range (0..2)\n")
+
+
 def test_collapse_panel_and_auto_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["collapse", str(DATA / "cube3.cc"), "--panel", "h0,h1,+", "--auto"])
@@ -404,6 +415,73 @@ def test_binary_input_is_user_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"error: cannot read {path}:")
     assert "Traceback" not in err
+
+
+# One input error per case, as (call, error, message).  A file case's call
+# is the command line before the file argument, its error the file's text,
+# and the command must exit 1 with ``error: `` and the message; an API
+# case's call must raise the error with the message.
+INPUT_ERRORS = {
+    "duplicate edge line": (
+        ["validate"], "cubecomplex v1\nvertex a\nvertex b\nedge a b\nedge b a\n",
+        "line 5: duplicate edge 'b a'",
+    ),
+    "gen token without arrow": (
+        ["run", str(DATA / "cube3.cc")], "action v1\ngen 000->001\ngen 000=001\n",
+        "line 3: expected 'u->v' tokens, got '000=001'",
+    ),
+    "vertex mapped twice": (
+        ["run", str(DATA / "cube3.cc")], "action v1\ngen 000->001 000->010\n",
+        "line 2: '000' mapped twice",
+    ),
+    "unknown action declaration": (
+        ["run", str(DATA / "cube3.cc")], "action v1\n\nrot 000->001\n",
+        "line 3: unknown declaration 'rot'",
+    ),
+    "point without a name": (
+        ["dualize"], "wallspace v1\npoint a\npoint\n", "line 3: point takes one name",
+    ),
+    "wall without a bar": (
+        ["stallings"], "wallspace v1\npoint a\npoint b\nwall a b\n",
+        "line 4: wall needs two sides separated by '|'",
+    ),
+    "duplicate points": (
+        lambda: Wallspace.from_data(["a", "b", "a"], []), StructuralError,
+        "duplicate points",
+    ),
+    "no points": (
+        lambda: Wallspace.from_data([], []), StructuralError, "wallspace has no points",
+    ),
+    "automorphism of an unknown vertex": (
+        lambda: Automorphism(hypercube_complex(2), {"00": "00", "2": "2"}),
+        StructuralError, "mapping mentions unknown vertices {'2'}",
+    ),
+    "edge that is not a pair": (
+        lambda: CubeComplex(["a", "b", "c"], [("a", "b", "c")]), StructuralError,
+        "edge ('a', 'b', 'c') is not a pair",
+    ),
+    "convex hull of nothing": (
+        lambda: hypercube_complex(2).convex_hull([]), StructuralError,
+        "convex hull of an empty set",
+    ),
+    "transfer onto other vertices": (
+        lambda: GroupAction(hypercube_complex(2), []).transfer(hypercube_complex(1)),
+        PreconditionError, "transfer requires the identical vertex set",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_ERRORS)
+def test_input_errors_name_their_cause(capsys, tmp_path, name):
+    call, error, message = INPUT_ERRORS[name]
+    if callable(call):
+        with pytest.raises(error) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+    else:
+        path = tmp_path / "input"
+        path.write_text(error)
+        assert run_cli(capsys, *call, str(path)) == (1, "", f"error: {message}\n")
 
 
 def test_validate_does_not_import_numpy():

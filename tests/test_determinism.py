@@ -28,6 +28,11 @@ CASES = [
     # B3, which adds a reflection inverting a wall and so subdivides
     (["stallings", str(DATA / "cube3_s3.ws")], "cube3_s3_stallings.txt"),
     (["stallings", str(DATA / "cube3_b3.ws")], "cube3_b3_stallings.txt"),
+    # the listings and summaries that no other test runs in these modes
+    (["hyperplanes", str(DATA / "cube3.cc"), "--json"], "cube3_hyperplanes.json"),
+    (["panels", str(DATA / "cube3.cc"), "--json"], "cube3_panels.json"),
+    (["stats", str(DATA / "cube3.cc")], "cube3_stats.txt"),
+    (["stats", str(DATA / "cube3.cc"), "--json"], "cube3_stats.json"),
 ]
 
 

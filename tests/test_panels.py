@@ -19,10 +19,34 @@ from panelcollapse.panels import (
     no_facing_panels,
 )
 from panelcollapse.randgen import GeneratorConfig, random_complex_with_action
-from panelcollapse.symmetry import GroupAction, equivariant_collapse_step
+from panelcollapse.symmetry import Automorphism, GroupAction, equivariant_collapse_step
 
 import oracle
 from conftest import box_complex, coordinate_swap
+
+
+# every public entry point taking a wall id, called with ``h`` in one slot
+WALL_ID_CALLS = {
+    "carrier": lambda cx, h: cx.carrier(h),
+    "build_panel abutting": lambda cx, h: build_panel(cx, h, 0, "+"),
+    "build_panel extremalising": lambda cx, h: build_panel(cx, 0, h, "+"),
+    "is_extremal abutting": lambda cx, h: is_extremal(cx, h, 0, "-"),
+    "is_extremal extremalising": lambda cx, h: is_extremal(cx, 0, h, "-"),
+    "block first": lambda cx, h: block(cx, h, 0),
+    "block second": lambda cx, h: block(cx, 0, h),
+    "wall_image": lambda cx, h: GroupAction(cx, []).wall_image(Automorphism(cx, {}), h),
+    "side_image": lambda cx, h: GroupAction(cx, []).side_image(
+        Automorphism(cx, {}), h, "+"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WALL_ID_CALLS)
+def test_wall_ids_outside_the_walls_raise_index_error(cube3, name):
+    # the 3-cube has walls 0, 1 and 2; ``CubeComplex.sign`` has its own test
+    for h in (-1, 3):
+        with pytest.raises(IndexError, match=f"^no wall {h}$"):
+            WALL_ID_CALLS[name](cube3, h)
 
 
 def test_crossing_pairs(cube3, tree4, domino):

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from panelcollapse import pocset
+from panelcollapse import symmetry
 from panelcollapse.complex import CubeComplex
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.fileio import parse_wallspace
@@ -23,7 +23,6 @@ from panelcollapse.symmetry import (
     _close,
     complexity,
     push_action,
-    run_to_tree,
 )
 
 import oracle
@@ -360,17 +359,37 @@ def test_stallings_edge_fixed_by_the_whole_group():
     assert res.trace.edge_origins[diagonal] == {0, 1, 2}
 
 
-def test_stallings_rejects_origins_moved_by_a_stabiliser(monkeypatch):
-    def corrupted_run(cx, action):
-        trace = run_to_tree(cx, action)
-        origins = dict(trace.edge_origins)
-        diagonal = max(origins, key=lambda e: len(origins[e]))
-        origins[diagonal] = frozenset({0})
-        return dataclasses.replace(trace, edge_origins=origins)
+def _corrupt_the_lift(monkeypatch, corrupt):
+    """Make the run's one step hand ``_trace`` the output walls' crossing
+    masks that ``corrupt(result)`` returns instead of the step's own; with
+    one step, those masks are the original walls under each tree edge."""
+    iter_steps = symmetry.iter_steps
 
-    monkeypatch.setattr(pocset, "run_to_tree", corrupted_run)
-    with pytest.raises(InternalInvariantError, match="origin walls"):
+    def corrupted_steps(cx, action):
+        (step,) = iter_steps(cx, action)
+        result = dataclasses.replace(step.result)
+        vars(result)["wall_crossings"] = corrupt(step.result)
+        yield dataclasses.replace(step, result=result)
+
+    monkeypatch.setattr(symmetry, "iter_steps", corrupted_steps)
+
+
+def test_stallings_rejects_origins_moved_by_a_stabiliser(monkeypatch):
+    # the diagonal crosses all three walls and the whole group fixes it
+    def moved(result):
+        crossings = list(result.wall_crossings)
+        crossings[crossings.index(0b111)] = 0b001
+        return tuple(crossings)
+
+    origins = stallings_pipeline(TRIPLE_WS, [rotation(6, 2)]).trace.edge_origins
+    diagonal = next(e for e, hs in origins.items() if len(hs) == 3)
+    _corrupt_the_lift(monkeypatch, moved)
+    with pytest.raises(InternalInvariantError) as excinfo:
         stallings_pipeline(TRIPLE_WS, [rotation(6, 2)])
+    assert str(excinfo.value) == (
+        f"a generator maps edge {diagonal} but not its origin walls [0] "
+        "onto its image's"
+    )
 
 
 def test_stallings_rejects_origins_a_generator_does_not_carry(monkeypatch):
@@ -379,15 +398,14 @@ def test_stallings_rejects_origins_a_generator_does_not_carry(monkeypatch):
     sizes = stallings_pipeline(TRIPLE_WS, [rotation(6, 2)]).edge_stabiliser_sizes
     edge = next(e for e, k in sizes.items() if k == 1)
 
-    def corrupted_run(cx, action):
-        trace = run_to_tree(cx, action)
-        origins = dict(trace.edge_origins)
-        (h,) = origins[edge]
-        origins[edge] = frozenset({(h + 1) % 3})
-        return dataclasses.replace(trace, edge_origins=origins)
+    def shifted(result):
+        crossings = list(result.wall_crossings)
+        w = result.output_complex.dual_hyperplane(*edge)
+        crossings[w] = 1 << crossings[w].bit_length() % 3
+        return tuple(crossings)
 
-    monkeypatch.setattr(pocset, "run_to_tree", corrupted_run)
-    with pytest.raises(InternalInvariantError, match="origin walls"):
+    _corrupt_the_lift(monkeypatch, shifted)
+    with pytest.raises(InternalInvariantError, match="but not its origin walls"):
         stallings_pipeline(TRIPLE_WS, [rotation(6, 2)])
 
 
