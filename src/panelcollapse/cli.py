@@ -164,14 +164,11 @@ def _parse_panel_arg(cx, triple: str):
             ids.append(int(raw))
         except ValueError:
             raise PreconditionError(f"bad hyperplane id {raw!r}") from None
-    side = parts[2].strip()
-    if side not in ("+", "-"):
-        raise PreconditionError("side must be '+' or '-'")
     k = len(cx._wall_edges)
     for i in ids:
         if not 0 <= i < k:
             raise PreconditionError(f"hyperplane id {i} out of range (0..{k-1})")
-    return build_panel(cx, ids[0], ids[1], side)
+    return build_panel(cx, ids[0], ids[1], parts[2].strip())
 
 
 def _cmd_collapse(args) -> int:

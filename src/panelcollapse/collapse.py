@@ -39,9 +39,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .complex import CubeComplex, _bits, _faces, _subsets
+from .complex import CubeComplex, _bits, _faces, _side_bit, _subsets
 from .errors import InternalInvariantError, InvalidComplexError, PreconditionError
-from .panels import SIDES, Panel, no_facing_panels
+from .panels import Panel, no_facing_panels
 
 __all__ = [
     "COMPLETELY_EXTERNAL",
@@ -89,10 +89,10 @@ class CubeClassification:
         for p in panels:
             h, e = p.abutting, p.extremalising
             minus, plus, both = self._sides.get(h, (0, 0, 0))
-            if p.side == SIDES[0]:
-                minus |= 1 << e
-            else:
+            if _side_bit(p.side):
                 plus |= 1 << e
+            else:
+                minus |= 1 << e
             self._sides[h] = minus, plus, both | 1 << e
             self._abutting |= 1 << h
         self._diagonals: dict[tuple[int, int], frozenset] = {}

@@ -108,6 +108,22 @@ __all__ = [
 # before any table is allocated.
 MAX_VERTICES = 1500
 
+# the two sides of a wall: a vertex is on the plus side when its mask has
+# the wall's bit set
+SIDES = ("-", "+")
+
+
+def _side_bit(side) -> int:
+    """0 for the minus side, 1 for the plus side; raises
+    ``PreconditionError`` for anything else: the one check of the entry
+    points that take a side, as ``CubeComplex._require_walls`` is of those
+    that take wall ids."""
+    if side == "-":
+        return 0
+    if side == "+":
+        return 1
+    raise PreconditionError(f"side must be one of {SIDES}, got {side!r}")
+
 
 def canonical_vertex_order(vertices):
     """Sort opaque vertex ids: natural order when possible, else by repr."""
@@ -172,7 +188,7 @@ class Hyperplane:
     _complex: "CubeComplex" = field(repr=False, compare=False)
 
     def side(self, sign: str) -> frozenset:
-        return self.plus if sign == "+" else self.minus
+        return self.plus if _side_bit(sign) else self.minus
 
     @property
     def carrier(self) -> tuple[frozenset, ...]:

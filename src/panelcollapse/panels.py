@@ -32,7 +32,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .complex import CubeComplex, _bits, _same_complex
+from .complex import SIDES, CubeComplex, _bits, _same_complex, _side_bit
 from .errors import InternalInvariantError, PreconditionError
 
 __all__ = [
@@ -47,9 +47,6 @@ __all__ = [
     "no_facing_panels",
 ]
 
-SIDES = ("-", "+")
-
-
 def codim2_hyperplanes(cx: CubeComplex) -> tuple[tuple[int, int], ...]:
     """Unordered pairs of walls that cross (share a square)."""
     return cx._crossing_pairs
@@ -63,11 +60,10 @@ def _panel(cx: CubeComplex, h: int, e: int, side: str):
     """The panel (H, E, side) when the pair is extremal there, else None:
     H's edges on side s of E, when they are as many as the squares dual to
     H and E."""
-    if side not in SIDES:
-        raise PreconditionError(f"side must be one of {SIDES}, got {side!r}")
+    bit = _side_bit(side)
     if not hyperplanes_cross(cx, h, e):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
-    bit, masks = SIDES.index(side), cx._masks
+    masks = cx._masks
     edges = tuple((a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
     if len(edges) != cx._square_counts[1 << h | 1 << e]:
         return None
@@ -132,7 +128,7 @@ class Panel:
         return (self.abutting, self.extremalising, self.side)
 
     def sort_key(self):
-        return (self.abutting, self.extremalising, SIDES.index(self.side))
+        return (self.abutting, self.extremalising, _side_bit(self.side))
 
     def __repr__(self):
         return f"Panel(h{self.abutting}, e{self.extremalising}, {self.side})"
@@ -151,7 +147,7 @@ class Panel:
     def cube_set(self) -> frozenset:
         # a cube not dual to E lies on one side of it, read off its base
         cx, h, e = self.complex, self.abutting, self.extremalising
-        bit = SIDES.index(self.side)
+        bit = _side_bit(self.side)
         return frozenset(
             cx._vertex_set((base, axes))
             for cubes in cx._cubes[1:]

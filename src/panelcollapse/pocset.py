@@ -1,6 +1,9 @@
 """Finite wallspaces and their dual CAT(0) cube complexes.
 
-A wallspace is a finite point set with a family of bipartitions (walls).  Its
+A wallspace is a finite point set with a family of bipartitions (walls).
+Only this module decides a wall's canonical form: ``_canonical_wall`` sorts
+each side and puts the smaller sorted side first, and ``Wallspace.from_data``
+sorts the walls by those sides, so callers may pass walls in any form.  Its
 dual complex has one vertex per consistent orientation (a choice of one side
 per wall, pairwise intersecting) reachable from a principal orientation by
 single-wall flips, and an edge between orientations differing on one wall.
@@ -20,7 +23,6 @@ edges' origin walls move with the edges.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .complex import MAX_VERTICES, CubeComplex, canonical_vertex_order
@@ -38,43 +40,47 @@ __all__ = [
 ]
 
 
-def _canonical_wall(points_set, side_a, side_b):
-    a, b = frozenset(side_a), frozenset(side_b)
+def _canonical_wall(points_set, wall):
+    """A wall's two sides as canonically sorted tuples, the smaller first:
+    the one place that orders a wall.  Raises unless they partition the
+    points."""
+    a, b = map(frozenset, wall)
     if not a or not b:
         raise StructuralError("wall has an empty side")
     if a & b or (a | b) != points_set:
         raise StructuralError(f"wall sides must partition the points: {a} | {b}")
     ka = tuple(canonical_vertex_order(a))
     kb = tuple(canonical_vertex_order(b))
-    return (a, b) if ka <= kb else (b, a)
+    return (ka, kb) if ka <= kb else (kb, ka)
 
 
 @dataclass(frozen=True)
 class Wallspace:
-    """Points plus deduplicated walls, each stored smaller side first."""
+    """Points plus deduplicated walls in canonical form: each wall's smaller
+    sorted side first, the walls in the order of their sorted sides."""
 
     points: tuple
     walls: tuple  # of (frozenset, frozenset)
 
     @classmethod
     def from_data(cls, points, walls) -> "Wallspace":
+        """Walls are pairs of sides in any order, given in any order."""
         pts = tuple(canonical_vertex_order(points))
         if len(set(pts)) != len(pts):
             raise StructuralError("duplicate points")
         if not pts:
             raise StructuralError("wallspace has no points")
         pset = frozenset(pts)
-        canonical = []
-        seen = set()
-        for a, b in walls:
-            w = _canonical_wall(pset, a, b)
-            if w in seen:
+        canonical = set()
+        for wall in walls:
+            w = _canonical_wall(pset, wall)
+            if w in canonical:
                 raise StructuralError(f"duplicate wall {sorted(w[0])}")
-            seen.add(w)
-            canonical.append(w)
-        canonical.sort(key=lambda w: (tuple(canonical_vertex_order(w[0])),
-                                      tuple(canonical_vertex_order(w[1]))))
-        return cls(points=pts, walls=tuple(canonical))
+            canonical.add(w)
+        return cls(
+            points=pts,
+            walls=tuple((frozenset(a), frozenset(b)) for a, b in sorted(canonical)),
+        )
 
     @property
     def wall_count(self) -> int:
@@ -138,21 +144,21 @@ def _orientation_name(mask: int, k: int) -> str:
 
 @dataclass(frozen=True)
 class DualComplexInfo:
+    """A wallspace's dual complex and how its parts arise from the walls.
+    Built by ``dualize_details``, which passes its own index tables as
+    ``_masks`` and ``_vertex_of``; ``orientations`` is derived from them."""
+
     complex: CubeComplex = field(repr=False)
     wallspace: Wallspace = field(repr=False)
-    orientations: dict = field(repr=False)  # vertex name -> orientation mask
     principal: dict = field(repr=False)  # point -> vertex name
     wall_of_hyperplane: dict  # hyperplane id -> wall index
+    _masks: tuple = field(repr=False)  # orientation mask, by vertex index
+    _vertex_of: dict = field(repr=False)  # orientation mask -> vertex index
 
-    @functools.cached_property
-    def _masks(self) -> tuple:
-        """The orientation mask of each vertex, by vertex index."""
-        return tuple(map(self.orientations.__getitem__, self.complex.vertices))
-
-    @functools.cached_property
-    def _vertex_of(self) -> dict:
-        """The vertex index of each orientation mask."""
-        return {m: i for i, m in enumerate(self._masks)}
+    @property
+    def orientations(self) -> dict:
+        """The orientation mask of each vertex, by vertex name."""
+        return dict(zip(self.complex.vertices, self._masks))
 
 
 def dualize_details(ws: Wallspace) -> DualComplexInfo:
@@ -213,7 +219,7 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
     # canonical_vertex_order sorts as sorted() does
     named = sorted([(_orientation_name(m, k), m) for m in seen])
     order = tuple([name for name, _ in named])
-    masks = [m for _, m in named]
+    masks = tuple([m for _, m in named])
     ix = {name: i for i, name in enumerate(order)}
     vertex_of = {m: i for i, m in enumerate(masks)}
     edges = []
@@ -247,9 +253,10 @@ def dualize_details(ws: Wallspace) -> DualComplexInfo:
     return DualComplexInfo(
         complex=cx,
         wallspace=ws,
-        orientations=dict(zip(order, masks)),
         principal=principal,
         wall_of_hyperplane=wall_of,
+        _masks=masks,
+        _vertex_of=vertex_of,
     )
 
 

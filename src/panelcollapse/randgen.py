@@ -3,8 +3,11 @@
 Random CAT(0) cube complexes are produced by dualizing random finite
 wallspaces (every finite CAT(0) cube complex arises this way), optionally
 with a cyclic point symmetry so that nontrivial inversion-free actions and
-genuinely conflicting panel orbits show up.  The seed can be pinned through
-the ``PANELCOLLAPSE_SEED`` environment variable.
+genuinely conflicting panel orbits show up.  A draw collects each wall as
+the unordered pair of its sides; only ``Wallspace.from_data`` decides a
+wall's canonical form, which side comes first and the order of the walls.
+The seed can be pinned through the ``PANELCOLLAPSE_SEED`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -54,20 +57,11 @@ def random_wallspace(rng: random.Random, cfg: GeneratorConfig = GeneratorConfig(
     """A plain random wallspace (no symmetry)."""
     n = rng.randint(3, cfg.max_points)
     points = [f"p{i}" for i in range(n)]
-    walls = []
-    seen = set()
+    everything = frozenset(points)
+    walls = set()
     for _ in range(rng.randint(2, cfg.max_walls)):
-        size = rng.randint(1, n - 1)
-        side = frozenset(rng.sample(points, size))
-        other = frozenset(points) - side
-        key = min(
-            (tuple(sorted(side)), tuple(sorted(other))),
-            (tuple(sorted(other)), tuple(sorted(side))),
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        walls.append((side, other))
+        side = frozenset(rng.sample(points, rng.randint(1, n - 1)))
+        walls.add(frozenset((side, everything - side)))
     return Wallspace.from_data(points, walls), None
 
 
@@ -75,24 +69,18 @@ def cyclic_wallspace(rng: random.Random, cfg: GeneratorConfig = GeneratorConfig(
     """A wallspace whose walls are closed under a cyclic point rotation."""
     n = rng.randint(4, cfg.max_points)
     points = [f"p{i}" for i in range(n)]
+    everything = frozenset(points)
     shift = rng.randint(1, n - 1)
     rotate = {f"p{i}": f"p{(i + shift) % n}" for i in range(n)}
     walls = set()
     for _ in range(rng.randint(1, 3)):
-        size = rng.randint(1, n - 1)
-        side = frozenset(rng.sample(points, size))
+        side = frozenset(rng.sample(points, rng.randint(1, n - 1)))
         for _ in range(n):
-            other = frozenset(points) - side
-            key = min(
-                (tuple(sorted(side)), tuple(sorted(other))),
-                (tuple(sorted(other)), tuple(sorted(side))),
-            )
-            walls.add(key)
+            walls.add(frozenset((side, everything - side)))
             side = frozenset(rotate[p] for p in side)
         if len(walls) >= cfg.max_walls:
             break
-    wall_list = [(frozenset(a), frozenset(b)) for a, b in sorted(walls)]
-    return Wallspace.from_data(points, wall_list), rotate
+    return Wallspace.from_data(points, walls), rotate
 
 
 def random_complex_with_action(

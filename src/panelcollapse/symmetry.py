@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 # perfbench/tracer.py wraps both by name in this module
 from .collapse import CollapseResult, collapse, hyperplane_provenance
 from .complex import (
-    CubeComplex, _bits, _check_size, _faces, _same_complex, _subsets,
-    canonical_vertex_order,
+    CubeComplex, _bits, _check_size, _faces, _same_complex, _side_bit,
+    _subsets, canonical_vertex_order,
 )
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
@@ -158,10 +158,11 @@ class GroupAction:
         the image of an edge of the wall is an edge, whose ends' masks differ
         in exactly the target wall's bit.  Tests check the tables against it."""
         self.complex._require_walls(h_id)
+        bit = _side_bit(side)
         masks, perm = self.complex._masks, g.perm
         a, b = self.complex._wall_edges[h_id][0]
         target = (masks[perm[a]] ^ masks[perm[b]]).bit_length() - 1
-        end = a if masks[a] >> h_id & 1 == SIDES.index(side) else b
+        end = a if masks[a] >> h_id & 1 == bit else b
         return target, SIDES[masks[perm[end]] >> target & 1]
 
     @functools.cached_property
@@ -237,7 +238,7 @@ class GroupAction:
         def image(row, triple):
             h, e, side = triple
             t, flip = row[e]
-            return row[h][0], t, SIDES[(side == "+") ^ flip]
+            return row[h][0], t, SIDES[_side_bit(side) ^ flip]
 
         triples = _orbits([panel.triple], image, self._wall_table)[0]
         out = []

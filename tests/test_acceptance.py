@@ -35,12 +35,14 @@ from test_oracle import run_dimension
 @contextmanager
 def criterion(number, description, budget_seconds=None):
     start = time.perf_counter()
+    timing = {}
     try:
-        yield
+        yield timing
     except BaseException:
         print(f"ACCEPTANCE {number:2d} FAIL  {description}")
         raise
-    elapsed = time.perf_counter() - start
+    # a block that reads memoized work sets that work's own time
+    elapsed = timing.get("seconds", time.perf_counter() - start)
     if budget_seconds is not None and elapsed > budget_seconds:
         print(
             f"ACCEPTANCE {number:2d} FAIL  {description} "
@@ -283,6 +285,9 @@ def test_criterion_9_pocset_pipeline():
 
 
 def test_criterion_10_oracle_equivalence():
-    with criterion(10, "fundaments match the brute-force oracle", 120.0):
-        assert run_dimension(2) == 81
-        assert run_dimension(3) == 343 * 27
+    # the sweeps are shared with test_oracle.py, so the budget holds the time
+    # they took themselves, whichever test ran them first
+    with criterion(10, "fundaments match the brute-force oracle", 120.0) as timing:
+        (n2, s2), (n3, s3) = run_dimension(2), run_dimension(3)
+        assert (n2, n3) == (81, 343 * 27)
+        timing["seconds"] = s2 + s3

@@ -370,6 +370,14 @@ def test_panel_argument_out_of_range(capsys):
     assert (code, err) == (1, "error: hyperplane id 3 out of range (0..2)\n")
 
 
+def test_panel_argument_with_a_bad_side(capsys):
+    # the command leaves the side to build_panel, and prints its message
+    code, _, err = run_cli(
+        capsys, "collapse", str(DATA / "cube3.cc"), "--panel", "h0,h1,x"
+    )
+    assert (code, err) == (1, "error: side must be one of ('-', '+'), got 'x'\n")
+
+
 def test_collapse_panel_and_auto_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["collapse", str(DATA / "cube3.cc"), "--panel", "h0,h1,+", "--auto"])

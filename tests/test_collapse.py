@@ -24,6 +24,7 @@ from panelcollapse.errors import (
     PreconditionError,
 )
 from panelcollapse.complex import CubeComplex
+from panelcollapse.fileio import parse_complex
 from panelcollapse.panels import (
     build_panel,
     extremal_panels,
@@ -39,6 +40,7 @@ from panelcollapse.symmetry import GroupAction, iter_steps
 
 import oracle
 from conftest import (
+    DATA,
     assert_same_tables,
     box_complex,
     coordinate_swap,
@@ -737,3 +739,49 @@ def test_mask_status_matches_the_per_panel_rule_on_small_families(cube3):
                 families += 1
                 shared += len({p.abutting for p in family}) < size
     assert families >= 700 and shared >= 300, (families, shared)
+
+
+# A 4-cube and a 3-cube sharing a square, on which some four-panel families
+# build fundaments that disagree on a shared face.  It lies outside the files
+# that the CLI fuzz test requires to run cleanly.
+WITNESS = DATA / "defects" / "witness20.cc"
+
+
+def test_the_fundament_witness_has_its_counts():
+    cx = parse_complex(WITNESS.read_text())
+    assert cx.cube_counts == (20, 40, 29, 9, 1)
+    # wall h is the (5 - h)th character of the names
+    for h in cx.hyperplanes():
+        for u, v in h.edges:
+            assert [i for i in range(5) if u[i] != v[i]] == [4 - h.id]
+    panels = extremal_panels(cx)
+    assert len(panels) == 26
+    families = sum(
+        no_facing_panels(cx, family)
+        for k in range(1, 5)
+        for family in itertools.combinations(panels, k)
+    )
+    assert families == 10522
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInvariantError, reason=(
+    "known defect: two fundaments disagree on a shared face, and the "
+    "collapsed 1-skeleton is not median"
+))
+@pytest.mark.parametrize(
+    "family",
+    [
+        [(1, 2, "-"), (2, 1, "-"), (3, 4, "-"), (4, 3, "-")],
+        [(1, 2, "-"), (1, 3, "-"), (2, 1, "-"), (3, 4, "-")],
+    ],
+    ids=["two-coupled-blocks", "block-chained-to-a-third"],
+)
+def test_witness_families_collapse(family):
+    # any other error fails the test outright, and so does a valid collapse,
+    # since the mark is strict
+    cx = parse_complex(WITNESS.read_text())
+    try:
+        collapse(cx, [build_panel(cx, *triple) for triple in family])
+    except InternalInvariantError as exc:
+        assert "collapsed 1-skeleton failed validation" in str(exc), str(exc)
+        raise

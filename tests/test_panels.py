@@ -49,6 +49,28 @@ def test_wall_ids_outside_the_walls_raise_index_error(cube3, name):
             WALL_ID_CALLS[name](cube3, h)
 
 
+# every public entry point taking a side, called with ``side``
+SIDE_CALLS = {
+    "Hyperplane.side": lambda cx, side: cx.hyperplanes()[0].side(side),
+    "build_panel": lambda cx, side: build_panel(cx, 0, 1, side),
+    "is_extremal": lambda cx, side: is_extremal(cx, 0, 1, side),
+    "side_image": lambda cx, side: GroupAction(cx, []).side_image(
+        Automorphism(cx, {}), 0, side
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SIDE_CALLS)
+def test_a_side_other_than_minus_or_plus_is_refused(cube3, name):
+    for side in ("x", "", "+-", None, 1):
+        message = f"side must be one of {SIDES}, got {side!r}"
+        with pytest.raises(PreconditionError) as info:
+            SIDE_CALLS[name](cube3, side)
+        assert str(info.value) == message
+    for side in SIDES:
+        SIDE_CALLS[name](cube3, side)
+
+
 def test_crossing_pairs(cube3, tree4, domino):
     assert codim2_hyperplanes(cube3) == ((0, 1), (0, 2), (1, 2))
     assert codim2_hyperplanes(tree4) == ()

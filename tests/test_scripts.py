@@ -11,6 +11,8 @@ import pytest
 import panelcollapse
 from panelcollapse import complex as complex_module
 
+from conftest import DATA
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # The directory holding the panelcollapse package this process imported, so
@@ -128,6 +130,17 @@ def test_recogniser_sweep_exits_1_on_a_disagreement(monkeypatch, capsys):
 
 def test_recogniser_sweep_bad_input_is_user_error():
     proc = start_script("recogniser_sweep.py", "--seed", "1", "--count", "-1")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
+def test_family_sweep():
+    lines = run_script("family_sweep.py", str(DATA / "cube3.cc"))
+    assert lines == ["0 of 286 families fail"]
+
+
+def test_family_sweep_bad_input_is_user_error(tmp_path):
+    proc = start_script("family_sweep.py", str(tmp_path / "missing.cc"))
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1].startswith("error: ")
 
