@@ -17,10 +17,13 @@ between each two of them, over distances found by search (the tests'
 ``oracle.py``); on a larger graph they come from the package's own median
 scan, so there only connectivity and the cubes are checked independently.
 
-On every median graph it also checks the tables a collapse step reads
-against the derivations a step once made, ``oracle.step_reads``: the
-squares, the crossing pairs, the walk over extremal panels and the maximal
-cubes across each wall.
+On every graph it also runs the package's recogniser beside the earlier
+two-pass one kept in the tests' ``oracle.py``, ``recogniser_differences``:
+the two must agree on whether the graph is connected and median, and on a
+median graph on every table, the squares in any order.  On every median
+graph it checks the tables a collapse step reads against the derivations a
+step once made, ``oracle.step_reads``: the squares, the crossing pairs, the
+walk over extremal panels and the maximal cubes across each wall.
 
 Prints one line per disagreement, how many graphs had the naive median
 reference and a summary, and exits 1 when any graph disagrees.
@@ -37,10 +40,10 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
 from panelcollapse.cli import _int_at_least, _Parser
-from panelcollapse.complex import CubeComplex, _median_scan, validate_graph
+from panelcollapse.complex import CubeComplex, _median_scan, _structural_pass
 from panelcollapse.errors import InternalInvariantError
 
-from oracle import bfs_distances, first_median_violation, step_reads
+from oracle import bfs_distances, first_median_violation, recogniser_differences, step_reads
 
 FIELDS = ("connected", "median", "median_violation", "cube_counts")
 # the naive median count tests about n**4 / 6 (triple, vertex) pairs
@@ -145,16 +148,20 @@ def reference_report(vs, es):
 
 def compare(vs, es):
     """The recogniser's report, None when it raised, and the fields on which
-    it differs from the reference, as ``{field: (report, reference)}``; on a
-    median graph, also the step's tables that differ from their
+    it differs from the reference, as ``{field: (report, reference)}``; also
+    the recogniser's tables that differ from the earlier recogniser's, and
+    on a median graph the step's tables that differ from their
     derivations."""
     expected = reference_report(vs, es)
+    order, _, int_edges = _structural_pass(vs, es)
     try:
-        report = validate_graph(vs, es)
+        report, tables = recogniser_differences(order, int_edges)
     except InternalInvariantError as exc:
         return None, {"error": (str(exc), None)}
     got = {field: getattr(report, field) for field in FIELDS}
     diff = {f: (got[f], expected[f]) for f in FIELDS if got[f] != expected[f]}
+    if tables:
+        diff["tables of the earlier recogniser"] = (tables, [])
     if report.median:
         cx = CubeComplex(vs, es)
         walls = [1 << h for h in range(len(cx._wall_edges))]

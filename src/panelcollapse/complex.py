@@ -8,12 +8,14 @@ condition already implies the flag condition and contractibility, so those
 are not re-checked per build; the test suite checks them against a
 brute-force reference.
 
-A graph is recognised as median by ``_median_walls``, in two passes over
-a breadth-first search from the first vertex.  It labels the walls from each
-vertex's neighbours nearer the root, as Hagauer, Imrich and Klavžar (1999,
-"Recognizing median graphs in subquadratic time") do, and decides
-medianness exactly by the local conditions of Chepoi (2000, "Graphs of
-some CAT(0) complexes"): a square under every pair of down-edges, no
+A graph is recognised as median by ``_median_walls``, in one pass over a
+breadth-first search from the first vertex, which finds the levels and the
+neighbours nearer the root and gives each vertex a first label, and one
+pass over the search's queue, which renumbers the walls.  It labels the
+walls from each vertex's neighbours nearer the root, as Hagauer, Imrich and
+Klavžar (1999, "Recognizing median graphs in subquadratic time") do, and
+decides medianness exactly by the local conditions of Chepoi (2000, "Graphs
+of some CAT(0) complexes"): a square under every pair of down-edges, no
 induced K2,3 and the 3-cube condition.  The labels exclude K2,3 once they
 are distinct and every edge flips one bit of them, and the other two
 conditions are read off them: a square under a pair of down-edges is one
@@ -201,17 +203,29 @@ class Hyperplane:
 # ---------------------------------------------------------------------------
 
 
+def _check_size(n):
+    """Refuse a graph of more than MAX_VERTICES vertices."""
+    if n > MAX_VERTICES:
+        raise PreconditionError(
+            f"graph has {n} vertices; the limit is {MAX_VERTICES}"
+        )
+
+
 def _structural_pass(vertices, edges):
-    """Canonicalize raw data; raise StructuralError on malformed input."""
+    """Canonicalize raw data; raise StructuralError on malformed input.  A
+    graph of more than MAX_VERTICES vertices is refused once its vertices
+    are sorted, before any edge is read."""
     order = canonical_vertex_order(vertices)
     if not order:
         raise StructuralError("vertex set is empty")
-    seen = set()
-    for v in order:
-        if v in seen:
-            raise StructuralError(f"duplicate vertex {v!r}")
-        seen.add(v)
+    _check_size(len(order))
     ix = {v: i for i, v in enumerate(order)}
+    if len(ix) < len(order):
+        seen = set()
+        for v in order:
+            if v in seen:
+                raise StructuralError(f"duplicate vertex {v!r}")
+            seen.add(v)
     edge_set = set()
     for e in edges:
         try:
@@ -309,9 +323,9 @@ def _median_scan(adj):
     return True, None
 
 
-def _median_walls(adj, level, queue, int_edges):
-    """Decide by local checks whether a connected graph is median, and label
-    its walls on the way.
+def _median_walls(adj, int_edges):
+    """Decide by local checks whether a graph is connected and median, and
+    label its walls on the way.
 
     Chepoi (2000) shows that a graph is median exactly when its square
     complex is simply connected, it has no induced K2,3 and it satisfies the
@@ -330,32 +344,48 @@ def _median_walls(adj, level, queue, int_edges):
        the three vertices opposite c have a common neighbour (the 3-cube
        condition).
 
-    The labels are wall masks, given in BFS order from the down-neighbours:
-    with one, that neighbour's mask and a fresh wall; with more, the OR of
-    the first two's.  In a median graph these are the Djoković-Winkler
-    classes (Hagauer, Imrich and Klavžar 1999).  A graph is rejected unless
-    each down-edge flips at most one bit and the final labels, the masks
-    with their walls renumbered (below), are distinct.  While every flip is
-    one bit, by induction in BFS order a mask's popcount is its vertex's
-    level, so every edge adds one bit upwards.  At the first down-edge that
-    flips none, the top's mask has the popcount of the level below, so its
-    first two down-neighbours share one mask, and one label.  A common
-    neighbour of vertices labelled p ≠ q is then labelled p ^ a or p ^ b,
-    where {a, b} = p ^ q, so distinct labels allow at most two common
-    neighbours.  That rules out a K2,3, two tops over a pair, two common
-    down-neighbours of a pair and three paths to a vertex two levels down.
+    One pass over the breadth-first search from vertex 0 finds the levels
+    and the down-neighbours and gives each vertex a mask.  A vertex leaves
+    the queue after every vertex of the level above it, so its
+    down-neighbours are all known by then, in search order; the pass rejects
+    an edge within a level (check 1) when it meets one.  The masks are
+    given from the down-neighbours: with one, that neighbour's mask and a
+    fresh wall; with more, the OR of the first two's.  In a median graph
+    these are the Djoković-Winkler classes (Hagauer, Imrich and Klavžar
+    1999).  A graph is rejected unless each down-edge flips at most one bit
+    and the final labels, the masks with their walls renumbered (below),
+    are distinct.  While every flip is one bit, by induction in search order
+    a mask's popcount is its vertex's level, so every edge adds one bit
+    upwards.  At the first down-edge that flips none, the top's mask has
+    the popcount of the level below, so its first two down-neighbours share
+    one mask, and one label.  A common neighbour of vertices labelled p ≠ q
+    is then labelled p ^ a or p ^ b, where {a, b} = p ^ q, so distinct
+    labels allow at most two common neighbours.  That rules out a K2,3, two
+    tops over a pair, two common down-neighbours of a pair and three paths
+    to a vertex two levels down.  The pass also bounds the span: k
+    down-edges at a vertex of a median graph span a k-cube, of 2**k
+    vertices.
 
     Checks 2 to 4 read the final labels.  The walls are renumbered by their
-    first edge in ``int_edges``, and each mask is rebuilt as its first
-    down-neighbour's OR its down-walls.  With distinct labels, the only
-    vertex one bit below both m ^ p and m ^ q, the down-neighbours of m
-    across walls p and q, is m ^ p ^ q.  So check 2 holds at m exactly
-    when, for each down-neighbour x across p, every other down-wall of m is
-    a down-wall of x: one mask test per down-edge, made as the labels are
-    rebuilt.  It may run before the labels are known distinct, since a
-    graph whose labels are not is rejected either way.  Each square is
-    recorded once, as its top and the mask of its two walls, and each wall
-    keeps the mask of the walls it shares a square with.
+    first edge in ``int_edges``, and a second pass in search order gives
+    each vertex its first down-neighbour's label with that edge's
+    renumbered wall added: one lookup per vertex.  While every flip so far
+    is one bit, a mask is its first down-neighbour's with that edge's bit
+    added, so the label is the mask with its walls renumbered, and the wall
+    of every other down-edge is the XOR of its ends' labels.  At the first
+    flip of no bit, the labels of its top's first two down-neighbours are
+    still renumbered masks, and equal, so the graph is rejected whatever
+    the later labels hold.  With distinct labels, the only vertex one bit
+    below both m ^ p and m ^ q, the down-neighbours of m across walls p and
+    q, is m ^ p ^ q.  So check 2 holds at m exactly when, for each
+    down-neighbour x across p, every other down-wall of m is a down-wall of
+    x: one mask test per down-edge, made in the second pass.  It may run
+    before the labels are known distinct, since a graph whose labels are
+    not is rejected either way.  Each square is recorded once, as its top
+    and the mask of its two walls, and each wall keeps the mask of the
+    walls it shares a square with.  A vertex with k down-walls tops
+    C(k, d) d-cubes (see ``CubeComplex._dim_cubes``), so the pass tallies
+    the vertices by down-wall count for the cube counts.
 
     Given check 3, the four flips around a square cancel and the two at a
     corner differ, so all four corners see the same two walls.  Three
@@ -367,54 +397,77 @@ def _median_walls(adj, level, queue, int_edges):
     collapse never raises dimension.
     Returns the wall of each edge, in ``int_edges`` order, the labels, the
     vertex of each label, each vertex's mask of down-walls, the squares as
-    ``(top, axes)`` pairs in search order, the number of squares dual to
-    each crossing pair of walls, keyed by the pair's mask, and the mask of
-    the walls crossing each wall, or None as soon as a check fails.
+    ``(top, axes)`` pairs, by top in search order and then by pairs of its
+    down-neighbours in search order, the number of squares dual to each
+    crossing pair of walls, keyed by the pair's mask, the mask of the walls
+    crossing each wall and the cube counts; or None as soon as a check
+    fails or the search misses a vertex.
     """
     n = len(adj)
-    below = [[] for _ in range(n)]  # the down-neighbours, ascending
-    for a, b in int_edges:
-        if level[a] < level[b]:
-            below[b].append(a)
-        elif level[b] < level[a]:
-            below[a].append(b)
-        else:
-            return None
+    level = [-1] * n
+    level[0] = 0
+    below = [[] for _ in range(n)]  # the down-neighbours, in search order
     masks = [0] * n
     fresh = 1
-    for v in queue[1:]:
-        xs = below[v]
+    queue = [0]
+    for u in queue:
+        xs = below[u]
         if len(xs) == 1:
-            masks[v] = masks[xs[0]] | fresh
+            masks[u] = masks[xs[0]] | fresh
             fresh <<= 1
-            continue
-        # the down-edges at a vertex of a median graph span a cube
-        if 1 << len(xs) > n:
-            return None
-        mask = masks[v] = masks[xs[0]] | masks[xs[1]]
-        for x in xs:
-            flip = mask ^ masks[x]
-            if flip & (flip - 1):
+        elif xs:
+            # the down-edges at a vertex of a median graph span a cube
+            if 1 << len(xs) > n:
                 return None
+            mask = masks[u] = masks[xs[0]] | masks[xs[1]]
+            for x in xs:
+                flip = mask ^ masks[x]
+                if flip & (flip - 1):
+                    return None
+        here = level[u]
+        for w in adj[u]:
+            there = level[w]
+            if there < 0:
+                level[w] = here + 1
+                queue.append(w)
+                below[w].append(u)
+            elif there > here:
+                below[w].append(u)
+            elif there == here:
+                return None
+    if len(queue) < n:
+        return None
     ids = {}
     edge_wall = [ids.setdefault(masks[a] ^ masks[b], len(ids)) for a, b in int_edges]
     final = [0] * n
     down_walls = [0] * n
     squares = []
+    # the vertices by down-wall count: the root has none, and a vertex with
+    # more than one moves out of the count of ones when the pass meets it
+    tops = [1, n - 1] + [0] * n.bit_length()
     for v in queue[1:]:
         xs = below[v]
+        x = xs[0]
+        wall = 1 << ids[masks[v] ^ masks[x]]
+        label = final[v] = final[x] | wall
         if len(xs) == 1:
-            walls = down_walls[v] = 1 << ids[masks[v] ^ masks[xs[0]]]
-            final[v] = final[xs[0]] | walls
+            down_walls[v] = wall
             continue
-        flips = [1 << ids[masks[v] ^ masks[x]] for x in xs]
-        walls = down_walls[v] = sum(flips)
-        final[v] = final[xs[0]] | walls
+        tops[1] -= 1
+        tops[len(xs)] += 1
+        flips = []
+        walls = 0
+        for x in xs:
+            p = label ^ final[x]
+            for q in flips:
+                squares.append((v, q | p))
+            flips.append(p)
+            walls |= p
+        down_walls[v] = walls
         # check 2: each down-neighbour has an edge down on the other walls
         for x, p in zip(xs, flips):
             if walls & ~p & ~down_walls[x]:
                 return None
-        squares += [(v, p | q) for p, q in itertools.combinations(flips, 2)]
     vertex_of = {m: x for x, m in enumerate(final)}
     if len(vertex_of) < n:
         return None
@@ -428,28 +481,36 @@ def _median_walls(adj, level, queue, int_edges):
         triangle = triangle or crossing[h] & crossing[e] != 0
         crossing[h] |= q
         crossing[e] |= p
-    if triangle and not _three_cube_condition(adj, squares, final, vertex_of):
+    if triangle and not _three_cube_condition(adj, squares, final, vertex_of, down_walls):
         return None
-    return edge_wall, final, vertex_of, down_walls, squares, square_counts, crossing
+    while not tops[-1]:
+        tops.pop()
+    cube_counts = tuple(
+        sum([c * math.comb(k, d) for k, c in enumerate(tops)]) for d in range(len(tops))
+    )
+    return (
+        edge_wall, final, vertex_of, down_walls, squares, square_counts, crossing,
+        cube_counts,
+    )
 
 
-def _three_cube_condition(adj, squares, labels, vertex_of):
+def _three_cube_condition(adj, squares, labels, vertex_of, down):
     """Whether three neighbours of a vertex c that pairwise span squares
     with c always have opposite vertices with a common neighbour, read off
     labels that are distinct and flip one bit on every edge, on a graph
-    that satisfies the quadrangle condition (check 2 of ``_median_walls``).
+    that satisfies the quadrangle condition (check 2 of ``_median_walls``),
+    with ``down`` each vertex's mask of down-walls.
 
     Each neighbour of c, labelled m, is then named by the wall bit of its
     edge, and the vertex opposite c in a square on walls p and q is labelled
     m ^ p ^ q.  A common neighbour of the vertices opposite c in the squares
     on p and q, on p and z and on q and z differs from each in one bit, so
     it can only be w = m ^ p ^ q ^ z, and it is one exactly when m ^ p ^ q
-    has an edge on wall z, m ^ p ^ z one on q and m ^ q ^ z one on p.  With
-    the link at c a map from each wall bit to the mask of walls that span a
-    square with it there, it is enough to check, at the bottom corner b of
-    each square, the one nearest vertex 0, that every wall spanning squares
-    at b with both walls of the square is the wall of an edge at its top.
-    By how many of p, q and z are down-walls at c:
+    has an edge on wall z, m ^ p ^ z one on q and m ^ q ^ z one on p.  It
+    is enough to check, at the bottom corner b of each square, the one
+    nearest vertex 0, with top t, that every wall z spanning squares at b
+    with both walls p and q of the square is the wall of an edge at t.  By
+    how many of p, q and z are down-walls at c:
 
     * none: c is the bottom of all three squares, whose checks give the
       three edges;
@@ -465,6 +526,20 @@ def _three_cube_condition(adj, squares, labels, vertex_of):
       m ^ p ^ z and m ^ q ^ z, and at m ^ p and m ^ q it gives w and its
       three edges.
 
+    The labels split the check at b by where z leads from b.  A wall z up
+    from b spans a square with p at b exactly when b is that square's
+    bottom, so those z are read off a link kept at bottom corners only: for
+    each wall up from b, the walls spanning a square there with it as the
+    bottom.  Such a z is not in t's label, so it is a wall of t's edges
+    exactly when t has an edge up on it.  A wall z down from b spans a
+    square with p at b exactly when z is a down-wall of b's up-neighbour
+    t ^ q across p: that square has its top there, and the quadrangle
+    condition there gives the square for each of its down-walls but p.
+    Likewise for q, so the walls down from b that span squares at b with
+    both p and q are the down-walls of both t ^ q and t ^ p.  Such a z is
+    in t's label, so it is a wall of t's edges exactly when it is a
+    down-wall of t.
+
     Every square is in ``squares``, as ``(top, axes)`` with axes p | q: its
     labels are m, m ^ p, m ^ q and m ^ p ^ q, so it has one top, and two
     down-neighbours of the top have one common down-neighbour.  Its corners
@@ -472,33 +547,19 @@ def _three_cube_condition(adj, squares, labels, vertex_of):
     """
     link = [{} for _ in labels]
     for t, axes in squares:
-        p, q, m = axes & -axes, axes & (axes - 1), labels[t]
-        for c in (t, vertex_of[m ^ p], vertex_of[m ^ q], vertex_of[m ^ p ^ q]):
-            spans = link[c]
-            spans[p] = spans.get(p, 0) | q
-            spans[q] = spans.get(q, 0) | p
+        p, q = axes & -axes, axes & (axes - 1)
+        spans = link[vertex_of[labels[t] ^ axes]]
+        spans[p] = spans.get(p, 0) | q
+        spans[q] = spans.get(q, 0) | p
     # the walls of each vertex's edges
     walls_at = [sum([m ^ labels[u] for u in near]) for m, near in zip(labels, adj)]
     for t, axes in squares:
-        p, q = axes & -axes, axes & (axes - 1)
-        b = vertex_of[labels[t] ^ axes]
-        if link[b][p] & link[b][q] & ~walls_at[t]:
+        p, q, m = axes & -axes, axes & (axes - 1), labels[t]
+        b = vertex_of[m ^ axes]
+        if (link[b][p] & link[b][q] & ~walls_at[t]
+                or down[vertex_of[m ^ p]] & down[vertex_of[m ^ q]] & ~down[t]):
             return False
     return True
-
-
-def _cube_counts(down):
-    """The number of cubes of each dimension of a median graph, from each
-    vertex's mask of down-walls: a vertex with k down-walls tops C(k, d)
-    d-cubes (see ``CubeComplex._dim_cubes``)."""
-    tops = [0] * (max(map(int.bit_count, down)) + 1)  # by down-wall count
-    for walls in down:
-        tops[walls.bit_count()] += 1
-    counts = [0] * len(tops)
-    for k, c in enumerate(tops):
-        for d in range(k + 1):
-            counts[d] += c * math.comb(k, d)
-    return tuple(counts)
 
 
 def _bits(mask):
@@ -557,29 +618,19 @@ def validate_graph(vertices, edges) -> ValidationReport:
     return _analyze(order, int_edges)[0]
 
 
-def _check_size(n):
-    """Refuse a graph of more than MAX_VERTICES vertices."""
-    if n > MAX_VERTICES:
-        raise PreconditionError(
-            f"graph has {n} vertices; the limit is {MAX_VERTICES}"
-        )
-
-
 def _analyze(order, int_edges):
     n = len(order)
-    _check_size(n)
-    adj_sets = [set() for _ in range(n)]
+    adj = [[] for _ in range(n)]  # ascending, as the edges are sorted
     for a, b in int_edges:
-        adj_sets[a].add(b)
-        adj_sets[b].add(a)
+        adj[a].append(b)
+        adj[b].append(a)
     sizes = dict(vertex_count=n, edge_count=len(int_edges))
-    level, queue = _bfs(adj_sets, 0)
-    if len(queue) < n:
-        return ValidationReport(**sizes, connected=False), None
-    tables = _median_walls(adj_sets, level, queue, int_edges)
+    tables = _median_walls(adj, int_edges)
     if tables is None:
+        if len(_bfs(adj, 0)[1]) < n:
+            return ValidationReport(**sizes, connected=False), None
         # name the first triple without exactly one median
-        median_ok, violation = _median_scan(adj_sets)
+        median_ok, violation = _median_scan(adj)
         if median_ok:
             raise InternalInvariantError(
                 "the local median checks reject a graph the median scan accepts"
@@ -591,10 +642,8 @@ def _analyze(order, int_edges):
             median_violation=tuple(order[i] for i in violation),
         )
         return report, None
-    report = ValidationReport(
-        **sizes, connected=True, median=True, cube_counts=_cube_counts(tables[3])
-    )
-    return report, (adj_sets, *tables)
+    report = ValidationReport(**sizes, connected=True, median=True, cube_counts=tables[-1])
+    return report, (adj, *tables[:-1])
 
 
 class CubeComplex:
@@ -606,12 +655,16 @@ class CubeComplex:
     to its vertex index), ``_down[i]`` is the mask of the walls of i's edges
     towards vertex 0, ``_wall_edges[h]`` lists the index pairs of wall
     ``h``'s edges (an edge's wall, ``_wall_of``, is read off its ends'
-    masks), ``_squares`` holds each square as ``(top, axes)`` in the
-    recogniser's search order, ``_square_counts`` maps the axes
+    masks), ``_adj_int[i]`` lists i's neighbours in ascending order,
+    ``_squares`` holds each square as ``(top, axes)``, by top in the
+    recogniser's search order and then by pairs of the top's
+    down-neighbours in the order the search reached them (only its set of
+    squares is fixed by the graph), ``_square_counts`` maps the axes
     ``1 << h | 1 << e`` of each crossing pair to the number of squares dual
     to both walls, and ``_crossing[h]`` is the mask of the walls crossing
     wall h (``_crossing_pairs`` lists the pairs as ``(h, e)``, ``h < e``,
-    in order).  ``cube_counts`` is read off the down-walls in closed form.
+    in order).  ``cube_counts`` is tallied by the recogniser from the
+    number of each vertex's down-walls, in closed form.
     ``_dim_cubes(d)`` lists the d-cubes as ``(base, axes)`` pairs on first
     use, the squares by sorting ``_squares``, and ``_cubes`` holds every
     dimension's list for the few callers that walk every cube.  The public
@@ -638,6 +691,7 @@ class CubeComplex:
         ``(a, b)`` with ``a < b``.  The table and dict are kept, not copied;
         the graph is still validated in full, raising
         ``InvalidComplexError`` when it is not CAT(0)."""
+        _check_size(len(order))
         out = cls.__new__(cls)
         out._setup(order, ix, int_edges)
         return out
@@ -718,7 +772,8 @@ class CubeComplex:
         if a > b:
             a, b = b, a
             u, v = v, u
-        if b not in self._adj_int[a]:
+        # two vertices are adjacent exactly when their masks differ in one bit
+        if (self._masks[a] ^ self._masks[b]).bit_count() != 1:
             raise StructuralError(f"{u!r} {v!r} is not an edge")
         return (u, v)
 

@@ -111,10 +111,12 @@ class Automorphism:
         )
 
     def preserves_edges(self):
-        """None if edge-preserving, else one broken edge."""
-        cx, perm = self.complex, self.perm
+        """None if edge-preserving, else one broken edge: an edge whose
+        image is not an edge, its ends' masks differing in more than one
+        bit."""
+        cx, perm, masks = self.complex, self.perm, self.complex._masks
         for a, b in cx._int_edges:
-            if perm[b] not in cx._adj_int[perm[a]]:
+            if (masks[perm[a]] ^ masks[perm[b]]).bit_count() != 1:
                 return cx.vertices[a], cx.vertices[b]
         return None
 

@@ -39,7 +39,9 @@ neighbours, and the status and persistent subcube of a cube found by listing
 the panels with an internal edge in it, one panel at a time.
 
 The recogniser's earlier tables follow: the 3-cube condition on a
-dict-of-dicts vertex link at every vertex, each wall's sides found by
+dict-of-dicts vertex link at every vertex, the two-pass recogniser as it
+was before its first pass joined the breadth-first search, kept verbatim
+for the package's to match table by table, each wall's sides found by
 filtering the vertices one wall at a time, and the sign matrix unpacked
 from the masks' bytes.  Last come the derivations a collapse step once
 made of the tables it now reads from the build: the squares listed at each
@@ -48,9 +50,11 @@ filtered by a wall mask.  ``scripts/recogniser_sweep.py`` runs them too.
 """
 
 import itertools
+import math
 from collections import Counter
 
 from panelcollapse import symmetry
+from panelcollapse.complex import _analyze, _bfs
 from panelcollapse.panels import SIDES, _extremal_walk, is_extremal
 from panelcollapse.collapse import classify, fundament
 
@@ -763,9 +767,10 @@ def meeting_persistent(panels, cube):
 def three_cube_condition(adj):
     """Whether three neighbours x, y, z of a vertex c that pairwise span
     squares with c always have opposite vertices with a common neighbour, on
-    vertex links.  The squares are the chordless 4-cycles of ``adj``, found
-    by search at every vertex, and every choice of the three opposite
-    vertices is tried."""
+    vertex links.  The squares are the chordless 4-cycles of ``adj``, given
+    as sets or lists of neighbours, found by search at every vertex, and
+    every choice of the three opposite vertices is tried."""
+    adj = [set(near) for near in adj]
     for c, near in enumerate(adj):
         # opposite[x, y]: the vertices o of the chordless 4-cycles c, x, o, y
         opposite = {}
@@ -781,6 +786,242 @@ def three_cube_condition(adj):
                     if not set.intersection(*(adj[o] for o in far)):
                         return False
     return True
+
+
+# The two-pass recogniser as the package had it before its first pass was
+# fused into the breadth-first search, kept verbatim: the same checks, with
+# neighbour sets, a separate search, the down-neighbours found by a pass over
+# the edges, and every down-edge's wall looked up by its label flip.
+
+def _median_walls(adj, level, queue, int_edges):
+    """Decide by local checks whether a connected graph is median, and label
+    its walls on the way.
+
+    Chepoi (2000) shows that a graph is median exactly when its square
+    complex is simply connected, it has no induced K2,3 and it satisfies the
+    3-cube condition.  On a bipartite graph the quadrangle condition at one
+    root makes the square complex simply connected: the farthest vertex of
+    any closed walk can be pushed across a square towards the root, and
+    every median graph satisfies it.  So with the down-neighbours of v its
+    neighbours one level nearer vertex 0, the graph is median exactly when
+
+    1. every edge joins adjacent levels (it is bipartite);
+    2. any two down-neighbours of a vertex have a common down-neighbour,
+       which makes a square with that vertex as its top;
+    3. the wall labels flip one bit on every edge and are distinct, which
+       excludes an induced K2,3;
+    4. whenever three neighbours of a vertex c pairwise span squares with c,
+       the three vertices opposite c have a common neighbour (the 3-cube
+       condition).
+
+    The labels are wall masks, given in BFS order from the down-neighbours:
+    with one, that neighbour's mask and a fresh wall; with more, the OR of
+    the first two's.  In a median graph these are the Djoković-Winkler
+    classes (Hagauer, Imrich and Klavžar 1999).  A graph is rejected unless
+    each down-edge flips at most one bit and the final labels, the masks
+    with their walls renumbered (below), are distinct.  While every flip is
+    one bit, by induction in BFS order a mask's popcount is its vertex's
+    level, so every edge adds one bit upwards.  At the first down-edge that
+    flips none, the top's mask has the popcount of the level below, so its
+    first two down-neighbours share one mask, and one label.  A common
+    neighbour of vertices labelled p ≠ q is then labelled p ^ a or p ^ b,
+    where {a, b} = p ^ q, so distinct labels allow at most two common
+    neighbours.  That rules out a K2,3, two tops over a pair, two common
+    down-neighbours of a pair and three paths to a vertex two levels down.
+
+    Checks 2 to 4 read the final labels.  The walls are renumbered by their
+    first edge in ``int_edges``, and each mask is rebuilt as its first
+    down-neighbour's OR its down-walls.  With distinct labels, the only
+    vertex one bit below both m ^ p and m ^ q, the down-neighbours of m
+    across walls p and q, is m ^ p ^ q.  So check 2 holds at m exactly
+    when, for each down-neighbour x across p, every other down-wall of m is
+    a down-wall of x: one mask test per down-edge, made as the labels are
+    rebuilt.  It may run before the labels are known distinct, since a
+    graph whose labels are not is rejected either way.  Each square is
+    recorded once, as its top and the mask of its two walls, and each wall
+    keeps the mask of the walls it shares a square with.
+
+    Given check 3, the four flips around a square cancel and the two at a
+    corner differ, so all four corners see the same two walls.  Three
+    neighbours of c that pairwise span squares with c are then reached
+    across three walls that pairwise cross: a triangle in the crossing
+    graph, which has an edge for the two walls of each square.  So check 4
+    (``_three_cube_condition``) runs last, and only when one pass over the
+    crossing pairs finds a triangle.  A 2-dimensional complex has none, and
+    collapse never raises dimension.
+    Returns the wall of each edge, in ``int_edges`` order, the labels, the
+    vertex of each label, each vertex's mask of down-walls, the squares as
+    ``(top, axes)`` pairs in search order, the number of squares dual to
+    each crossing pair of walls, keyed by the pair's mask, and the mask of
+    the walls crossing each wall, or None as soon as a check fails.
+    """
+    n = len(adj)
+    below = [[] for _ in range(n)]  # the down-neighbours, ascending
+    for a, b in int_edges:
+        if level[a] < level[b]:
+            below[b].append(a)
+        elif level[b] < level[a]:
+            below[a].append(b)
+        else:
+            return None
+    masks = [0] * n
+    fresh = 1
+    for v in queue[1:]:
+        xs = below[v]
+        if len(xs) == 1:
+            masks[v] = masks[xs[0]] | fresh
+            fresh <<= 1
+            continue
+        # the down-edges at a vertex of a median graph span a cube
+        if 1 << len(xs) > n:
+            return None
+        mask = masks[v] = masks[xs[0]] | masks[xs[1]]
+        for x in xs:
+            flip = mask ^ masks[x]
+            if flip & (flip - 1):
+                return None
+    ids = {}
+    edge_wall = [ids.setdefault(masks[a] ^ masks[b], len(ids)) for a, b in int_edges]
+    final = [0] * n
+    down_walls = [0] * n
+    squares = []
+    for v in queue[1:]:
+        xs = below[v]
+        if len(xs) == 1:
+            walls = down_walls[v] = 1 << ids[masks[v] ^ masks[xs[0]]]
+            final[v] = final[xs[0]] | walls
+            continue
+        flips = [1 << ids[masks[v] ^ masks[x]] for x in xs]
+        walls = down_walls[v] = sum(flips)
+        final[v] = final[xs[0]] | walls
+        # check 2: each down-neighbour has an edge down on the other walls
+        for x, p in zip(xs, flips):
+            if walls & ~p & ~down_walls[x]:
+                return None
+        squares += [(v, p | q) for p, q in itertools.combinations(flips, 2)]
+    vertex_of = {m: x for x, m in enumerate(final)}
+    if len(vertex_of) < n:
+        return None
+    square_counts = Counter([axes for _, axes in squares])
+    crossing = [0] * len(ids)  # the walls crossing each wall
+    triangle = False
+    for pair in square_counts:
+        # a triangle is found at the last of its three pairs
+        p, q = pair & -pair, pair & (pair - 1)
+        h, e = p.bit_length() - 1, q.bit_length() - 1
+        triangle = triangle or crossing[h] & crossing[e] != 0
+        crossing[h] |= q
+        crossing[e] |= p
+    if triangle and not _three_cube_condition(adj, squares, final, vertex_of):
+        return None
+    return edge_wall, final, vertex_of, down_walls, squares, square_counts, crossing
+
+
+def _three_cube_condition(adj, squares, labels, vertex_of):
+    """Whether three neighbours of a vertex c that pairwise span squares
+    with c always have opposite vertices with a common neighbour, read off
+    labels that are distinct and flip one bit on every edge, on a graph
+    that satisfies the quadrangle condition (check 2 of ``_median_walls``).
+
+    Each neighbour of c, labelled m, is then named by the wall bit of its
+    edge, and the vertex opposite c in a square on walls p and q is labelled
+    m ^ p ^ q.  A common neighbour of the vertices opposite c in the squares
+    on p and q, on p and z and on q and z differs from each in one bit, so
+    it can only be w = m ^ p ^ q ^ z, and it is one exactly when m ^ p ^ q
+    has an edge on wall z, m ^ p ^ z one on q and m ^ q ^ z one on p.  With
+    the link at c a map from each wall bit to the mask of walls that span a
+    square with it there, it is enough to check, at the bottom corner b of
+    each square, the one nearest vertex 0, that every wall spanning squares
+    at b with both walls of the square is the wall of an edge at its top.
+    By how many of p, q and z are down-walls at c:
+
+    * none: c is the bottom of all three squares, whose checks give the
+      three edges;
+    * one, p: the square on q and z has c at its bottom, and its check
+      gives the edge from m ^ q ^ z to w on p; then m ^ q ^ z has
+      down-walls p, q and z, and the quadrangle condition there gives w's
+      edges on q and z;
+    * two, p and q: the up-neighbour m ^ z has down-walls p, q and z, as
+      its squares with c show, so the quadrangle condition there gives w
+      and its edges to m ^ z ^ p and m ^ z ^ q; at m ^ z ^ p, whose
+      down-walls include q and z, it gives w's edge on z;
+    * three: the quadrangle condition at c gives the vertices m ^ p ^ q,
+      m ^ p ^ z and m ^ q ^ z, and at m ^ p and m ^ q it gives w and its
+      three edges.
+
+    Every square is in ``squares``, as ``(top, axes)`` with axes p | q: its
+    labels are m, m ^ p, m ^ q and m ^ p ^ q, so it has one top, and two
+    down-neighbours of the top have one common down-neighbour.  Its corners
+    are read off ``vertex_of``.
+    """
+    link = [{} for _ in labels]
+    for t, axes in squares:
+        p, q, m = axes & -axes, axes & (axes - 1), labels[t]
+        for c in (t, vertex_of[m ^ p], vertex_of[m ^ q], vertex_of[m ^ p ^ q]):
+            spans = link[c]
+            spans[p] = spans.get(p, 0) | q
+            spans[q] = spans.get(q, 0) | p
+    # the walls of each vertex's edges
+    walls_at = [sum([m ^ labels[u] for u in near]) for m, near in zip(labels, adj)]
+    for t, axes in squares:
+        p, q = axes & -axes, axes & (axes - 1)
+        b = vertex_of[labels[t] ^ axes]
+        if link[b][p] & link[b][q] & ~walls_at[t]:
+            return False
+    return True
+
+
+def _cube_counts(down):
+    """The number of cubes of each dimension of a median graph, from each
+    vertex's mask of down-walls: a vertex with k down-walls tops C(k, d)
+    d-cubes (see ``CubeComplex._dim_cubes``)."""
+    tops = [0] * (max(map(int.bit_count, down)) + 1)  # by down-wall count
+    for walls in down:
+        tops[walls.bit_count()] += 1
+    counts = [0] * len(tops)
+    for k, c in enumerate(tops):
+        for d in range(k + 1):
+            counts[d] += c * math.comb(k, d)
+    return tuple(counts)
+
+
+# the tables both recognisers return, in order
+RECOGNISER_TABLES = (
+    "edge walls", "labels", "vertex of", "down-walls", "squares",
+    "square counts", "crossing", "cube counts",
+)
+
+
+def reference_recogniser(n, int_edges):
+    """The earlier recogniser's tables, in ``RECOGNISER_TABLES`` order, for
+    the graph on the vertices 0..n-1 with ``int_edges`` in
+    ``_structural_pass`` form, or None unless it is connected and median."""
+    adj = [set() for _ in range(n)]
+    for a, b in int_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    level, queue = _bfs(adj, 0)
+    if len(queue) < n:
+        return None
+    tables = _median_walls(adj, level, queue, int_edges)
+    return tables and (*tables, _cube_counts(tables[3]))
+
+
+def recogniser_differences(order, int_edges):
+    """Run the package's recogniser on a graph in ``_structural_pass`` form
+    and compare it with ``reference_recogniser``: its report, and the names
+    of the tables that differ, ``"verdict"`` when one of the two accepts
+    the graph and the other does not.  The squares may come in any order."""
+    report, internals = _analyze(order, int_edges)
+    reference = reference_recogniser(len(order), int_edges)
+    if internals is None or reference is None:
+        return report, [] if internals is reference else ["verdict"]
+    built = (*internals[1:], report.cube_counts)
+    return report, [
+        name
+        for name, new, old in zip(RECOGNISER_TABLES, built, reference)
+        if (sorted(new) != sorted(old) if name == "squares" else new != old)
+    ]
 
 
 def filtered_hyperplanes(cx):

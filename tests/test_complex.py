@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given
 
 from panelcollapse.collapse import classify
-from panelcollapse.complex import MAX_VERTICES, CubeComplex, validate_graph
+from panelcollapse.complex import (
+    MAX_VERTICES,
+    CubeComplex,
+    _structural_pass,
+    validate_graph,
+)
 from panelcollapse.errors import (
     InternalInvariantError,
     InvalidComplexError,
@@ -33,6 +38,7 @@ from conftest import (
     coordinate_swap,
     grid_complex,
     hypercube_complex,
+    mixed_wallspaces,
     path_complex,
     wallspaces,
 )
@@ -85,8 +91,10 @@ def test_cycle_graphs_invalid():
 
 
 def test_structural_errors():
-    with pytest.raises(StructuralError):
-        CubeComplex(["a", "a"], [])
+    # a duplicate is named, also among vertices sorted by repr
+    for vs in (["a", "a"], ["x", 1, "x"]):
+        with pytest.raises(StructuralError, match=f"^duplicate vertex {vs[0]!r}$"):
+            CubeComplex(vs, [])
     with pytest.raises(StructuralError):
         CubeComplex(["a", "b"], [("a", "a")])
     with pytest.raises(StructuralError):
@@ -103,6 +111,34 @@ def test_oversized_graph_refused():
     for build in (CubeComplex, validate_graph):
         with pytest.raises(PreconditionError, match=f"{n} vertices; the limit is 1500"):
             build(*path)
+
+
+def test_oversized_graph_refused_before_its_edges_are_read():
+    def edges():
+        raise AssertionError("the edges of an oversized graph were read")
+        yield
+
+    n = MAX_VERTICES + 1
+    for build in (CubeComplex, validate_graph):
+        with pytest.raises(PreconditionError, match=f"{n} vertices; the limit is 1500"):
+            build(range(n), edges())
+    # the size is checked first, so a duplicate vertex in an oversized list
+    # gets the size error
+    with pytest.raises(PreconditionError, match=f"{n} vertices; the limit is 1500"):
+        CubeComplex([0, *range(n - 1)], edges())
+
+
+def test_edge_key_refuses_a_pair_that_is_not_an_edge(square):
+    # the message names the pair in canonical order
+    for u, v, named in (("00", "11", "'00' '11'"), ("11", "00", "'00' '11'"),
+                        ("01", "01", "'01' '01'")):
+        with pytest.raises(StructuralError, match=f"^{named} is not an edge$"):
+            square.edge_key(u, v)
+    assert square.edge_key("01", "00") == ("00", "01")
+    path = path_complex(3)
+    with pytest.raises(StructuralError, match="^0 3 is not an edge$"):
+        path.edge_key(3, 0)
+    assert path.edge_key(2, 1) == (1, 2)
 
 
 def test_disconnected_reported():
@@ -713,25 +749,31 @@ def test_three_cube_check_holds_at_every_root(monkeypatch):
 def test_three_cube_check_needs_the_bottom_corner(monkeypatch):
     from panelcollapse import complex as cplx
 
-    # a mutant that checks each square's top corner against its bottom one
-    rule = "link[b][p] & link[b][q] & ~walls_at[t]"
     source = inspect.getsource(cplx._three_cube_condition)
-    assert source.count(rule) == 1
-    namespace = dict(vars(cplx))
-    exec(source.replace(rule, "link[t][p] & link[t][q] & ~walls_at[b]"), namespace)
-    mutant = namespace["_three_cube_condition"]
-    disagreements = []
+    mutants = {
+        # the edges up from a square looked for at its bottom corner, which
+        # has them, instead of at its top
+        "link[b][p] & link[b][q] & ~walls_at[t]": "link[b][p] & link[b][q] & ~walls_at[b]",
+        # no check of the walls leading down from the bottom corner
+        "down[vertex_of[m ^ p]] & down[vertex_of[m ^ q]] & ~down[t]": "0",
+    }
+    for rule, broken in mutants.items():
+        assert source.count(rule) == 1
+        namespace = dict(vars(cplx))
+        exec(source.replace(rule, broken), namespace)
+        mutant = namespace["_three_cube_condition"]
+        disagreements = []
 
-    def recorded(*args):
-        verdict = mutant(*args)
-        disagreements.append(verdict != oracle.three_cube_condition(args[0]))
-        return verdict
+        def recorded(*args):
+            verdict = mutant(*args)
+            disagreements.append(verdict != oracle.three_cube_condition(args[0]))
+            return verdict
 
-    monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
-    for graph in _three_cube_graphs():
-        for vs, es in _rooted_everywhere(*graph):
-            validate_graph(vs, es)
-    assert True in disagreements
+        monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
+        for graph in _three_cube_graphs():
+            for vs, es in _rooted_everywhere(*graph):
+                validate_graph(vs, es)
+        assert True in disagreements, rule
 
 
 def test_recogniser_matches_the_reference_on_a_sweep_slice(monkeypatch):
@@ -754,6 +796,42 @@ def test_recogniser_matches_the_reference_on_a_sweep_slice(monkeypatch):
     # the 3-cube check runs last, so each False is a graph that it alone
     # rejects, and each True a median graph
     assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20
+
+
+def _assert_earlier_tables(order, int_edges):
+    """Whether the graph is connected and median, after checking that the
+    recogniser gives it the earlier recogniser's verdict and tables."""
+    report, differences = oracle.recogniser_differences(order, int_edges)
+    assert differences == [], differences
+    return report.passed
+
+
+def test_recogniser_matches_its_earlier_tables():
+    # rejections, among them some by the 3-cube check, at every root
+    verdicts = [
+        _assert_earlier_tables(*_structural_pass(vs, es)[::2])
+        for graph in _three_cube_graphs()
+        for vs, es in _rooted_everywhere(*graph)
+    ]
+    assert verdicts.count(False) >= 20 and True not in verdicts
+    # every input and output of two descents, and the duals of every class
+    # of wallspace the bench mixes; scripts/recogniser_sweep.py compares the
+    # tables of each median graph of its sweep too
+    grid, box = grid_complex(6, 6), box_complex(3, 3, 3)
+    s3 = [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)]
+    runs = [
+        (grid, GroupAction(grid, [coordinate_swap(grid, 0, 1)])),
+        (box, GroupAction(box, s3)),
+    ]
+    built = [
+        cx
+        for run in runs
+        for step in iter_steps(*run)
+        for cx in (step.result.input_complex, step.result.output_complex)
+    ]
+    built += [dualize_details(ws).complex for ws, _ in mixed_wallspaces(seed=9, per_class=3)]
+    assert len(built) == 2 * (21 + 12) + 9 * 3
+    assert all(_assert_earlier_tables(cx._order, cx._int_edges) for cx in built)
 
 
 def test_recogniser_faults_are_internal_errors(monkeypatch):

@@ -44,6 +44,7 @@ from conftest import (
     grid_complex,
     hypercube_complex,
     mixed_wallspaces,
+    path_complex,
     rotation,
     six_point_walls,
 )
@@ -90,11 +91,16 @@ def test_square_rotation_inversions(square):
 
 
 def test_non_edge_preserving_rejected(square):
-    # swapping one edge's endpoints while fixing the rest breaks an edge
-    with pytest.raises(StructuralError):
+    # swapping one edge's endpoints while fixing the rest breaks an edge: it
+    # sends the edge 00 10 onto the square's diagonal 01 10
+    with pytest.raises(StructuralError, match="^permutation breaks edge '00' '10'$"):
         GroupAction(square, [{"00": "01", "01": "00"}])
     with pytest.raises(StructuralError):
         GroupAction(square, [{"00": "01", "01": "01"}])
+    # on the path 0-1-2-3, swapping 1 and 3 sends the edge 0 1 onto the pair
+    # 0 3, at distance 3
+    with pytest.raises(StructuralError, match="^permutation breaks edge 0 1$"):
+        GroupAction(path_complex(3), [{1: 3, 3: 1}])
 
 
 def test_full_cube_symmetry_group(cube3):
