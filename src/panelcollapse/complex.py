@@ -50,22 +50,22 @@ constructors run the full recogniser, so every complex is validated.
 
 A build keeps only integer tables: the masks, each vertex's down-walls,
 each wall's edges, and what the recogniser found on the way: the squares,
-as each one's top and walls, the number of squares of each crossing pair and
-the mask of the walls crossing each wall.  It lists no other cube.  An
-edge's wall is the one bit in which its ends' masks differ.  Inside the
-package a cube is the pair ``(base, axes)`` of the AND of its vertex masks
-and the mask of its walls; its vertices are the masks ``base | s`` for the
-subsets ``s`` of ``axes``.  Signs, crossing sets and convex hulls are read
-off the masks.  The list of one dimension's cubes (for squares, the
-recorded squares sorted), the table of every cube, the maximal cubes, a
-table of one byte per vertex and wall (the masks written in binary), the
-``Hyperplane`` objects with their two sides, the vertex-by-wall sign matrix
-and the cubes' vertex sets are built on first use and cached.  The maximal
-cubes across a few walls are found from those walls' edges alone.
-A wall's plus side is one column of the byte table, and the sign matrix of
-``vertex_signs()`` is the whole table with its bytes translated to -1 and
-+1, as an int8 ``memoryview``.  The package uses the standard library
-only: the median scan of a rejected graph runs on integer bitsets too.
+as each one's top and walls, and the mask of the walls crossing each wall.
+It lists no other cube.  An edge's wall is the one bit in which its ends'
+masks differ.  Inside the package a cube is the pair ``(base, axes)`` of
+the AND of its vertex masks and the mask of its walls; its vertices are the
+masks ``base | s`` for the subsets ``s`` of ``axes``.  Signs, sides,
+crossing sets and convex hulls are read off the masks.  The list of one
+dimension's cubes (for squares, the recorded squares sorted), the table of
+every cube, the maximal cubes, the vertex-by-wall sign matrix and the
+cubes' vertex sets are built on first use and cached.  The maximal cubes
+across a few walls are found from those walls' edges alone.  A
+``Hyperplane`` is a view of one wall: its edges and its two sides, as
+vertex names, are read off the wall's edges and the masks on first access.
+The sign matrix of ``vertex_signs()`` is the masks written in binary with
+the digits translated to -1 and +1, as an int8 ``memoryview``.  The package
+uses the standard library only: the median scan of a rejected graph runs on
+integer bitsets too.
 
 Conventions used throughout the package:
 
@@ -83,9 +83,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -181,13 +179,33 @@ class ValidationReport:
 @dataclass(frozen=True)
 class Hyperplane:
     """A wall: an equivalence class of edges under the opposite-in-a-square
-    relation, together with the two halfspaces it separates."""
+    relation, together with the two halfspaces it separates.
+
+    A view of wall ``id`` of its complex, built by ``hyperplanes()`` only:
+    ``edges`` (edge keys), ``minus`` and ``plus`` (vertex sets) are read off
+    the complex's ``_wall_edges`` and ``_masks`` on first access and cached.
+    Two views are equal when they have the same id on the same complex
+    object, which compares by identity.
+    """
 
     id: int
-    edges: frozenset
-    minus: frozenset
-    plus: frozenset
-    _complex: "CubeComplex" = field(repr=False, compare=False)
+    _complex: "CubeComplex" = field(repr=False)
+
+    @functools.cached_property
+    def edges(self) -> frozenset:
+        cx = self._complex
+        order = cx._order
+        return frozenset([(order[a], order[b]) for a, b in cx._wall_edges[self.id]])
+
+    @functools.cached_property
+    def plus(self) -> frozenset:
+        cx, h = self._complex, self.id
+        return frozenset([v for v, m in zip(cx._order, cx._masks) if m >> h & 1])
+
+    @functools.cached_property
+    def minus(self) -> frozenset:
+        cx, h = self._complex, self.id
+        return frozenset([v for v, m in zip(cx._order, cx._masks) if not m >> h & 1])
 
     def side(self, sign: str) -> frozenset:
         return self.plus if _side_bit(sign) else self.minus
@@ -398,10 +416,9 @@ def _median_walls(adj, int_edges):
     Returns the wall of each edge, in ``int_edges`` order, the labels, the
     vertex of each label, each vertex's mask of down-walls, the squares as
     ``(top, axes)`` pairs, by top in search order and then by pairs of its
-    down-neighbours in search order, the number of squares dual to each
-    crossing pair of walls, keyed by the pair's mask, the mask of the walls
-    crossing each wall and the cube counts; or None as soon as a check
-    fails or the search misses a vertex.
+    down-neighbours in search order, the mask of the walls crossing each
+    wall and the cube counts; or None as soon as a check fails or the
+    search misses a vertex.
     """
     n = len(adj)
     level = [-1] * n
@@ -471,10 +488,9 @@ def _median_walls(adj, int_edges):
     vertex_of = {m: x for x, m in enumerate(final)}
     if len(vertex_of) < n:
         return None
-    square_counts = Counter([axes for _, axes in squares])
     crossing = [0] * len(ids)  # the walls crossing each wall
     triangle = False
-    for pair in square_counts:
+    for pair in {axes for _, axes in squares}:
         # a triangle is found at the last of its three pairs
         p, q = pair & -pair, pair & (pair - 1)
         h, e = p.bit_length() - 1, q.bit_length() - 1
@@ -488,10 +504,7 @@ def _median_walls(adj, int_edges):
     cube_counts = tuple(
         sum([c * math.comb(k, d) for k, c in enumerate(tops)]) for d in range(len(tops))
     )
-    return (
-        edge_wall, final, vertex_of, down_walls, squares, square_counts, crossing,
-        cube_counts,
-    )
+    return edge_wall, final, vertex_of, down_walls, squares, crossing, cube_counts
 
 
 def _three_cube_condition(adj, squares, labels, vertex_of, down):
@@ -597,10 +610,8 @@ def _same_complex(a, b) -> bool:
     return a is b or (a._order == b._order and a._int_edges == b._int_edges)
 
 
-# the digits of a mask written in binary, as the bytes 0 and 1
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-# the side table's bytes 0 and 1 as the int8 signs -1 and +1
-_SIGN_BYTES = bytes.maketrans(b"\x00\x01", b"\xff\x01")
+# the digits of a mask written in binary as the int8 signs -1 and +1
+_SIGNS = bytes.maketrans(b"01", b"\xff\x01")
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +670,17 @@ class CubeComplex:
     ``_squares`` holds each square as ``(top, axes)``, by top in the
     recogniser's search order and then by pairs of the top's
     down-neighbours in the order the search reached them (only its set of
-    squares is fixed by the graph), ``_square_counts`` maps the axes
-    ``1 << h | 1 << e`` of each crossing pair to the number of squares dual
-    to both walls, and ``_crossing[h]`` is the mask of the walls crossing
-    wall h (``_crossing_pairs`` lists the pairs as ``(h, e)``, ``h < e``,
-    in order).  ``cube_counts`` is tallied by the recogniser from the
-    number of each vertex's down-walls, in closed form.
+    squares is fixed by the graph), and ``_crossing[h]`` is the mask of the
+    walls crossing wall h.  ``cube_counts`` is tallied by the recogniser
+    from the number of each vertex's down-walls, in closed form.
     ``_dim_cubes(d)`` lists the d-cubes as ``(base, axes)`` pairs on first
     use, the squares by sorting ``_squares``, and ``_cubes`` holds every
     dimension's list for the few callers that walk every cube.  The public
     views take and return cubes as vertex sets, converted by ``_key`` and
-    ``_vertex_set``; they, the byte table of sides, the ``Hyperplane``
-    objects, the sign matrix and the maximal cubes are built on first use.
+    ``_vertex_set``; they, the sign matrix and the maximal cubes are built
+    on first use.  ``hyperplanes()`` gives one ``Hyperplane`` view per wall,
+    which reads its edges and sides off ``_wall_edges`` and ``_masks`` when
+    they are first asked for.
 
     ``CubeComplex(vertices, edges)`` checks and canonicalizes raw data; the
     private ``_from_indexed(order, ix, int_edges)``, which builds collapse
@@ -705,7 +715,7 @@ class CubeComplex:
         self._ix = ix
         self._int_edges = int_edges
         (self._adj_int, edge_wall, self._masks, self._vertex_of, self._down,
-         self._squares, self._square_counts, self._crossing) = internals
+         self._squares, self._crossing) = internals
         self.validation_report = report
         self._compute_hyperplanes(edge_wall)
         self._hyperplanes = None
@@ -719,12 +729,6 @@ class CubeComplex:
         self._wall_edges = [[] for _ in range(max(edge_wall, default=-1) + 1)]
         for e, h in zip(self._int_edges, edge_wall):
             self._wall_edges[h].append(e)
-
-    @functools.cached_property
-    def _crossing_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (h, e) for h, walls in enumerate(self._crossing) for e in _bits(walls) if e > h
-        )
 
     def _wall_of(self, a: int, b: int) -> int:
         """The wall of the edge between vertex indices a and b: the one bit
@@ -894,51 +898,30 @@ class CubeComplex:
 
     # -- hyperplanes ----------------------------------------------------------
 
-    @functools.cached_property
-    def _side_table(self) -> bytes:
-        """One byte per vertex and wall, a row per vertex in index order: 1
-        where the vertex lies on the wall's plus side, 0 on its minus side.
-        A row is its vertex's mask written in binary, least significant bit
-        first, so wall h sits in column h."""
-        width = len(self._wall_edges)
-        if not width:  # format writes at least one digit
-            return b""
-        spec = f"0{width}b"
-        # the rows in reverse, each most significant bit first, then reversed
-        digits = "".join([format(m, spec) for m in reversed(self._masks)])[::-1]
-        return digits.encode().translate(_BINARY_DIGITS)
-
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
+        """One view per wall, by id."""
         if self._hyperplanes is None:
-            order, table = self._order, self._side_table
-            width = len(self._wall_edges)
-            everything = frozenset(order)
-            hyperplanes = []
-            for h_id, es in enumerate(self._wall_edges):
-                plus = frozenset(itertools.compress(order, table[h_id::width]))
-                hyperplanes.append(
-                    Hyperplane(
-                        id=h_id,
-                        edges=frozenset([(order[a], order[b]) for a, b in es]),
-                        minus=everything - plus,
-                        plus=plus,
-                        _complex=self,
-                    )
-                )
-            self._hyperplanes = tuple(hyperplanes)
+            walls = range(len(self._wall_edges))
+            self._hyperplanes = tuple(Hyperplane(h, self) for h in walls)
         return self._hyperplanes
 
     def vertex_signs(self) -> memoryview:
         """Matrix of halfspace signs, rows by vertex index, columns by wall
         id, as a read-only int8 view (format ``"b"``) of shape ``(n, walls)``:
-        +1 on a wall's plus side, -1 on its minus side.  It is the side
-        table with its bytes translated, and ``numpy.asarray`` reads it
-        without a copy.  A view cannot have a zero in its shape, so a
-        complex with no wall, a single vertex, gets the empty view of shape
-        ``(0,)``."""
+        +1 on a wall's plus side, -1 on its minus side.  A row is its
+        vertex's mask written in binary, least significant bit first, so
+        wall h sits in column h, with the digits translated to signs; and
+        ``numpy.asarray`` reads it without a copy.  A view cannot have a
+        zero in its shape, so a complex with no wall, a single vertex, gets
+        the empty view of shape ``(0,)``."""
         if self._signs is None:
             width = len(self._wall_edges)
-            signs = memoryview(self._side_table.translate(_SIGN_BYTES))
+            digits = ""
+            if width:  # format writes at least one digit
+                spec = f"0{width}b"
+                # the rows in reverse, each most significant bit first, then reversed
+                digits = "".join([format(m, spec) for m in reversed(self._masks)])[::-1]
+            signs = memoryview(digits.encode().translate(_SIGNS))
             self._signs = signs.cast("b", (self.n, width)) if width else signs.cast("b")
         return self._signs
 

@@ -6,13 +6,14 @@ with abutting wall H, extremalising wall E and side s consists of the closed
 cubes that are dual to H, not dual to E, and lie in the side-s halfspace of E.
 Its *internal* edges are its H-dual edges.
 
-The pair is *extremal in H on side s* when every H-dual edge on side s of E
-lies in a square dual to both H and E; the side-s half of H then sits inside
-the carrier of the codimension-2 wall, which is what makes the panel
-collapsible.  Each such square has exactly one H-edge on each side of E, and
-no two of them share an H-edge, so the pair is extremal exactly when the
-H-edges on side s of E are as many as the squares dual to H and E.  One pass
-of that edge filter decides extremality and yields the panel's internal edges.
+The pair is *extremal in H on side s* when the side-s half of H lies in the
+carrier of the codimension-2 wall H∩E, which is what makes the panel
+collapsible: every H-dual edge (a, b) on side s of E lies in a square dual to
+both H and E.  That square is the edge with its copy across E, whose ends
+have the masks of a and b with E's bit flipped; in a median graph two
+vertices whose masks differ in one bit are adjacent, so the edge lies in
+such a square exactly when both flipped masks are vertices.  One pass over
+H's edges decides extremality and yields the panel's internal edges.
 
 The canonical walk over extremal panels reads the mask of the walls crossing
 each wall, which the complex keeps from its build, so a step sorts no pairs.
@@ -48,27 +49,30 @@ __all__ = [
 ]
 
 def codim2_hyperplanes(cx: CubeComplex) -> tuple[tuple[int, int], ...]:
-    """Unordered pairs of walls that cross (share a square)."""
-    return cx._crossing_pairs
+    """Unordered pairs of walls that cross (share a square), as ``(h, e)``
+    with ``h < e``, in order."""
+    return tuple(
+        (h, e) for h, walls in enumerate(cx._crossing) for e in _bits(walls) if e > h
+    )
 
 
 def hyperplanes_cross(cx: CubeComplex, h: int, e: int) -> bool:
-    return (1 << h | 1 << e) in cx._square_counts
+    """Whether walls h and e share a square; both must name walls."""
+    return bool(cx._crossing[h] >> e & 1)
 
 
 def _panel(cx: CubeComplex, h: int, e: int, side: str):
     """The panel (H, E, side) when the pair is extremal there, else None:
-    H's edges on side s of E, when they are as many as the squares dual to
-    H and E."""
+    H's edges on side s of E, when each has its copy across E."""
     bit = _side_bit(side)
     if not hyperplanes_cross(cx, h, e):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
-    masks = cx._masks
+    masks, vertex_of, flip = cx._masks, cx._vertex_of, 1 << e
     edges = tuple((a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
-    if len(edges) != cx._square_counts[1 << h | 1 << e]:
-        return None
     vertex_mask = 0
     for a, b in edges:
+        if masks[a] ^ flip not in vertex_of or masks[b] ^ flip not in vertex_of:
+            return None
         vertex_mask |= 1 << a | 1 << b
     return Panel(h, e, side, cx, edges, vertex_mask)
 
@@ -218,12 +222,12 @@ def no_facing_panels(cx: CubeComplex, panels) -> bool:
     for other in {p.complex for p in panels} - {cx}:
         if not _same_complex(other, cx):
             raise PreconditionError("panel family was built on another complex")
-    crossing = cx._square_counts
+    crossing = cx._crossing
     for p, q in itertools.combinations(panels, 2):
         if p._vertex_mask & q._vertex_mask:
             continue
         walls = {p.abutting, p.extremalising, q.abutting, q.extremalising}
         pairs = itertools.combinations(walls, 2)
-        if all((1 << h | 1 << e) in crossing for h, e in pairs):
+        if all(crossing[h] >> e & 1 for h, e in pairs):
             return False
     return True

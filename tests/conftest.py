@@ -100,7 +100,6 @@ COMPLEX_TABLES = (
     "_down",
     "_wall_edges",
     "_squares",
-    "_square_counts",
     "_crossing",
     "validation_report",
 )

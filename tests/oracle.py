@@ -33,10 +33,11 @@ of its fundament piece, and a run lifts each edge's original walls through
 the crossing sets of every step.
 
 The last part keeps the eager tables a build once made, for the lazy ones to
-match: every cube listed at its top vertex, the square counts taken from
-those lists and the maximal cubes found by scanning each vertex's
-neighbours, and the status and persistent subcube of a cube found by listing
-the panels with an internal edge in it, one panel at a time.
+match: every cube listed at its top vertex, the walls crossing each wall
+taken from the squares of those lists and the maximal cubes found by
+scanning each vertex's neighbours, and the status and persistent subcube of
+a cube found by listing the panels with an internal edge in it, one panel at
+a time.
 
 The recogniser's earlier tables follow: the 3-cube condition on a
 dict-of-dicts vertex link at every vertex, the two-pass recogniser as it
@@ -55,7 +56,7 @@ from collections import Counter
 
 from panelcollapse import symmetry
 from panelcollapse.complex import _analyze, _bfs
-from panelcollapse.panels import SIDES, _extremal_walk, is_extremal
+from panelcollapse.panels import SIDES, _extremal_walk, codim2_hyperplanes, is_extremal
 from panelcollapse.collapse import classify, fundament
 
 
@@ -704,9 +705,15 @@ def eager_cubes(cx):
     return by_dim
 
 
-def eager_square_counts(cubes):
-    """The number of squares with each pair of walls, from ``eager_cubes``."""
-    return Counter(axes for _, axes in (cubes[2] if len(cubes) > 2 else ()))
+def eager_crossing(cubes, walls):
+    """The mask of the walls crossing each of the ``walls`` walls: those it
+    shares a square of ``eager_cubes`` with."""
+    crossing = [0] * walls
+    for _, axes in cubes[2] if len(cubes) > 2 else ():
+        for h in range(walls):
+            if axes >> h & 1:
+                crossing[h] |= axes ^ 1 << h
+    return crossing
 
 
 def adjacency_maximal_cubes(cx, cubes):
@@ -985,11 +992,13 @@ def _cube_counts(down):
     return tuple(counts)
 
 
-# the tables both recognisers return, in order
+# the tables the earlier recogniser returns, in order
 RECOGNISER_TABLES = (
     "edge walls", "labels", "vertex of", "down-walls", "squares",
     "square counts", "crossing", "cube counts",
 )
+# the tables the package's recogniser returns after the adjacency, in order
+PACKAGE_TABLES = ("edge walls", "labels", "vertex of", "down-walls", "squares", "crossing")
 
 
 def reference_recogniser(n, int_edges):
@@ -1011,16 +1020,19 @@ def recogniser_differences(order, int_edges):
     """Run the package's recogniser on a graph in ``_structural_pass`` form
     and compare it with ``reference_recogniser``: its report, and the names
     of the tables that differ, ``"verdict"`` when one of the two accepts
-    the graph and the other does not.  The squares may come in any order."""
+    the graph and the other does not.  The squares may come in any order,
+    and the package's square counts are counted from its squares."""
     report, internals = _analyze(order, int_edges)
     reference = reference_recogniser(len(order), int_edges)
     if internals is None or reference is None:
         return report, [] if internals is reference else ["verdict"]
-    built = (*internals[1:], report.cube_counts)
+    built = dict(zip(PACKAGE_TABLES, internals[1:], strict=True))
+    built["square counts"] = Counter(axes for _, axes in built["squares"])
+    built["cube counts"] = report.cube_counts
     return report, [
         name
-        for name, new, old in zip(RECOGNISER_TABLES, built, reference)
-        if (sorted(new) != sorted(old) if name == "squares" else new != old)
+        for name, old in zip(RECOGNISER_TABLES, reference, strict=True)
+        if (sorted(built[name]) != sorted(old) if name == "squares" else built[name] != old)
     ]
 
 
@@ -1048,10 +1060,11 @@ def sign_matrix(masks, width):
 def step_reads(cx, families):
     """The tables a collapse step reads, each beside the derivation a step
     once made of it, as ``{name: (table, reference)}``: the squares beside
-    every pair of each vertex's down-walls, by top and then axes; the walk
-    over extremal panels beside every ordered crossing pair, sorted, with
-    both sides; and for each wall mask of ``families``, the maximal cubes
-    across it beside the maximal cubes filtered by it."""
+    every pair of each vertex's down-walls, by top and then axes; the
+    crossing pairs beside the wall pairs of those squares; the walk over
+    extremal panels beside every ordered pair of them, sorted, with both
+    sides; and for each wall mask of ``families``, the maximal cubes across
+    it beside the maximal cubes filtered by it."""
     def ids(mask):
         return [h for h in range(mask.bit_length()) if mask >> h & 1]
 
@@ -1062,7 +1075,7 @@ def step_reads(cx, families):
             (top ^ s, s)
             for s in sorted(p | q for p, q in itertools.combinations(bits, 2))
         ]
-    pairs = sorted(tuple(ids(axes)) for axes in cx._square_counts)
+    pairs = sorted({tuple(ids(axes)) for _, axes in listed})
     walk = [
         (h, e, side)
         for h, e in sorted(pairs + [(e, h) for h, e in pairs])
@@ -1071,7 +1084,7 @@ def step_reads(cx, families):
     ]
     return {
         "squares": (cx._dim_cubes(2), listed),
-        "crossing pairs": (cx._crossing_pairs, tuple(pairs)),
+        "crossing pairs": (codim2_hyperplanes(cx), tuple(pairs)),
         "walk": ([p.triple for p in _extremal_walk(cx)], walk),
         "carrier": (
             [cx._maximal_cubes_across(walls) for walls in families],

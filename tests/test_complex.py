@@ -14,6 +14,7 @@ from panelcollapse.collapse import classify
 from panelcollapse.complex import (
     MAX_VERTICES,
     CubeComplex,
+    Hyperplane,
     _structural_pass,
     validate_graph,
 )
@@ -215,6 +216,29 @@ def test_hyperplane_ids_deterministic(cube3):
     assert [sorted(h.edges) for h in rebuilt.hyperplanes()] == [
         sorted(h.edges) for h in cube3.hyperplanes()
     ]
+
+
+def test_hyperplanes_are_views_read_on_first_use():
+    # a build and hyperplanes() make no vertex-name set; each of a wall's
+    # edges and sides is read off the wall table and the masks when first
+    # asked for, with the value of the filtering reference
+    graph = grid_complex(3, 2)
+    cx = CubeComplex(graph.vertices, graph.edges)
+    assert cx._hyperplanes is None
+    planes = cx.hyperplanes()
+    assert cx.hyperplanes() is planes
+    assert [h.id for h in planes] == list(range(len(cx._wall_edges)))
+    reference = oracle.filtered_hyperplanes(cx)
+    for h, (h_id, edges, minus, plus) in zip(planes, reference):
+        assert not {"edges", "minus", "plus"} & set(vars(h))
+        assert h.plus == plus and set(vars(h)) == {"id", "_complex", "plus"}
+        assert h.side("-") == minus and h.edges == edges
+        assert h == Hyperplane(h_id, cx) and hash(h) == hash(Hyperplane(h_id, cx))
+    # views of one complex compare by id, views of two builds of one graph
+    # do not compare equal
+    assert len(set(planes)) == len(planes)
+    assert not set(planes) & set(graph.hyperplanes())
+    assert planes[0].edges == graph.hyperplanes()[0].edges
 
 
 def test_carrier_of_cube_wall(cube3):
@@ -904,7 +928,7 @@ def test_maximal_cube_counts_in_closed_form(tree4):
 def _assert_lazy_tables_match_the_eager_ones(cx):
     cubes = oracle.eager_cubes(cx)
     assert cx.cube_counts == tuple(map(len, cubes))
-    assert cx._square_counts == oracle.eager_square_counts(cubes)
+    assert cx._crossing == oracle.eager_crossing(cubes, len(cx._wall_edges))
     for d in range(-1, len(cubes) + 1):
         assert cx._dim_cubes(d) == (cubes[d] if 0 <= d < len(cubes) else []), d
     assert list(cx._cubes) == cubes
@@ -1004,8 +1028,8 @@ def test_sides_and_signs_match_the_references():
         hypercube_complex(6),
         box_complex(3, 3, 3),
     ):
-        # a build makes no side table
-        assert "_side_table" not in vars(cx)
+        # a build makes no sign matrix
+        assert cx._signs is None
         _assert_sides_and_signs_match_the_references(cx)
 
 

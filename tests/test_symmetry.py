@@ -693,6 +693,8 @@ def test_the_step_loop_builds_no_vertex_sets(monkeypatch):
         raise AssertionError("the step loop built a public view")
 
     monkeypatch.setattr(CubeComplex, "_vertex_set", refuse)
+    monkeypatch.setattr(CubeComplex, "hyperplanes", refuse)
+    monkeypatch.setattr(CubeComplex, "vertex_signs", refuse)
     monkeypatch.setattr(panels, "block", refuse)
     monkeypatch.setattr(CollapseResult, "edge_provenance", property(refuse))
     monkeypatch.setattr(symmetry, "_close", refuse)
