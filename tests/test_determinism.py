@@ -30,14 +30,15 @@ CASES = [
     (["stallings", str(DATA / "cube3_b3.ws")], "cube3_b3_stallings.txt"),
     # the listings and summaries that no other test runs in these modes
     (["hyperplanes", str(DATA / "cube3.cc"), "--json"], "cube3_hyperplanes.json"),
+    (["panels", str(DATA / "cube3.cc"), "--json"], "cube3_panels.json"),
+    (["stats", str(DATA / "cube3.cc")], "cube3_stats.txt"),
+    (["stats", str(DATA / "cube3.cc"), "--json"], "cube3_stats.json"),
+    # appended, not interleaved, so the earlier cases keep their ids
     (["hyperplanes", str(DATA / "cube3.cc")], "cube3_hyperplanes.txt"),
     (["hyperplanes", str(DATA / "tree.cc"), "--json"], "tree_hyperplanes.json"),
-    (["panels", str(DATA / "cube3.cc"), "--json"], "cube3_panels.json"),
     # every pair of walls of the 3-cube is extremal on both sides; the two
     # cubes of the fuzz witness have pairs extremal on one side only
     (["panels", str(DATA / "defects" / "witness20.cc"), "--json"], "witness20_panels.json"),
-    (["stats", str(DATA / "cube3.cc")], "cube3_stats.txt"),
-    (["stats", str(DATA / "cube3.cc"), "--json"], "cube3_stats.json"),
 ]
 
 
