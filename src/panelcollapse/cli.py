@@ -319,7 +319,7 @@ def _cmd_fuzz(args) -> int:
     print(f"seed: {seed}")
     for i in range(args.count):
         cx, action = random_complex_with_action(rng, cfg)
-        trace = run_to_tree(cx, action)
+        trace = run_to_tree(cx, action, recount=True)
         print(
             f"run {i}: V={cx.n} dim={cx.dimension} group={action.order} "
             f"steps={trace.step_count} tree V={trace.final_complex.n}"

@@ -21,7 +21,10 @@ lists the record's pieces S(w), one per completely external face w of the
 salient subcube, and the collapse joins every vertex of the salient subcube
 to its partner across the mask.  Only the maximal cubes with an abutting wall
 among their axes can be external, and they are found at the upper ends of
-those walls' edges: the rest of the complex is not visited.
+those walls' edges: the rest of the complex is not visited.  Whether a cube's
+deletion D(c) is connected is searched on one integer holding its 2^d corners
+as bits: each axis has a bitset of the corners whose edge along it is
+external, and the reached set grows along all axes at once.
 
 Collapse keeps the vertex set and its order, so the output complex is built on
 the input's vertex table from index pairs (``CubeComplex._from_indexed``),
@@ -233,38 +236,68 @@ class Fundament:
         return frozenset(out)
 
 
+@functools.cache
+def _corner_bits(d: int) -> tuple[int, ...]:
+    """For each j < d, the bitset of the corners i < 2**d with bit j set."""
+    return tuple(
+        sum(1 << i for i in range(1 << d) if i >> j & 1) for j in range(d)
+    )
+
+
 def _deletion_connected(cls: CubeClassification, cube) -> bool:
     """Whether the union of completely external subcubes is connected; it
-    holds every vertex ``base | s``, so search the subsets s of the axes
-    along external edges."""
+    holds every corner, so search the corners along external edges.
+
+    The search runs on one integer whose bit i stands for the corner with
+    the axes at the set bits of i.  The edge along the k-th axis h from
+    corner i, bit k of i clear, is internal when a panel (h, E, s) has it on
+    side s of E.  With E not an axis that holds for every such edge or for
+    none; with E the j-th axis it holds where bit j of i is the side.  So
+    each axis has one bitset of the corners whose edge along it is
+    external, and the reached set grows along every axis at once, up and
+    down, until it stops growing."""
     base, axes = cube
-    seen = {0}
-    reached = [0]
-    for s in reached:
-        for h in _bits(axes):
-            bit = 1 << h
-            edge = (base | (s & ~bit), bit)
-            if s ^ bit not in seen and cls._status_of(edge) != INTERNAL:
-                seen.add(s ^ bit)
-                reached.append(s ^ bit)
-    return len(seen) == 1 << axes.bit_count()
+    walls = list(_bits(axes))
+    ones = _corner_bits(len(walls))
+    full = (1 << (1 << len(walls))) - 1
+    moves = []
+    for k, h in enumerate(walls):
+        starts = full & ~ones[k]
+        if cls._abutting >> h & 1:
+            minus, plus, _ = cls._sides[h]
+            if (minus & ~base | plus & base) & ~axes:
+                continue  # every edge along h is internal
+            for j, e in enumerate(walls):
+                if minus >> e & 1:
+                    starts &= ones[j]
+                if plus >> e & 1:
+                    starts &= ~ones[j]
+        moves.append((starts, 1 << k))
+    reached, last = 1, 0
+    while reached != last:
+        last = reached
+        for starts, shift in moves:
+            reached |= (reached & starts) << shift | (reached >> shift) & starts
+    return reached == full
 
 
 def _fundament_diagonals(cls: CubeClassification, cube) -> frozenset:
     """The diagonal records of the fundament of a ``(base, axes)`` cube, as
     ``(salient subcube, separator mask)`` pairs, one for the cube and one
     for each external face that contributes; memoized on the classification.
-    Internal and deletion-connected cubes have none, and with fewer than two
-    separators the diagonal pieces degenerate to ordinary cubes.  A record
-    stands for the pieces S(w), w a completely external face of the salient
-    cube; each of its vertices is such a face, so the record's diagonal
-    edges join every vertex of the salient cube to its partner across the
-    mask."""
+    Internal, completely external and deletion-connected cubes have none,
+    and with fewer than two separators the diagonal pieces degenerate to
+    ordinary cubes.  A record stands for the pieces S(w), w a completely
+    external face of the salient cube; each of its vertices is such a face,
+    so the record's diagonal edges join every vertex of the salient cube to
+    its partner across the mask."""
     cached = cls._diagonals.get(cube)
     if cached is not None:
         return cached
     diagonals = set()
-    if cls._status_of(cube) != INTERNAL:
+    # an internal cube has no fundament diagonals, and a completely external
+    # cube's deletion is the whole cube
+    if cls._status_of(cube) == EXTERNAL:
         (pbase, paxes), flip = _persistent(cls, cube)
         if not _deletion_connected(cls, cube):
             # records of the external codimension-1 faces (those meeting the
@@ -333,6 +366,10 @@ class CollapseResult:
     output_complex: CubeComplex = field(repr=False)
     panels: tuple
     diagonal_edges: frozenset
+    # the classification the collapse ran on, read again by the symmetric step
+    _classification: CubeClassification | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @functools.cached_property
     def edge_provenance(self) -> dict:
@@ -428,6 +465,7 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
         output_complex=out,
         panels=panels,
         diagonal_edges=frozenset([(order[a], order[b]) for a, b in diagonals]),
+        _classification=cls,
     )
 
 

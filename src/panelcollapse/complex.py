@@ -877,15 +877,21 @@ class CubeComplex:
             self._maximal = self._maximal_topped_by(range(self.n))
         return self._maximal
 
+    def _upper_ends(self, walls: int) -> set:
+        """The upper ends, the ends on the plus side, of the edges of the
+        walls in the mask ``walls``: the tops of the cubes with such an
+        axis, as a cube's axes are among its top's down-walls."""
+        masks, tops = self._masks, set()
+        for h in _bits(walls):
+            tops.update([b if masks[b] >> h & 1 else a for a, b in self._wall_edges[h]])
+        return tops
+
     def _maximal_cubes_across(self, walls: int) -> tuple[tuple[int, int], ...]:
         """The maximal cubes with an axis in the mask ``walls``, in
         ``_maximal_cubes`` order.  A maximal cube's axes are its top's
         down-walls, so it has axis h exactly when its top is the upper end,
         the end on h's plus side, of an edge of h."""
-        masks, tops = self._masks, set()
-        for h in _bits(walls):
-            tops.update([b if masks[b] >> h & 1 else a for a, b in self._wall_edges[h]])
-        return self._maximal_topped_by(sorted(tops))
+        return self._maximal_topped_by(sorted(self._upper_ends(walls)))
 
     def maximal_cubes(self) -> tuple[frozenset, ...]:
         """Vertex sets of the maximal cubes, in ``_maximal_cubes`` order."""

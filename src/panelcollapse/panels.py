@@ -12,8 +12,9 @@ collapsible: every H-dual edge (a, b) on side s of E lies in a square dual to
 both H and E.  That square is the edge with its copy across E, whose ends
 have the masks of a and b with E's bit flipped; in a median graph two
 vertices whose masks differ in one bit are adjacent, so the edge lies in
-such a square exactly when both flipped masks are vertices.  One pass over
-H's edges decides extremality and yields the panel's internal edges.
+such a square exactly when both flipped masks are vertices, and as H and E
+cross, a's flipped mask being a vertex forces b's.  One pass over H's edges
+decides extremality and yields the panel's internal edges.
 
 The canonical walk over extremal panels reads the mask of the walls crossing
 each wall, which the complex keeps from its build, so a step sorts no pairs.
@@ -63,7 +64,12 @@ def hyperplanes_cross(cx: CubeComplex, h: int, e: int) -> bool:
 
 def _panel(cx: CubeComplex, h: int, e: int, side: str):
     """The panel (H, E, side) when the pair is extremal there, else None:
-    H's edges on side s of E, when each has its copy across E."""
+    H's edges on side s of E, when each has its copy across E.
+
+    One end's copy decides the edge's.  If a, b = a^H and a^E are vertices,
+    so is a^H^E: the edges at a across the crossing walls H and E span a
+    square, since crossing walls do not inter-osculate, and its fourth
+    corner is b's copy.  So only a's copy is looked up."""
     bit = _side_bit(side)
     if not hyperplanes_cross(cx, h, e):
         raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
@@ -71,7 +77,7 @@ def _panel(cx: CubeComplex, h: int, e: int, side: str):
     edges = tuple((a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
     vertex_mask = 0
     for a, b in edges:
-        if masks[a] ^ flip not in vertex_of or masks[b] ^ flip not in vertex_of:
+        if masks[a] ^ flip not in vertex_of:
             return None
         vertex_mask |= 1 << a | 1 << b
     return Panel(h, e, side, cx, edges, vertex_mask)

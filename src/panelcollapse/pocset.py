@@ -309,7 +309,7 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     info = dualize_details(ws)
     cx = info.complex
     gens = [symmetry_automorphism(info, dict(m)) for m in symmetries]
-    action = GroupAction(cx, gens)
+    action = dual_action = GroupAction(cx, gens)
     order = action.order
     wall_stabs = _stabiliser_orders(action, order)
 
@@ -320,8 +320,11 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     trace = run_to_tree(cx, action)
     tree = trace.final_complex
     # a tree edge is its own wall, so its stabiliser is read off its wall's
-    # orbit; the run has checked that the action carries its origin walls
-    sizes, names = _stabiliser_orders(trace.final_action, order), tree.vertices
+    # orbit; the run has checked that the action carries its origin walls.
+    # A run that took no step on the unsubdivided dual ends on its action.
+    sizes, names = wall_stabs, tree.vertices
+    if trace.final_action is not dual_action:
+        sizes = _stabiliser_orders(trace.final_action, order)
     return StallingsResult(
         wallspace=ws,
         dual_info=info,

@@ -13,11 +13,20 @@ generators to one wall disagree on the side.
 
 The driver repeatedly collapses the full orbit of one extremal panel, which
 strictly decreases the lexicographic complexity (orbit counts of cubes of
-each dimension at least 2), until the complex is a tree.  ``iter_steps`` is
-that loop: it yields each step's full ``StepResult`` and keeps none of them
-once the next is built.  ``run_to_tree`` folds the steps into a
-``RunTrace``, which keeps the first and last complexes, the original walls
-under each tree edge and one small ``StepRecord`` per step, so a run's
+each dimension at least 2), until the complex is a tree.  An action keeps one
+cube per orbit of cubes of dimension at least 2; the first action of a run
+finds them in one walk, imaging ``(base, axes)`` cubes through a mask dict
+per generator, and each step carries them to its output action
+(``_carried_reps``): an orbit of completely external input cubes survives
+as it is, one status test deciding the whole orbit, and every other output
+cube has an axis on a wall of diagonal edges, so only those cubes are listed
+and walked.  The complexity is the representatives' count by dimension, and
+no removed cube is visited.
+
+``iter_steps`` is the driver's loop: it yields each step's full
+``StepResult`` and keeps none of them once the next is built.  ``run_to_tree`` folds the steps
+into a ``RunTrace``, which keeps the first and last complexes, the original
+walls under each tree edge and one small ``StepRecord`` per step, so a run's
 memory does not grow with the number of steps.  Every run ends by checking
 that this provenance is equivariant: each generator maps the original walls
 under a wall onto those under its image, read off the signed wall tables of
@@ -35,7 +44,9 @@ from dataclasses import dataclass, field
 
 # hyperplane_provenance and no_facing_panels are not called here, but
 # perfbench/tracer.py wraps both by name in this module
-from .collapse import CollapseResult, collapse, hyperplane_provenance
+from .collapse import (
+    COMPLETELY_EXTERNAL, CollapseResult, collapse, hyperplane_provenance,
+)
 from .complex import (
     CubeComplex, _bits, _check_size, _faces, _same_complex, _side_bit,
     _subsets, canonical_vertex_order,
@@ -219,19 +230,42 @@ class GroupAction:
 
     # -- orbits of cubes and panels ----------------------------------------------
 
+    @functools.cached_property
+    def _images(self) -> tuple:
+        """Per generator, the dict from each vertex mask to its image's."""
+        masks = self.complex._masks
+        return tuple(
+            dict(zip(masks, [masks[i] for i in g.perm])) for g in self.generators
+        )
+
     def cube_orbit_count(self, dim: int) -> int:
+        """The number of orbits of ``dim``-cubes, counted afresh."""
         if not self.generators:
             # each cube is its own orbit: the closed-form count
             counts = self.complex.cube_counts
             return counts[dim] if 0 <= dim < len(counts) else 0
-        cubes = self.complex._dim_cubes(dim)
-        return len(_orbits(cubes, Automorphism._apply_cube, self.generators))
+        return len(_cube_orbit_reps(self.complex._dim_cubes(dim), self._images))
+
+    @functools.cached_property
+    def _cube_reps(self) -> list:
+        """One cube per orbit of cubes of dimension at least 2, from one
+        walk over them; a collapse step sets its output action's from these
+        (``_carried_reps``)."""
+        cx = self.complex
+        cubes = [c for d in range(2, cx.dimension + 1) for c in cx._dim_cubes(d)]
+        return _cube_orbit_reps(cubes, self._images)
 
     @functools.cached_property
     def _complexity(self) -> "ComplexityVector":
-        """Orbit counts of d-cubes for d from the dimension down to 2."""
-        dims = range(self.complex.dimension, 1, -1)
-        return ComplexityVector(tuple(self.cube_orbit_count(d) for d in dims))
+        """Orbit counts of d-cubes for d from the dimension down to 2: the
+        closed-form cube counts under the trivial group, else the
+        representatives' dimensions tallied."""
+        cx, counts = self.complex, self.complex.cube_counts
+        if self.generators:
+            counts = [0] * (cx.dimension + 1)
+            for _, axes in self._cube_reps:
+                counts[axes.bit_count()] += 1
+        return ComplexityVector(tuple(counts[cx.dimension:1:-1]))
 
     def panel_orbit(self, panel: Panel) -> tuple[Panel, ...]:
         """Every image of one panel under the group, in triple order.  Two
@@ -293,6 +327,28 @@ def _close(cx: CubeComplex, gens) -> tuple:
                 seen[h.perm] = h
                 found.append(h)
     return tuple(seen[p] for p in sorted(seen))
+
+
+def _cube_orbit_reps(cubes, images) -> list:
+    """The first cube met of each orbit among ``cubes``, a union of orbits,
+    walking the images of ``(base, axes)`` cubes through their two opposite
+    corners under each generator's mask dict."""
+    seen, reps = set(), []
+    for cube in cubes:
+        if cube in seen:
+            continue
+        seen.add(cube)
+        reps.append(cube)
+        frontier = [cube]
+        for base, axes in frontier:
+            top = base | axes
+            for image in images:
+                a, b = image[base], image[top]
+                moved = a & b, a ^ b
+                if moved not in seen:
+                    seen.add(moved)
+                    frontier.append(moved)
+    return reps
 
 
 def _orbits(items, act, generators):
@@ -361,10 +417,56 @@ class ComplexityVector:
 def complexity(cx: CubeComplex, action: GroupAction) -> ComplexityVector:
     """Orbit counts of d-cubes for d from dim down to 2, under an action on
     ``cx``.  The vector is kept on the action, so the one a collapse step
-    computes for its output is the next step's starting vector."""
+    computes for its output is the next step's starting vector.  It is the
+    count of the action's orbit representatives by dimension: on an action
+    a step made, these are carried over from the step's input, one per
+    orbit, as ``_carried_reps`` argues; on any other action they come from
+    one walk over its cubes.  Under the trivial group it is the closed-form
+    cube counts."""
     if not _same_complex(action.complex, cx):
         raise PreconditionError("action does not act on this complex")
     return action._complexity
+
+
+def _carried_reps(action: GroupAction, result: CollapseResult, out: GroupAction) -> list:
+    """The output action's cube orbit representatives, from the input
+    action's, for a step that collapsed one G-orbit of panels.
+
+    1. The family is one G-orbit, so a cube's status is G-invariant, and one
+       ``_status_of`` per input representative decides whether its whole
+       orbit is completely external.
+    2. The output cubes with no diagonal edge are exactly the completely
+       external input cubes: such a cube keeps all its edges, and an output
+       cube of kept edges is an input cube with no internal edge.  A
+       representative keeps its vertices, so it is carried into output
+       coordinates through two opposite corners, and the orbits stay one
+       each, as the generators' permutations do not change.
+    3. ``wall_crossings`` gives each output wall one crossing set: one input
+       wall for kept edges, two or more for diagonal edges.  So every other
+       output cube has an axis on a diagonal wall, and those cubes are listed
+       at their tops, the upper ends of those walls' edges, and walked into
+       orbits; they are a union of orbits, as the diagonals are.
+
+    No removed cube is visited, and no completely external cube but the
+    representatives."""
+    cls, cx = result._classification, result.output_complex
+    vertex_of, masks = action.complex._vertex_of, cx._masks
+    reps = []
+    for base, axes in action._cube_reps:
+        if cls._status_of((base, axes)) == COMPLETELY_EXTERNAL:
+            a, b = masks[vertex_of[base]], masks[vertex_of[base | axes]]
+            reps.append((a & b, a ^ b))
+    diagonal = 0
+    for w, flip in enumerate(result.wall_crossings):
+        if flip & (flip - 1):
+            diagonal |= 1 << w
+    cubes = [
+        (masks[t] ^ s, s)
+        for t in cx._upper_ends(diagonal)
+        for s in _subsets(cx._down[t])
+        if s & diagonal and s & (s - 1)
+    ]
+    return reps + _cube_orbit_reps(cubes, out._images)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +607,8 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
             ) from exc
         result.wall_crossings  # checks one crossing set per output wall
         new_action = action.transfer(result.output_complex)
+        if action.generators:
+            new_action._cube_reps = _carried_reps(action, result, new_action)
         new_inv = new_action.inversions()
         if new_inv:
             raise InternalInvariantError(
@@ -612,10 +716,29 @@ def iter_steps(cx: CubeComplex, action: GroupAction):
         raise InternalInvariantError("driver stopped on a complex that is not a tree")
 
 
-def run_to_tree(cx: CubeComplex, action: GroupAction) -> RunTrace:
+def run_to_tree(cx: CubeComplex, action: GroupAction, *, recount: bool = False) -> RunTrace:
     """Iterate equivariant collapse until no extremal panel remains, keeping
-    one ``StepRecord`` per step: ``iter_steps`` folded by ``_trace``."""
-    return _trace(cx, action, iter_steps(cx, action))
+    one ``StepRecord`` per step: ``iter_steps`` folded by ``_trace``.  With
+    ``recount``, as ``fuzz`` runs, each step's carried complexity is also
+    checked against a full recount of its output's cube orbits."""
+    steps = iter_steps(cx, action)
+    return _trace(cx, action, _recounted(steps) if recount else steps)
+
+
+def _recounted(steps):
+    """The steps, each checked: the complexity its output action carried
+    must equal ``cube_orbit_count`` taken afresh in every dimension, else
+    ``InternalInvariantError`` naming the step and its panel."""
+    for number, step in enumerate(steps, 1):
+        action = step.action
+        dims = range(action.complex.dimension, 1, -1)
+        full = ComplexityVector(tuple(action.cube_orbit_count(d) for d in dims))
+        if full.entries != step.complexity_after.entries:
+            raise InternalInvariantError(
+                f"step {number}, panel {_triple_text(step.panel_triple)}: carried "
+                f"complexity {step.complexity_after} differs from the recount {full}"
+            )
+        yield step
 
 
 def _trace(cx: CubeComplex, action: GroupAction, steps) -> RunTrace:

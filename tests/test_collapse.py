@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from panelcollapse.collapse import (
     EXTERNAL,
     INTERNAL,
     CollapseResult,
+    _deletion_connected,
     classify,
     collapse,
     fundament,
@@ -558,6 +560,48 @@ def test_completely_external_maximal_cubes_are_their_own_fundaments():
             assert {e: result.edge_provenance[e] for e in diagonals} == diagonals
             diagonal_steps += bool(diagonals)
     assert skipped >= 100 and diagonal_steps >= 10, (skipped, diagonal_steps)
+
+
+def _deletion_connected_by_corners(cls, cube):
+    """The deletion search by its definition: corner ``base | s`` by corner,
+    along the edges whose status is not internal."""
+    base, axes = cube
+    seen, reached = {0}, [0]
+    for s in reached:
+        for h in range(axes.bit_length()):
+            bit = 1 << h
+            if axes & bit and s ^ bit not in seen and cls._status_of(
+                (base | (s & ~bit), bit)
+            ) != INTERNAL:
+                seen.add(s ^ bit)
+                reached.append(s ^ bit)
+    return len(seen) == 1 << axes.bit_count()
+
+
+def test_the_bitset_deletion_search_matches_the_corner_search():
+    # every cube of every status, internal ones included, since
+    # ``fundament`` reports ``d_connected`` for them too (always False: a
+    # panel's walls cut all of an internal cube's edges along its H)
+    cube5, box = hypercube_complex(5), box_complex(3, 3, 3)
+    instances = _descent_instances() + [
+        (cube5, GroupAction(cube5, [])),
+        (box, GroupAction(box, [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)])),
+    ]
+    seen = Counter()
+    for instance in instances:
+        for step in iter_steps(*instance):
+            cls = step.result._classification
+            for cubes in step.result.input_complex._cubes:
+                for cube in cubes:
+                    connected = _deletion_connected(cls, cube)
+                    assert connected == _deletion_connected_by_corners(cls, cube)
+                    seen[cls._status_of(cube), cube[1].bit_count() > 1, connected] += 1
+    assert set(seen) == {
+        (INTERNAL, False, False), (INTERNAL, True, False),
+        (EXTERNAL, True, False), (EXTERNAL, True, True),
+        (COMPLETELY_EXTERNAL, False, True), (COMPLETELY_EXTERNAL, True, True),
+    }, seen
+    assert sum(seen.values()) >= 5000, seen
 
 
 def test_outputs_of_fuzz_draws_are_built_as_from_named_edges():

@@ -10,6 +10,7 @@ from panelcollapse.collapse import INTERNAL, classify, persistent_subcube
 from panelcollapse.errors import PreconditionError
 from panelcollapse.panels import (
     SIDES,
+    _panel,
     block,
     build_panel,
     codim2_hyperplanes,
@@ -19,7 +20,9 @@ from panelcollapse.panels import (
     no_facing_panels,
 )
 from panelcollapse.randgen import GeneratorConfig, random_complex_with_action
-from panelcollapse.symmetry import Automorphism, GroupAction, equivariant_collapse_step
+from panelcollapse.symmetry import (
+    Automorphism, GroupAction, equivariant_collapse_step, iter_steps,
+)
 
 import oracle
 from conftest import box_complex, coordinate_swap
@@ -243,6 +246,47 @@ def test_panel_identity_is_the_triple(cube3):
     assert p1.vertex_set == p2.vertex_set
     assert p1 != p2
     assert p1.internal_edges != p2.internal_edges
+
+
+def _panel_edges_by_both_ends(cx, h, e, side):
+    """H's edges on the side of E when both ends of each have their copy
+    across E, else None: extremality as defined, without the square lemma."""
+    masks, vertex_of, flip = cx._masks, cx._vertex_of, 1 << e
+    edges = tuple(
+        (a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == SIDES.index(side)
+    )
+    if all(masks[a] ^ flip in vertex_of and masks[b] ^ flip in vertex_of for a, b in edges):
+        return edges
+    return None
+
+
+def test_panel_looks_up_one_end_as_the_two_ended_definition(
+    cube3, cube4, square, domino, strip3, tree4
+):
+    # ``_panel`` looks up one end's copy across E per H-edge; with H and E
+    # crossing, the other end's copy is then a vertex too.  Every crossing
+    # pair, both orders and both sides, on every complex met while running
+    # the fixtures and seeded random complexes down to trees
+    instances = [
+        (cx, GroupAction(cx, [])) for cx in (cube3, cube4, square, domino, strip3, tree4)
+    ]
+    rng = random.Random(53)
+    cfg = GeneratorConfig(max_points=7, max_walls=5, max_vertices=60)
+    instances += [random_complex_with_action(rng, cfg) for _ in range(80)]
+    tally = Counter()
+    for cx, action in instances:
+        complexes = [cx] + [
+            step.result.output_complex for step in iter_steps(cx, action)
+        ]
+        for cx in complexes:
+            for a, b in codim2_hyperplanes(cx):
+                for h, e in ((a, b), (b, a)):
+                    for s in SIDES:
+                        p = _panel(cx, h, e, s)
+                        expected = _panel_edges_by_both_ends(cx, h, e, s)
+                        assert (p._edges if p else None) == expected, (cx, h, e, s)
+                        tally[p is not None] += 1
+    assert tally[True] >= 500 and tally[False] >= 500, tally
 
 
 def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tree4):

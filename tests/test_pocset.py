@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from panelcollapse import symmetry
+from panelcollapse import pocset, symmetry
 from panelcollapse.complex import CubeComplex
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.fileio import parse_wallspace
@@ -285,6 +285,24 @@ def test_stabiliser_reports_match_their_definition():
     # non-abelian: S3 on the 3-cube keeps its walls' sides, B3 subdivides
     reports = [_check_stabiliser_reports(*data_wallspace(n)) for n in NONABELIAN_WS]
     assert [(r.group_order, r.subdivided) for r in reports] == [(6, False), (48, True)]
+
+
+def test_a_run_without_steps_reads_the_stabilisers_once(monkeypatch):
+    # with no step on the unsubdivided dual, the run ends on the dual's own
+    # action, so the tree edges' stabilisers are the walls' already read
+    calls = []
+    orders = pocset._stabiliser_orders
+    monkeypatch.setattr(
+        pocset, "_stabiliser_orders", lambda *a: calls.append(a) or orders(*a)
+    )
+    instances, reused = mixed_wallspaces(59, 6), 0
+    for ws, rotate in instances:
+        calls.clear()
+        res = _check_stabiliser_reports(ws, [rotate] if rotate else [])
+        unstepped = not res.subdivided and not res.trace.steps
+        assert len(calls) == 2 - unstepped
+        reused += unstepped
+    assert 10 <= reused < len(instances) - 10, reused
 
 
 def test_principal_distance_equals_wall_separation():

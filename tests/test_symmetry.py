@@ -4,12 +4,13 @@ import gc
 import importlib
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
 from panelcollapse import panels, symmetry
 from panelcollapse.cli import main
-from panelcollapse.complex import CubeComplex
+from panelcollapse.complex import CubeComplex, _bits
 from panelcollapse.collapse import CollapseResult, classify, fundament
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.fileio import format_vertex, parse_complex
@@ -600,6 +601,75 @@ def test_each_step_starts_from_the_previous_complexity(cube4):
             assert trace.steps[0].complexity_before == complexity(
                 cx, GroupAction(cx, gens)
             )
+
+
+def _carried_instances():
+    """Actions whose runs carry cube orbits: the descent instances, the
+    3x3x3 box under S3, the 6x6 grid under the transposition, draws at the
+    ``fuzz`` configuration (whose diagonal cubes reach dimension 3), S3 and
+    B3 on the dual 3-cube, and inverted wallspaces with their actions
+    pushed to the subdivision."""
+    from test_collapse import _descent_instances
+
+    box, grid = box_complex(3, 3, 3), grid_complex(6, 6)
+    instances = _descent_instances() + [
+        (box, GroupAction(box, [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)])),
+        (grid, GroupAction(grid, [coordinate_swap(grid, 0, 1)])),
+    ]
+    rng, cfg = random.Random(11), GeneratorConfig(max_vertices=120)
+    instances += [random_complex_with_action(rng, cfg) for _ in range(30)]
+    wallspaces = [data_wallspace(name) for name in (*NONABELIAN_WS, "inverted.ws")]
+    wallspaces += [(ws, [r]) for ws, r in mixed_wallspaces(47, 3) if r is not None]
+    for ws, syms in wallspaces:
+        info = dualize_details(ws)
+        cx = info.complex
+        action = GroupAction(cx, [symmetry_automorphism(info, m) for m in syms])
+        if not action.is_inversion_free:
+            cx, action = push_action(cx, action)
+        instances.append((cx, action))
+    return instances
+
+
+def test_carried_complexity_equals_the_full_recount():
+    # each step's output action carries its cube orbit representatives over
+    # from its input's (``_carried_reps``); ``cube_orbit_count`` recounts
+    # them from every cube, and steps that add diagonal walls and steps that
+    # drop the dimension both occur
+    carried = diagonal = dropped = pushed = 0
+    diagonal_cubes = Counter()
+    for cx, action in _carried_instances():
+        # a subdivision names each vertex by its cube's corners joined by "|"
+        pushed += any("|" in v for v in cx.vertices if isinstance(v, str))
+        for step in iter_steps(cx, action):
+            out = step.action
+            dims = range(out.complex.dimension, 1, -1)
+            assert step.complexity_after.entries == tuple(map(out.cube_orbit_count, dims))
+            if out.generators:
+                carried += 1
+                result = step.result
+                diagonal += any(f & (f - 1) for f in result.wall_crossings)
+                dropped += result.output_complex.dimension < cx.dimension
+                diagonal_cubes.update(
+                    axes.bit_count() for _, axes in out._cube_reps
+                    if any(result.wall_crossings[w].bit_count() > 1 for w in _bits(axes))
+                )
+            cx = step.result.output_complex
+    assert carried >= 100 and diagonal >= 20 and dropped >= 20 and pushed >= 10, (
+        carried, diagonal, dropped, pushed
+    )
+    assert diagonal_cubes[2] and diagonal_cubes[3], diagonal_cubes
+
+
+def test_fuzz_recounts_the_carried_complexity(monkeypatch, capsys):
+    # a carried count one orbit short is caught by the recount at its step
+    # (draw 2 of seed 11 runs two steps under a group of order 2)
+    monkeypatch.setenv("PANELCOLLAPSE_SEED", "11")
+    assert main(["fuzz", "--count", "3"]) == 0
+    carried_reps = symmetry._carried_reps
+    monkeypatch.setattr(symmetry, "_carried_reps", lambda *a: carried_reps(*a)[1:])
+    assert main(["fuzz", "--count", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "step 1, panel (h" in err and "carried complexity" in err, err
 
 
 def test_cube_orbit_count_matches_vertex_set_orbits():
