@@ -24,6 +24,12 @@ PALETTE = (
 )
 
 
+def _quoted(v) -> str:
+    """A vertex's DOT id: its name in double quotes, ``\\`` and ``"``
+    escaped."""
+    return '"' + format_vertex(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(cx: CubeComplex, provenance: dict | None = None) -> str:
     """Render the 1-skeleton as DOT text.
 
@@ -32,7 +38,7 @@ def export_dot(cx: CubeComplex, provenance: dict | None = None) -> str:
     """
     lines = ["graph cubecomplex {", "  node [shape=circle fontsize=10];"]
     for v in cx.vertices:
-        lines.append(f'  "{format_vertex(v)}";')
+        lines.append(f"  {_quoted(v)};")
     for u, v in cx.edges:
         h = cx.dual_hyperplane(u, v)
         color = PALETTE[h % len(PALETTE)]
@@ -42,8 +48,7 @@ def export_dot(cx: CubeComplex, provenance: dict | None = None) -> str:
             if len(crossed) > 1:
                 style = " style=dashed"
         lines.append(
-            f'  "{format_vertex(u)}" -- "{format_vertex(v)}" '
-            f'[color={color}{style}];'
+            f"  {_quoted(u)} -- {_quoted(v)} [color={color}{style}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -89,13 +89,16 @@ class Wallspace:
     def wall_permutation(self, mapping: dict):
         """How a point permutation acts on walls: (index perm, side swap flags).
 
-        Raises if the permutation does not send walls to walls.  The image
-        of each side is read as a point mask; a point sent outside the space
-        lands on a bit that no side has.
+        Raises if the mapping names a point outside the space or does not
+        send walls to walls.  The image of each side is read as a point mask.
         """
         bit, walls = _side_masks(self)
-        beyond = 1 << len(bit)
-        image = {p: bit.get(mapping.get(p, p), beyond) for p in self.points}
+        unknown = ({*mapping} | {*mapping.values()}) - bit.keys()
+        if unknown:
+            raise StructuralError(
+                f"symmetry mentions unknown points {canonical_vertex_order(unknown)}"
+            )
+        image = {p: bit[mapping.get(p, p)] for p in self.points}
         first = {a: i for i, (a, _) in enumerate(walls)}
         perm = []
         swaps = []
@@ -299,8 +302,11 @@ class StallingsResult:
 
 def _stabiliser_orders(action: GroupAction, order: int) -> tuple:
     """Each wall's stabiliser order, |G| over the size of its orbit."""
-    orbit_of = {h: orbit for orbit in action._wall_orbits[0] for h in orbit}
-    return tuple(order // len(orbit_of[h]) for h in range(len(orbit_of)))
+    sizes = [0] * len(action.complex._wall_edges)
+    for orbit in action._wall_orbits[0]:
+        for h in orbit:
+            sizes[h] = order // len(orbit)
+    return tuple(sizes)
 
 
 def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
@@ -309,7 +315,7 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     info = dualize_details(ws)
     cx = info.complex
     gens = [symmetry_automorphism(info, dict(m)) for m in symmetries]
-    action = dual_action = GroupAction(cx, gens)
+    action = GroupAction(cx, gens)
     order = action.order
     wall_stabs = _stabiliser_orders(action, order)
 
@@ -320,11 +326,8 @@ def stallings_pipeline(ws: Wallspace, symmetries=()) -> StallingsResult:
     trace = run_to_tree(cx, action)
     tree = trace.final_complex
     # a tree edge is its own wall, so its stabiliser is read off its wall's
-    # orbit; the run has checked that the action carries its origin walls.
-    # A run that took no step on the unsubdivided dual ends on its action.
-    sizes, names = wall_stabs, tree.vertices
-    if trace.final_action is not dual_action:
-        sizes = _stabiliser_orders(trace.final_action, order)
+    # orbit; the run has checked that the action carries its origin walls
+    sizes, names = _stabiliser_orders(trace.final_action, order), tree.vertices
     return StallingsResult(
         wallspace=ws,
         dual_info=info,

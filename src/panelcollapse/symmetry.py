@@ -11,12 +11,19 @@ table per generator, off which the wall orbits, the inversions and the panel
 orbits are read.  A wall orbit is inverted exactly when two paths of
 generators to one wall disagree on the side.
 
+A cube ``(base, axes)`` has one imaging path: a generator's dict from each
+vertex mask to its image's (``_images``) maps the two opposite corners
+``base`` and ``base | axes`` to ``a`` and ``b``, and the image cube is
+``(a & b, a ^ b)``.  Cube orbits and the subdivision's pushed generators
+both read it.  Every orbit, of walls, cubes or panel triples, is walked as
+a list that grows while it is read, with a seen set beside it.  The group
+is closed on permutation tuples, each element wrapped once at the end.
+
 The driver repeatedly collapses the full orbit of one extremal panel, which
 strictly decreases the lexicographic complexity (orbit counts of cubes of
 each dimension at least 2), until the complex is a tree.  An action keeps one
 cube per orbit of cubes of dimension at least 2; the first action of a run
-finds them in one walk, imaging ``(base, axes)`` cubes through a mask dict
-per generator, and each step carries them to its output action
+finds them in one walk, and each step carries them to its output action
 (``_carried_reps``): an orbit of completely external input cubes survives
 as it is, one status test deciding the whole orbit, and every other output
 cube has an axis on a wall of diagonal edges, so only those cubes are listed
@@ -107,16 +114,10 @@ class Automorphism:
     def apply_set(self, vs) -> frozenset:
         return frozenset(self(v) for v in vs)
 
-    def _apply_cube(self, cube) -> tuple[int, int]:
-        """The image of a ``(base, axes)`` cube, read off the images of its
-        two opposite corners ``base`` and ``base | axes``."""
-        cx, (base, axes) = self.complex, cube
-        a = cx._masks[self.perm[cx._vertex_of[base]]]
-        b = cx._masks[self.perm[cx._vertex_of[base | axes]]]
-        return a & b, a ^ b
-
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         # (self * other)(v) == self(other(v))
+        if not _same_complex(self.complex, other.complex):
+            raise PreconditionError("automorphisms act on different complexes")
         return Automorphism._unchecked(
             self.complex, tuple(self.perm[i] for i in other.perm)
         )
@@ -150,7 +151,13 @@ class GroupAction:
         for g in generators:
             if not isinstance(g, Automorphism):
                 g = Automorphism(cx, g)
-            _require_edges_preserved(g)
+            elif not _same_complex(g.complex, cx):
+                raise PreconditionError("automorphism acts on another complex")
+            broken = g.preserves_edges()
+            if broken is not None:
+                raise StructuralError(
+                    f"permutation breaks edge {broken[0]!r} {broken[1]!r}"
+                )
             gens.append(g)
         self.complex = cx
         self.generators = tuple(gens)
@@ -170,6 +177,8 @@ class GroupAction:
         """Wall and side that the element maps a side of wall ``h_id`` onto:
         the image of an edge of the wall is an edge, whose ends' masks differ
         in exactly the target wall's bit.  Tests check the tables against it."""
+        if not _same_complex(g.complex, self.complex):
+            raise PreconditionError("automorphism acts on another complex")
         self.complex._require_walls(h_id)
         bit = _side_bit(side)
         masks, perm = self.complex._masks, g.perm
@@ -271,12 +280,15 @@ class GroupAction:
         """Every image of one panel under the group, in triple order.  Two
         triples never give one panel: for one abutting wall H, equal H-edges
         are equal halfspaces of H, so the extremalising walls coincide."""
-        def image(row, triple):
-            h, e, side = triple
-            t, flip = row[e]
-            return row[h][0], t, SIDES[_side_bit(side) ^ flip]
-
-        triples = _orbits([panel.triple], image, self._wall_table)[0]
+        triples, seen = [panel.triple], {panel.triple}
+        for h, e, side in triples:
+            bit = _side_bit(side)
+            for row in self._wall_table:
+                t, flip = row[e]
+                moved = row[h][0], t, SIDES[bit ^ flip]
+                if moved not in seen:
+                    seen.add(moved)
+                    triples.append(moved)
         out = []
         for h, e, s in triples:
             try:
@@ -303,30 +315,23 @@ class GroupAction:
             ) from exc
 
 
-def _require_edges_preserved(g: Automorphism):
-    broken = g.preserves_edges()
-    if broken is not None:
-        raise StructuralError(
-            f"permutation breaks edge {broken[0]!r} {broken[1]!r}"
-        )
-
-
 def _close(cx: CubeComplex, gens) -> tuple:
     """Every product of the generators, sorted by permutation."""
-    identity = Automorphism._unchecked(cx, tuple(range(cx.n)))
-    seen = {identity.perm: identity}
+    perms = [s.perm for s in gens]
+    identity = tuple(range(cx.n))
+    seen = {identity}
     found = [identity]
-    for g in found:
-        for s in gens:
-            h = s * g
-            if h.perm not in seen:
+    for p in found:
+        for s in perms:
+            q = tuple([s[i] for i in p])
+            if q not in seen:
                 if len(seen) >= GROUP_SIZE_CAP:
                     raise PreconditionError(
                         f"group order exceeds GROUP_SIZE_CAP = {GROUP_SIZE_CAP}"
                     )
-                seen[h.perm] = h
-                found.append(h)
-    return tuple(seen[p] for p in sorted(seen))
+                seen.add(q)
+                found.append(q)
+    return tuple(Automorphism._unchecked(cx, p) for p in sorted(seen))
 
 
 def _cube_orbit_reps(cubes, images) -> list:
@@ -349,26 +354,6 @@ def _cube_orbit_reps(cubes, images) -> list:
                     seen.add(moved)
                     frontier.append(moved)
     return reps
-
-
-def _orbits(items, act, generators):
-    remaining = set(items)
-    orbits = []
-    for x in items:
-        if x not in remaining:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in generators:
-                z = act(g, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        remaining -= orbit
-        orbits.append(frozenset(orbit))
-    return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +497,14 @@ def _subdivision(cx: CubeComplex):
     return CubeComplex._from_indexed(order, ix, sorted(edges)), cubes, index
 
 
-def _pushed(cubes, index, g: Automorphism) -> tuple:
-    """The permutation of the subdivision's vertex indices that ``g`` induces
-    through its action on cubes."""
+def _pushed(cubes, index, image) -> tuple:
+    """The permutation of the subdivision's vertex indices that a generator
+    induces on cubes, each ``(base, axes)`` cube imaged through the
+    generator's mask dict by its two opposite corners."""
     perm = [0] * len(cubes)
-    for c in cubes:
-        perm[index[c]] = index[g._apply_cube(c)]
+    for base, axes in cubes:
+        a, b = image[base], image[base | axes]
+        perm[index[base, axes]] = index[a & b, a ^ b]
     return tuple(perm)
 
 
@@ -530,9 +517,8 @@ def subdivide(cx: CubeComplex):
     order = sub.vertices
 
     def pushforward(mapping) -> dict:
-        g = mapping if isinstance(mapping, Automorphism) else Automorphism(cx, mapping)
-        _require_edges_preserved(g)
-        return {order[i]: order[j] for i, j in enumerate(_pushed(cubes, index, g))}
+        image = GroupAction(cx, [mapping])._images[0]
+        return {order[i]: order[j] for i, j in enumerate(_pushed(cubes, index, image))}
 
     return sub, pushforward
 
@@ -543,7 +529,7 @@ def push_action(cx: CubeComplex, action: GroupAction):
     are still checked to be a bijection preserving edges.  It is the same
     group: an element is determined by how it acts on cubes."""
     sub, cubes, index = _subdivision(cx)
-    gens = [Automorphism(sub, _pushed(cubes, index, g)) for g in action.generators]
+    gens = [Automorphism(sub, _pushed(cubes, index, image)) for image in action._images]
     return sub, GroupAction(sub, gens)
 
 

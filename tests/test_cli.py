@@ -322,6 +322,19 @@ def test_export_dot_dashed_diagonals(capsys, tmp_path):
     assert len(dashed) == 1 and len(solid) == 2
 
 
+def test_export_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    cc = tmp_path / "names.cc"
+    cc.write_text('cubecomplex v1\nvertex a"b\nvertex a\\\nedge a"b a\\\n')
+    code, out, _ = run_cli(capsys, "export-dot", str(cc))
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        r'  "a\"b";',
+        r'  "a\\";',
+        r'  "a\"b" -- "a\\" [color=firebrick];',
+        "}",
+    ]
+
+
 def test_export_dot_bad_wall_id(capsys, tmp_path):
     prov = tmp_path / "bad.prov"
     for sidecar, message in (

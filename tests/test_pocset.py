@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from panelcollapse import pocset, symmetry
+from panelcollapse import symmetry
 from panelcollapse.complex import CubeComplex
 from panelcollapse.errors import InternalInvariantError, PreconditionError, StructuralError
 from panelcollapse.fileio import parse_wallspace
@@ -238,9 +238,15 @@ def test_wall_permutation_matches_the_side_sets():
     for fold in ({"c": "a", "d": "b"}, {"a": "c", "b": "c", "c": "a", "d": "b"}):
         with pytest.raises(StructuralError, match=r"wall \['a', 'b'\]"):
             SQUARE_WS.wall_permutation(fold)
-    # a point sent outside the space leaves its walls
-    with pytest.raises(StructuralError, match=r"wall \['a', 'b'\] \| \['c', 'd'\]"):
-        SQUARE_WS.wall_permutation({"a": "z"})
+
+
+def test_a_symmetry_naming_an_unknown_point_is_refused():
+    # a key that is not a point used to be ignored, giving the identity
+    for mapping, name in (({"zz": "a"}, "zz"), ({"a": "z"}, "z")):
+        with pytest.raises(StructuralError, match=rf"unknown points \['{name}'\]$"):
+            SQUARE_WS.wall_permutation(mapping)
+        with pytest.raises(StructuralError, match=rf"unknown points \['{name}'\]$"):
+            stallings_pipeline(SQUARE_WS, [mapping])
 
 
 def _check_stabiliser_reports(ws, syms):
@@ -287,22 +293,9 @@ def test_stabiliser_reports_match_their_definition():
     assert [(r.group_order, r.subdivided) for r in reports] == [(6, False), (48, True)]
 
 
-def test_a_run_without_steps_reads_the_stabilisers_once(monkeypatch):
-    # with no step on the unsubdivided dual, the run ends on the dual's own
-    # action, so the tree edges' stabilisers are the walls' already read
-    calls = []
-    orders = pocset._stabiliser_orders
-    monkeypatch.setattr(
-        pocset, "_stabiliser_orders", lambda *a: calls.append(a) or orders(*a)
-    )
-    instances, reused = mixed_wallspaces(59, 6), 0
-    for ws, rotate in instances:
-        calls.clear()
-        res = _check_stabiliser_reports(ws, [rotate] if rotate else [])
-        unstepped = not res.subdivided and not res.trace.steps
-        assert len(calls) == 2 - unstepped
-        reused += unstepped
-    assert 10 <= reused < len(instances) - 10, reused
+def test_stabiliser_reports_match_on_mixed_wallspaces():
+    for ws, rotate in mixed_wallspaces(59, 6):
+        _check_stabiliser_reports(ws, [rotate] if rotate else [])
 
 
 def test_principal_distance_equals_wall_separation():

@@ -104,6 +104,32 @@ def test_non_edge_preserving_rejected(square):
         GroupAction(path_complex(3), [{1: 3, 3: 1}])
 
 
+def test_an_automorphism_of_another_complex_is_refused(square):
+    # the swap 0<->2 of the star K1,3 preserves the star's edges, but read
+    # on the square it sends the edge 00 01 onto 10 01
+    star = CubeComplex([0, 1, 2, 3], [(0, 1), (1, 2), (1, 3)])
+    swap = Automorphism(star, {0: 2, 2: 0})
+    # the reversal of an 8-vertex path is longer than the square's vertices
+    reverse = Automorphism(path_complex(7), {i: 7 - i for i in range(8)})
+    own = Automorphism(square, square_diagonal(square))
+    action = GroupAction(square, [own])
+    for g in (swap, reverse):
+        with pytest.raises(PreconditionError, match="another complex"):
+            GroupAction(square, [g])
+        with pytest.raises(PreconditionError, match="another complex"):
+            action.side_image(g, 0, "+")
+        with pytest.raises(PreconditionError, match="another complex"):
+            action.wall_image(g, 0)
+        with pytest.raises(PreconditionError, match="different complexes"):
+            own * g
+        with pytest.raises(PreconditionError, match="another complex"):
+            subdivide(square)[1](g)
+    # one complex built twice is the same complex
+    twin = Automorphism(hypercube_complex(2), square_diagonal(square))
+    assert GroupAction(square, [twin]).order == 2
+    assert (own * twin).perm == tuple(range(square.n))
+
+
 def test_full_cube_symmetry_group(cube3):
     rot = cube3_rotation(cube3)
     swap = {v: v[1] + v[0] + v[2] for v in cube3.vertices}
