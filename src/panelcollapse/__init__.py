@@ -21,7 +21,6 @@ from .collapse import (
     collapse,
     fundament,
     hyperplane_provenance,
-    persistent_subcube,
 )
 from .complex import CubeComplex, Hyperplane, ValidationReport, validate_graph
 from .errors import (
@@ -98,7 +97,6 @@ __all__ = [
     "collapse",
     "fundament",
     "hyperplane_provenance",
-    "persistent_subcube",
     # symmetry
     "Automorphism",
     "ComplexityVector",

@@ -16,15 +16,19 @@ the separating walls.  The collapsed complex keeps every vertex, keeps every
 external edge, and gains one diagonal edge per salient vertex of each
 disconnected external cube; its cube structure is again the canonical filling
 and it validates as CAT(0).  A fundament keeps one diagonal record per
-contributing cube, its salient subcube and separator mask; ``fundament``
-lists the record's pieces S(w), one per completely external face w of the
-salient subcube, and the collapse joins every vertex of the salient subcube
-to its partner across the mask.  Only the maximal cubes with an abutting wall
-among their axes can be external, and they are found at the upper ends of
-those walls' edges: the rest of the complex is not visited.  Whether a cube's
-deletion D(c) is connected is searched on one integer holding its 2^d corners
-as bits: each axis has a bitset of the corners whose edge along it is
-external, and the reached set grows along all axes at once.
+contributing cube, its salient subcube and separator mask.  One walk
+(``_fundament_diagonals``) builds the records from any set of root cubes,
+visiting each external face once with no memo; ``collapse`` runs it once on
+all the external maximal cubes it visits, and ``fundament`` on one cube.  One
+helper (``_pairs``) expands a record into its index pairs, every vertex of the
+salient subcube and its partner across the mask: ``collapse`` adds them as
+diagonal edges, and ``fundament`` lists the record's pieces S(w), one per
+completely external face w of the salient subcube.  Only the maximal cubes
+with an abutting wall among their axes can be external, and they are found at
+the upper ends of those walls' edges: the rest of the complex is not visited.
+Whether a cube's deletion D(c) is connected is searched on one integer holding
+its 2^d corners as bits: each axis has a bitset of the corners whose edge
+along it is external, and the reached set grows along all axes at once.
 
 Collapse keeps the vertex set and its order, so the output complex is built on
 the input's vertex table from index pairs (``CubeComplex._from_indexed``),
@@ -34,7 +38,7 @@ edge crosses the input walls that separate its ends, the bits of the XOR of
 their masks.
 The step builds no per-edge provenance: ``CollapseResult.wall_crossings``
 keeps one crossing mask per output wall, checked once, and
-``CollapseResult.edge_provenance`` is a view built on first access.
+``CollapseResult.edge_provenance`` is a view of it built on first access.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ __all__ = [
     "collapse",
     "fundament",
     "hyperplane_provenance",
-    "persistent_subcube",
 ]
 
 INTERNAL = "internal"
@@ -98,7 +101,6 @@ class CubeClassification:
                 minus |= 1 << e
             self._sides[h] = minus, plus, both | 1 << e
             self._abutting |= 1 << h
-        self._diagonals: dict[tuple[int, int], frozenset] = {}
 
     @property
     def internal_edges(self) -> frozenset:
@@ -135,20 +137,8 @@ def classify(cx: CubeComplex, panels) -> CubeClassification:
 
 
 # ---------------------------------------------------------------------------
-# persistent and salient subcubes
+# fundaments
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PersistentData:
-    persistent: frozenset
-    salient: frozenset
-    separators: frozenset
-    partner: dict = field(compare=False, repr=False)
-
-    @property
-    def kappa(self) -> int:
-        return len(self.separators)
 
 
 def _persistent(cls: CubeClassification, cube):
@@ -174,30 +164,6 @@ def _persistent(cls: CubeClassification, cube):
     return (base | ones, axes & ~extremalising), extremalising & abutting
 
 
-def persistent_subcube(cls: CubeClassification, cube: frozenset) -> PersistentData:
-    """The persistent subcube h(c) (intersection of the faces opposite each
-    panel meeting c), its salient parallel copy, and the separating walls."""
-    key = cls.complex._key(cube)
-    if cls._status_of(key) == INTERNAL:
-        raise PreconditionError("persistent subcube of an internal cube")
-    cx = cls.complex
-    (base, axes), flip = _persistent(cls, key)
-    order, masks, vertex_of = cx._order, cx._masks, cx._vertex_of
-    h = cx._vertex_set((base, axes))
-    partner = {v: order[vertex_of[masks[cx._ix[v]] ^ flip]] for v in h}
-    return PersistentData(
-        persistent=h,
-        salient=cx._vertex_set((base ^ flip, axes)),
-        separators=frozenset(_bits(flip)),
-        partner=partner,
-    )
-
-
-# ---------------------------------------------------------------------------
-# fundaments
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class DiagonalCube:
     """A diagonal piece S(w): a completely external subcube w of the salient
@@ -213,9 +179,12 @@ class DiagonalCube:
 class Fundament:
     """The subspace replacing a cube after collapse.
 
-    ``ordinary_cubes`` is every completely external subcube; ``diagonals``
-    carries the S(w) pieces gathered from this cube and, recursively, from its
-    external codimension-1 faces.
+    ``persistent`` is h(c), ``salient`` its parallel copy across the
+    ``separators`` (None, None and empty for an internal cube): the partner
+    of a vertex of ``persistent`` is the vertex of ``salient`` across the
+    separators.  ``ordinary_cubes`` is every completely external
+    subcube; ``diagonals`` carries the S(w) pieces gathered from this cube
+    and from the external faces that ``_fundament_diagonals`` walks to.
     """
 
     cube: frozenset
@@ -281,46 +250,58 @@ def _deletion_connected(cls: CubeClassification, cube) -> bool:
     return reached == full
 
 
-def _fundament_diagonals(cls: CubeClassification, cube) -> frozenset:
-    """The diagonal records of the fundament of a ``(base, axes)`` cube, as
-    ``(salient subcube, separator mask)`` pairs, one for the cube and one
-    for each external face that contributes; memoized on the classification.
-    Internal, completely external and deletion-connected cubes have none,
-    and with fewer than two separators the diagonal pieces degenerate to
-    ordinary cubes.  A record stands for the pieces S(w), w a completely
-    external face of the salient cube; each of its vertices is such a face,
-    so the record's diagonal edges join every vertex of the salient cube to
-    its partner across the mask."""
-    cached = cls._diagonals.get(cube)
-    if cached is not None:
-        return cached
-    diagonals = set()
-    # an internal cube has no fundament diagonals, and a completely external
-    # cube's deletion is the whole cube
-    if cls._status_of(cube) == EXTERNAL:
+def _fundament_diagonals(cls: CubeClassification, cubes) -> set:
+    """The diagonal records of the fundaments of the ``(base, axes)`` cubes
+    ``cubes``, as ``(salient subcube, separator mask)`` pairs: one for each
+    contributing cube that the walk reaches from them.  Internal, completely
+    external and deletion-connected cubes contribute none and are not
+    walked past; a disconnected external cube hands on its external
+    codimension-1 faces, and with fewer than two separators its diagonal
+    pieces degenerate to ordinary cubes.  One ``seen`` set covers every
+    root, so a face that several cubes share is visited once.  A record
+    stands for the pieces S(w), w a completely external face of the salient
+    cube; each of its vertices is such a face, so the record's diagonal
+    edges join every vertex of the salient cube to its partner across the
+    mask."""
+    records = set()
+    todo = list(cubes)
+    seen = set(todo)
+    while todo:
+        cube = todo.pop()
+        # an internal cube has no fundament diagonals, and a completely
+        # external cube's deletion is the whole cube
+        if cls._status_of(cube) != EXTERNAL:
+            continue
         (pbase, paxes), flip = _persistent(cls, cube)
-        if not _deletion_connected(cls, cube):
-            # records of the external codimension-1 faces (those meeting the
-            # persistent subcube, equivalently those with a persistent corner)
-            for fbase, faxes in _faces(cube, cube[1].bit_count() - 1):
-                if not (fbase ^ pbase) & ~faxes & ~paxes:
-                    diagonals |= _fundament_diagonals(cls, (fbase, faxes))
-            if flip.bit_count() >= 2:
-                diagonals.add(((pbase ^ flip, paxes), flip))
-    cached = cls._diagonals[cube] = frozenset(diagonals)
-    return cached
+        if _deletion_connected(cls, cube):
+            continue
+        # the external codimension-1 faces are those meeting the persistent
+        # subcube, equivalently those with a persistent corner
+        for face in _faces(cube, cube[1].bit_count() - 1):
+            fbase, faxes = face
+            if not (fbase ^ pbase) & ~faxes & ~paxes and face not in seen:
+                seen.add(face)
+                todo.append(face)
+        if flip.bit_count() >= 2:
+            records.add(((pbase ^ flip, paxes), flip))
+    return records
+
+
+def _pairs(cx: CubeComplex, w, flip):
+    """The index pairs (salient vertex, persistent vertex) of the record
+    ``(w, flip)``: each vertex of the salient cube w and its partner across
+    the separator mask."""
+    (base, axes), vertex_of = w, cx._vertex_of
+    return [(vertex_of[base | s], vertex_of[(base | s) ^ flip]) for s in _subsets(axes)]
 
 
 def _diagonal_cube(cx: CubeComplex, w, flip) -> DiagonalCube:
-    (base, axes), order, vertex_of = w, cx._order, cx._vertex_of
-    pairs = sorted(
-        (vertex_of[base | s], vertex_of[(base | s) ^ flip]) for s in _subsets(axes)
-    )
+    (base, axes), order = w, cx._order
     return DiagonalCube(
         salient_cube=cx._vertex_set(w),
         persistent_cube=cx._vertex_set((base ^ flip, axes)),
         separators=frozenset(_bits(flip)),
-        pairs=tuple((order[a], order[b]) for a, b in pairs),
+        pairs=tuple((order[a], order[b]) for a, b in sorted(_pairs(cx, w, flip))),
     )
 
 
@@ -329,23 +310,28 @@ def fundament(cls: CubeClassification, cube: frozenset) -> Fundament:
     cx = cls.complex
     key = cx._key(cube)
     status = cls._status_of(key)
-    pd = None if status == INTERNAL else persistent_subcube(cls, cube)
+    persistent = salient = None
+    flip = 0
+    if status != INTERNAL:
+        (base, axes), flip = _persistent(cls, key)
+        persistent = cx._vertex_set((base, axes))
+        salient = cx._vertex_set((base ^ flip, axes))
     return Fundament(
         cube=cube,
         status=status,
         d_connected=_deletion_connected(cls, key),
-        persistent=pd.persistent if pd else None,
-        salient=pd.salient if pd else None,
-        separators=pd.separators if pd else frozenset(),
+        persistent=persistent,
+        salient=salient,
+        separators=frozenset(_bits(flip)),
         ordinary_cubes=frozenset(
             cx._vertex_set(f)
             for f in _faces(key)
             if cls._status_of(f) == COMPLETELY_EXTERNAL
         ),
         diagonals=frozenset(
-            _diagonal_cube(cx, w, flip)
-            for salient, flip in _fundament_diagonals(cls, key)
-            for w in _faces(salient)
+            _diagonal_cube(cx, w, mask)
+            for salient_cube, mask in _fundament_diagonals(cls, [key])
+            for w in _faces(salient_cube)
             if cls._status_of(w) == COMPLETELY_EXTERNAL
         ),
     )
@@ -373,12 +359,14 @@ class CollapseResult:
 
     @functools.cached_property
     def edge_provenance(self) -> dict:
-        """Each output edge key -> the input walls it crosses: the bits of
-        the XOR of its ends' input masks."""
-        masks, order = self.input_complex._masks, self.output_complex._order
+        """Each output edge key -> the input walls it crosses: the crossing
+        set of its output wall, read off ``wall_crossings``, which checks
+        it."""
+        out = self.output_complex
+        crossed = [frozenset(_bits(flip)) for flip in self.wall_crossings]
         return {
-            (order[a], order[b]): frozenset(_bits(masks[a] ^ masks[b]))
-            for a, b in self.output_complex._int_edges
+            (out._order[a], out._order[b]): crossed[out._wall_of(a, b)]
+            for a, b in out._int_edges
         }
 
     @functools.cached_property
@@ -431,8 +419,7 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
     cls = classify(cx, panels)
     panels = cls.panels
     internal = set().union(*(p._edges for p in panels))
-    vertex_of = cx._vertex_of
-    diagonals = set()
+    external = []
     for m in cx._maximal_cubes_across(cls._abutting):
         status = cls._status_of(m)
         # internal cubes lie in panels, which are proper faces of block cubes
@@ -440,14 +427,13 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
             raise InternalInvariantError(
                 f"maximal cube {set(cx._vertex_set(m))} is internal to a panel"
             )
-        if status == COMPLETELY_EXTERNAL:
-            continue
-        for (base, axes), flip in _fundament_diagonals(cls, m):
-            for s in _subsets(axes):
-                i, j = vertex_of[base | s], vertex_of[(base | s) ^ flip]
-                # the ends differ in the separators, at least two walls, so a
-                # diagonal never repeats an input edge
-                diagonals.add((i, j) if i < j else (j, i))
+        if status == EXTERNAL:
+            external.append(m)
+    diagonals = set()
+    for w, flip in _fundament_diagonals(cls, external):
+        # the ends differ in the separators, at least two walls, so a
+        # diagonal never repeats an input edge
+        diagonals.update((i, j) if i < j else (j, i) for i, j in _pairs(cx, w, flip))
     if panels and not internal:
         raise InternalInvariantError("nonempty panel family with no internal edges")
 

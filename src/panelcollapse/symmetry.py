@@ -92,7 +92,8 @@ class Automorphism:
             mapping = dict(mapping)
             unknown = set(mapping) - set(cx.vertices)
             if unknown:
-                raise StructuralError(f"mapping mentions unknown vertices {unknown}")
+                names = ", ".join(map(repr, canonical_vertex_order(unknown)))
+                raise StructuralError(f"mapping mentions unknown vertices {{{names}}}")
             perm = tuple(
                 cx.index(mapping.get(v, v)) for v in cx.vertices
             )
@@ -528,6 +529,8 @@ def push_action(cx: CubeComplex, action: GroupAction):
     Each generator's cube images are read straight off as indices, and
     are still checked to be a bijection preserving edges.  It is the same
     group: an element is determined by how it acts on cubes."""
+    if not _same_complex(action.complex, cx):
+        raise PreconditionError("action does not act on this complex")
     sub, cubes, index = _subdivision(cx)
     gens = [Automorphism(sub, _pushed(cubes, index, image)) for image in action._images]
     return sub, GroupAction(sub, gens)

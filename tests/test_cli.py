@@ -28,13 +28,14 @@ from panelcollapse.fileio import (
     serialize_wallspace,
 )
 from panelcollapse.pocset import Wallspace
-from panelcollapse.symmetry import Automorphism, GroupAction
+from panelcollapse.symmetry import Automorphism, GroupAction, push_action
 
 from conftest import (
     DATA,
     SEVEN_CUBE_SIDES,
     hypercube_complex,
     pairwise_crossing_walls,
+    path_complex,
     rotation,
     six_point_walls,
 )
@@ -477,6 +478,11 @@ INPUT_ERRORS = {
         lambda: Automorphism(hypercube_complex(2), {"00": "00", "2": "2"}),
         StructuralError, "mapping mentions unknown vertices {'2'}",
     ),
+    # in canonical order: a set's order would change with the hash seed
+    "automorphism of three unknown vertices": (
+        lambda: Automorphism(hypercube_complex(2), {"z": "00", "x": "01", "y": "10"}),
+        StructuralError, "mapping mentions unknown vertices {'x', 'y', 'z'}",
+    ),
     "edge that is not a pair": (
         lambda: CubeComplex(["a", "b", "c"], [("a", "b", "c")]), StructuralError,
         "edge ('a', 'b', 'c') is not a pair",
@@ -488,6 +494,12 @@ INPUT_ERRORS = {
     "transfer onto other vertices": (
         lambda: GroupAction(hypercube_complex(2), []).transfer(hypercube_complex(1)),
         PreconditionError, "transfer requires the identical vertex set",
+    ),
+    "subdivision under an action on another complex": (
+        lambda: push_action(
+            hypercube_complex(2), GroupAction(path_complex(2), [{0: 2, 2: 0}])
+        ),
+        PreconditionError, "action does not act on this complex",
     ),
 }
 

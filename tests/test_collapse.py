@@ -1,8 +1,10 @@
 """Classification, persistent/salient subcubes, fundaments, collapse."""
 
+import importlib.util
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,6 @@ from panelcollapse.collapse import (
     fundament,
     _persistent,
     hyperplane_provenance,
-    persistent_subcube,
 )
 from panelcollapse.errors import (
     InternalInvariantError,
@@ -156,36 +157,37 @@ def test_panel_cube_intersections_follow_trichotomy(cube3, square, strip3):
 
 def test_persistent_subcube_of_conflict_square(square):
     cls = classify(square, conflict_panels(square))
-    pd = persistent_subcube(cls, frozenset(square.vertices))
-    assert pd.persistent == frozenset({"00"})
-    assert pd.salient == frozenset({"11"})
-    assert pd.kappa == 2
-    assert pd.separators == frozenset({0, 1})
+    f = fundament(cls, frozenset(square.vertices))
+    assert f.persistent == frozenset({"00"})
+    assert f.salient == frozenset({"11"})
+    assert f.separators == frozenset({0, 1})
 
 
 def test_persistent_subcube_completely_external(cube3):
     cls = classify(cube3, [])
     whole = frozenset(cube3.vertices)
-    pd = persistent_subcube(cls, whole)
-    assert pd.persistent == whole and pd.salient == whole and pd.kappa == 0
+    f = fundament(cls, whole)
+    assert f.persistent == whole and f.salient == whole and not f.separators
 
 
 def test_persistent_subcube_single_panel_cube(cube3):
     p = cube_panel(cube3)
     cls = classify(cube3, [p])
-    pd = persistent_subcube(cls, frozenset(cube3.vertices))
+    f = fundament(cls, frozenset(cube3.vertices))
     # the face opposite the panel; no separating walls
-    assert len(pd.persistent) == 4
-    assert pd.kappa == 0 and pd.persistent == pd.salient
-    assert not pd.persistent & p.vertex_set
+    assert len(f.persistent) == 4
+    assert not f.separators and f.persistent == f.salient
+    assert not f.persistent & p.vertex_set
 
 
 def test_persistent_subcube_rejects_internal(square):
+    # an internal cube has no persistent subcube
     p = build_panel(square, 0, 1, "+")
     cls = classify(square, [p])
     internal_edge = frozenset(next(iter(p.internal_edges)))
-    with pytest.raises(PreconditionError):
-        persistent_subcube(cls, internal_edge)
+    f = fundament(cls, internal_edge)
+    assert f.status == INTERNAL
+    assert f.persistent is None and f.salient is None and not f.separators
 
 
 def test_persistent_corners_match_hull(cube3, square):
@@ -200,7 +202,7 @@ def test_persistent_corners_match_hull(cube3, square):
         for vs in cubes:
             if cls.status(vs) == INTERNAL:
                 continue
-            pd = persistent_subcube(cls, vs)
+            f = fundament(cls, vs)
             corners = {
                 v
                 for v in vs
@@ -210,8 +212,8 @@ def test_persistent_corners_match_hull(cube3, square):
                     if v in e
                 )
             }
-            assert pd.persistent == cx.convex_hull(corners) & vs
-            for v in pd.persistent:
+            assert f.persistent == cx.convex_hull(corners) & vs
+            for v in f.persistent:
                 assert v in corners
 
 
@@ -714,11 +716,16 @@ def test_an_output_wall_with_two_crossing_sets_is_refused():
     vertices = ["v0", "v1", "v2", "v3"]
     path = CubeComplex(vertices, [("v0", "v1"), ("v1", "v2"), ("v2", "v3")])
     cycle = CubeComplex(vertices, [*path.edges, ("v0", "v3")])
-    result = CollapseResult(
-        input_complex=path, output_complex=cycle, panels=(), diagonal_edges=frozenset()
-    )
-    with pytest.raises(InternalInvariantError, match=r"mixes crossing sets \[\[0\], \[2\]\]"):
-        hyperplane_provenance(result)
+    # the per-wall map and the per-edge view both read the checked crossings
+    for read in (hyperplane_provenance, lambda result: result.edge_provenance):
+        result = CollapseResult(
+            input_complex=path, output_complex=cycle, panels=(),
+            diagonal_edges=frozenset(),
+        )
+        with pytest.raises(
+            InternalInvariantError, match=r"mixes crossing sets \[\[0\], \[2\]\]"
+        ):
+            read(result)
 
 
 def test_a_family_member_that_is_not_a_panel_is_refused(cube3):
@@ -829,3 +836,22 @@ def test_witness_families_collapse(family):
     except InternalInvariantError as exc:
         assert "collapsed 1-skeleton failed validation" in str(exc), str(exc)
         raise
+
+
+FAMILY_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "family_sweep.py"
+
+
+def test_the_q4_family_sweep_has_its_counts():
+    # the sweep of scripts/family_sweep.py, loaded by path so that the script
+    # and this test share one implementation.  Any change to a fundament's
+    # diagonal records moves the failure count.  The two open fundament
+    # defects in the ROADMAP (items 1 and 2: coupled separator blocks, and
+    # which families the construction admits) are what should lower it.
+    spec = importlib.util.spec_from_file_location("family_sweep", FAMILY_SWEEP)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    count, failures = script.sweep(hypercube_complex(4))
+    assert (count, len(failures)) == (5816, 576)
+    assert {len(family) for family, _ in failures} == {4}
+    for _, message in failures:
+        assert message.startswith("collapsed 1-skeleton failed validation"), message

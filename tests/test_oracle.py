@@ -107,18 +107,16 @@ def run_dimension(d):
             assert world.is_completely_external(sub) == (
                 lib_status == COMPLETELY_EXTERNAL
             )
-            assert fundament(cls, named).d_connected == world.deletion_connected(sub)
+            f = fundament(cls, named)
+            assert f.d_connected == world.deletion_connected(sub)
             if lib_status != INTERNAL:
                 # persistent subcubes agree (hull of corners vs face meet)
-                from panelcollapse.collapse import persistent_subcube
-
-                pd = persistent_subcube(cls, named)
-                assert pd.persistent == frozenset(
+                assert f.persistent == frozenset(
                     bits_name(v) for v in world.persistent_subcube(sub)
                 )
                 h, hbar, separators, _ = world.salient_data(sub)
-                assert pd.salient == frozenset(bits_name(v) for v in hbar)
-                assert pd.separators == frozenset(
+                assert f.salient == frozenset(bits_name(v) for v in hbar)
+                assert f.separators == frozenset(
                     axis_map[a] for a in separators
                 )
             # fundaments agree after normalization

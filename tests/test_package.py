@@ -31,6 +31,6 @@ def test_the_public_names_are_pinned():
         "codim2_hyperplanes", "collapse", "complexity", "dualize_details",
         "equivariant_collapse_step", "extremal_panels", "find_extremal_panel",
         "fundament", "hyperplane_provenance", "is_extremal", "iter_steps",
-        "no_facing_panels", "persistent_subcube", "push_action", "run_to_tree",
+        "no_facing_panels", "push_action", "run_to_tree",
         "stallings_pipeline", "subdivide", "validate_graph",
     ]

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from panelcollapse.collapse import INTERNAL, classify, persistent_subcube
+from panelcollapse.collapse import INTERNAL, classify, fundament
 from panelcollapse.errors import PreconditionError
 from panelcollapse.panels import (
     SIDES,
@@ -355,14 +355,17 @@ def test_panel_kernel_matches_reference(cube3, cube4, square, domino, strip3, tr
                 tally[status] += 1
                 if status == INTERNAL:
                     continue
-                pd = persistent_subcube(cls, names(cx, c))
+                f = fundament(cls, names(cx, c))
                 kept, salient, separators, partner = ref.persistent(c, triples)
-                assert pd.persistent == names(cx, kept)
-                assert pd.salient == names(cx, salient)
-                assert pd.separators == separators
-                assert pd.partner == {
-                    cx.vertices[v]: cx.vertices[w] for v, w in partner.items()
-                }
+                assert f.persistent == names(cx, kept)
+                assert f.salient == names(cx, salient)
+                assert f.separators == separators
+                # the partner of v is the vertex of the salient subcube
+                # across the separators
+                for v, w in partner.items():
+                    v, w = cx.vertices[v], cx.vertices[w]
+                    assert w in f.salient
+                    assert cx.crossing_set(v, w) == f.separators
             cx, action = step.result.output_complex, step.action
     assert tally[True] >= 200 and tally[False] >= 200, tally
     assert min(tally["internal"], tally["external"], tally["completely-external"]) >= 100, tally
