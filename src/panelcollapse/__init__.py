@@ -59,7 +59,6 @@ from .symmetry import (
     iter_steps,
     push_action,
     run_to_tree,
-    subdivide,
 )
 
 __all__ = [
@@ -107,7 +106,6 @@ __all__ = [
     "iter_steps",
     "push_action",
     "run_to_tree",
-    "subdivide",
     # pocset
     "DualComplexInfo",
     "StallingsResult",

@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .complex import CubeComplex, _bits, _faces, _side_bit, _subsets
+from .complex import CubeComplex, _bits, _faces, _side_bit, _subsets, vertex_set_text
 from .errors import InternalInvariantError, InvalidComplexError, PreconditionError
 from .panels import Panel, no_facing_panels
 
@@ -157,8 +157,8 @@ def _persistent(cls: CubeClassification, cube):
             abutting |= 1 << h
     if ones & zeros:
         raise InternalInvariantError(
-            f"external cube {set(cls.complex._vertex_set(cube))} has empty "
-            "persistent subcube"
+            f"external cube {vertex_set_text(cls.complex._vertex_set(cube))} "
+            "has empty persistent subcube"
         )
     extremalising = ones | zeros
     return (base | ones, axes & ~extremalising), extremalising & abutting
@@ -425,7 +425,8 @@ def collapse(cx: CubeComplex, panels) -> CollapseResult:
         # internal cubes lie in panels, which are proper faces of block cubes
         if status == INTERNAL:
             raise InternalInvariantError(
-                f"maximal cube {set(cx._vertex_set(m))} is internal to a panel"
+                f"maximal cube {vertex_set_text(cx._vertex_set(m))} is internal "
+                "to a panel"
             )
         if status == EXTERNAL:
             external.append(m)

@@ -134,6 +134,12 @@ def canonical_vertex_order(vertices):
         return sorted(vs, key=repr)
 
 
+def vertex_set_text(vertices) -> str:
+    """A set of vertex ids as ``{'x', 'y'}``, in canonical order, so that a
+    message naming it does not change with the hash seed."""
+    return "{" + ", ".join(map(repr, canonical_vertex_order(vertices))) + "}"
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the CAT(0) checks on a finite graph.
@@ -800,7 +806,7 @@ class CubeComplex:
             lo &= m
             hi |= m
         if not vs or len(vs) != 1 << (hi ^ lo).bit_count():
-            raise StructuralError(f"{set(vs)} is not a cube")
+            raise StructuralError(f"{vertex_set_text(vs)} is not a cube")
         return lo, hi ^ lo
 
     def _vertex_set(self, cube) -> frozenset:

@@ -1,11 +1,12 @@
 """Finite wallspaces and their dual CAT(0) cube complexes.
 
 A wallspace is a finite point set with a family of bipartitions (walls).
-Only this module decides a wall's canonical form: ``_canonical_wall`` sorts
-each side and puts the smaller sorted side first, and ``Wallspace.from_data``
-sorts the walls by those sides, so callers may pass walls in any form.  Its
-dual complex has one vertex per consistent orientation (a choice of one side
-per wall, pairwise intersecting) reachable from a principal orientation by
+Only this module decides a wall's canonical form, on the points' canonical
+indices: ``_canonical_wall`` puts the side holding the first point first,
+and ``Wallspace.from_data`` sorts the walls by their first sides' indices,
+so callers may pass walls in any form and points of any type.  Its dual
+complex has one vertex per consistent orientation (a choice of one side per
+wall, pairwise intersecting) reachable from a principal orientation by
 single-wall flips, and an edge between orientations differing on one wall.
 An orientation is a bitmask over the walls, bit i picking the second side of
 wall i, so a flip is an XOR; whether a flip stays consistent is two mask
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complex import MAX_VERTICES, CubeComplex, canonical_vertex_order
+from .complex import MAX_VERTICES, CubeComplex, canonical_vertex_order, vertex_set_text
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .symmetry import (
     Automorphism, GroupAction, RunTrace, push_action, run_to_tree,
@@ -40,24 +41,27 @@ __all__ = [
 ]
 
 
-def _canonical_wall(points_set, wall):
-    """A wall's two sides as canonically sorted tuples, the smaller first:
-    the one place that orders a wall.  Raises unless they partition the
-    points."""
+def _canonical_wall(points_set, first, wall):
+    """A wall's two sides, the side holding the point ``first`` first: the
+    one place that orders a wall.  With ``first`` the least point, that is
+    the smaller sorted side, found without comparing two points.  Raises
+    unless the sides partition the points."""
     a, b = map(frozenset, wall)
     if not a or not b:
         raise StructuralError("wall has an empty side")
     if a & b or (a | b) != points_set:
-        raise StructuralError(f"wall sides must partition the points: {a} | {b}")
-    ka = tuple(canonical_vertex_order(a))
-    kb = tuple(canonical_vertex_order(b))
-    return (ka, kb) if ka <= kb else (kb, ka)
+        raise StructuralError(
+            "wall sides must partition the points: "
+            f"{vertex_set_text(a)} | {vertex_set_text(b)}"
+        )
+    return (a, b) if first in a else (b, a)
 
 
 @dataclass(frozen=True)
 class Wallspace:
-    """Points plus deduplicated walls in canonical form: each wall's smaller
-    sorted side first, the walls in the order of their sorted sides."""
+    """Points plus deduplicated walls in canonical form: the points sorted,
+    each wall's side holding the first point first, and the walls in the
+    order of their first sides' sorted point indices."""
 
     points: tuple
     walls: tuple  # of (frozenset, frozenset)
@@ -71,16 +75,16 @@ class Wallspace:
         if not pts:
             raise StructuralError("wallspace has no points")
         pset = frozenset(pts)
-        canonical = set()
+        sides = {}
         for wall in walls:
-            w = _canonical_wall(pset, wall)
-            if w in canonical:
-                raise StructuralError(f"duplicate wall {sorted(w[0])}")
-            canonical.add(w)
-        return cls(
-            points=pts,
-            walls=tuple((frozenset(a), frozenset(b)) for a, b in sorted(canonical)),
-        )
+            a, b = _canonical_wall(pset, pts[0], wall)
+            if a in sides:
+                raise StructuralError(f"duplicate wall {canonical_vertex_order(a)}")
+            sides[a] = b
+        # the points' indices order the walls whatever the points' types
+        index = {p: i for i, p in enumerate(pts)}
+        order = sorted(sides, key=lambda a: sorted([index[p] for p in a]))
+        return cls(points=pts, walls=tuple([(a, sides[a]) for a in order]))
 
     @property
     def wall_count(self) -> int:

@@ -56,7 +56,7 @@ from .collapse import (
 )
 from .complex import (
     CubeComplex, _bits, _check_size, _faces, _same_complex, _side_bit,
-    _subsets, canonical_vertex_order,
+    _subsets, canonical_vertex_order, vertex_set_text,
 )
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 from .panels import SIDES, Panel, build_panel, find_extremal_panel, no_facing_panels
@@ -73,7 +73,6 @@ __all__ = [
     "iter_steps",
     "push_action",
     "run_to_tree",
-    "subdivide",
 ]
 
 GROUP_SIZE_CAP = 20000
@@ -92,8 +91,9 @@ class Automorphism:
             mapping = dict(mapping)
             unknown = set(mapping) - set(cx.vertices)
             if unknown:
-                names = ", ".join(map(repr, canonical_vertex_order(unknown)))
-                raise StructuralError(f"mapping mentions unknown vertices {{{names}}}")
+                raise StructuralError(
+                    f"mapping mentions unknown vertices {vertex_set_text(unknown)}"
+                )
             perm = tuple(
                 cx.index(mapping.get(v, v)) for v in cx.vertices
             )
@@ -249,11 +249,8 @@ class GroupAction:
         )
 
     def cube_orbit_count(self, dim: int) -> int:
-        """The number of orbits of ``dim``-cubes, counted afresh."""
-        if not self.generators:
-            # each cube is its own orbit: the closed-form count
-            counts = self.complex.cube_counts
-            return counts[dim] if 0 <= dim < len(counts) else 0
+        """The number of orbits of ``dim``-cubes, counted afresh from the
+        cubes under every action, the trivial one too."""
         return len(_cube_orbit_reps(self.complex._dim_cubes(dim), self._images))
 
     @functools.cached_property
@@ -463,7 +460,7 @@ def _carried_reps(action: GroupAction, result: CollapseResult, out: GroupAction)
 def _subdivision(cx: CubeComplex):
     """The first cubical subdivision of ``cx``, every cube of ``cx`` as
     ``(base, axes)``, and the dict from each cube to its vertex index in the
-    subdivision.
+    subdivision, for ``push_action``, which pushes generators through it.
 
     A cube's vertex is named by its corners' names in index order, joined
     by ``|``; the names are made once and sorted canonically, and the edges
@@ -498,41 +495,23 @@ def _subdivision(cx: CubeComplex):
     return CubeComplex._from_indexed(order, ix, sorted(edges)), cubes, index
 
 
-def _pushed(cubes, index, image) -> tuple:
-    """The permutation of the subdivision's vertex indices that a generator
-    induces on cubes, each ``(base, axes)`` cube imaged through the
-    generator's mask dict by its two opposite corners."""
-    perm = [0] * len(cubes)
-    for base, axes in cubes:
-        a, b = image[base], image[base | axes]
-        perm[index[base, axes]] = index[a & b, a ^ b]
-    return tuple(perm)
-
-
-def subdivide(cx: CubeComplex):
-    """First cubical subdivision: one vertex per cube, edges along the
-    codimension-1 face relation.  Returns (complex, pushforward) where the
-    pushforward turns an automorphism-as-dict of the original complex into a
-    vertex mapping of the subdivision.  Any action becomes inversion-free."""
-    sub, cubes, index = _subdivision(cx)
-    order = sub.vertices
-
-    def pushforward(mapping) -> dict:
-        image = GroupAction(cx, [mapping])._images[0]
-        return {order[i]: order[j] for i, j in enumerate(_pushed(cubes, index, image))}
-
-    return sub, pushforward
-
-
 def push_action(cx: CubeComplex, action: GroupAction):
-    """Subdivide and carry the action over; the result has no inversions.
-    Each generator's cube images are read straight off as indices, and
-    are still checked to be a bijection preserving edges.  It is the same
-    group: an element is determined by how it acts on cubes."""
+    """The first cubical subdivision, the one way to it, and the action
+    carried over, which has no inversions; ``GroupAction(cx, [])`` gives the
+    subdivision alone.  Each generator's cube images, through its mask dict
+    by two opposite corners, are read straight off as indices, and are still
+    checked to be a bijection preserving edges.  It is the same group: an
+    element is determined by how it acts on cubes."""
     if not _same_complex(action.complex, cx):
         raise PreconditionError("action does not act on this complex")
     sub, cubes, index = _subdivision(cx)
-    gens = [Automorphism(sub, _pushed(cubes, index, image)) for image in action._images]
+    gens = []
+    for image in action._images:
+        perm = [0] * len(cubes)
+        for base, axes in cubes:
+            a, b = image[base], image[base | axes]
+            perm[index[base, axes]] = index[a & b, a ^ b]
+        gens.append(Automorphism(sub, tuple(perm)))
     return sub, GroupAction(sub, gens)
 
 

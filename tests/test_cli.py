@@ -501,6 +501,17 @@ INPUT_ERRORS = {
         ),
         PreconditionError, "action does not act on this complex",
     ),
+    # sets of points and vertices are named in canonical order, whatever
+    # the hash seed
+    "wall that misses a point": (
+        ["stallings"],
+        "wallspace v1\npoint a\npoint b\npoint c\npoint d\nwall a,b | c\n",
+        "wall sides must partition the points: {'a', 'b'} | {'c'}",
+    ),
+    "vertices that are not a cube": (
+        lambda: path_complex(8).subcubes(frozenset({1, 2, 8})), StructuralError,
+        "{1, 2, 8} is not a cube",
+    ),
 }
 
 

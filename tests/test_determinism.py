@@ -42,8 +42,8 @@ CASES = [
 ]
 
 
-def run_subprocess(argv, hashseed):
-    proc = subprocess.run(
+def _run(argv, hashseed):
+    return subprocess.run(
         [sys.executable, "-m", "panelcollapse.cli", *argv],
         capture_output=True,
         cwd=DATA,
@@ -54,6 +54,10 @@ def run_subprocess(argv, hashseed):
             "PYTHONDONTWRITEBYTECODE": "1",
         },
     )
+
+
+def run_subprocess(argv, hashseed):
+    proc = _run(argv, hashseed)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     return proc.stdout
 
@@ -87,3 +91,38 @@ def test_traces_match_golden_files(argv, golden, tmp_path):
             f"--trace output differs from {golden} under "
             f"PYTHONHASHSEED={hashseed} for argv {argv}"
         )
+
+
+# Inputs the CLI refuses, as (command, file text); the message names sets of
+# points, whose order must not come from the hash seed.
+ERROR_CASES = {
+    "wall that misses a point": (
+        ["stallings"],
+        "wallspace v1\npoint a\npoint b\npoint c\npoint d\nwall a,b | c\n",
+    ),
+    "second wall that misses a point": (
+        ["stallings"],
+        "wallspace v1\npoint a\npoint b\npoint c\npoint d\n"
+        "wall a,b,c | d\nwall a | b,c\n",
+    ),
+    # K2,3: a, b and c have the two medians x and y
+    "graph that is not median": (
+        ["validate"],
+        "cubecomplex v1\n"
+        + "".join(f"vertex {v}\n" for v in "abcxy")
+        + "".join(f"edge {u} {v}\n" for u in "abc" for v in "xy"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_CASES)
+def test_errors_match_across_hash_seeds(name, tmp_path):
+    command, text = ERROR_CASES[name]
+    path = tmp_path / "input"
+    path.write_text(text)
+    outputs = set()
+    for hashseed in (0, 1, 12345):
+        proc = _run([*command, str(path)], hashseed)
+        assert proc.returncode == 1, proc.stderr.decode(errors="replace")
+        outputs.add((proc.stdout, proc.stderr))
+    assert len(outputs) == 1, outputs

@@ -32,5 +32,5 @@ def test_the_public_names_are_pinned():
         "equivariant_collapse_step", "extremal_panels", "find_extremal_panel",
         "fundament", "hyperplane_provenance", "is_extremal", "iter_steps",
         "no_facing_panels", "push_action", "run_to_tree",
-        "stallings_pipeline", "subdivide", "validate_graph",
+        "stallings_pipeline", "validate_graph",
     ]

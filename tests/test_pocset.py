@@ -456,3 +456,15 @@ def test_pipeline_soundness(ws):
         tree.cube_counts[1] if len(tree.cube_counts) > 1 else 0
     )
     assert complexity(tree, res.action).is_zero
+
+
+def test_walls_on_points_of_mixed_types_are_canonical():
+    # the points sort by repr, 'a' first; each wall is ordered on the
+    # points' indices, so no int is compared with a str
+    ws = Wallspace.from_data([1, "a", 2], [({1}, {"a", 2}), ({"a"}, {1, 2})])
+    assert ws.points == ("a", 1, 2)
+    assert ws.walls == (
+        (frozenset({"a"}), frozenset({1, 2})),
+        (frozenset({"a", 2}), frozenset({1})),
+    )
+    assert dualize_details(ws).complex.n == 3

@@ -31,7 +31,6 @@ from panelcollapse.symmetry import (
     iter_steps,
     push_action,
     run_to_tree,
-    subdivide,
 )
 
 from conftest import (
@@ -122,8 +121,8 @@ def test_an_automorphism_of_another_complex_is_refused(square):
             action.wall_image(g, 0)
         with pytest.raises(PreconditionError, match="different complexes"):
             own * g
-        with pytest.raises(PreconditionError, match="another complex"):
-            subdivide(square)[1](g)
+        with pytest.raises(PreconditionError, match="does not act on this complex"):
+            push_action(square, GroupAction(g.complex, [g]))
     # one complex built twice is the same complex
     twin = Automorphism(hypercube_complex(2), square_diagonal(square))
     assert GroupAction(square, [twin]).order == 2
@@ -154,14 +153,13 @@ def test_automorphism_algebra(cube3):
 
 def test_subdivide_edge():
     edge = CubeComplex(["a", "b"], [("a", "b")])
-    sub, push = subdivide(edge)
+    sub, pushed = push_action(edge, GroupAction(edge, [{"a": "b", "b": "a"}]))
     assert sub.cube_counts == (3, 2)
-    refl = push({"a": "b", "b": "a"})
-    assert refl["a|b"] == "a|b"
+    assert pushed.generators[0]("a|b") == "a|b"
 
 
 def test_subdivide_square(square):
-    sub, _ = subdivide(square)
+    sub, _ = push_action(square, GroupAction(square, []))
     assert sub.cube_counts == (9, 12, 4)
 
 
@@ -177,7 +175,7 @@ def test_subdivision_removes_inversions():
 
 
 def test_subdivide_cube_counts(cube3):
-    sub, _ = subdivide(cube3)
+    sub, _ = push_action(cube3, GroupAction(cube3, []))
     assert sub.cube_counts[0] == sum(cube3.cube_counts)
     assert sub.validation_report.passed
     # subdivision of a d-cube has 3^d vertices and dimension d
@@ -202,9 +200,10 @@ def _named_subdivision(cx):
 
 
 def test_the_subdivision_is_built_as_from_its_named_cubes(square, cube3):
-    # subdivide builds from index pairs and pushes generators as cube index
-    # permutations; the public build from named cubes must have the same
-    # tables, and each pushed generator must be the named pushforward
+    # push_action builds from index pairs and pushes generators as cube
+    # index permutations; the public build from named cubes must have the
+    # same tables, and each pushed generator must map each cube's name to
+    # its image's
     instances = [
         (square, GroupAction(square, [coordinate_swap(square, 0, 1)])),
         (cube3, GroupAction(cube3, [coordinate_swap(cube3, 0, 1)])),
@@ -217,14 +216,11 @@ def test_the_subdivision_is_built_as_from_its_named_cubes(square, cube3):
     inverting = 0
     for cx, action in instances:
         named, name = _named_subdivision(cx)
-        sub, push = subdivide(cx)
+        sub, pushed = push_action(cx, action)
         assert_same_tables(sub, named)
-        pushed_sub, pushed = push_action(cx, action)
-        assert_same_tables(pushed_sub, named)
         assert pushed.is_inversion_free
         for g, h in zip(action.generators, pushed.generators, strict=True):
-            mapping = push(g)
-            assert mapping == {
+            mapping = {
                 name(vs): name(g.apply_set(vs))
                 for d in range(cx.dimension + 1)
                 for vs in cx.cube_vertexsets(d)
@@ -236,12 +232,13 @@ def test_the_subdivision_is_built_as_from_its_named_cubes(square, cube3):
 
 def test_pushforward_refuses_a_mapping_that_breaks_edges():
     # on the square a-b-d-c, swapping a and b alone is a bijection that
-    # breaks edges; pushed forward it would send both a|c and b|d to a|b|c|d
+    # breaks edges; pushed forward it would send both a|c and b|d to a|b|c|d,
+    # so no action holding it reaches push_action
     cx = CubeComplex(list("abcd"), [("a", "b"), ("b", "d"), ("d", "c"), ("c", "a")])
-    _, push = subdivide(cx)
     with pytest.raises(StructuralError, match="permutation breaks edge"):
-        push({"a": "b", "b": "a"})
-    assert push({"a": "b", "b": "a", "c": "d", "d": "c"})["a|c"] == "b|d"
+        GroupAction(cx, [{"a": "b", "b": "a"}])
+    swap = GroupAction(cx, [{"a": "b", "b": "a", "c": "d", "d": "c"}])
+    assert push_action(cx, swap)[1].generators[0]("a|c") == "b|d"
 
 
 def test_subdivision_refuses_colliding_names():
@@ -249,7 +246,7 @@ def test_subdivision_refuses_colliding_names():
     cx = CubeComplex(["a|b", "a", "b", "s"], [("a|b", "a"), ("a", "b"), ("b", "s")])
     message = r"subdivision names two cubes 'a\|b': '\|' .* is reserved"
     with pytest.raises(PreconditionError, match=message):
-        subdivide(cx)
+        push_action(cx, GroupAction(cx, []))
     reversal = {"a|b": "s", "s": "a|b", "a": "b", "b": "a"}
     with pytest.raises(PreconditionError, match=message):
         push_action(cx, GroupAction(cx, [reversal]))
@@ -699,8 +696,9 @@ def test_fuzz_recounts_the_carried_complexity(monkeypatch, capsys):
 
 
 def test_cube_orbit_count_matches_vertex_set_orbits():
-    # with no generators the count is the closed form ``cube_counts[d]``,
-    # and 0 beyond the dimension; both paths against brute-force orbits
+    # every action, the trivial one too, is counted from the orbits of its
+    # listed cubes, and 0 beyond the dimension; the drawn and the trivial
+    # action against brute-force orbits
     rng = random.Random(37)
     moved = 0
     for _ in range(40):
