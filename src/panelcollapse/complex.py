@@ -49,16 +49,16 @@ or cube once, sort the names and join the indices of masks or cubes.  Both
 constructors run the full recogniser, so every complex is validated.
 
 A build keeps only integer tables: the masks, each vertex's down-walls,
-each wall's edges, and what the recogniser found on the way: the squares,
-as each one's top and walls, and the mask of the walls crossing each wall.
-It lists no other cube.  An edge's wall is the one bit in which its ends'
-masks differ.  Inside the package a cube is the pair ``(base, axes)`` of
-the AND of its vertex masks and the mask of its walls; its vertices are the
-masks ``base | s`` for the subsets ``s`` of ``axes``.  Signs, sides,
-crossing sets and convex hulls are read off the masks.  The list of one
-dimension's cubes (for squares, the recorded squares sorted), the table of
-every cube, the maximal cubes, the vertex-by-wall sign matrix and the
-cubes' vertex sets are built on first use and cached.  The maximal cubes
+each wall's edges, and the mask of the walls crossing each wall, which the
+recogniser reads off the squares it meets.  It lists no cube.  An edge's
+wall is the one bit in which its ends' masks differ.  Inside the package a
+cube is the pair ``(base, axes)`` of the AND of its vertex masks and the
+mask of its walls; its vertices are the masks ``base | s`` for the subsets
+``s`` of ``axes``.  Signs, sides, crossing sets and convex hulls are read
+off the masks.  Every list of cubes is read off the down-walls at the
+cubes' tops.  The list of one dimension's cubes, the table of every cube,
+the maximal cubes, the vertex-by-wall sign matrix and the cubes' vertex
+sets are built on first use and cached.  The cubes, and the maximal cubes,
 across a few walls are found from those walls' edges alone.  A
 ``Hyperplane`` is a view of one wall: its edges and its two sides, as
 vertex names, are read off the wall's edges and the masks on first access.
@@ -672,16 +672,15 @@ class CubeComplex:
     to its vertex index), ``_down[i]`` is the mask of the walls of i's edges
     towards vertex 0, ``_wall_edges[h]`` lists the index pairs of wall
     ``h``'s edges (an edge's wall, ``_wall_of``, is read off its ends'
-    masks), ``_adj_int[i]`` lists i's neighbours in ascending order,
-    ``_squares`` holds each square as ``(top, axes)``, by top in the
-    recogniser's search order and then by pairs of the top's
-    down-neighbours in the order the search reached them (only its set of
-    squares is fixed by the graph), and ``_crossing[h]`` is the mask of the
-    walls crossing wall h.  ``cube_counts`` is tallied by the recogniser
-    from the number of each vertex's down-walls, in closed form.
-    ``_dim_cubes(d)`` lists the d-cubes as ``(base, axes)`` pairs on first
-    use, the squares by sorting ``_squares``, and ``_cubes`` holds every
-    dimension's list for the few callers that walk every cube.  The public
+    masks), ``_adj_int[i]`` lists i's neighbours in ascending order, and
+    ``_crossing[h]`` is the mask of the walls crossing wall h.
+    ``cube_counts`` is tallied by the recogniser from the number of each
+    vertex's down-walls, in closed form.  Every list of cubes, as
+    ``(base, axes)`` pairs, is read off the down-walls at the cubes' tops:
+    ``_dim_cubes(d)`` lists the d-cubes on first use, ``_cubes`` holds
+    every dimension's list for the few callers that walk every cube, and
+    ``_cubes_across(walls)`` lists the cubes with an axis in a wall mask
+    at the upper ends of those walls' edges.  The public
     views take and return cubes as vertex sets, converted by ``_key`` and
     ``_vertex_set``; they, the sign matrix and the maximal cubes are built
     on first use.  ``hyperplanes()`` gives one ``Hyperplane`` view per wall,
@@ -721,7 +720,7 @@ class CubeComplex:
         self._ix = ix
         self._int_edges = int_edges
         (self._adj_int, edge_wall, self._masks, self._vertex_of, self._down,
-         self._squares, self._crossing) = internals
+         _, self._crossing) = internals
         self.validation_report = report
         self._compute_hyperplanes(edge_wall)
         self._hyperplanes = None
@@ -823,23 +822,17 @@ class CubeComplex:
         edges there that lead towards vertex 0 cross distinct walls,
         ``_down[top]``, and any subset s of them spans the cube
         ``(top ^ s, s)``.  So each cube is listed once, by top vertex, then
-        by axes ascending.  The squares are the ones the recogniser
-        recorded, ``_squares``, sorted into this order.
+        by axes ascending.
         """
         cubes = self._cube_lists.get(dim)
         if cubes is None:
-            masks = self._masks
-            if dim == 2:
-                cubes = [(masks[t] ^ s, s) for t, s in sorted(self._squares)]
-            else:
-                cubes = [
-                    (top ^ s, s)
-                    for top, walls in zip(masks, self._down)
-                    if walls.bit_count() >= dim >= 0
-                    for s in _subsets(walls)
-                    if s.bit_count() == dim
-                ]
-            self._cube_lists[dim] = cubes
+            cubes = self._cube_lists[dim] = [
+                (top ^ s, s)
+                for top, walls in zip(self._masks, self._down)
+                if walls.bit_count() >= dim >= 0
+                for s in _subsets(walls)
+                if s.bit_count() == dim
+            ]
         return cubes
 
     @functools.cached_property
@@ -883,21 +876,33 @@ class CubeComplex:
             self._maximal = self._maximal_topped_by(range(self.n))
         return self._maximal
 
-    def _upper_ends(self, walls: int) -> set:
+    def _upper_ends(self, walls: int) -> list:
         """The upper ends, the ends on the plus side, of the edges of the
-        walls in the mask ``walls``: the tops of the cubes with such an
-        axis, as a cube's axes are among its top's down-walls."""
+        walls in the mask ``walls``, ascending: the tops of the cubes with
+        such an axis, as a cube's axes are among its top's down-walls."""
         masks, tops = self._masks, set()
         for h in _bits(walls):
             tops.update([b if masks[b] >> h & 1 else a for a, b in self._wall_edges[h]])
-        return tops
+        return sorted(tops)
+
+    def _cubes_across(self, walls: int) -> list:
+        """The cubes with an axis in the mask ``walls``, as ``(base, axes)``
+        pairs: the subsets of each upper end's down-walls that meet
+        ``walls``, by top vertex, then by axes ascending."""
+        masks, down = self._masks, self._down
+        return [
+            (masks[t] ^ s, s)
+            for t in self._upper_ends(walls)
+            for s in _subsets(down[t])
+            if s & walls
+        ]
 
     def _maximal_cubes_across(self, walls: int) -> tuple[tuple[int, int], ...]:
         """The maximal cubes with an axis in the mask ``walls``, in
         ``_maximal_cubes`` order.  A maximal cube's axes are its top's
         down-walls, so it has axis h exactly when its top is the upper end,
         the end on h's plus side, of an edge of h."""
-        return self._maximal_topped_by(sorted(self._upper_ends(walls)))
+        return self._maximal_topped_by(self._upper_ends(walls))
 
     def maximal_cubes(self) -> tuple[frozenset, ...]:
         """Vertex sets of the maximal cubes, in ``_maximal_cubes`` order."""
@@ -954,14 +959,11 @@ class CubeComplex:
         return self._wall_of(self._ix[u], self._ix[v])
 
     def carrier(self, h_id: int) -> tuple[frozenset, ...]:
-        """Cubes (all dimensions) containing an edge dual to wall ``h_id``."""
+        """Cubes (all dimensions) containing an edge dual to wall ``h_id``,
+        by dimension, then top vertex, then axes."""
         self._require_walls(h_id)
-        return tuple(
-            self._vertex_set(c)
-            for cubes in self._cubes
-            for c in cubes
-            if c[1] >> h_id & 1
-        )
+        cubes = sorted(self._cubes_across(1 << h_id), key=lambda c: c[1].bit_count())
+        return tuple(map(self._vertex_set, cubes))
 
     # -- metric / convexity ----------------------------------------------------
 

@@ -229,10 +229,7 @@ def format_provenance(cx: CubeComplex, provenance: dict) -> list[str]:
 def parse_provenance(text: str, cx: CubeComplex) -> dict:
     """Edge key -> crossed wall ids of a sidecar, against a known complex."""
     provenance = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         parts = line.split()
         if len(parts) < 4 or parts[0] != "edge" or parts[3] != "crosses":
             raise FileFormatError(f"line {lineno}: bad provenance line")

@@ -160,9 +160,8 @@ class Panel:
         bit = _side_bit(self.side)
         return frozenset(
             cx._vertex_set((base, axes))
-            for cubes in cx._cubes[1:]
-            for base, axes in cubes
-            if axes >> h & 1 and not axes >> e & 1 and base >> e & 1 == bit
+            for base, axes in cx._cubes_across(1 << h)
+            if not axes >> e & 1 and base >> e & 1 == bit
         )
 
     @functools.cached_property

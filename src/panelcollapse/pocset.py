@@ -45,7 +45,8 @@ def _canonical_wall(points_set, first, wall):
     """A wall's two sides, the side holding the point ``first`` first: the
     one place that orders a wall.  With ``first`` the least point, that is
     the smaller sorted side, found without comparing two points.  Raises
-    unless the sides partition the points."""
+    unless the sides partition the points, and ``TypeError`` or
+    ``ValueError`` from unpacking a wall that is not a pair of sides."""
     a, b = map(frozenset, wall)
     if not a or not b:
         raise StructuralError("wall has an empty side")
@@ -76,8 +77,12 @@ class Wallspace:
             raise StructuralError("wallspace has no points")
         pset = frozenset(pts)
         sides = {}
-        for wall in walls:
-            a, b = _canonical_wall(pset, pts[0], wall)
+        for position, wall in enumerate(walls):
+            try:
+                a, b = _canonical_wall(pset, pts[0], wall)
+            except (TypeError, ValueError):
+                # named by position: a set's repr changes with the hash seed
+                raise StructuralError(f"wall {position} is not a pair of sides") from None
             if a in sides:
                 raise StructuralError(f"duplicate wall {canonical_vertex_order(a)}")
             sides[a] = b
@@ -120,7 +125,8 @@ class Wallspace:
                 swaps.append(1)
             else:
                 raise StructuralError(
-                    f"symmetry does not preserve wall {sorted(a)} | {sorted(b)}"
+                    "symmetry does not preserve wall "
+                    f"{canonical_vertex_order(a)} | {canonical_vertex_order(b)}"
                 )
         return tuple(perm), tuple(swaps)
 

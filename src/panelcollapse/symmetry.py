@@ -443,12 +443,7 @@ def _carried_reps(action: GroupAction, result: CollapseResult, out: GroupAction)
     for w, flip in enumerate(result.wall_crossings):
         if flip & (flip - 1):
             diagonal |= 1 << w
-    cubes = [
-        (masks[t] ^ s, s)
-        for t in cx._upper_ends(diagonal)
-        for s in _subsets(cx._down[t])
-        if s & diagonal and s & (s - 1)
-    ]
+    cubes = [c for c in cx._cubes_across(diagonal) if c[1] & (c[1] - 1)]
     return reps + _cube_orbit_reps(cubes, out._images)
 
 

@@ -99,7 +99,6 @@ COMPLEX_TABLES = (
     "_vertex_of",
     "_down",
     "_wall_edges",
-    "_squares",
     "_crossing",
     "validation_report",
 )

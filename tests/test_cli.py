@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import panelcollapse
 
 from panelcollapse.cli import main
+from panelcollapse.collapse import collapse
 from panelcollapse.complex import CubeComplex
 from panelcollapse.errors import FileFormatError, PreconditionError, StructuralError
 from panelcollapse.fileio import (
@@ -27,6 +28,7 @@ from panelcollapse.fileio import (
     serialize_complex,
     serialize_wallspace,
 )
+from panelcollapse.panels import build_panel
 from panelcollapse.pocset import Wallspace
 from panelcollapse.symmetry import Automorphism, GroupAction, push_action
 
@@ -323,6 +325,26 @@ def test_export_dot_dashed_diagonals(capsys, tmp_path):
     assert len(dashed) == 1 and len(solid) == 2
 
 
+def test_export_dot_ignores_comments_in_the_sidecar(capsys, tmp_path):
+    # a comment line, a blank line and an inline comment, as in the other
+    # three formats
+    square = parse_complex((DATA / "square.cc").read_text())
+    res = collapse(square, [build_panel(square, 0, 1, "+"), build_panel(square, 1, 0, "+")])
+    cc = tmp_path / "diag.cc"
+    cc.write_text(serialize_complex(res.output_complex))
+    lines = res.provenance_lines()
+    outputs = []
+    for sidecar in (
+        lines,
+        ["# the crossing sets", "", lines[0] + "  # kept edge", *lines[1:]],
+    ):
+        prov = tmp_path / "diag.prov"
+        prov.write_text("\n".join(sidecar) + "\n")
+        outputs.append(run_cli(capsys, "export-dot", str(cc), "--provenance", str(prov)))
+    assert outputs[0][0] == 0 and "style=dashed" in outputs[0][1]
+    assert outputs[1] == outputs[0]
+
+
 def test_export_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
     cc = tmp_path / "names.cc"
     cc.write_text('cubecomplex v1\nvertex a"b\nvertex a\\\nedge a"b a\\\n')
@@ -511,6 +533,23 @@ INPUT_ERRORS = {
     "vertices that are not a cube": (
         lambda: path_complex(8).subcubes(frozenset({1, 2, 8})), StructuralError,
         "{1, 2, 8} is not a cube",
+    ),
+    "symmetry breaking a wall on points of mixed types": (
+        lambda: Wallspace.from_data([1, "a", 2], [({1}, {"a", 2})]).wall_permutation(
+            {1: "a", "a": 1}
+        ),
+        StructuralError, "symmetry does not preserve wall ['a', 2] | [1]",
+    ),
+    # a wall is named by its position: a set's repr changes with the hash seed
+    "wall of three sides": (
+        lambda: Wallspace.from_data(
+            ["a", "b", "c"], [({"a"}, {"b", "c"}), ({"a"}, {"b"}, {"c"})]
+        ),
+        StructuralError, "wall 1 is not a pair of sides",
+    ),
+    "wall that is not a collection": (
+        lambda: Wallspace.from_data(["a", "b"], [5]), StructuralError,
+        "wall 0 is not a pair of sides",
     ),
 }
 

@@ -13,6 +13,7 @@ from hypothesis import given
 from panelcollapse.collapse import classify
 from panelcollapse.complex import (
     MAX_VERTICES,
+    SIDES,
     CubeComplex,
     Hyperplane,
     _structural_pass,
@@ -24,6 +25,7 @@ from panelcollapse.errors import (
     PreconditionError,
     StructuralError,
 )
+from panelcollapse.panels import extremal_panels
 from panelcollapse.pocset import dualize_details
 from panelcollapse.randgen import (
     GeneratorConfig,
@@ -1037,3 +1039,51 @@ def test_sides_and_signs_match_the_references():
 def test_sides_and_signs_match_the_references_on_duals(ws):
     dual = dualize_details(ws).complex
     _assert_sides_and_signs_match_the_references(CubeComplex(dual.vertices, dual.edges))
+
+
+def _assert_cubes_across_match_the_whole_scans(cx, masks, fresh=False):
+    # the listings at the tops of the walls' edges against the scans of
+    # every cube that ``carrier`` and ``Panel.cube_set`` once made
+    carriers = [cx.carrier(h) for h in range(len(cx._wall_edges))]
+    panels = extremal_panels(cx)
+    cube_sets = [p.cube_set for p in panels]
+    if fresh:
+        # neither builds a list of cubes, and the build keeps no squares
+        assert "_cubes" not in vars(cx) and cx._cube_lists == {}
+    assert "_squares" not in vars(cx)
+    cubes = [c for by_dim in cx._cubes[1:] for c in by_dim]
+    for walls in masks:
+        assert set(cx._cubes_across(walls)) == {c for c in cubes if c[1] & walls}
+    assert carriers == [
+        tuple(cx._vertex_set(c) for by_dim in cx._cubes for c in by_dim if c[1] >> h & 1)
+        for h in range(len(cx._wall_edges))
+    ]
+    for p, cube_set in zip(panels, cube_sets):
+        h, e, bit = p.abutting, p.extremalising, SIDES.index(p.side)
+        assert cube_set == {
+            cx._vertex_set((base, axes))
+            for base, axes in cubes
+            if axes >> h & 1 and not axes >> e & 1 and base >> e & 1 == bit
+        }
+
+
+def test_cubes_across_walls_match_the_whole_scans_along_descents():
+    steps = 0
+    for instance in _descent_instances():
+        for step in iter_steps(*instance):
+            before, after = step.result.input_complex, step.result.output_complex
+            # the output's walls whose edges are diagonals, as a step lists
+            diagonal = sum(
+                1 << w
+                for w, flip in enumerate(step.result.wall_crossings)
+                if flip & (flip - 1)
+            )
+            _assert_cubes_across_match_the_whole_scans(before, _every_wall(before))
+            _assert_cubes_across_match_the_whole_scans(after, [diagonal, *_every_wall(after)])
+            steps += 1
+    assert steps >= 50, steps
+
+
+def test_cubes_across_walls_match_the_whole_scans_on_grids_and_boxes():
+    for cx in (grid_complex(6, 6), box_complex(3, 3, 3), hypercube_complex(5)):
+        _assert_cubes_across_match_the_whole_scans(cx, _every_wall(cx), fresh=True)
