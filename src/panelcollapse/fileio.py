@@ -28,11 +28,16 @@ wallspace (``wallspace v1``)::
 provenance sidecar, no header, one line per edge of a collapsed complex::
 
     edge a b crosses h0 h2
+
+The writers refuse, with ``StructuralError``, a vertex or point whose token
+its reader would not read back: an empty token, one holding whitespace or
+``#`` (for a point also ``,``, ``|`` or ``->``), or one that two names share,
+such as ``1`` and ``'1'``.
 """
 
 from __future__ import annotations
 
-from .complex import CubeComplex
+from .complex import CubeComplex, canonical_vertex_order
 from .errors import FileFormatError, StructuralError
 
 __all__ = [
@@ -55,6 +60,26 @@ def format_vertex(v) -> str:
     if isinstance(v, tuple):
         return "|".join(format_vertex(x) for x in v)
     return str(v)
+
+
+def _tokens(names, kind: str, reserved=("#",)) -> dict:
+    """Each name's token, by name, for a writer; raises unless each token
+    reads back as its name alone."""
+    tokens, named = {}, {}
+    for name in names:
+        token = format_vertex(name)
+        if token.split() != [token] or any(r in token for r in reserved):
+            raise StructuralError(
+                f"{kind} {name!r} cannot be written: its token {token!r} is "
+                f"empty or holds whitespace or {' or '.join(map(repr, reserved))}"
+            )
+        if token in named:
+            raise StructuralError(
+                f"{kind} {named[token]!r} and {kind} {name!r} are both "
+                f"written {token!r}"
+            )
+        tokens[name], named[token] = token, name
+    return tokens
 
 
 def _lines(text):
@@ -121,12 +146,11 @@ def parse_complex(text: str) -> CubeComplex:
 
 
 def serialize_complex(cx: CubeComplex, comments=()) -> str:
+    token = _tokens(cx.vertices, "vertex")
     out = ["cubecomplex v1"]
     out.extend(f"# {c}" for c in comments)
-    out.extend(f"vertex {format_vertex(v)}" for v in cx.vertices)
-    out.extend(
-        f"edge {format_vertex(u)} {format_vertex(v)}" for u, v in cx.edges
-    )
+    out.extend(f"vertex {token[v]}" for v in cx.vertices)
+    out.extend(f"edge {token[u]} {token[v]}" for u, v in cx.edges)
     return "\n".join(out) + "\n"
 
 
@@ -205,14 +229,21 @@ def parse_wallspace(text: str):
 
 
 def serialize_wallspace(points, walls, syms=()) -> str:
+    token = _tokens(points, "point", ("#", ",", "|", "->"))
+
+    def side(ps):
+        return ",".join([token[p] for p in canonical_vertex_order(ps)])
+
     out = ["wallspace v1"]
-    out.extend(f"point {p}" for p in points)
-    for a, b in walls:
-        out.append(
-            "wall " + ",".join(sorted(a)) + " | " + ",".join(sorted(b))
-        )
-    for s in syms:
-        out.append("sym " + " ".join(f"{u}->{v}" for u, v in sorted(s.items())))
+    out.extend(f"point {token[p]}" for p in points)
+    try:
+        for a, b in walls:
+            out.append(f"wall {side(a)} | {side(b)}")
+        for s in syms:
+            pairs = [f"{token[u]}->{token[s[u]]}" for u in canonical_vertex_order(s)]
+            out.append("sym " + " ".join(pairs))
+    except KeyError as exc:
+        raise StructuralError(f"unknown point {exc.args[0]!r}") from None
     return "\n".join(out) + "\n"
 
 

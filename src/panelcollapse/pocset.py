@@ -46,8 +46,12 @@ def _canonical_wall(points_set, first, wall):
     one place that orders a wall.  With ``first`` the least point, that is
     the smaller sorted side, found without comparing two points.  Raises
     unless the sides partition the points, and ``TypeError`` or
-    ``ValueError`` from unpacking a wall that is not a pair of sides."""
-    a, b = map(frozenset, wall)
+    ``ValueError`` for a wall that is not a pair of sides; a string wall
+    or side is refused, not read as its characters."""
+    a, b = wall
+    if isinstance(a, str) or isinstance(b, str):
+        raise TypeError("a side is a string")
+    a, b = frozenset(a), frozenset(b)
     if not a or not b:
         raise StructuralError("wall has an empty side")
     if a & b or (a | b) != points_set:

@@ -30,10 +30,11 @@ cube has an axis on a wall of diagonal edges, so only those cubes are listed
 and walked.  The complexity is the representatives' count by dimension, and
 no removed cube is visited.
 
-``iter_steps`` is the driver's loop: it yields each step's full
-``StepResult`` and keeps none of them once the next is built.  ``run_to_tree`` folds the steps
+``iter_steps`` is the driver's loop: it yields each step's ``StepResult``,
+the step's ``StepRecord`` with its collapse result and output action, and
+keeps none of them once the next is built.  ``run_to_tree`` folds the steps
 into a ``RunTrace``, which keeps the first and last complexes, the original
-walls under each tree edge and one small ``StepRecord`` per step, so a run's
+walls under each tree edge and each step's record part alone, so a run's
 memory does not grow with the number of steps.  Every run ends by checking
 that this provenance is equivariant: each generator maps the original walls
 under a wall onto those under its image, read off the signed wall tables of
@@ -47,7 +48,8 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 # hyperplane_provenance and no_facing_panels are not called here, but
 # perfbench/tracer.py wraps both by name in this module
@@ -275,9 +277,15 @@ class GroupAction:
         return ComplexityVector(tuple(counts[cx.dimension:1:-1]))
 
     def panel_orbit(self, panel: Panel) -> tuple[Panel, ...]:
-        """Every image of one panel under the group, in triple order.  Two
+        """Every image of one panel under the group, in triple order: the
+        panel itself, and one ``build_panel`` for each other triple.  Two
         triples never give one panel: for one abutting wall H, equal H-edges
-        are equal halfspaces of H, so the extremalising walls coincide."""
+        are equal halfspaces of H, so the extremalising walls coincide.
+        Refuses a non-panel or a panel built on another complex."""
+        if not isinstance(panel, Panel):
+            raise PreconditionError(f"not a panel: {panel!r}")
+        if not _same_complex(panel.complex, self.complex):
+            raise PreconditionError("panel was built on another complex")
         triples, seen = [panel.triple], {panel.triple}
         for h, e, side in triples:
             bit = _side_bit(side)
@@ -287,8 +295,8 @@ class GroupAction:
                 if moved not in seen:
                     seen.add(moved)
                     triples.append(moved)
-        out = []
-        for h, e, s in triples:
+        out = [panel]
+        for h, e, s in triples[1:]:
             try:
                 out.append(build_panel(self.complex, h, e, s))
             except PreconditionError as exc:
@@ -529,13 +537,27 @@ def _context(prefix: str):
 
 
 @dataclass(frozen=True)
-class StepResult:
-    result: CollapseResult = field(repr=False)
-    action: GroupAction = field(repr=False)
+class StepRecord:
+    """What a run keeps of one step: the panel, the orbit size, the
+    complexity before and after, and the output's cube and diagonal counts."""
+
     panel_triple: tuple
     orbit_size: int
     complexity_before: ComplexityVector
     complexity_after: ComplexityVector
+    cube_counts: tuple
+    diagonal_count: int
+
+
+@dataclass(frozen=True)
+class StepResult(StepRecord):
+    """A step in full: its ``StepRecord``, collapse result and output action."""
+
+    result: CollapseResult = field(repr=False)
+    action: GroupAction = field(repr=False)
+
+
+_record_part = operator.attrgetter(*[f.name for f in fields(StepRecord)])
 
 
 def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
@@ -583,26 +605,15 @@ def equivariant_collapse_step(cx: CubeComplex, action: GroupAction):
                 f"complexity did not strictly decrease: {before} -> {after}"
             )
     return StepResult(
-        result=result,
-        action=new_action,
         panel_triple=panel.triple,
         orbit_size=len(orbit),
         complexity_before=before,
         complexity_after=after,
+        cube_counts=result.output_complex.cube_counts,
+        diagonal_count=len(result.diagonal_edges),
+        result=result,
+        action=new_action,
     )
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """What a run keeps of one step: the panel, the orbit size, the
-    complexity before and after, and the output's cube and diagonal counts."""
-
-    panel_triple: tuple
-    orbit_size: int
-    complexity_before: ComplexityVector
-    complexity_after: ComplexityVector
-    cube_counts: tuple
-    diagonal_count: int
 
 
 @dataclass(frozen=True)
@@ -661,9 +672,7 @@ def iter_steps(cx: CubeComplex, action: GroupAction):
     complex alive.
     """
     limit = sum(cx.cube_counts)
-    number = 0
-    while True:
-        number += 1
+    for number in itertools.count(1):
         with _context(f"step {number}, "):
             step = equivariant_collapse_step(cx, action)
             if step is None:
@@ -706,7 +715,7 @@ def _recounted(steps):
 
 def _trace(cx: CubeComplex, action: GroupAction, steps) -> RunTrace:
     """The ``RunTrace`` of ``steps``, the ``StepResult``s that ``iter_steps``
-    yields from ``cx`` and ``action``.
+    yields from ``cx`` and ``action``, each kept as a plain ``StepRecord``.
 
     Tracks, through every step, the set of original walls each surviving or
     diagonal edge crosses.  The sets are lifted per wall, as one mask of
@@ -727,25 +736,15 @@ def _trace(cx: CubeComplex, action: GroupAction, steps) -> RunTrace:
     lift = [1 << h for h in range(len(cx._wall_edges))]
     records = []
     for step in steps:
-        result = step.result
-        cx = result.output_complex
+        cx = step.result.output_complex
         new_lift = []
-        for flip in result.wall_crossings:
+        for flip in step.result.wall_crossings:
             origin = 0
             for h in _bits(flip):
                 origin |= lift[h]
             new_lift.append(origin)
         lift = new_lift
-        records.append(
-            StepRecord(
-                panel_triple=step.panel_triple,
-                orbit_size=step.orbit_size,
-                complexity_before=step.complexity_before,
-                complexity_after=step.complexity_after,
-                cube_counts=cx.cube_counts,
-                diagonal_count=len(result.diagonal_edges),
-            )
-        )
+        records.append(StepRecord(*_record_part(step)))
         action = step.action
     order, walls = cx._order, [frozenset(_bits(m)) for m in lift]
     for first_row, row in zip(first._wall_table, action._wall_table):

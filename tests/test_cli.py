@@ -22,6 +22,7 @@ from panelcollapse.collapse import collapse
 from panelcollapse.complex import CubeComplex
 from panelcollapse.errors import FileFormatError, PreconditionError, StructuralError
 from panelcollapse.fileio import (
+    format_vertex,
     parse_action,
     parse_complex,
     parse_wallspace,
@@ -551,6 +552,36 @@ INPUT_ERRORS = {
         lambda: Wallspace.from_data(["a", "b"], [5]), StructuralError,
         "wall 0 is not a pair of sides",
     ),
+    # a string is a name, not a set of points: it is not read by characters
+    "wall that is a string": (
+        lambda: Wallspace.from_data(["a", "b"], [({"a"}, {"b"}), "ab"]),
+        StructuralError, "wall 1 is not a pair of sides",
+    ),
+    "side that is a string": (
+        lambda: Wallspace.from_data(["a", "b", "c"], [("a", "bc")]), StructuralError,
+        "wall 0 is not a pair of sides",
+    ),
+    # the writers refuse a name whose token would not read back as it
+    "complex writer given a vertex holding a space": (
+        lambda: serialize_complex(CubeComplex(["a b", "c"], [("a b", "c")])),
+        StructuralError,
+        "vertex 'a b' cannot be written: its token 'a b' is empty or holds "
+        "whitespace or '#'",
+    ),
+    "complex writer given two vertices of one token": (
+        lambda: serialize_complex(CubeComplex([(1, 2), "1|2"], [((1, 2), "1|2")])),
+        StructuralError,
+        "vertex '1|2' and vertex (1, 2) are both written '1|2'",
+    ),
+    "wallspace writer given a point holding an arrow": (
+        lambda: serialize_wallspace(["a->b", "c"], []), StructuralError,
+        "point 'a->b' cannot be written: its token 'a->b' is empty or holds "
+        "whitespace or '#' or ',' or '|' or '->'",
+    ),
+    "wallspace writer given a wall of an unknown point": (
+        lambda: serialize_wallspace(["a", "b"], [({"a"}, {"z"})]), StructuralError,
+        "unknown point 'z'",
+    ),
 }
 
 
@@ -853,3 +884,73 @@ def test_fuzz_arguments_and_seed_exit_cleanly(count, max_vertices, seed):
     assert "Traceback" not in out + err, (argv, seed)
     if code == 0:
         assert out.strip().endswith("ok"), out
+
+
+# -- writers -----------------------------------------------------------------
+
+
+def test_written_complexes_read_back_with_every_name():
+    # ints, tuples and strings with '|' are written as their tokens, and
+    # the reader gets one vertex per token back, in the same edges
+    for vertices in ([1, 2, 3], [(0, 0), (0, 1), (1, 1)], ["a|b", "c", "d,e"]):
+        cx = CubeComplex(vertices, list(zip(vertices, vertices[1:])))
+        again = parse_complex(serialize_complex(cx))
+        token = {v: format_vertex(v) for v in cx.vertices}
+        assert again.vertices == tuple(token[v] for v in cx.vertices)
+        assert again.edges == tuple((token[u], token[v]) for u, v in cx.edges)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [["", "a"], ["a#1", "b"], ["a\tb", "c"], [1, "1"], ["a", "b", ("a",)]],
+    ids=["empty", "hash", "tab", "int-and-string", "tuple-and-string"],
+)
+def test_the_complex_writer_refuses_an_unreadable_name(vertices):
+    cx = CubeComplex(vertices, list(zip(vertices, vertices[1:])))
+    with pytest.raises(StructuralError, match=r"^vertex "):
+        serialize_complex(cx)
+
+
+def test_written_wallspaces_read_back_with_every_point():
+    # points that from_data accepts: ints, strings, and both mixed
+    cases = [
+        ([1, 2, 3], [({1}, {2, 3}), ({1, 2}, {3})], [{1: 3, 3: 1}]),
+        (["a", "b", 1], [({"a"}, {"b", 1})], [{1: "b", "b": 1}]),
+        (["x", "y"], [({"x"}, {"y"})], []),
+    ]
+    for points, walls, syms in cases:
+        token = {p: format_vertex(p) for p in points}
+        read_points, read_walls, read_syms = parse_wallspace(
+            serialize_wallspace(points, walls, syms)
+        )
+        assert read_points == [token[p] for p in points]
+        assert read_walls == [
+            tuple(frozenset(token[p] for p in side) for side in wall) for wall in walls
+        ]
+        assert read_syms == [{token[u]: token[v] for u, v in s.items()} for s in syms]
+
+
+def test_the_wallspace_writer_orders_int_points_by_value():
+    # sides and symmetries follow canonical_vertex_order, not the tokens' order
+    text = serialize_wallspace([1, 2, 10], [({1}, {2, 10})], [{10: 2, 2: 10, 1: 1}])
+    assert text == (
+        "wallspace v1\npoint 1\npoint 2\npoint 10\n"
+        "wall 1 | 2,10\nsym 1->1 2->10 10->2\n"
+    )
+
+
+def test_the_wallspace_writer_keeps_string_files_as_they_were():
+    # string points are written as themselves, sides and symmetries sorted
+    text = (DATA / "crossing2.ws").read_text()
+    assert serialize_wallspace(*parse_wallspace(text)) == text
+
+
+@pytest.mark.parametrize(
+    "points",
+    [["", "a"], ["a b", "c"], ["a#", "b"], ["a,b", "c"], ["a|b", "c"], ["a->b", "c"],
+     [1, "1"]],
+    ids=["empty", "space", "hash", "comma", "bar", "arrow", "int-and-string"],
+)
+def test_the_wallspace_writer_refuses_an_unreadable_point(points):
+    with pytest.raises(StructuralError, match=r"^point "):
+        serialize_wallspace(points, [({points[0]}, {points[1]})])

@@ -26,6 +26,7 @@ from panelcollapse.symmetry import (
     ComplexityVector,
     GroupAction,
     StepRecord,
+    StepResult,
     complexity,
     equivariant_collapse_step,
     iter_steps,
@@ -48,6 +49,7 @@ from conftest import (
     rotation,
     six_point_walls,
 )
+from test_collapse import _descent_instances
 
 
 # the package re-exports the function ``collapse`` under the module's name
@@ -632,8 +634,6 @@ def _carried_instances():
     ``fuzz`` configuration (whose diagonal cubes reach dimension 3), S3 and
     B3 on the dual 3-cube, and inverted wallspaces with their actions
     pushed to the subdivision."""
-    from test_collapse import _descent_instances
-
     box, grid = box_complex(3, 3, 3), grid_complex(6, 6)
     instances = _descent_instances() + [
         (box, GroupAction(box, [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)])),
@@ -793,3 +793,70 @@ def test_the_step_loop_builds_no_vertex_sets(monkeypatch):
     monkeypatch.setattr(CollapseResult, "edge_provenance", property(refuse))
     monkeypatch.setattr(symmetry, "_close", refuse)
     assert [(t.provenance_digest(), t.step_count) for t in runs()] == expected
+
+
+# -- one maker for each fact of a step -----------------------------------------
+
+
+def test_a_step_result_is_the_record_a_run_keeps():
+    for cx, action in _descent_instances() + _random_runs(31, 20):
+        steps = list(iter_steps(cx, action))
+        for step in steps:
+            assert isinstance(step, StepRecord) and type(step) is StepResult
+            assert step.cube_counts == step.result.output_complex.cube_counts
+            assert step.diagonal_count == len(step.result.diagonal_edges)
+        records = symmetry._trace(cx, action, steps).steps
+        assert all(type(record) is StepRecord for record in records)
+
+
+def test_a_panel_orbit_keeps_the_panel_it_was_given(monkeypatch):
+    built = []
+    build_panel = symmetry.build_panel
+
+    def counted(cx, h, e, side):
+        built.append((h, e, side))
+        return build_panel(cx, h, e, side)
+
+    monkeypatch.setattr(symmetry, "build_panel", counted)
+    box = box_complex(3, 3, 3)
+    cases = [
+        (box, GroupAction(box, [coordinate_swap(box, 0, 1), coordinate_swap(box, 1, 2)])),
+        (box, GroupAction(box, [])),
+    ] + _random_runs(37, 10)
+    sizes = set()
+    for cx, action in cases:
+        for panel in extremal_panels(cx):
+            built.clear()
+            orbit = action.panel_orbit(panel)
+            assert any(p is panel for p in orbit)
+            assert sorted(built) == sorted(p.triple for p in orbit if p is not panel)
+            sizes.add(len(orbit))
+    assert 1 in sizes and max(sizes) >= 6, sizes
+
+
+def test_a_run_under_the_trivial_group_builds_no_orbit_panel(monkeypatch):
+    box = box_complex(3, 3)
+    expected = run_to_tree(box, GroupAction(box, [])).lines()
+
+    def refuse(*args):
+        raise AssertionError("panel_orbit rebuilt a panel")
+
+    monkeypatch.setattr(symmetry, "build_panel", refuse)
+    trace = run_to_tree(box, GroupAction(box, []))
+    assert trace.step_count > 0 and trace.lines() == expected
+
+
+def test_a_panel_orbit_refuses_a_foreign_panel_or_a_non_panel():
+    cube_panel = find_extremal_panel(hypercube_complex(3))
+    for cx in (grid_complex(3, 3), path_complex(2)):
+        with pytest.raises(
+            PreconditionError, match=r"^panel was built on another complex$"
+        ):
+            GroupAction(cx, []).panel_orbit(cube_panel)
+    grid = grid_complex(3, 3)
+    with pytest.raises(PreconditionError, match=r"^not a panel: \(0, 1, '-'\)$"):
+        GroupAction(grid, []).panel_orbit((0, 1, "-"))
+    # a panel of an equal complex built apart is its own complex's panel
+    twin = grid_complex(3, 3)
+    panel = find_extremal_panel(twin)
+    assert GroupAction(grid, []).panel_orbit(panel) == (panel,)
