@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -159,11 +161,10 @@ def _parse_panel_arg(cx, triple: str):
         raise PreconditionError("--panel expects H,E,side (e.g. h0,h1,+)")
     ids = []
     for raw in parts[:2]:
-        raw = raw.strip().lstrip("h")
-        try:
-            ids.append(int(raw))
-        except ValueError:
-            raise PreconditionError(f"bad hyperplane id {raw!r}") from None
+        raw = raw.strip()
+        if not re.fullmatch("h?[0-9]+", raw):
+            raise PreconditionError(f"bad hyperplane id {raw!r}")
+        ids.append(int(raw.removeprefix("h")))
     k = len(cx._wall_edges)
     for i in ids:
         if not 0 <= i < k:
@@ -401,7 +402,13 @@ def main(argv=None) -> int:
         print("error: a command is required", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: devnull takes the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,9 +46,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .complex import CubeComplex, _bits, _faces, _side_bit, _subsets, vertex_set_text
+from .complex import CubeComplex, _bits, _faces, _subsets, vertex_set_text
 from .errors import InternalInvariantError, InvalidComplexError, PreconditionError
-from .panels import Panel, no_facing_panels
+from .panels import no_facing_panels
 
 __all__ = [
     "COMPLETELY_EXTERNAL",
@@ -73,34 +73,28 @@ class CubeClassification:
     """Edge and cube classification against a fixed panel family.
 
     The family is indexed once by abutting wall: ``_abutting`` is the mask
-    of the abutting walls, and ``_sides[h]`` holds three masks of the
-    extremalising walls E of the panels (h, E, s): those with s = -, those
-    with s = +, and both.  A panel has an internal edge in a ``(base,
-    axes)`` cube exactly when h is an axis and E is an axis or has the cube
-    on side s, which is a bit of ``base``.  So a cube's status is a few ANDs
-    for each bit of ``axes & _abutting``, and every test is keyed by the
-    cube's ``(base, axes)`` pair.
+    of the abutting walls, and ``_sides[h]`` is ``[minus, plus]``, the masks
+    of the extremalising walls E of the panels (h, E, s) with s = - and
+    s = +, indexed by the panel's side bit.  A panel has an internal edge in
+    a ``(base, axes)`` cube exactly when h is an axis and E is an axis or
+    has the cube on side s, which is a bit of ``base``.  So a cube's status
+    is a few ANDs for each bit of ``axes & _abutting``, and every test is
+    keyed by the cube's ``(base, axes)`` pair.
     """
 
     def __init__(self, cx: CubeComplex, panels):
         # no_facing_panels rejects a member that is not a panel, so it runs
-        # before the sort reads the members' keys
+        # before the sort compares the members
         panels = tuple(panels)
         if not no_facing_panels(cx, panels):
             raise PreconditionError("panel family has facing panels")
         self.complex = cx
-        self.panels = tuple(sorted(panels, key=Panel.sort_key))
+        self.panels = tuple(sorted(panels))
         self._abutting = 0
-        self._sides: dict[int, tuple[int, int, int]] = {}
+        self._sides: dict[int, list[int]] = {}
         for p in panels:
-            h, e = p.abutting, p.extremalising
-            minus, plus, both = self._sides.get(h, (0, 0, 0))
-            if _side_bit(p.side):
-                plus |= 1 << e
-            else:
-                minus |= 1 << e
-            self._sides[h] = minus, plus, both | 1 << e
-            self._abutting |= 1 << h
+            self._sides.setdefault(p.abutting, [0, 0])[p._bit] |= 1 << p.extremalising
+            self._abutting |= 1 << p.abutting
 
     @property
     def internal_edges(self) -> frozenset:
@@ -113,10 +107,10 @@ class CubeClassification:
         base, axes = cube
         meets = False
         for h in _bits(axes & self._abutting):
-            minus, plus, both = self._sides[h]
+            minus, plus = self._sides[h]
             if (minus & ~base | plus & base) & ~axes:
                 return INTERNAL
-            meets = meets or both & axes != 0
+            meets = meets or (minus | plus) & axes != 0
         return EXTERNAL if meets else COMPLETELY_EXTERNAL
 
     def status(self, cube: frozenset) -> str:
@@ -150,10 +144,10 @@ def _persistent(cls: CubeClassification, cube):
     base, axes = cube
     ones = zeros = abutting = 0
     for h in _bits(axes & cls._abutting):
-        minus, plus, both = cls._sides[h]
+        minus, plus = cls._sides[h]
         ones |= minus & axes
         zeros |= plus & axes
-        if both & axes:
+        if (minus | plus) & axes:
             abutting |= 1 << h
     if ones & zeros:
         raise InternalInvariantError(
@@ -233,7 +227,7 @@ def _deletion_connected(cls: CubeClassification, cube) -> bool:
     for k, h in enumerate(walls):
         starts = full & ~ones[k]
         if cls._abutting >> h & 1:
-            minus, plus, _ = cls._sides[h]
+            minus, plus = cls._sides[h]
             if (minus & ~base | plus & base) & ~axes:
                 continue  # every edge along h is internal
             for j, e in enumerate(walls):

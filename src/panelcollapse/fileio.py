@@ -37,6 +37,8 @@ such as ``1`` and ``'1'``.
 
 from __future__ import annotations
 
+import re
+
 from .complex import CubeComplex, canonical_vertex_order
 from .errors import FileFormatError, StructuralError
 
@@ -62,13 +64,25 @@ def format_vertex(v) -> str:
     return str(v)
 
 
+# what ends a point's token on a wallspace line, besides whitespace
+_POINT_RESERVED = ("#", ",", "|", "->")
+
+
+def _breaker(token: str, reserved=("#",)):
+    """The first whitespace or ``reserved`` string in ``token``, where a
+    reader would split it, else None; the writers and the ``point`` line
+    of the wallspace reader share it."""
+    found = re.search("|".join([r"\s", *map(re.escape, reserved)]), token)
+    return found and found.group()
+
+
 def _tokens(names, kind: str, reserved=("#",)) -> dict:
     """Each name's token, by name, for a writer; raises unless each token
     reads back as its name alone."""
     tokens, named = {}, {}
     for name in names:
         token = format_vertex(name)
-        if token.split() != [token] or any(r in token for r in reserved):
+        if not token or _breaker(token, reserved):
             raise StructuralError(
                 f"{kind} {name!r} cannot be written: its token {token!r} is "
                 f"empty or holds whitespace or {' or '.join(map(repr, reserved))}"
@@ -203,6 +217,10 @@ def parse_wallspace(text: str):
             name = rest.strip()
             if not name or " " in name:
                 raise FileFormatError(f"line {lineno}: point takes one name")
+            if breaker := _breaker(name, _POINT_RESERVED):
+                raise FileFormatError(
+                    f"line {lineno}: point name {name!r} holds {breaker!r}"
+                )
             if name in seen:
                 raise FileFormatError(f"line {lineno}: duplicate point '{name}'")
             seen.add(name)
@@ -229,7 +247,7 @@ def parse_wallspace(text: str):
 
 
 def serialize_wallspace(points, walls, syms=()) -> str:
-    token = _tokens(points, "point", ("#", ",", "|", "->"))
+    token = _tokens(points, "point", _POINT_RESERVED)
 
     def side(ps):
         return ",".join([token[p] for p in canonical_vertex_order(ps)])

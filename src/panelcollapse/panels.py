@@ -19,13 +19,14 @@ decides extremality and yields the panel's internal edges.
 The canonical walk over extremal panels reads the mask of the walls crossing
 each wall, which the complex keeps from its build, so a step sorts no pairs.
 
-A ``Panel`` keeps its complex, its internal edges as vertex-index pairs and
-its vertices as a bitmask over vertex indices.  The collapse step reads only
-these and the complex's tables: two panels are disjoint when their vertex
+A ``Panel`` keeps its complex, its side as a bit (0 minus, 1 plus), whose
+field order is the canonical order, its internal edges as vertex-index pairs
+and its vertices as a bitmask over vertex indices.  The collapse step reads
+only these and the complex's tables: two panels are disjoint when their vertex
 masks do not meet, and their blocks share a maximal cube when their walls
-pairwise cross.  The vertex-name views
-(``internal_edges``, ``vertex_set``, ``cube_set``, ``block``) are built on
-first access.
+pairwise cross.  The vertex-name views (``internal_edges``, ``vertex_set``,
+``cube_set``, ``block``) are built on first access.  A side string is read
+only by the entry points ``build_panel`` and ``is_extremal``.
 """
 
 from __future__ import annotations
@@ -57,22 +58,20 @@ def codim2_hyperplanes(cx: CubeComplex) -> tuple[tuple[int, int], ...]:
     )
 
 
-def hyperplanes_cross(cx: CubeComplex, h: int, e: int) -> bool:
-    """Whether walls h and e share a square; both must name walls."""
-    return bool(cx._crossing[h] >> e & 1)
+def _require_crossing(cx: CubeComplex, h: int, e: int) -> None:
+    """Raise unless walls h and e share a square; both must name walls."""
+    if not cx._crossing[h] >> e & 1:
+        raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
 
 
-def _panel(cx: CubeComplex, h: int, e: int, side: str):
-    """The panel (H, E, side) when the pair is extremal there, else None:
-    H's edges on side s of E, when each has its copy across E.
+def _panel(cx: CubeComplex, h: int, e: int, bit: int):
+    """The panel (H, E, bit) of crossing walls when extremal there, else
+    None: H's edges on side ``bit`` of E, when each has its copy across E.
 
     One end's copy decides the edge's.  If a, b = a^H and a^E are vertices,
     so is a^H^E: the edges at a across the crossing walls H and E span a
     square, since crossing walls do not inter-osculate, and its fourth
     corner is b's copy.  So only a's copy is looked up."""
-    bit = _side_bit(side)
-    if not hyperplanes_cross(cx, h, e):
-        raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
     masks, vertex_of, flip = cx._masks, cx._vertex_of, 1 << e
     edges = tuple((a, b) for a, b in cx._wall_edges[h] if masks[a] >> e & 1 == bit)
     vertex_mask = 0
@@ -80,7 +79,7 @@ def _panel(cx: CubeComplex, h: int, e: int, side: str):
         if masks[a] ^ flip not in vertex_of:
             return None
         vertex_mask |= 1 << a | 1 << b
-    return Panel(h, e, side, cx, edges, vertex_mask)
+    return Panel(h, e, bit, cx, edges, vertex_mask)
 
 
 def is_extremal(cx: CubeComplex, h: int, e: int, side: str) -> bool:
@@ -88,7 +87,9 @@ def is_extremal(cx: CubeComplex, h: int, e: int, side: str) -> bool:
     of E: the side-s halfspace of the wall-complex of H must lie inside the
     carrier of H∩E there."""
     cx._require_walls(h, e)
-    return _panel(cx, h, e, side) is not None
+    bit = _side_bit(side)
+    _require_crossing(cx, h, e)
+    return _panel(cx, h, e, bit) is not None
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,7 @@ def block(cx: CubeComplex, h: int, e: int) -> Block:
     """The block of H∩E: a cube dual to both walls is maximal among such
     cubes exactly when it is a maximal cube of the complex."""
     cx._require_walls(h, e)
-    if not hyperplanes_cross(cx, h, e):
-        raise PreconditionError(f"hyperplanes {h} and {e} do not cross")
+    _require_crossing(cx, h, e)
     a, b = sorted((h, e))
     both = 1 << a | 1 << b
     maximal = frozenset(
@@ -114,10 +114,11 @@ def block(cx: CubeComplex, h: int, e: int) -> Block:
     return Block(first=a, second=b, maximal_cubes=maximal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Panel:
     """An extremal panel.  Identity is the triple (abutting, extremalising,
-    side): the same subcomplex can be a panel in several ways.
+    side): the same subcomplex can be a panel in several ways.  The side is
+    kept as ``_bit``, 0 minus and 1 plus, so the fields order canonically.
 
     Built by ``_panel`` only.  ``_edges`` holds the internal edges as
     vertex-index pairs of ``complex`` and ``_vertex_mask`` has bit i set for
@@ -128,17 +129,18 @@ class Panel:
 
     abutting: int
     extremalising: int
-    side: str
+    _bit: int
     complex: CubeComplex = field(compare=False, repr=False)
     _edges: tuple = field(compare=False, repr=False)
     _vertex_mask: int = field(compare=False, repr=False)
 
     @property
+    def side(self) -> str:
+        return SIDES[self._bit]
+
+    @property
     def triple(self) -> tuple[int, int, str]:
         return (self.abutting, self.extremalising, self.side)
-
-    def sort_key(self):
-        return (self.abutting, self.extremalising, _side_bit(self.side))
 
     def __repr__(self):
         return f"Panel(h{self.abutting}, e{self.extremalising}, {self.side})"
@@ -157,11 +159,10 @@ class Panel:
     def cube_set(self) -> frozenset:
         # a cube not dual to E lies on one side of it, read off its base
         cx, h, e = self.complex, self.abutting, self.extremalising
-        bit = _side_bit(self.side)
         return frozenset(
             cx._vertex_set((base, axes))
             for base, axes in cx._cubes_across(1 << h)
-            if not axes >> e & 1 and base >> e & 1 == bit
+            if not axes >> e & 1 and base >> e & 1 == self._bit
         )
 
     @functools.cached_property
@@ -173,7 +174,9 @@ def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
     """The extremal panel abutted by H, extremalised by E, on one side of E;
     raises unless the pair is extremal there."""
     cx._require_walls(h, e)
-    panel = _panel(cx, h, e, side)
+    bit = _side_bit(side)
+    _require_crossing(cx, h, e)
+    panel = _panel(cx, h, e, bit)
     if panel is None:
         raise PreconditionError(
             f"hyperplane pair ({h}, {e}) is not extremal on side {side!r}"
@@ -184,11 +187,11 @@ def build_panel(cx: CubeComplex, h: int, e: int, side: str) -> Panel:
 def _extremal_walk(cx: CubeComplex):
     """Every extremal panel, lazily, in canonical (abutting, extremalising,
     side) order: each wall h ascending, then the walls crossing it, the bits
-    of its crossing mask, ascending."""
+    of its crossing mask, ascending, then the side bits 0 and 1."""
     for h, crossing in enumerate(cx._crossing):
         for e in _bits(crossing):
-            for side in SIDES:
-                panel = _panel(cx, h, e, side)
+            for bit in (0, 1):
+                panel = _panel(cx, h, e, bit)
                 if panel is not None:
                     yield panel
 

@@ -286,25 +286,25 @@ class GroupAction:
             raise PreconditionError(f"not a panel: {panel!r}")
         if not _same_complex(panel.complex, self.complex):
             raise PreconditionError("panel was built on another complex")
-        triples, seen = [panel.triple], {panel.triple}
-        for h, e, side in triples:
-            bit = _side_bit(side)
+        first = panel.abutting, panel.extremalising, panel._bit
+        triples, seen = [first], {first}
+        for h, e, bit in triples:
             for row in self._wall_table:
                 t, flip = row[e]
-                moved = row[h][0], t, SIDES[bit ^ flip]
+                moved = row[h][0], t, bit ^ flip
                 if moved not in seen:
                     seen.add(moved)
                     triples.append(moved)
         out = [panel]
-        for h, e, s in triples[1:]:
+        for h, e, bit in triples[1:]:
             try:
-                out.append(build_panel(self.complex, h, e, s))
+                out.append(build_panel(self.complex, h, e, SIDES[bit]))
             except PreconditionError as exc:
                 # extremality is automorphism-invariant, so this cannot happen
                 raise InternalInvariantError(
-                    f"image panel (h{h}, h{e}, {s}) is not extremal: {exc}"
+                    f"image panel (h{h}, h{e}, {SIDES[bit]}) is not extremal: {exc}"
                 ) from exc
-        return tuple(sorted(out, key=Panel.sort_key))
+        return tuple(sorted(out))
 
     def transfer(self, other: CubeComplex) -> "GroupAction":
         """The same generating permutations acting on another complex over

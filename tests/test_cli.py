@@ -36,6 +36,7 @@ from panelcollapse.symmetry import Automorphism, GroupAction, push_action
 from conftest import (
     DATA,
     SEVEN_CUBE_SIDES,
+    grid_complex,
     hypercube_complex,
     pairwise_crossing_walls,
     path_complex,
@@ -582,6 +583,38 @@ INPUT_ERRORS = {
         lambda: serialize_wallspace(["a", "b"], [({"a"}, {"z"})]), StructuralError,
         "unknown point 'z'",
     ),
+    # the reader refuses a point name that no later line could name, as the
+    # writer refuses to write it
+    "point name holding a bar": (
+        ["dualize"], "wallspace v1\npoint a|b\npoint c\nwall a|b | c\n",
+        "line 2: point name 'a|b' holds '|'",
+    ),
+    "point name holding a comma": (
+        ["dualize"], "wallspace v1\npoint c\npoint a,b\nwall a,b | c\n",
+        "line 3: point name 'a,b' holds ','",
+    ),
+    "point name holding an arrow": (
+        ["stallings"],
+        "wallspace v1\npoint a->b\npoint c\nwall a->b | c\nsym a->b->c c->a->b\n",
+        "line 2: point name 'a->b' holds '->'",
+    ),
+    "point name holding a tab": (
+        ["stallings"], "wallspace v1\npoint a\tb\npoint c\n",
+        "line 2: point name 'a\\tb' holds '\\t'",
+    ),
+    # a wall id is an optional 'h' and ASCII digits, nothing looser
+    "panel id of two h's": (
+        ["collapse", "--panel", "hh0,h1,+"], (DATA / "cube3.cc").read_text(),
+        "bad hyperplane id 'hh0'",
+    ),
+    "panel id of three h's": (
+        ["collapse", "--panel", "hhh0,h1,+"], (DATA / "cube3.cc").read_text(),
+        "bad hyperplane id 'hhh0'",
+    ),
+    "panel id holding a space": (
+        ["collapse", "--panel", "h 0,h1,+"], (DATA / "cube3.cc").read_text(),
+        "bad hyperplane id 'h 0'",
+    ),
 }
 
 
@@ -596,6 +629,28 @@ def test_input_errors_name_their_cause(capsys, tmp_path, name):
         path = tmp_path / "input"
         path.write_text(error)
         assert run_cli(capsys, *call, str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    # the output, well over a pipe's buffer, is cut off after one line: the
+    # command exits 1 and prints no traceback
+    path = tmp_path / "grid.cc"
+    path.write_text(serialize_complex(grid_complex(32, 32)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "panelcollapse", "collapse", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(panelcollapse.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert proc.stdout.readline() == b"cubecomplex v1\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
 
 
 def test_validate_does_not_import_numpy():

@@ -855,3 +855,18 @@ def test_the_q4_family_sweep_has_its_counts():
     assert {len(family) for family, _ in failures} == {4}
     for _, message in failures:
         assert message.startswith("collapsed 1-skeleton failed validation"), message
+
+
+def test_classification_keeps_a_minus_and_a_plus_mask_per_abutting_wall():
+    steps = 0
+    for instance in _descent_instances():
+        for step in iter_steps(*instance):
+            cls = classify(step.result.input_complex, step.result.panels)
+            expected = {}
+            for p in cls.panels:
+                masks = expected.setdefault(p.abutting, [0, 0])
+                masks[("-", "+").index(p.side)] |= 1 << p.extremalising
+            assert cls._sides == expected
+            assert cls._abutting == sum(1 << h for h in expected)
+            steps += 1
+    assert steps >= 50, steps

@@ -282,7 +282,7 @@ def test_panel_looks_up_one_end_as_the_two_ended_definition(
             for a, b in codim2_hyperplanes(cx):
                 for h, e in ((a, b), (b, a)):
                     for s in SIDES:
-                        p = _panel(cx, h, e, s)
+                        p = _panel(cx, h, e, SIDES.index(s))
                         expected = _panel_edges_by_both_ends(cx, h, e, s)
                         assert (p._edges if p else None) == expected, (cx, h, e, s)
                         tally[p is not None] += 1
@@ -409,3 +409,68 @@ def test_no_facing_panels_matches_the_definition(cube3, cube4, square, domino, s
             check(cx, step.result.panels)
             cx, action = step.result.output_complex, step.action
     assert tally[True] >= 1000 and tally[False] >= 1000, tally
+
+
+def _complexes_met(fixtures):
+    """The fixtures and every complex met while running the descent
+    instances down to trees."""
+    from test_collapse import _descent_instances
+
+    complexes = list(fixtures)
+    for cx, action in _descent_instances():
+        complexes += [cx] + [s.result.output_complex for s in iter_steps(cx, action)]
+    return complexes
+
+
+def test_panels_order_by_abutting_extremalising_and_side(
+    cube3, cube4, square, domino, strip3, tree4
+):
+    # the side is kept as a bit, so the field order is the canonical order,
+    # minus before plus, though '+' sorts before '-' as a string
+    rng = random.Random(59)
+    both_sides = 0
+    for cx in _complexes_met((cube3, cube4, square, domino, strip3, tree4)):
+        every = extremal_panels(cx)
+        expected = sorted(every, key=lambda p: (*p.triple[:2], SIDES.index(p.side)))
+        shuffled = list(every)
+        rng.shuffle(shuffled)
+        assert list(every) == expected
+        assert sorted(shuffled) == sorted(reversed(every)) == expected
+        both_sides += len(every) - len({p.triple[:2] for p in every})
+    assert both_sides >= 100, both_sides
+
+
+def test_panel_identity_matches_a_reference_keyed_by_the_triple(
+    cube3, cube4, square, domino, strip3, tree4
+):
+    # a panel's side read off its internal edges, which lie on it
+    checked = 0
+    for cx in _complexes_met((cube3, cube4, square, domino, strip3, tree4)):
+        every = extremal_panels(cx)
+        for p in every:
+            h, e = p.abutting, p.extremalising
+            side = SIDES[cx._masks[p._edges[0][0]] >> e & 1]
+            assert p.side == side and p.triple == (h, e, side)
+            assert repr(p) == f"Panel(h{h}, e{e}, {side})"
+            assert p == build_panel(cx, h, e, side)
+            assert hash(p) == hash(build_panel(cx, h, e, side))
+        for p, q in itertools.combinations(every, 2):
+            assert p != q and p.triple != q.triple
+        assert len(set(every)) == len(every)
+        checked += len(every)
+    assert checked >= 500, checked
+
+
+def test_a_bad_side_on_a_non_crossing_pair_is_refused_as_a_bad_side(tree4):
+    # the wall ids are checked first, then the side, then the crossing
+    message = f"side must be one of {SIDES}, got 'x'"
+    for call in (build_panel, is_extremal):
+        with pytest.raises(PreconditionError) as info:
+            call(tree4, 0, 1, "x")
+        assert str(info.value) == message
+        with pytest.raises(IndexError, match="^no wall 3$"):
+            call(tree4, 3, 1, "x")
+        with pytest.raises(PreconditionError, match="^hyperplanes 0 and 1 do not cross$"):
+            call(tree4, 0, 1, "+")
+    with pytest.raises(PreconditionError, match="^hyperplanes 0 and 1 do not cross$"):
+        block(tree4, 0, 1)

@@ -860,3 +860,18 @@ def test_a_panel_orbit_refuses_a_foreign_panel_or_a_non_panel():
     twin = grid_complex(3, 3)
     panel = find_extremal_panel(twin)
     assert GroupAction(grid, []).panel_orbit(panel) == (panel,)
+
+
+def test_a_run_under_the_trivial_group_parses_no_side(monkeypatch):
+    # the walk, the classification and the fundaments carry a panel's side
+    # as a bit; a side string is read only where a caller hands one in
+    box = box_complex(3, 3)
+    expected = run_to_tree(box, GroupAction(box, [])).lines()
+
+    def refuse(side):
+        raise AssertionError(f"side {side!r} parsed on the step path")
+
+    for module in (panels, symmetry):
+        monkeypatch.setattr(module, "_side_bit", refuse)
+    trace = run_to_tree(box, GroupAction(box, []))
+    assert trace.step_count > 0 and trace.lines() == expected
