@@ -11,11 +11,12 @@ compares ``validate_graph``'s ``connected``, ``median``, ``median_violation``
 and ``cube_counts`` with a reference that decides them from the definitions:
 connectivity by search, and the cubes by trying every set of a vertex's
 neighbours as the edges of an induced cube at that corner.  On a graph of at
-most NAIVE_LIMIT vertices, medianness and the first violating triple come
-from counting, for every triple of vertices, the vertices on geodesics
-between each two of them, over distances found by search (the tests'
-``oracle.py``); on a larger graph they come from the package's own median
-scan, so there only connectivity and the cubes are checked independently.
+most NAIVE_LIMIT vertices, medianness comes from counting, for every triple
+of vertices, the vertices on geodesics between each two of them, over
+distances found by search (the tests' ``oracle.py``); a larger graph is
+taken to be median when the recogniser says so, and its cubes are checked.
+On every rejected graph the triple the recogniser names must have no median
+or several, counted the same way, which shows that the graph is not median.
 
 On every graph it also runs the package's recogniser beside the earlier
 two-pass one kept in the tests' ``oracle.py``, ``recogniser_differences``:
@@ -40,14 +41,21 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
 from panelcollapse.cli import _int_at_least, _Parser
-from panelcollapse.complex import CubeComplex, _median_scan, _structural_pass
+from panelcollapse.complex import CubeComplex, _structural_pass
 from panelcollapse.errors import InternalInvariantError
 
-from oracle import bfs_distances, first_median_violation, recogniser_differences, step_reads
+from oracle import (
+    bfs_distances,
+    first_median_violation,
+    medians,
+    recogniser_differences,
+    step_reads,
+)
 
 FIELDS = ("connected", "median", "median_violation", "cube_counts")
 # the naive median count tests about n**4 / 6 (triple, vertex) pairs
 NAIVE_LIMIT = 30
+WITNESS_WANTED = "a triple without exactly one median"
 
 
 def _hypercube(d):
@@ -119,9 +127,12 @@ def _induced_cubes(adj):
     return tuple(by_dim[d] for d in range(len(by_dim)))
 
 
-def reference_report(vs, es):
+def reference_report(vs, es, named):
     """The four compared fields, from the definitions, for a graph on the
-    vertices 0..n-1 listed in order."""
+    vertices 0..n-1 listed in order, given ``named``, the triple the
+    recogniser names on it or None.  A graph has many triples without
+    exactly one median, so the reference's triple is ``named`` when it is
+    one of them, and WITNESS_WANTED otherwise."""
     adj = [set() for _ in vs]
     for u, v in es:
         adj[u].add(v)
@@ -134,13 +145,16 @@ def reference_report(vs, es):
             stack.append(w)
     if len(seen) < len(vs):
         return dict(connected=False, median=None, median_violation=None, cube_counts=())
+    dist = bfs_distances(adj)
     if len(vs) <= NAIVE_LIMIT:
-        violation = first_median_violation(bfs_distances(adj))
-        median = violation is None
+        median = first_median_violation(dist) is None
     else:
-        median, violation = _median_scan(adj)
+        median = named is None
     if not median:
-        return dict(connected=True, median=False, median_violation=violation,
+        if named is not None and len(medians(dist, *named)) != 1:
+            return dict(connected=True, median=False, median_violation=named,
+                        cube_counts=())
+        return dict(connected=True, median=False, median_violation=WITNESS_WANTED,
                     cube_counts=())
     return dict(connected=True, median=True, median_violation=None,
                 cube_counts=_induced_cubes(adj))
@@ -152,12 +166,12 @@ def compare(vs, es):
     the recogniser's tables that differ from the earlier recogniser's, and
     on a median graph the step's tables that differ from their
     derivations."""
-    expected = reference_report(vs, es)
     order, _, int_edges = _structural_pass(vs, es)
     try:
         report, tables = recogniser_differences(order, int_edges)
     except InternalInvariantError as exc:
         return None, {"error": (str(exc), None)}
+    expected = reference_report(vs, es, report.median_violation)
     got = {field: getattr(report, field) for field in FIELDS}
     diff = {f: (got[f], expected[f]) for f in FIELDS if got[f] != expected[f]}
     if tables:

@@ -20,8 +20,10 @@ induced K2,3 and the 3-cube condition.  The labels exclude K2,3 once they
 are distinct and every edge flips one bit of them, and the other two
 conditions are read off them: a square under a pair of down-edges is one
 mask test per down-edge, and the 3-cube condition is checked at the bottom
-corner of each square.  Only a rejected graph pays for the all-triples
-median scan, which names the first violating triple.  Every derived fact
+corner of each square.  A check that fails names the vertices where it
+failed, and a rejected graph's report names a triple without exactly one
+median, the first among vertex 0, those vertices and their neighbours,
+found from a breadth-first search of each of them.  Every derived fact
 comes from the labels:
 
 * the walls are the Djoković-Winkler classes of edges, the classes of the
@@ -64,8 +66,7 @@ across a few walls are found from those walls' edges alone.  A
 vertex names, are read off the wall's edges and the masks on first access.
 The sign matrix of ``vertex_signs()`` is the masks written in binary with
 the digits translated to -1 and +1, as an int8 ``memoryview``.  The package
-uses the standard library only: the median scan of a rejected graph runs on
-integer bitsets too.
+uses the standard library only.
 
 Conventions used throughout the package:
 
@@ -100,12 +101,12 @@ __all__ = [
     "validate_graph",
 ]
 
-# A rejected graph is handed to the median scan, whose cached cone rows hold at
-# most about n**3 / 16 bytes of bitsets, some 210 MB at this many vertices.
-# The slowest case measured below the limit, on one core of a Xeon, is a
-# 10x10x10 box less a corner, numbered so that the first violating triple lies
-# in row 1045 of 1330: 40 s and 179 MB of peak RSS.  Larger graphs are refused
-# before any table is allocated.
+# The most vertices a graph may have.  The limit bounds the work that grows
+# faster than the vertex count: the flip closure that finds the orientations
+# of a wallspace's dual stops past it, a first cubical subdivision, with one
+# vertex per cube, is refused above it before it is built, and a complex's
+# mask tables hold a bit per vertex and wall, quadratic in the vertices on a
+# path.  Larger graphs are refused before any table is allocated.
 MAX_VERTICES = 1500
 
 # the two sides of a wall: a vertex is on the plus side when its mask has
@@ -284,69 +285,6 @@ def _bfs(adj, root):
     return level, queue
 
 
-def _median_scan(adj):
-    """Name the first triple u < v < w of a connected graph, in
-    lexicographic order, that does not have exactly one median; returns
-    (ok, violating_triple_indices).
-
-    The medians of (u, v, w) are the x in the interval I(u, v), the vertices
-    on a geodesic from u to v, with w in both cones J(u, x) and J(v, x),
-    where J(s, x) = {w : x in I(s, w)}.  A search from s gives both as
-    bitsets: I(s, t) is t and the intervals of t's neighbours one level
-    nearer s, and J(s, x) is x and the cones of x's neighbours one level
-    farther, taken in reverse search order.  For each pair (u, v), a walk
-    over the x in I(u, v) marks the w with one median or more and those with
-    two or more, so the first violating w is the lowest bit above v that is
-    unmarked or marked twice.  The walk skips each x whose cone from v holds
-    no vertex above v.
-
-    Only row u of the intervals is kept.  A vertex's cone row is built the
-    first time a pair needs it and dropped once the scan passes it, and it
-    keeps only the bits above its vertex, the only ones read.  So a first
-    violation in row 0 costs one interval row and the cone rows up to it,
-    and the cone rows hold the most, about n**3 / 16 bytes, once row 0
-    passes.
-    """
-    n = len(adj)
-    cones = {}
-
-    def cone_row(s, level, queue):
-        row = [1 << x for x in range(n)]
-        for x in reversed(queue):
-            farther = level[x] + 1
-            for z in adj[x]:
-                if level[z] == farther:
-                    row[x] |= row[z]
-        # bit k of row[x] is vertex s + 1 + k
-        row = [j >> s + 1 for j in row]
-        return row, sum([1 << x for x, j in enumerate(row) if j])
-
-    for u in range(n - 2):
-        level, queue = _bfs(adj, u)
-        interval = [0] * n
-        for t in queue:
-            nearer = level[t] - 1
-            acc = 1 << t
-            for y in adj[t]:
-                if level[y] == nearer:
-                    acc |= interval[y]
-            interval[t] = acc
-        cone_u, _ = cones.pop(u, None) or cone_row(u, level, queue)
-        for v in range(u + 1, n - 1):
-            if v not in cones:
-                cones[v] = cone_row(v, *_bfs(adj, v))
-            cone_v, reach_v = cones[v]
-            once = twice = 0
-            for x in _bits(interval[v] & reach_v):
-                both = cone_u[x] >> v - u & cone_v[x]
-                twice |= once & both
-                once |= both
-            bad = (~once | twice) & ((1 << n - 1 - v) - 1)
-            if bad:
-                return False, (u, v, v + (bad & -bad).bit_length())
-    return True, None
-
-
 def _median_walls(adj, int_edges):
     """Decide by local checks whether a graph is connected and median, and
     label its walls on the way.
@@ -423,8 +361,14 @@ def _median_walls(adj, int_edges):
     vertex of each label, each vertex's mask of down-walls, the squares as
     ``(top, axes)`` pairs, by top in search order and then by pairs of its
     down-neighbours in search order, the mask of the walls crossing each
-    wall and the cube counts; or None as soon as a check fails or the
-    search misses a vertex.
+    wall and the cube counts.  As soon as a check fails it returns the set
+    of vertices where it failed: the vertex and its down-neighbours past
+    the span bound; the vertex, its first two down-neighbours and the one
+    across a flip of several bits; the two ends of an edge within a level;
+    for check 2, the vertex, its down-neighbour x and the one across a wall
+    that x has no edge down on; the two vertices of a repeated label; and
+    for check 4 what ``_three_cube_condition`` names.  It returns None when
+    the search misses a vertex.
     """
     n = len(adj)
     level = [-1] * n
@@ -441,12 +385,12 @@ def _median_walls(adj, int_edges):
         elif xs:
             # the down-edges at a vertex of a median graph span a cube
             if 1 << len(xs) > n:
-                return None
+                return {u, *xs}
             mask = masks[u] = masks[xs[0]] | masks[xs[1]]
             for x in xs:
                 flip = mask ^ masks[x]
                 if flip & (flip - 1):
-                    return None
+                    return {u, xs[0], xs[1], x}
         here = level[u]
         for w in adj[u]:
             there = level[w]
@@ -457,7 +401,7 @@ def _median_walls(adj, int_edges):
             elif there > here:
                 below[w].append(u)
             elif there == here:
-                return None
+                return {u, w}
     if len(queue) < n:
         return None
     ids = {}
@@ -489,11 +433,14 @@ def _median_walls(adj, int_edges):
         down_walls[v] = walls
         # check 2: each down-neighbour has an edge down on the other walls
         for x, p in zip(xs, flips):
-            if walls & ~p & ~down_walls[x]:
-                return None
+            if missing := walls & ~p & ~down_walls[x]:
+                # v, x and v's down-neighbour across a wall x has no edge down on
+                return {v, x, next(y for y, q in zip(xs, flips) if q & missing)}
     vertex_of = {m: x for x, m in enumerate(final)}
     if len(vertex_of) < n:
-        return None
+        # the first vertex whose label a later vertex repeats, and that one
+        x = next(x for x, m in enumerate(final) if vertex_of[m] != x)
+        return {x, vertex_of[final[x]]}
     crossing = [0] * len(ids)  # the walls crossing each wall
     triangle = False
     for pair in {axes for _, axes in squares}:
@@ -503,8 +450,8 @@ def _median_walls(adj, int_edges):
         triangle = triangle or crossing[h] & crossing[e] != 0
         crossing[h] |= q
         crossing[e] |= p
-    if triangle and not _three_cube_condition(adj, squares, final, vertex_of, down_walls):
-        return None
+    if triangle and (place := _three_cube_condition(adj, squares, final, vertex_of, down_walls)):
+        return place
     while not tops[-1]:
         tops.pop()
     cube_counts = tuple(
@@ -514,11 +461,15 @@ def _median_walls(adj, int_edges):
 
 
 def _three_cube_condition(adj, squares, labels, vertex_of, down):
-    """Whether three neighbours of a vertex c that pairwise span squares
-    with c always have opposite vertices with a common neighbour, read off
-    labels that are distinct and flip one bit on every edge, on a graph
-    that satisfies the quadrangle condition (check 2 of ``_median_walls``),
-    with ``down`` each vertex's mask of down-walls.
+    """Check that three neighbours of a vertex c that pairwise span
+    squares with c always have opposite vertices with a common neighbour,
+    reading labels that are distinct and flip one bit on every edge, on a
+    graph that satisfies the quadrangle condition (check 2 of
+    ``_median_walls``), with ``down`` each vertex's mask of down-walls.
+    Returns None when the condition holds, else the set of vertices where
+    it fails: the top and bottom corner of the first square whose check
+    fails, and the vertices opposite that bottom corner in its squares with
+    the wall z that the check finds missing.
 
     Each neighbour of c, labelled m, is then named by the wall bit of its
     edge, and the vertex opposite c in a square on walls p and q is labelled
@@ -575,10 +526,33 @@ def _three_cube_condition(adj, squares, labels, vertex_of, down):
     for t, axes in squares:
         p, q, m = axes & -axes, axes & (axes - 1), labels[t]
         b = vertex_of[m ^ axes]
-        if (link[b][p] & link[b][q] & ~walls_at[t]
-                or down[vertex_of[m ^ p]] & down[vertex_of[m ^ q]] & ~down[t]):
-            return False
-    return True
+        if missing := (link[b][p] & link[b][q] & ~walls_at[t]
+                       or down[vertex_of[m ^ p]] & down[vertex_of[m ^ q]] & ~down[t]):
+            z = missing & -missing
+            return {t, b, vertex_of[m ^ q ^ z], vertex_of[m ^ p ^ z]}
+    return None
+
+
+def _median_witness(adj, place):
+    """The first triple, in ascending index order, of vertex 0, the
+    vertices ``place`` and their neighbours, that does not have exactly one
+    median; None when each has one.  The medians of (u, v, w) are the
+    vertices of the interval between u and v, those on a geodesic from u to
+    v, that are on geodesics from w to u and to v too, counted from the
+    three vertices' search levels.  The interval is listed once per pair.
+    """
+    near = sorted({0}.union(place, *[adj[x] for x in place]))
+    levels = {x: _bfs(adj, x)[0] for x in near}
+    for i, u in enumerate(near):
+        lu = levels[u]
+        for j, v in enumerate(near[i + 1:], i + 1):
+            lv, uv = levels[v], lu[v]
+            between = [x for x, (a, b) in enumerate(zip(lu, lv)) if a + b == uv]
+            for w in near[j + 1:]:
+                lw, uw, vw = levels[w], lu[w], lv[w]
+                if sum([lu[x] + lw[x] == uw and lv[x] + lw[x] == vw for x in between]) != 1:
+                    return u, v, w
+    return None
 
 
 def _bits(mask):
@@ -643,14 +617,16 @@ def _analyze(order, int_edges):
         adj[b].append(a)
     sizes = dict(vertex_count=n, edge_count=len(int_edges))
     tables = _median_walls(adj, int_edges)
-    if tables is None:
+    if not isinstance(tables, tuple):
+        # a check failed at the set of vertices given, or the search missed
+        # a vertex; a disconnected graph can fail a check before that
         if len(_bfs(adj, 0)[1]) < n:
             return ValidationReport(**sizes, connected=False), None
-        # name the first triple without exactly one median
-        median_ok, violation = _median_scan(adj)
-        if median_ok:
+        violation = _median_witness(adj, tables or ())
+        if violation is None:
             raise InternalInvariantError(
-                "the local median checks reject a graph the median scan accepts"
+                "the local median checks reject a graph, and every triple "
+                "near the check that failed has exactly one median"
             )
         report = ValidationReport(
             **sizes,

@@ -323,39 +323,44 @@ class OracleWorld:
 # ---------------------------------------------------------------------------
 
 
+def bfs_row(adj, s):
+    """The distances from s; -1 marks unreachable vertices."""
+    row = [-1] * len(adj)
+    row[s] = 0
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if row[w] < 0:
+                    row[w] = row[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return row
+
+
 def bfs_distances(adj):
     """Distance matrix as nested lists; -1 marks unreachable pairs."""
-    n = len(adj)
-    dist = []
-    for s in range(n):
-        row = [-1] * n
-        row[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if row[w] < 0:
-                        row[w] = row[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        dist.append(row)
-    return dist
+    return [bfs_row(adj, s) for s in range(len(adj))]
+
+
+def medians(dist, u, v, w):
+    """The medians of u, v and w: the vertices on a geodesic between each
+    two of them.  Reads only the rows of u, v and w of the distances."""
+    return [
+        x
+        for x in range(len(dist[u]))
+        if dist[u][x] + dist[v][x] == dist[u][v]
+        and dist[u][x] + dist[w][x] == dist[u][w]
+        and dist[v][x] + dist[w][x] == dist[v][w]
+    ]
 
 
 def first_median_violation(dist):
     """First triple u < v < w, in lexicographic order, that does not have
     exactly one median; None for a median graph."""
-    n = len(dist)
-    for u, v, w in itertools.combinations(range(n), 3):
-        medians = [
-            x
-            for x in range(n)
-            if dist[u][x] + dist[x][v] == dist[u][v]
-            and dist[u][x] + dist[x][w] == dist[u][w]
-            and dist[v][x] + dist[x][w] == dist[v][w]
-        ]
-        if len(medians) != 1:
+    for u, v, w in itertools.combinations(range(len(dist)), 3):
+        if len(medians(dist, u, v, w)) != 1:
             return (u, v, w)
     return None
 

@@ -365,10 +365,11 @@ def test_euler_characteristic_always_one():
 
 
 def test_median_scan_matches_naive_reference():
-    # the bitset scan agrees with a direct computation on arbitrary small
-    # connected graphs, median or not, and on connected induced subgraphs of
-    # hypercubes, where the first violation often lies past row 0
-    from panelcollapse.complex import _median_scan
+    # on arbitrary small connected graphs, median or not, and on connected
+    # induced subgraphs of hypercubes: the recogniser's verdict is the
+    # direct computation's, the triple it names has no median or several,
+    # and a witness search over every vertex names the first such triple
+    from panelcollapse.complex import _median_witness
 
     rng = random.Random(2024)
     graphs = []
@@ -383,38 +384,26 @@ def test_median_scan_matches_naive_reference():
     for vs, es in _hypercube_subgraphs(rng, 120):
         ix = {v: i for i, v in enumerate(sorted(vs))}
         graphs.append((len(vs), {(ix[u], ix[v]) for u, v in es}))
-    past_row_0 = 0
+    not_first = 0
     for n, edges in graphs:
         adj = [set() for _ in range(n)]
         for a, b in edges:
             adj[a].add(b)
             adj[b].add(a)
         dist = oracle.bfs_distances(adj)
-        ok, violation = _median_scan(adj)
-        naive_ok = True
-        naive_violation = None
-        for u in range(n):
-            for v in range(u + 1, n):
-                for w in range(v + 1, n):
-                    count = sum(
-                        1
-                        for x in range(n)
-                        if dist[u][x] + dist[x][v] == dist[u][v]
-                        and dist[u][x] + dist[x][w] == dist[u][w]
-                        and dist[v][x] + dist[x][w] == dist[v][w]
-                    )
-                    if count != 1 and naive_ok:
-                        naive_ok = False
-                        naive_violation = (u, v, w)
-        assert ok == naive_ok
-        if not ok:
-            assert violation == naive_violation
-            past_row_0 += violation[0] > 0
-    assert past_row_0 > 0
+        first = oracle.first_median_violation(dist)
+        assert _median_witness(adj, range(n)) == first
+        report = validate_graph(range(n), edges)
+        assert report.median == (first is None)
+        if first is not None:
+            assert len(oracle.medians(dist, *report.median_violation)) != 1
+            not_first += report.median_violation != first
+    # the local search names another triple than the first on some graphs
+    assert not_first > 0
 
 
 def test_validation_scales_to_three_hundred_vertices():
-    # a 289-vertex grid goes through the full battery, median scan included
+    # a 289-vertex grid goes through the full battery
     cx = grid_complex(16, 16)
     assert cx.validation_report.passed
     assert cx.cube_counts == (289, 544, 256)
@@ -470,11 +459,14 @@ def _matches_reference(vs, es) -> bool:
     for a, b in int_edges:
         adj[a].add(b)
         adj[b].add(a)
-    violation = oracle.first_median_violation(oracle.bfs_distances(adj))
+    dist = oracle.bfs_distances(adj)
+    violation = oracle.first_median_violation(dist)
     rep = validate_graph(vs, es)
     assert rep.median == (violation is None)
     if violation is not None:
-        assert rep.median_violation == tuple(order[i] for i in violation)
+        # the named triple, in ascending order, has no median or several
+        named = tuple(map(ix.get, rep.median_violation))
+        assert sorted(named) == list(named) and len(oracle.medians(dist, *named)) != 1
         assert rep.cube_counts == () and rep.euler_characteristic is None
         assert rep.flag_filled is None and not rep.passed
         return False
@@ -659,10 +651,10 @@ def test_general_graphs_match_reference():
 def test_median_scan_runs_only_on_rejection(monkeypatch):
     from panelcollapse import complex as cplx
 
-    def refuse(adj):
-        raise AssertionError("the median scan ran on a median graph")
+    def refuse(adj, place):
+        raise AssertionError("the witness search ran on a median graph")
 
-    monkeypatch.setattr(cplx, "_median_scan", refuse)
+    monkeypatch.setattr(cplx, "_median_witness", refuse)
     assert grid_complex(12, 9).cube_counts == (130, 237, 108)
     assert box_complex(3, 2, 2).cube_counts == (36, 75, 52, 12)
     assert hypercube_complex(5).cube_counts == (32, 80, 80, 40, 10, 1)
@@ -670,7 +662,7 @@ def test_median_scan_runs_only_on_rejection(monkeypatch):
     cfg = GeneratorConfig(max_points=7, max_walls=6)
     for _ in range(20):
         assert random_complex_with_action(rng, cfg)[0].validation_report.passed
-    with pytest.raises(AssertionError, match="median scan ran"):
+    with pytest.raises(AssertionError, match="witness search ran"):
         validate_graph(["a", "b", "x", "y", "z"], [(a, b) for a in "ab" for b in "xyz"])
 
 
@@ -759,10 +751,11 @@ def test_three_cube_check_holds_at_every_root(monkeypatch):
     check = cplx._three_cube_condition
 
     def recorded(*args):
-        verdicts.append(check(*args))
+        place = check(*args)
+        verdicts.append(place is None)
         # the label check agrees with the vertex-link check wherever it runs
         assert verdicts[-1] == oracle.three_cube_condition(args[0])
-        return verdicts[-1]
+        return place
 
     monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
     for graph in _three_cube_graphs():
@@ -791,9 +784,9 @@ def test_three_cube_check_needs_the_bottom_corner(monkeypatch):
         disagreements = []
 
         def recorded(*args):
-            verdict = mutant(*args)
-            disagreements.append(verdict != oracle.three_cube_condition(args[0]))
-            return verdict
+            place = mutant(*args)
+            disagreements.append((place is None) != oracle.three_cube_condition(args[0]))
+            return place
 
         monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
         for graph in _three_cube_graphs():
@@ -811,9 +804,10 @@ def test_recogniser_matches_the_reference_on_a_sweep_slice(monkeypatch):
     check = cplx._three_cube_condition
 
     def recorded(*args):
-        verdicts.append(check(*args))
+        place = check(*args)
+        verdicts.append(place is None)
         assert verdicts[-1] == oracle.three_cube_condition(args[0])
-        return verdicts[-1]
+        return place
 
     monkeypatch.setattr(cplx, "_three_cube_condition", recorded)
     counts, wrong = sweep.sweep(seed=5, count=400)
@@ -860,25 +854,99 @@ def test_recogniser_matches_its_earlier_tables():
     assert all(_assert_earlier_tables(cx._order, cx._int_edges) for cx in built)
 
 
+def _indexed(vs, es):
+    """The graph in ``_structural_pass`` form, and its adjacency lists."""
+    order, ix, int_edges = _structural_pass(vs, es)
+    adj = [[] for _ in order]
+    for a, b in int_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return order, ix, int_edges, adj
+
+
+def _medians_of_the_named_triple(vs, es, report):
+    """The medians of the triple a report names, from the distances of its
+    three vertices alone."""
+    _, ix, _, adj = _indexed(vs, es)
+    named = [ix[v] for v in report.median_violation]
+    return oracle.medians({x: oracle.bfs_row(adj, x) for x in named}, *named)
+
+
+def _letter_cube(names):
+    """The subgraph of a hypercube induced on ``names``, each the set of its
+    letters, with "0" the empty set: two are adjacent when one has one more
+    letter than the other."""
+    sets = {v: set(v) - {"0"} for v in names}
+    return names, [
+        (u, v) for u, v in itertools.combinations(names, 2) if len(sets[u] ^ sets[v]) == 1
+    ]
+
+
+def _rejections():
+    """One small graph for each check of the recogniser that can reject
+    first, each rooted at "0" or 0, with the set of vertices where that
+    check fails and the triple named there."""
+    cube3 = ["0", "a", "b", "c", "ab", "ac", "bc", "abc"]
+    twin = (cube3 + ["bc2"], _letter_cube(cube3)[1] + [("b", "bc2"), ("c", "bc2"), ("abc", "bc2")])
+    c6 = (list(range(6)), [(i, (i + 1) % 6) for i in range(6)])
+    c5 = (list(range(5)), [(i, (i + 1) % 5) for i in range(5)])
+    # from 0: x and y over z, under two tops t and u, whose labels coincide
+    two_tops = (["0", "t", "u", "x", "y", "z"],
+                [("0", "z"), ("x", "z"), ("y", "z")] + [(a, b) for a in "xy" for b in "tu"])
+    quadrangle = _letter_cube(["0", "a", "b", "c", "d", "ab", "ac", "bd", "cd", "abc", "bcd", "abcd"])
+    return {
+        # each edge down from abc flips one bit, but four edges down are more
+        # than a cube on nine vertices has
+        "span": (*twin, {"abc", "ab", "ac", "bc", "bc2"}, ("0", "bc", "bc2")),
+        # 3's down-neighbours 2 and 4 have disjoint masks
+        "flip": (*c6, {2, 3, 4}, (0, 2, 4)),
+        "level": (*c5, {2, 3}, (0, 1, 3)),
+        # abc and bcd have no common neighbour below abcd
+        "quadrangle": (*quadrangle, {"abcd", "abc", "bcd"}, ("0", "abc", "bcd")),
+        "label": (*two_tops, {"t", "u"}, ("0", "t", "u")),
+        # Q3 less a corner: the corners next to it have no common neighbour
+        "3-cube": (*_letter_cube(cube3[:-1]), {"0", "ab", "ac", "bc"}, ("ab", "ac", "bc")),
+    }
+
+
+@pytest.mark.parametrize("check", list(_rejections()))
+def test_each_rejecting_check_names_a_witness_where_it_fails(check):
+    from panelcollapse import complex as cplx
+
+    vs, es, place, triple = _rejections()[check]
+    order, _, int_edges, adj = _indexed(vs, es)
+    assert {order[x] for x in cplx._median_walls(adj, int_edges)} == place
+    report = validate_graph(vs, es)
+    assert report.median_violation == triple
+    assert len(_medians_of_the_named_triple(vs, es, report)) != 1
+
+
 def test_recogniser_faults_are_internal_errors(monkeypatch):
     from panelcollapse import complex as cplx
 
     square = (["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-    # a rejection the median scan cannot confirm
+    message = (
+        "the local median checks reject a graph, and every triple near the "
+        "check that failed has exactly one median"
+    )
+    # a search that misses a vertex of a connected graph names no place
     monkeypatch.setattr(cplx, "_median_walls", lambda *args: None)
-    with pytest.raises(InternalInvariantError, match="median scan accepts"):
+    with pytest.raises(InternalInvariantError) as exc:
         validate_graph(*square)
+    assert str(exc.value) == message
     monkeypatch.undo()
     # a broken mask rule, a vertex taking only its first down-neighbour's
-    # mask, rejects the square's top, and the median scan accepts the square
+    # mask, rejects the square's top as a flip of two bits, and every triple
+    # of the square has one median
     rule = "masks[xs[0]] | masks[xs[1]]"
     source = inspect.getsource(cplx._median_walls)
     assert source.count(rule) == 1
     namespace = dict(vars(cplx))
     exec(source.replace(rule, "masks[xs[0]]"), namespace)
     monkeypatch.setattr(cplx, "_median_walls", namespace["_median_walls"])
-    with pytest.raises(InternalInvariantError, match="median scan accepts"):
+    with pytest.raises(InternalInvariantError) as exc:
         CubeComplex(*square)
+    assert str(exc.value) == message
 
 
 def test_largest_grid_under_the_vertex_limit():
@@ -889,9 +957,9 @@ def test_largest_grid_under_the_vertex_limit():
 
 
 def test_rejection_at_the_vertex_limit_names_row_0_in_bounded_memory():
-    # the first violating triple lies in row 0, so the scan builds the
-    # interval row of vertex 0 and the cone rows it reads, not a table of
-    # every pair
+    # the chord puts (37, 37) at level 72, beside (36, 36), so the flip check
+    # fails at (36, 37), and the witness search near there keeps a few
+    # distance rows, not a table of every pair
     grid = grid_complex(37, 37)
     chord = ((37, 37), (36, 35))
     tracemalloc.start()
@@ -900,20 +968,27 @@ def test_rejection_at_the_vertex_limit_names_row_0_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.median_violation == ((0, 0), (0, 37), (37, 37))
+    assert report.median_violation == ((0, 0), (34, 37), (37, 37))
+    assert _medians_of_the_named_triple(grid.vertices, [*grid.edges, chord], report) == []
     assert peak < 64 << 20
 
 
 def test_rejection_past_row_0_reads_the_cached_cone_rows():
-    # box 5^3 less its top corner: the three corners next to it have no
-    # median, and every earlier triple has one, so rows 0 to 34 pass and
-    # reuse the cone rows cached on the way
-    box = box_complex(5, 5, 5)
-    vs = [v for v in box.vertices if v != (5, 5, 5)]
-    es = [e for e in box.edges if (5, 5, 5) not in e]
-    report = validate_graph(vs, es)
-    assert report.median_violation == ((0, 5, 5), (5, 0, 5), (5, 5, 0))
-    assert vs.index((0, 5, 5)) == 35
+    # box 10^3 less its top corner, 1330 vertices: the 3-cube check fails at
+    # a square next to the missing corner, and the triple named there has
+    # no median
+    box = box_complex(10, 10, 10)
+    vs = [v for v in box.vertices if v != (10, 10, 10)]
+    es = [e for e in box.edges if (10, 10, 10) not in e]
+    tracemalloc.start()
+    try:
+        report = validate_graph(vs, es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.median_violation == ((8, 10, 10), (10, 8, 10), (10, 10, 8))
+    assert _medians_of_the_named_triple(vs, es, report) == []
+    assert peak < 8 << 20
 
 
 def test_maximal_cube_counts_in_closed_form(tree4):

@@ -97,24 +97,27 @@ def test_recogniser_sweep():
 
 
 def test_recogniser_sweep_reference_is_naive_on_small_graphs(monkeypatch):
-    # up to NAIVE_LIMIT vertices the reference never asks the median scan
-    # that validate_graph runs on a rejected graph
+    # up to NAIVE_LIMIT vertices the reference's verdict comes from the
+    # first violating triple, found by counting every triple's medians
     monkeypatch.syspath_prepend(str(SCRIPTS))
     sweep = importlib.import_module("recogniser_sweep")
-    scan = sweep._median_scan
+    first = sweep.first_median_violation
+    sizes = []
 
-    def large_only(adj):
-        assert len(adj) > sweep.NAIVE_LIMIT, "the reference scanned a small graph"
-        return scan(adj)
+    def small_only(dist):
+        sizes.append(len(dist))
+        return first(dist)
 
-    monkeypatch.setattr(sweep, "_median_scan", large_only)
+    monkeypatch.setattr(sweep, "first_median_violation", small_only)
     verdicts, wrong = sweep.sweep(3, 60)
     assert not wrong and verdicts["naive"] == 38
-    # so a scan that names a wrong triple disagrees with it (K2,3 on 0..4)
-    monkeypatch.setattr(complex_module, "_median_scan", lambda adj: (False, (0, 1, 2)))
+    assert sizes and max(sizes) <= sweep.NAIVE_LIMIT
+    # a named triple with exactly one median disagrees with it (K2,3 on
+    # 0..4, where (0, 1, 2) has the median 2)
+    monkeypatch.setattr(complex_module, "_median_witness", lambda adj, place: (0, 1, 2))
     k23 = [(a, b) for a in (0, 1) for b in (2, 3, 4)]
     _, diff = sweep.compare(list(range(5)), k23)
-    assert diff == {"median_violation": ((0, 1, 2), (2, 3, 4))}
+    assert diff == {"median_violation": ((0, 1, 2), sweep.WITNESS_WANTED)}
 
 
 def test_recogniser_sweep_exits_1_on_a_disagreement(monkeypatch, capsys):

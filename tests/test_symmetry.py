@@ -462,6 +462,53 @@ def test_a_facing_refusal_in_the_step_is_internal(monkeypatch, capsys):
     assert capsys.readouterr().err == f"internal invariant breached: {message}\n"
 
 
+def test_a_complexity_that_does_not_fall_is_internal(monkeypatch):
+    cube3 = parse_complex((DATA / "cube3.cc").read_text())
+    action = GroupAction(cube3, [])
+    h, e, s = find_extremal_panel(cube3).triple
+    same = complexity(cube3, action)
+    monkeypatch.setattr(symmetry, "complexity", lambda cx, action: same)
+    with pytest.raises(InternalInvariantError) as exc:
+        run_to_tree(cube3, action)
+    assert str(exc.value) == (
+        f"step 1, panel (h{h},h{e},{s}): complexity did not strictly "
+        f"decrease: {same} -> {same}"
+    )
+
+
+def test_a_run_past_its_step_bound_is_internal(monkeypatch):
+    # a step that always gives the same output never reaches a tree; the
+    # bound is the initial complex's number of cubes
+    cube3 = parse_complex((DATA / "cube3.cc").read_text())
+    step = equivariant_collapse_step(cube3, GroupAction(cube3, []))
+    h, e, s = step.panel_triple
+    limit = sum(cube3.cube_counts)
+    calls = []
+
+    def same_step(cx, action):
+        calls.append(cx)
+        # without the bound the run would not end
+        assert len(calls) <= 2 * limit, "the run went past its step bound"
+        return step
+
+    monkeypatch.setattr(symmetry, "equivariant_collapse_step", same_step)
+    with pytest.raises(InternalInvariantError) as exc:
+        run_to_tree(cube3, GroupAction(cube3, []))
+    assert str(exc.value) == (
+        f"step {limit + 1}, panel (h{h},h{e},{s}): collapse failed to "
+        f"terminate within {limit} steps"
+    )
+
+
+def test_a_run_stopped_short_of_a_tree_is_internal(monkeypatch):
+    # no step is taken, so the message names no step or panel
+    cube3 = parse_complex((DATA / "cube3.cc").read_text())
+    monkeypatch.setattr(symmetry, "equivariant_collapse_step", lambda cx, action: None)
+    with pytest.raises(InternalInvariantError) as exc:
+        run_to_tree(cube3, GroupAction(cube3, []))
+    assert str(exc.value) == "driver stopped on a complex that is not a tree"
+
+
 def test_run_to_tree_on_tree_is_empty(tree4):
     trace = run_to_tree(tree4, GroupAction(tree4, []))
     assert trace.step_count == 0
