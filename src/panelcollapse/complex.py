@@ -58,11 +58,13 @@ cube is the pair ``(base, axes)`` of the AND of its vertex masks and the
 mask of its walls; its vertices are the masks ``base | s`` for the subsets
 ``s`` of ``axes``.  Signs, sides, crossing sets and convex hulls are read
 off the masks.  Every list of cubes is read off the down-walls at the
-cubes' tops.  The list of one dimension's cubes, the table of every cube,
-the maximal cubes, the vertex-by-wall sign matrix and the cubes' vertex
-sets are built on first use and cached.  The cubes, and the maximal cubes,
-across a few walls are found from those walls' edges alone.  A
-``Hyperplane`` is a view of one wall: its edges and its two sides, as
+cubes' tops.  The list of one dimension's cubes, the table of every cube
+and the maximal cubes are built on first use and cached; the cubes, and
+the maximal cubes, across a few walls are found from those walls' edges
+alone.  What a complex hands out, its ``Hyperplane`` views, its cubes'
+vertex sets and its sign matrix, is built on each call and not kept, so
+no complex is in a reference cycle and reference counting alone frees it.
+A ``Hyperplane`` is a view of one wall: its edges and its two sides, as
 vertex names, are read off the wall's edges and the masks on first access.
 The sign matrix of ``vertex_signs()`` is the masks written in binary with
 the digits translated to -1 and +1, as an int8 ``memoryview``.  The package
@@ -188,11 +190,12 @@ class Hyperplane:
     """A wall: an equivalence class of edges under the opposite-in-a-square
     relation, together with the two halfspaces it separates.
 
-    A view of wall ``id`` of its complex, built by ``hyperplanes()`` only:
-    ``edges`` (edge keys), ``minus`` and ``plus`` (vertex sets) are read off
-    the complex's ``_wall_edges`` and ``_masks`` on first access and cached.
-    Two views are equal when they have the same id on the same complex
-    object, which compares by identity.
+    A view of wall ``id`` of its complex, built by ``hyperplanes()`` only,
+    afresh on each call: the view holds its complex, and the complex holds
+    no view.  ``edges`` (edge keys), ``minus`` and ``plus`` (vertex sets)
+    are read off the complex's ``_wall_edges`` and ``_masks`` on first
+    access and cached on the view.  Two views are equal when they have the
+    same id on the same complex object, which compares by identity.
     """
 
     id: int
@@ -656,12 +659,15 @@ class CubeComplex:
     ``_dim_cubes(d)`` lists the d-cubes on first use, ``_cubes`` holds
     every dimension's list for the few callers that walk every cube, and
     ``_cubes_across(walls)`` lists the cubes with an axis in a wall mask
-    at the upper ends of those walls' edges.  The public
-    views take and return cubes as vertex sets, converted by ``_key`` and
-    ``_vertex_set``; they, the sign matrix and the maximal cubes are built
-    on first use.  ``hyperplanes()`` gives one ``Hyperplane`` view per wall,
-    which reads its edges and sides off ``_wall_edges`` and ``_masks`` when
-    they are first asked for.
+    at the upper ends of those walls' edges.
+
+    The rule: a complex keeps only integer tables (``_masks``, ``_down``,
+    ``_wall_edges``, ``_crossing``, ``_cube_lists``, ``_cubes``,
+    ``_maximal``) and builds whatever it hands out per call, so reference
+    counting alone frees it.  The public views take and return cubes as
+    vertex sets, converted by ``_key`` and ``_vertex_set``.
+    ``hyperplanes()`` gives fresh ``Hyperplane`` views, which read their
+    edges and sides off ``_wall_edges`` and ``_masks`` when first asked.
 
     ``CubeComplex(vertices, edges)`` checks and canonicalizes raw data; the
     private ``_from_indexed(order, ix, int_edges)``, which builds collapse
@@ -699,11 +705,8 @@ class CubeComplex:
          _, self._crossing) = internals
         self.validation_report = report
         self._compute_hyperplanes(edge_wall)
-        self._hyperplanes = None
-        self._signs = None
         self._maximal = None
         self._cube_lists = {}
-        self._vertex_sets = {}
 
     def _compute_hyperplanes(self, edge_wall):
         """The wall table: each wall's edges as index pairs, in edge order."""
@@ -819,9 +822,7 @@ class CubeComplex:
 
     def cube_vertexsets(self, dim: int) -> tuple[frozenset, ...]:
         """Vertex sets of all ``dim``-cubes (empty beyond the dimension)."""
-        if dim not in self._vertex_sets:
-            self._vertex_sets[dim] = tuple(map(self._vertex_set, self._dim_cubes(dim)))
-        return self._vertex_sets[dim]
+        return tuple(map(self._vertex_set, self._dim_cubes(dim)))
 
     def _maximal_topped_by(self, tops) -> tuple[tuple[int, int], ...]:
         """The maximal cubes topped by the vertices ``tops``, given in
@@ -892,11 +893,8 @@ class CubeComplex:
     # -- hyperplanes ----------------------------------------------------------
 
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        """One view per wall, by id."""
-        if self._hyperplanes is None:
-            walls = range(len(self._wall_edges))
-            self._hyperplanes = tuple(Hyperplane(h, self) for h in walls)
-        return self._hyperplanes
+        """One fresh view per wall, by id."""
+        return tuple(Hyperplane(h, self) for h in range(len(self._wall_edges)))
 
     def vertex_signs(self) -> memoryview:
         """Matrix of halfspace signs, rows by vertex index, columns by wall
@@ -907,16 +905,14 @@ class CubeComplex:
         ``numpy.asarray`` reads it without a copy.  A view cannot have a
         zero in its shape, so a complex with no wall, a single vertex, gets
         the empty view of shape ``(0,)``."""
-        if self._signs is None:
-            width = len(self._wall_edges)
-            digits = ""
-            if width:  # format writes at least one digit
-                spec = f"0{width}b"
-                # the rows in reverse, each most significant bit first, then reversed
-                digits = "".join([format(m, spec) for m in reversed(self._masks)])[::-1]
-            signs = memoryview(digits.encode().translate(_SIGNS))
-            self._signs = signs.cast("b", (self.n, width)) if width else signs.cast("b")
-        return self._signs
+        width = len(self._wall_edges)
+        digits = ""
+        if width:  # format writes at least one digit
+            spec = f"0{width}b"
+            # the rows in reverse, each most significant bit first, then reversed
+            digits = "".join([format(m, spec) for m in reversed(self._masks)])[::-1]
+        signs = memoryview(digits.encode().translate(_SIGNS))
+        return signs.cast("b", (self.n, width)) if width else signs.cast("b")
 
     def _require_walls(self, *ids) -> None:
         """Raise ``IndexError`` unless every id names a wall: the one range

@@ -664,11 +664,11 @@ def iter_steps(cx: CubeComplex, action: GroupAction):
     """Yield the ``StepResult`` of each equivariant collapse step from ``cx``
     down to a tree, each step starting from the previous one's output.
 
-    Raises ``InternalInvariantError`` when a step breaks a guarantee or
-    more steps are taken than the initial complex has cubes, its message
-    prefixed with the step number, and when no extremal panel is left on a
-    complex that is not a tree.  The generator holds only the current step
-    and its output, so a caller that drops each step keeps no earlier
+    Raises ``InternalInvariantError``, its message prefixed with the step
+    number, when a step breaks a guarantee, when more steps are taken than
+    the initial complex has cubes, and when a step finds no extremal panel
+    on a complex that is not a tree.  The generator holds only the current
+    step and its output, so a caller that drops each step keeps no earlier
     complex alive.
     """
     limit = sum(cx.cube_counts)
@@ -676,7 +676,9 @@ def iter_steps(cx: CubeComplex, action: GroupAction):
         with _context(f"step {number}, "):
             step = equivariant_collapse_step(cx, action)
             if step is None:
-                break
+                if not cx.is_tree():
+                    raise InternalInvariantError("driver stopped on a complex that is not a tree")
+                return
             if number > limit:
                 raise InternalInvariantError(
                     f"panel {_triple_text(step.panel_triple)}: collapse failed "
@@ -684,8 +686,6 @@ def iter_steps(cx: CubeComplex, action: GroupAction):
                 )
         yield step
         cx, action = step.result.output_complex, step.action
-    if not cx.is_tree():
-        raise InternalInvariantError("driver stopped on a complex that is not a tree")
 
 
 def run_to_tree(cx: CubeComplex, action: GroupAction, *, recount: bool = False) -> RunTrace:

@@ -1,10 +1,12 @@
 """Core representation: validation, hyperplanes, cubes, hulls, crossings."""
 
+import gc
 import importlib
 import inspect
 import itertools
 import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from panelcollapse.errors import (
     StructuralError,
 )
 from panelcollapse.panels import extremal_panels
-from panelcollapse.pocset import dualize_details
+from panelcollapse.pocset import dualize_details, stallings_pipeline
 from panelcollapse.randgen import (
     GeneratorConfig,
     cyclic_wallspace,
@@ -39,6 +41,7 @@ import oracle
 from conftest import (
     box_complex,
     coordinate_swap,
+    data_wallspace,
     grid_complex,
     hypercube_complex,
     mixed_wallspaces,
@@ -226,9 +229,13 @@ def test_hyperplanes_are_views_read_on_first_use():
     # asked for, with the value of the filtering reference
     graph = grid_complex(3, 2)
     cx = CubeComplex(graph.vertices, graph.edges)
-    assert cx._hyperplanes is None
+    # the complex keeps no view cache: a call adds nothing to it
+    tables = set(vars(cx))
     planes = cx.hyperplanes()
-    assert cx.hyperplanes() is planes
+    assert set(vars(cx)) == tables and "_hyperplanes" not in tables
+    # two calls give equal tuples of distinct views
+    again = cx.hyperplanes()
+    assert again == planes and all(a is not b for a, b in zip(again, planes))
     assert [h.id for h in planes] == list(range(len(cx._wall_edges)))
     reference = oracle.filtered_hyperplanes(cx)
     for h, (h_id, edges, minus, plus) in zip(planes, reference):
@@ -1105,15 +1112,58 @@ def test_sides_and_signs_match_the_references():
         hypercube_complex(6),
         box_complex(3, 3, 3),
     ):
-        # a build makes no sign matrix
-        assert cx._signs is None
+        # a build makes no sign matrix, and reading the views keeps none
+        assert "_signs" not in vars(cx)
         _assert_sides_and_signs_match_the_references(cx)
+        assert "_signs" not in vars(cx)
 
 
 @given(wallspaces())
 def test_sides_and_signs_match_the_references_on_duals(ws):
     dual = dualize_details(ws).complex
     _assert_sides_and_signs_match_the_references(CubeComplex(dual.vertices, dual.edges))
+
+
+def _read_every_view(cx):
+    """Read what a complex hands out: its walls, one wall's side, its
+    squares' vertex sets and its sign matrix."""
+    planes = cx.hyperplanes()
+    if planes:
+        planes[0].plus
+    cx.cube_vertexsets(2)
+    cx.vertex_signs()
+
+
+def test_complexes_are_freed_without_the_cycle_collector():
+    # a complex keeps only integer tables and builds its views per call, so
+    # with the collector off, dropping the last reference to it frees it
+    gc.disable()
+    try:
+        cx = grid_complex(3, 2)
+        _read_every_view(cx)
+        ref = weakref.ref(cx)
+        del cx
+        assert ref() is None
+
+        grid = grid_complex(4, 4)
+        trace = run_to_tree(grid, GroupAction(grid, [coordinate_swap(grid, 0, 1)]))
+        del grid
+        assert trace.step_count > 0
+        refs = [weakref.ref(trace.initial_complex), weakref.ref(trace.final_complex)]
+        for ref in refs:
+            _read_every_view(ref())
+        del trace
+        assert [ref() for ref in refs] == [None, None]
+
+        ws, symmetries = data_wallspace("inverted.ws")
+        result = stallings_pipeline(ws, symmetries)
+        assert result.subdivided
+        ref = weakref.ref(result.dual_info.complex)
+        _read_every_view(ref())
+        del result
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _assert_cubes_across_match_the_whole_scans(cx, masks, fresh=False):

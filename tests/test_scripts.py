@@ -155,3 +155,22 @@ def test_tracer_targets_exist(monkeypatch):
     tracer = importlib.import_module("tracer")
     for owner, attr, _, _ in tracer.TARGETS:
         assert callable(vars(owner).get(attr)), (owner, attr)
+
+
+def test_every_mutant_anchor_is_one_line_of_src(monkeypatch):
+    # no mutant runs here: a refactor that moves or rewrites an anchored
+    # line must fail this test rather than disarm its mutant
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    mutants = importlib.import_module("mutants")
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        assert len(mutants.anchor_lines(mutants.SRC, mutant.anchor)) == 1, mutant.name
+        assert mutant.replacement != mutant.anchor
+        for test in mutant.tests:
+            assert (mutants.ROOT / test).is_file(), (mutant.name, test)
+
+
+def test_mutants_unknown_name_is_user_error():
+    proc = start_script("mutants.py", "no-such-mutant")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("error: unknown mutants ['no-such-mutant']")

@@ -501,12 +501,12 @@ def test_a_run_past_its_step_bound_is_internal(monkeypatch):
 
 
 def test_a_run_stopped_short_of_a_tree_is_internal(monkeypatch):
-    # no step is taken, so the message names no step or panel
+    # step 1 finds no panel, so the message names that step and no panel
     cube3 = parse_complex((DATA / "cube3.cc").read_text())
     monkeypatch.setattr(symmetry, "equivariant_collapse_step", lambda cx, action: None)
     with pytest.raises(InternalInvariantError) as exc:
         run_to_tree(cube3, GroupAction(cube3, []))
-    assert str(exc.value) == "driver stopped on a complex that is not a tree"
+    assert str(exc.value) == "step 1, driver stopped on a complex that is not a tree"
 
 
 def test_run_to_tree_on_tree_is_empty(tree4):
