@@ -893,7 +893,9 @@ class CubeComplex:
     # -- hyperplanes ----------------------------------------------------------
 
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        """One fresh view per wall, by id."""
+        """One fresh view per wall, by id.  Each call builds new views, whose
+        edges and sides are read again on first use, so a caller that reads
+        them repeatedly keeps the tuple."""
         return tuple(Hyperplane(h, self) for h in range(len(self._wall_edges)))
 
     def vertex_signs(self) -> memoryview:

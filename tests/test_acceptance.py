@@ -241,7 +241,8 @@ def test_criterion_8_provenance(descent_runs, cube3, square):
         for res in results:
             mapping = hyperplane_provenance(res)
             out = res.output_complex
-            for plane in out.hyperplanes():
+            planes = out.hyperplanes()
+            for plane in planes:
                 sets = {res.edge_provenance[e] for e in plane.edges}
                 assert len(sets) == 1 and next(iter(sets))
             for h, out_ids in mapping.items():
@@ -250,7 +251,7 @@ def test_criterion_8_provenance(descent_runs, cube3, square):
                 }
                 class_edges = set()
                 for oid in out_ids:
-                    class_edges |= set(out.hyperplanes()[oid].edges)
+                    class_edges |= set(planes[oid].edges)
                 assert trace_edges == class_edges
 
 

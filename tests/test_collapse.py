@@ -113,6 +113,7 @@ def test_internal_edges_of_external_cube_confined_per_panel(cube3, square):
     # codimension-1 face
     for cx, panels in ((cube3, [cube_panel(cube3)]), (square, conflict_panels(square))):
         cls = classify(cx, panels)
+        planes = cx.hyperplanes()
         cubes = [vs for d in range(cx.dimension + 1) for vs in cx.cube_vertexsets(d)]
         for vs in cubes:
             if cls.status(vs) != EXTERNAL:
@@ -124,7 +125,7 @@ def test_internal_edges_of_external_cube_confined_per_panel(cube3, square):
                     continue
                 face = frozenset(
                     v for v in vs
-                    if v in cx.hyperplanes()[p.extremalising].side(p.side)
+                    if v in planes[p.extremalising].side(p.side)
                 )
                 assert all(e <= face for e in edges)
                 # and the whole parallel class inside that face is internal
@@ -138,6 +139,7 @@ def test_panel_cube_intersections_follow_trichotomy(cube3, square, strip3):
     # edges exactly in the codimension-1 face where the panel meets it
     for cx in (cube3, square, strip3):
         panels = extremal_panels(cx)
+        planes = cx.hyperplanes()
         cubes = [vs for d in range(cx.dimension + 1) for vs in cx.cube_vertexsets(d)]
         for p in panels[:6]:
             cls = classify(cx, [p])
@@ -147,7 +149,7 @@ def test_panel_cube_intersections_follow_trichotomy(cube3, square, strip3):
                 if cls.status(vs) == INTERNAL:
                     assert edges
                 elif edges:
-                    chosen = cx.hyperplanes()[p.extremalising].side(p.side)
+                    chosen = planes[p.extremalising].side(p.side)
                     face = frozenset(v for v in vs if v in chosen)
                     assert len(face) * 2 == len(vs)
 
@@ -454,6 +456,7 @@ def test_provenance_classes_consistent(cube3, square):
         res = collapse(cx, panels)
         mapping = hyperplane_provenance(res)
         out = res.output_complex
+        planes = out.hyperplanes()
         # surviving external edges keep their own wall
         for e in out.edges:
             if e in set(cx.edges):
@@ -467,7 +470,7 @@ def test_provenance_classes_consistent(cube3, square):
             }
             class_edges = set()
             for oid in out_ids:
-                class_edges |= set(out.hyperplanes()[oid].edges)
+                class_edges |= set(planes[oid].edges)
             assert trace_edges == class_edges
 
 

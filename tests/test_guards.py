@@ -1,21 +1,22 @@
-"""Fault injection: every guard that raises ``InternalInvariantError`` on a
-breach no valid input reaches is made to fire, and its exact message is
-pinned, with the ``step N, `` or ``step N, panel (...): `` prefix of a run
-where the guard runs inside one.  Each test breaks what feeds its guard:
-a table of a complex, a classification's side masks, the action a step
-transfers, or a helper the guard calls.  ``scripts/mutants.py`` deletes
-each guard in a copy of the checkout and runs this file against it."""
+"""Fault injection: each guard that raises ``InternalInvariantError`` on a
+breach no valid input reaches, and that no test of its own module makes
+fire, is made to fire here, and its exact message is pinned, with the
+``step N, `` or ``step N, panel (...): `` prefix of a run where the guard
+runs inside one.  Each test breaks what feeds its guard: a table of a
+complex, a classification's side masks, the action a step transfers, or a
+helper the guard calls.  ``scripts/mutants.py`` deletes each guard in a
+copy of the checkout and runs the tests that pin it there."""
 
 import dataclasses
 import importlib
 
 import pytest
 
-from panelcollapse import panels, symmetry
+from panelcollapse import panels, pocset, symmetry
 from panelcollapse.complex import CubeComplex
 from panelcollapse.errors import InternalInvariantError, PreconditionError
 from panelcollapse.fileio import parse_complex
-from panelcollapse.pocset import dualize_details, symmetry_automorphism
+from panelcollapse.pocset import Wallspace, dualize_details, symmetry_automorphism
 from panelcollapse.symmetry import GroupAction, run_to_tree
 
 from conftest import DATA, coordinate_swap, data_wallspace, grid_complex
@@ -131,6 +132,41 @@ def test_the_step_checks_the_output_crossing_sets_itself(monkeypatch):
     monkeypatch.setattr(symmetry, "collapse", merged)
     assert _breach(_square()) == (
         "step 1, panel (h0,h1,-): output hyperplane 0 mixes crossing sets [[0], [1]]"
+    )
+
+
+def test_an_output_wall_crossing_no_input_wall_is_internal(monkeypatch):
+    # each edge of the output's first wall is replaced by a loop at its
+    # first end, whose ends differ in no input wall
+    collapse = symmetry.collapse
+
+    def looped(cx, family):
+        result = collapse(cx, family)
+        walls = result.output_complex._wall_edges
+        walls[0] = [(a, a) for a, _ in walls[0]]
+        return result
+
+    monkeypatch.setattr(symmetry, "collapse", looped)
+    assert _breach(_square()) == (
+        "step 1, panel (h0,h1,-): output hyperplane 0 has an empty crossing set"
+    )
+
+
+def test_a_principal_orientation_outside_the_flip_component_is_internal(monkeypatch):
+    # point b is made to lie in neither wall's first side, so its principal
+    # orientation takes both second sides, {c} and {b}, which are disjoint
+    side_masks = pocset._side_masks
+
+    def b_nowhere(ws):
+        bit, walls = side_masks(ws)
+        return {**bit, "b": 0}, walls
+
+    monkeypatch.setattr(pocset, "_side_masks", b_nowhere)
+    ws = Wallspace.from_data(["a", "b", "c"], [({"a", "b"}, {"c"}), ({"a", "c"}, {"b"})])
+    with pytest.raises(InternalInvariantError) as exc:
+        dualize_details(ws)
+    assert str(exc.value) == (
+        "principal orientation of point 'b' is outside the flip component"
     )
 
 

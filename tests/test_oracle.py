@@ -56,11 +56,12 @@ def test_axis_encoding():
     for d in (2, 3):
         cx = hypercube_complex(d)
         mapping = axis_dictionary(cx, d)
+        planes = cx.hyperplanes()
         assert sorted(mapping) == list(range(d))
         assert sorted(mapping.values()) == list(range(d))
         for axis, wall in mapping.items():
             # the plus side holds digit 1 (vertex 0...0 is canonically first)
-            plus = cx.hyperplanes()[wall].plus
+            plus = planes[wall].plus
             assert all(v[axis] == "1" for v in plus)
 
 

@@ -168,9 +168,3 @@ def test_every_mutant_anchor_is_one_line_of_src(monkeypatch):
         assert mutant.replacement != mutant.anchor
         for test in mutant.tests:
             assert (mutants.ROOT / test).is_file(), (mutant.name, test)
-
-
-def test_mutants_unknown_name_is_user_error():
-    proc = start_script("mutants.py", "no-such-mutant")
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1].startswith("error: unknown mutants ['no-such-mutant']")
